@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import esn
-from .game import (ExpectedUtility, JointEvaluator, MixedStrategy,
-                   restrict_coupled, restrict_licensed_only)
+from .game import (ExpectedUtility, JointEvaluator, restrict_coupled,
+                   restrict_licensed_only)
 from .scenario import ALGORITHMS
 
 Q_VARIANTS = tuple(a for a in ALGORITHMS if a.startswith("q_"))
@@ -97,7 +97,7 @@ class EsnAgent:
     bests were.
     """
 
-    def __init__(self, bs, spaces, config, seed):
+    def __init__(self, bs, spaces, config, seed, scratch=None):
         self.spaces = _check_spaces(bs, spaces)
         self.bs = int(bs)
         self.action_space = self.spaces[self.bs]
@@ -151,6 +151,12 @@ class EsnAgent:
             off += width
 
         self.x_beta = np.ones(self.beta_dim) * self._beta_scale  # request state
+
+        # (2, rows, reservoir units) work arrays of beta_expectation, made on
+        # first use when None. They are overwritten on every call, so agents
+        # that never run at the same time can share them (make_agents gives a
+        # team one pair); reuse spares the allocator fresh pages every call.
+        self._scratch = scratch
 
     @property
     def esn_alpha(self):
@@ -263,23 +269,37 @@ def select_and_broadcast(agent) -> BroadcastMsg:
     return BroadcastMsg(sender=agent.bs, current_action=action, best_action=best)
 
 
-def build_opponent_model(msgs, epsilon, spaces, expected=None):
-    """Per-sender epsilon-greedy strategies peaked at each broadcast best.
+def _epsilon_greedy(size, best, epsilon):
+    # the floats of game.MixedStrategy.epsilon_greedy, as an array
+    probs = np.full(size, epsilon / size)
+    probs[best] += 1.0 - epsilon
+    return probs
 
-    ``expected`` lists the senders that must have spoken; a missing or
-    duplicated broadcast is a protocol violation.
+
+def build_opponent_model(msgs, epsilon, spaces, expected=None):
+    """Per-sender epsilon-greedy probability arrays peaked at each broadcast
+    best: epsilon/|A| on every action plus 1-epsilon on the announced best.
+
+    ``msgs`` is either a sequence of broadcasts, checked here (``expected``
+    lists the senders that must have spoken; a missing or duplicated
+    broadcast is a protocol violation), or a ``{sender: msg}`` mapping the
+    caller has already checked.
     """
-    seen = {}
-    for msg in msgs:
-        if msg.sender in seen:
-            raise ValueError(f"duplicate broadcast from BS {msg.sender}")
-        seen[msg.sender] = msg
-    senders = tuple(expected) if expected is not None else tuple(sorted(seen))
-    missing = [m for m in senders if m not in seen]
-    if missing:
-        raise ValueError(f"missing broadcast from BS {missing[0]}")
-    return {m: MixedStrategy.epsilon_greedy(spaces[m], seen[m].best_action, epsilon)
-            for m in senders}
+    if isinstance(msgs, dict):
+        seen = msgs
+    else:
+        seen = {}
+        for msg in msgs:
+            if msg.sender in seen:
+                raise ValueError(f"duplicate broadcast from BS {msg.sender}")
+            seen[msg.sender] = msg
+        senders = tuple(expected) if expected is not None else tuple(sorted(seen))
+        missing = [m for m in senders if m not in seen]
+        if missing:
+            raise ValueError(f"missing broadcast from BS {missing[0]}")
+        seen = {m: seen[m] for m in senders}
+    return {m: _epsilon_greedy(len(spaces[m]), msg.best_action, epsilon)
+            for m, msg in seen.items()}
 
 
 def _opponent_msgs(agent, msgs):
@@ -318,25 +338,61 @@ def esn_alpha_target(agent, joint_action, capacities) -> float:
 
 def _alpha_predictions(agent, combos, action_i):
     """Alpha readout of one action over candidate states, one per opponent
-    profile row in ``combos`` (columns follow agent.opponents order).
+    profile: ``combos`` holds one row of action indices per opponent
+    (agent.opponents order) and one column per profile.
 
     States branch from the current committed state; nothing here mutates
     the reservoir.
     """
     base = agent.res_alpha.w @ agent.res_alpha.state
-    pre = np.tile(base, (combos.shape[0], 1))
-    for j, m in enumerate(agent.opponents):
-        pre += agent._phi[m][combos[:, j]]
-    states = np.tanh(pre)
+    rows, scratch = combos.shape[1], agent._scratch
+    if (scratch is None or scratch.shape[1] < rows
+            or scratch.shape[2] != base.size):
+        scratch = agent._scratch = np.empty((2, rows, base.size))
+    states, gathered = scratch[:, :rows]
+    if agent.opponents:
+        # pre-activations add up as ((base + phi_1) + phi_2) + ..., so
+        # gathering the first term from base + phi_1 (|A| rows) gives the
+        # same floats as adding base to every profile's phi_1 row; the
+        # indices are in range, and "clip" lets take write to out unbuffered
+        first, *rest = agent.opponents
+        np.take(base + agent._phi[first], combos[0], axis=0, out=states,
+                mode="clip")
+        for j, m in enumerate(rest, 1):
+            np.take(agent._phi[m], combos[j], axis=0, out=gathered,
+                    mode="clip")
+            states += gathered
+    else:
+        states[:] = base  # the one empty profile
+    np.tanh(states, out=states)
     row = agent.ro_alpha.w_out[action_i]
     n = agent.res_alpha.n_units
     values = states @ row[:n] + row[-1]
     off = n
     for j, m in enumerate(agent.opponents):
         width = agent._enc[m].shape[1]
-        values = values + (agent._enc[m] @ row[off:off + width])[combos[:, j]]
+        values += (agent._enc[m] @ row[off:off + width])[combos[j]]
         off += width
     return values
+
+
+def _draw_profiles(rng, probs, budget):
+    """``budget`` independent draws from each probability array, one row per
+    array.
+
+    The same draws, and the same generator state afterwards, as one
+    ``rng.choice(len(p), size=budget, p=p)`` per array in order: that call
+    inverts the normalized CDF at ``budget`` fresh uniforms, and one
+    (len(probs), budget) block of uniforms holds the per-call blocks back
+    to back.
+    """
+    uniforms = rng.random((len(probs), budget))
+    draws = np.empty(uniforms.shape, dtype=np.intp)
+    for j, p in enumerate(probs):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        draws[j] = cdf.searchsorted(uniforms[j], side="right")
+    return draws
 
 
 def beta_expectation(agent, action_i) -> ExpectedUtility:
@@ -345,32 +401,31 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
     budget, else a Monte-Carlo average over that many profile draws."""
     if agent.opponent_model is None:
         raise RuntimeError("opponent model not built yet")
-    probs = [np.asarray(agent.opponent_model[m].probs) for m in agent.opponents]
+    probs = [agent.opponent_model[m] for m in agent.opponents]
     sizes = [len(p) for p in probs]
     if math.prod(sizes) <= agent.expectation_budget:
         if sizes:
-            combos = np.indices(sizes).reshape(len(sizes), -1).T
+            combos = np.indices(sizes).reshape(len(sizes), -1)
         else:
-            combos = np.zeros((1, 0), dtype=int)
-        weights = np.ones(combos.shape[0])
+            combos = np.zeros((0, 1), dtype=int)
+        weights = np.ones(combos.shape[1])
         for j, p in enumerate(probs):
-            weights *= p[combos[:, j]]
+            weights *= p[combos[j]]
         values = _alpha_predictions(agent, combos, action_i)
         return ExpectedUtility(value=float(weights @ values), stderr=0.0,
                                exact=True)
     budget = agent.expectation_budget
-    draws = np.stack([agent.rng.choice(sizes[j], size=budget, p=probs[j])
-                      for j in range(len(sizes))], axis=1)
-    values = _alpha_predictions(agent, draws, action_i)
+    values = _alpha_predictions(agent, _draw_profiles(agent.rng, probs, budget),
+                                action_i)
     stderr = float(values.std(ddof=1) / math.sqrt(budget))
     return ExpectedUtility(value=float(values.mean()), stderr=stderr,
                            exact=False)
 
 
-def esn_beta_target(agent, action_i, capacities=None) -> float:
-    """Expected-reward target for the beta network. ``capacities`` is accepted
-    for signature symmetry with the alpha target; the expectation runs
-    entirely on alpha predictions."""
+def esn_beta_target(agent, action_i) -> float:
+    """Expected-reward target for the beta network: the opponent-averaged
+    alpha prediction of ``action_i``. It runs entirely on alpha's readout,
+    so unlike the alpha target it needs no capacities."""
     return beta_expectation(agent, action_i).value
 
 
@@ -379,9 +434,8 @@ def esn_beta_target(agent, action_i, capacities=None) -> float:
 
 def _esn_finish(agent, action, best, scores, msgs, capacities, t):
     by_sender = _opponent_msgs(agent, msgs)
-    agent.opponent_model = build_opponent_model(
-        list(by_sender.values()), agent.epsilon, agent.spaces,
-        expected=agent.opponents)
+    agent.opponent_model = build_opponent_model(by_sender, agent.epsilon,
+                                                agent.spaces)
     for m, msg in by_sender.items():
         agent.opponent_bests[m] = msg.best_action
 
@@ -498,6 +552,9 @@ def make_agents(algorithm, spaces, config, seed):
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "esn":
-        return [EsnAgent(n, spaces, config, seed) for n in range(len(spaces))]
+        scratch = np.empty((2, config.expectation_budget,
+                            config.reservoir_units))
+        return [EsnAgent(n, spaces, config, seed, scratch=scratch)
+                for n in range(len(spaces))]
     return [QAgent(n, spaces, config, seed, variant=algorithm)
             for n in range(len(spaces))]

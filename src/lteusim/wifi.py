@@ -154,12 +154,10 @@ def lte_fraction(params: WifiParams, r_w: float) -> DutyCycle:
 
 def duty_cycle_for_config(config) -> DutyCycle:
     """Duty cycle for a scenario: each WAP is its own contention domain and
-    the LTE-U share is the one every domain can tolerate (the minimum)."""
+    the LTE-U share is the one every domain can tolerate (the minimum).
+    Every domain holds the same number of stations with the same rate
+    requirement, so one split stands for all of them."""
     if config.n_waps == 0:
         return DutyCycle(lte_share=1.0)
-    per_wap = default_params(config.wifi_users_per_wap)
-    splits = [lte_fraction(per_wap, config.wifi_rate_req_bps)
-              for _ in range(config.n_waps)]
-    worst = min(splits, key=lambda s: s.lte_share)
-    return DutyCycle(lte_share=worst.lte_share,
-                     wifi_overloaded=any(s.wifi_overloaded for s in splits))
+    return lte_fraction(default_params(config.wifi_users_per_wap),
+                        config.wifi_rate_req_bps)

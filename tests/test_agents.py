@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lteusim import esn, game
 from lteusim.agents import (BEST_SWITCH_MARGIN, BroadcastMsg, EsnAgent,
-                            QAgent, _best_reply, agent_step,
+                            QAgent, _best_reply, _draw_profiles, agent_step,
                             algorithm_capacities, algorithm_spaces,
                             beta_expectation, build_opponent_model,
                             esn_alpha_target, esn_beta_target, finish_round,
@@ -192,13 +194,14 @@ class TestOpponentModel:
         space = sbs_idle_busy_space(owner=1)
         model = build_opponent_model(
             [BroadcastMsg(1, 0, 0)], 0.7, [None, space])
-        assert model[1].probs == pytest.approx((0.65, 0.35), abs=1e-12)
+        assert isinstance(model[1], np.ndarray)
+        assert model[1].tolist() == pytest.approx([0.65, 0.35], abs=1e-12)
 
     def test_greedy_limit_is_point_mass(self):
         space = sbs_idle_busy_space(owner=1)
         model = build_opponent_model(
             [BroadcastMsg(1, 1, 1)], 0.0, [None, space])
-        assert model[1].probs == (0.0, 1.0)
+        assert model[1].tolist() == [0.0, 1.0]
 
     def test_probabilities_sum_to_one(self):
         for n_actions, epsilon in [(2, 0.3), (5, 0.7), (9, 0.95)]:
@@ -206,7 +209,24 @@ class TestOpponentModel:
             space = single_user_space(0, rows)
             model = build_opponent_model(
                 [BroadcastMsg(0, 0, n_actions - 1)], epsilon, [space])
-            assert sum(model[0].probs) == pytest.approx(1.0, abs=1e-12)
+            assert sum(model[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_same_floats_as_mixed_strategy(self):
+        for n_actions, epsilon, best in [(2, 0.3, 1), (5, 0.7, 0), (9, 0.95, 4),
+                                         (32, 0.1, 31), (7, 1.0, 3)]:
+            rows = [((i / 10.0,), (0.0,), None, None) for i in range(n_actions)]
+            space = single_user_space(0, rows)
+            model = build_opponent_model(
+                [BroadcastMsg(0, 0, best)], epsilon, [space])
+            want = MixedStrategy.epsilon_greedy(space, best, epsilon).probs
+            assert model[0].tolist() == list(want)
+
+    def test_checked_mapping_is_taken_as_is(self):
+        space = sbs_idle_busy_space(owner=1)
+        model = build_opponent_model({1: BroadcastMsg(1, 0, 1)}, 0.7,
+                                     [None, space])
+        assert list(model) == [1]
+        assert model[1].tolist() == pytest.approx([0.35, 0.65], abs=1e-12)
 
     def test_missing_message_is_protocol_error(self):
         space = sbs_idle_busy_space(owner=1)
@@ -283,7 +303,7 @@ class TestBetaTarget:
         agent = EsnAgent(1, spaces, tiny_config(), seed=9)
         rng = np.random.default_rng(2)
         agent.res_alpha.state = rng.uniform(-0.5, 0.5, agent.res_alpha.n_units)
-        agent.opponent_model = {0: MixedStrategy.point_mass(spaces[0], 1)}
+        agent.opponent_model = {0: np.array([0.0, 1.0])}
         got = beta_expectation(agent, 1)
         assert got.exact and got.stderr == 0.0
         x = agent.profile_input({0: 1})
@@ -302,7 +322,7 @@ class TestBetaTarget:
         agent = EsnAgent(0, [own, opp], tiny_config(), seed=1)
         agent.ro_alpha.w_out[:] = 0.0
         agent.ro_alpha.w_out[0, agent.res_alpha.n_units] = 30.0
-        agent.opponent_model = {1: MixedStrategy(space=opp, probs=(0.5, 0.5))}
+        agent.opponent_model = {1: np.array([0.5, 0.5])}
         got = beta_expectation(agent, 0)
         assert got.exact
         assert got.value == pytest.approx((3.0 + 6.0) / 2.0, rel=1e-12)
@@ -345,8 +365,8 @@ class TestBetaTarget:
         rng = np.random.default_rng(3)
         agent.res_alpha.state = rng.uniform(-0.4, 0.4, agent.res_alpha.n_units)
         agent.opponent_model = {
-            1: MixedStrategy.epsilon_greedy(opp1, 2, 0.7),
-            2: MixedStrategy.epsilon_greedy(opp2, 0, 0.5),
+            1: np.array(MixedStrategy.epsilon_greedy(opp1, 2, 0.7).probs),
+            2: np.array(MixedStrategy.epsilon_greedy(opp2, 0, 0.5).probs),
         }
         return agent
 
@@ -354,8 +374,8 @@ class TestBetaTarget:
         agent = self.two_opponent_agent()
         got = beta_expectation(agent, 1)
         assert got.exact
-        probs1 = agent.opponent_model[1].probs
-        probs2 = agent.opponent_model[2].probs
+        probs1 = agent.opponent_model[1]
+        probs2 = agent.opponent_model[2]
         want = sum(probs1[j] * probs2[k]
                    * self.naive_prediction(agent, {1: j, 2: k}, 1)
                    for j in range(4) for k in range(5))
@@ -368,6 +388,15 @@ class TestBetaTarget:
         assert not got.exact and got.stderr > 0.0
         assert abs(got.value - exact) <= 3.0 * got.stderr
 
+    @pytest.mark.parametrize("budget", [16, 128])  # sampled, exact
+    def test_stale_scratch_does_not_reach_the_result(self, budget):
+        # a team shares one pair of work arrays, so each call must write
+        # every entry it reads
+        want = beta_expectation(self.two_opponent_agent(budget), 1)
+        agent = self.two_opponent_agent(budget)
+        agent._scratch = np.full((2, budget, agent.res_alpha.n_units), np.nan)
+        assert beta_expectation(agent, 1) == want
+
     def test_no_opponents_reads_alpha_directly(self):
         space = macro_two_action_space()
         agent = EsnAgent(0, [space], tiny_config(), seed=6)
@@ -377,6 +406,39 @@ class TestBetaTarget:
         want = esn.readout(agent.ro_alpha,
                            esn.peek_state(agent.res_alpha, empty), empty, 1)
         assert got.exact and got.value == pytest.approx(want, rel=1e-12)
+
+
+def choice_stack(rng, probs, budget):
+    """Reference sampler: one ``Generator.choice`` call per probability
+    array, in order, stacked one row per array."""
+    return np.stack([rng.choice(len(p), size=budget, p=p) for p in probs])
+
+
+class TestDrawProfiles:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 40), st.floats(0.0, 1.0),
+                              st.integers(0, 39)), min_size=1, max_size=5),
+           st.integers(1, 600), st.integers(0, 2**32 - 1))
+    def test_matches_per_opponent_choice_bitwise(self, opponents, budget,
+                                                 seed):
+        probs = []
+        for size, epsilon, best in opponents:
+            p = np.full(size, epsilon / size)
+            p[best % size] += 1.0 - epsilon
+            probs.append(p)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_profiles(ours, probs, budget)
+        want = choice_stack(ref, probs, budget)
+        assert got.shape == want.shape == (len(probs), budget)
+        assert np.array_equal(got, want)
+        # the generators leave the draws in the same state
+        assert ours.random() == ref.random()
+
+    def test_rows_are_contiguous_index_rows(self):
+        probs = [np.full(4, 0.25), np.full(3, 1.0 / 3.0)]
+        draws = _draw_profiles(np.random.default_rng(0), probs, 50)
+        assert draws.shape == (2, 50) and draws.flags.c_contiguous
+        assert draws[0].max() < 4 and draws[1].max() < 3
 
 
 # full reservoir step -------------------------------------------------------
@@ -689,6 +751,8 @@ class TestAlgorithmGating:
         team = make_agents("esn", spaces, config, seed=1)
         assert [a.bs for a in team] == [0, 1]
         assert all(isinstance(a, EsnAgent) for a in team)
+        # one pair of expectation work arrays for the whole team
+        assert team[0]._scratch is team[1]._scratch
         team = make_agents("q_lteu_coupled", spaces, config, seed=1)
         assert all(isinstance(a, QAgent) and a.variant == "q_lteu_coupled"
                    for a in team)
