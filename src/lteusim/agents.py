@@ -7,14 +7,16 @@ variants. Both follow the same synchronous round protocol:
 
   1. ``select_and_broadcast``: epsilon-greedy pick from the stored predictor,
      announce (current_action, best_action).
-  2. ``finish_round``: once every broadcast of the round is in, rebuild the
-     opponent model, compute learning targets with the pre-update readouts,
-     apply one readout-row (or Q-entry) update, then commit reservoir states.
+  2. ``finish_round``: once every broadcast of the round is in, take the
+     round's reward (the resolved utility of the ``reward_joint`` index
+     row, evaluated by the caller), rebuild the opponent model, compute the
+     remaining targets with the pre-update readouts, apply one readout-row
+     (or Q-entry) update, then commit reservoir states.
   3. ``observe_outcome``: absorb the conflict-resolved joint action; the
      agent's own association bits become the next round's selection input.
 
 ``agent_step`` / ``q_step`` bundle phases 1 and 2 for a single agent whose
-opponents' messages are already known.
+opponents' messages are already known, evaluating its reward themselves.
 """
 
 from __future__ import annotations
@@ -111,7 +113,6 @@ class EsnAgent:
         self._best_prev = None
         self.last_action = 0
         self._pending = None
-        self._eval_cache = None
 
         streams = np.random.SeedSequence([int(seed), self.bs]).generate_state(3)
         self.rng = np.random.default_rng(int(streams[0]))
@@ -197,7 +198,6 @@ class QAgent:
         self.q_table = np.zeros(len(self.action_space))
         self.last_action = 0
         self._pending = None
-        self._eval_cache = None
         streams = np.random.SeedSequence([int(seed), self.bs]).generate_state(1)
         self.rng = np.random.default_rng(int(streams[0]))
 
@@ -321,19 +321,22 @@ def _opponent_msgs(agent, msgs):
 # learning targets ----------------------------------------------------------
 
 
-def _evaluator(agent, capacities):
-    cached = agent._eval_cache
-    if cached is None or cached[0] is not capacities:
-        agent._eval_cache = (capacities,
-                             JointEvaluator(agent.spaces, capacities,
-                                            eta=agent.eta,
-                                            coupled=agent.coupled))
-    return agent._eval_cache[1]
+def reward_joint(agent, msgs) -> tuple[int, ...]:
+    """Index row whose resolved utility is the agent's reward this round.
 
-
-def esn_alpha_target(agent, joint_action, capacities) -> float:
-    """Realized reward: the agent's utility on the conflict-resolved joint."""
-    return _evaluator(agent, capacities).utility_of(agent.bs, joint_action)
+    The reservoir agent is rewarded for its pending action against what the
+    opponents played (their ``current_action``); the Q baselines score it
+    against the opponents' announced bests. ``msgs`` must carry one
+    broadcast per opponent; the agent's own, if present, is ignored.
+    """
+    if agent._pending is None:
+        raise RuntimeError("select_and_broadcast must run before reward_joint")
+    joint = [0] * len(agent.spaces)
+    joint[agent.bs] = agent._pending[0]
+    at_best = isinstance(agent, QAgent)
+    for m, msg in _opponent_msgs(agent, msgs).items():
+        joint[m] = msg.best_action if at_best else msg.current_action
+    return tuple(joint)
 
 
 def _alpha_predictions(agent, combos, action_i):
@@ -422,28 +425,16 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
                            exact=False)
 
 
-def esn_beta_target(agent, action_i) -> float:
-    """Expected-reward target for the beta network: the opponent-averaged
-    alpha prediction of ``action_i``. It runs entirely on alpha's readout,
-    so unlike the alpha target it needs no capacities."""
-    return beta_expectation(agent, action_i).value
-
-
 # round completion ----------------------------------------------------------
 
 
-def _esn_finish(agent, action, best, scores, msgs, capacities, t):
+def _esn_finish(agent, action, best, scores, msgs, e_alpha, t):
     by_sender = _opponent_msgs(agent, msgs)
     agent.opponent_model = build_opponent_model(by_sender, agent.epsilon,
                                                 agent.spaces)
     for m, msg in by_sender.items():
         agent.opponent_bests[m] = msg.best_action
 
-    joint = np.zeros(len(agent.spaces), dtype=int)
-    joint[agent.bs] = action
-    for m, msg in by_sender.items():
-        joint[m] = msg.current_action
-    e_alpha = esn_alpha_target(agent, joint, capacities)
     # both targets and both predictions use the readouts and states as they
     # stood at selection time; training and state commits come after
     e_beta = beta_expectation(agent, action).value
@@ -463,13 +454,7 @@ def _esn_finish(agent, action, best, scores, msgs, capacities, t):
                            r_hat_beta=r_hat_beta, e_beta=e_beta)
 
 
-def _q_finish(agent, action, best, msgs, capacities):
-    by_sender = _opponent_msgs(agent, msgs)
-    joint = np.zeros(len(agent.spaces), dtype=int)
-    joint[agent.bs] = action
-    for m, msg in by_sender.items():
-        joint[m] = msg.best_action  # opponents assumed at their announced best
-    target = _evaluator(agent, capacities).utility_of(agent.bs, joint)
+def _q_finish(agent, action, best, target):
     q_before = float(agent.q_table[action])
     agent.q_table[action] = (1.0 - agent.lambda_q) * q_before \
         + agent.lambda_q * target
@@ -477,32 +462,44 @@ def _q_finish(agent, action, best, msgs, capacities):
                         target=target, q_after=float(agent.q_table[action]))
 
 
-def finish_round(agent, msgs, capacities, t=None):
-    """Phase two of a round. ``msgs`` must carry one broadcast per opponent;
-    the agent's own, if present, is ignored. ``t`` is the 1-based round index
-    the reservoir learning-rate schedule is queried at."""
+def finish_round(agent, msgs, reward, t=None):
+    """Phase two of a round. ``reward`` is the agent's resolved utility on
+    its ``reward_joint`` row: the reservoir agent's alpha target, the Q
+    baselines' update target. ``msgs`` must carry one broadcast per opponent
+    (the reservoir agent rebuilds its opponent model from them); the agent's
+    own, if present, is ignored. ``t`` is the 1-based round index the
+    reservoir learning-rate schedule is queried at."""
     if agent._pending is None:
         raise RuntimeError("select_and_broadcast must run before finish_round")
+    reward = float(reward)
     action, best, scores = agent._pending
     agent._pending = None
     if isinstance(agent, QAgent):
-        return _q_finish(agent, action, best, msgs, capacities)
+        return _q_finish(agent, action, best, reward)
     if t is None:
         raise ValueError("the reservoir agent needs the 1-based round index t")
-    return _esn_finish(agent, action, best, scores, msgs, capacities, t)
+    return _esn_finish(agent, action, best, scores, msgs, reward, t)
+
+
+def _solo_reward(agent, msgs, capacities):
+    evaluator = JointEvaluator(agent.spaces, capacities, eta=agent.eta,
+                               coupled=agent.coupled)
+    return evaluator.utility_of(agent.bs, reward_joint(agent, msgs))
 
 
 def agent_step(agent, msgs, capacities, t):
     """One full round for a single agent whose opponents' broadcasts are
-    already known: select, broadcast, learn. Returns the outgoing message and
-    the step diagnostics."""
+    already known: select, broadcast, evaluate the reward, learn. Returns the
+    outgoing message and the step diagnostics."""
     out = select_and_broadcast(agent)
-    return out, finish_round(agent, msgs, capacities, t)
+    reward = _solo_reward(agent, msgs, capacities)
+    return out, finish_round(agent, msgs, reward, t)
 
 
 def q_step(agent, msgs, capacities):
     out = select_and_broadcast(agent)
-    return out, finish_round(agent, msgs, capacities)
+    reward = _solo_reward(agent, msgs, capacities)
+    return out, finish_round(agent, msgs, reward)
 
 
 def observe_outcome(agent, resolved_joint):

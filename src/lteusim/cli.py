@@ -11,15 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from . import game, harness, wifi
+from .harness import _fmt
 from .scenario import ALGORITHMS, ScenarioConfig, desk_config
-
-FLOAT_FORMAT = harness.FLOAT_FORMAT
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, FLOAT_FORMAT)
-    return str(value)
 
 
 def _parse_sets(pairs):

@@ -443,7 +443,7 @@ def resolve_conflicts(joint, caps: LinkCapacitySet, coupled: bool = False):
     resolved = []
     for n, action in enumerate(joint):
         idx = np.asarray(action.users, dtype=int)
-        pick = lambda dense: tuple(float(x) for x in dense[n, idx])
+        pick = lambda dense: tuple(dense[n, idx].tolist())
         resolved.append(action.replace_fractions(
             pick(d), pick(v),
             None if action.kappa is None else pick(kp),
@@ -464,9 +464,10 @@ def resolved_utilities(joint, caps: LinkCapacitySet,
 class JointEvaluator:
     """Vectorized resolved-utility evaluation over index-coded joints.
 
-    Precomputes each space's stacked fraction matrices once; evaluating a
-    batch of S joints is then pure array gathering, so per-round learning
-    loops never touch Python-level action objects.
+    Stacks every space's fraction matrices once into one zero-padded
+    (4, n_bs, max |A|, n_users) table; evaluating a batch of S joints is
+    then one fancy-index gather plus array arithmetic, so per-round
+    learning loops never touch Python-level action objects.
     """
 
     def __init__(self, spaces, caps: LinkCapacitySet, eta: float = DEFAULT_ETA,
@@ -476,17 +477,24 @@ class JointEvaluator:
         self.eta = eta
         self.coupled = coupled
         self.n_bs = len(self.spaces)
+        self.sizes = np.array([len(s) for s in self.spaces], dtype=int)
+        self._tables = np.zeros((4, self.n_bs, int(self.sizes.max()),
+                                 self.spaces[0].n_users))
+        for n, space in enumerate(self.spaces):
+            for k, rows in enumerate((space.d_rows, space.v_rows,
+                                      space.kappa_rows, space.tau_rows)):
+                self._tables[k, n, :len(space)] = rows
+        self._bs = np.arange(self.n_bs)
 
     def batch_utilities(self, index_matrix) -> np.ndarray:
         """(S, n_bs) joint index rows -> (S, n_bs) resolved utilities."""
         idx = np.atleast_2d(np.asarray(index_matrix, dtype=int))
-        gather = lambda attr: np.stack(
-            [getattr(self.spaces[n], attr)[idx[:, n]]
-             for n in range(self.n_bs)], axis=1)
-        d = gather("d_rows")
-        v = gather("v_rows")
-        kp = gather("kappa_rows")
-        tp = gather("tau_rows")
+        if idx.ndim != 2 or idx.shape[1] != self.n_bs:
+            raise ValueError(f"joint rows must have {self.n_bs} indices")
+        # an index past a smaller space would read its zero padding
+        if ((idx < 0) | (idx >= self.sizes)).any():
+            raise IndexError("action index outside its BS's action space")
+        d, v, kp, tp = self._tables[:, self._bs, idx]
         caps = self.caps
         cols = np.arange(d.shape[2])
         rows = np.arange(idx.shape[0])[:, None]

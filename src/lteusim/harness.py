@@ -19,7 +19,7 @@ import numpy as np
 
 from .agents import (BroadcastMsg, QDiagnostics, algorithm_capacities,
                      algorithm_spaces, finish_round, make_agents,
-                     observe_outcome, select_and_broadcast)
+                     observe_outcome, reward_joint, select_and_broadcast)
 from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
                    resolved_utilities, validate_action)
 from .rates import UserRates, build_capacities, compute_user_rates
@@ -141,6 +141,14 @@ def _metrics_from(rates: UserRates, per_bs_utility) -> dict:
     }
 
 
+def _round_rows(team, msgs) -> list:
+    """The round's (n_bs + 2, n_bs) evaluator rows: each agent's reward
+    joint in team order, then the played and the greedy joint."""
+    return ([reward_joint(agent, msgs) for agent in team]
+            + [tuple(m.current_action for m in msgs),
+               tuple(m.best_action for m in msgs)])
+
+
 def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         keep_records: bool = True) -> RunResult:
     """One full learning run; deterministic in (config, algorithm, seed).
@@ -158,6 +166,7 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
     # the coupled baseline is scored under classic single-BS association
     coupled = algorithm == "q_lteu_coupled"
     evaluator = JointEvaluator(spaces, caps, eta=config.eta, coupled=coupled)
+    n_bs = len(spaces)
 
     records = []
     window = deque(maxlen=config.convergence_window)
@@ -171,13 +180,18 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
 
     for t in range(1, config.max_iterations + 1):
         msgs = [select_and_broadcast(agent) for agent in team]
-        diags = tuple(finish_round(agent, msgs, caps, t) for agent in team)
+        # every resolved utility of the round in one evaluator call: agent
+        # n's reward is entry (n, n), then the played and the greedy rows
+        rows = _round_rows(team, msgs)
+        batch = evaluator.batch_utilities(rows)
+        current, best = rows[n_bs], rows[n_bs + 1]
+        utilities, greedy_utilities = batch[n_bs], batch[n_bs + 1]
+        diags = tuple(finish_round(agent, msgs, batch[n, n], t)
+                      for n, agent in enumerate(team))
 
-        current = tuple(m.current_action for m in msgs)
-        played = [spaces[n].actions[current[n]] for n in range(len(spaces))]
+        played = [spaces[n].actions[current[n]] for n in range(n_bs)]
         resolved = resolve_conflicts(played, caps, coupled=coupled)
         user_rates = compute_user_rates(resolved, caps)
-        utilities = evaluator.utilities(current)
         audit = resolved_utilities(played, caps, eta=config.eta,
                                    coupled=coupled)
         if not np.allclose(utilities, audit, rtol=1e-9, atol=1e-9):
@@ -186,12 +200,10 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         for agent in team:
             observe_outcome(agent, resolved)
 
-        best = tuple(m.best_action for m in msgs)
         greedy = resolve_conflicts(
-            [spaces[n].actions[best[n]] for n in range(len(spaces))], caps,
+            [spaces[n].actions[best[n]] for n in range(n_bs)], caps,
             coupled=coupled)
         greedy_rates = compute_user_rates(greedy, caps)
-        greedy_utilities = evaluator.utilities(best)
         association = tuple(zip(greedy_rates.serving_dl.tolist(),
                                 greedy_rates.serving_ul.tolist()))
 

@@ -170,27 +170,17 @@ class UserRates:
         both = (self.serving_dl >= 0) & (self.serving_ul >= 0)
         return int(np.sum(both & (self.serving_dl != self.serving_ul)))
 
-    def csv_rows(self):
-        for i in range(len(self.dl_bps)):
-            yield {
-                "user": i,
-                "dl_bps": self.dl_bps[i],
-                "ul_bps": self.ul_bps[i],
-                "serving_dl": int(self.serving_dl[i]),
-                "serving_ul": int(self.serving_ul[i]),
-            }
-
     def write_csv(self, path) -> None:
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["user", "dl_bps", "ul_bps", "serving_dl", "serving_ul"])
-            for row in self.csv_rows():
+            for i in range(len(self.dl_bps)):
                 writer.writerow([
-                    row["user"],
-                    format(row["dl_bps"], ".9g"),
-                    format(row["ul_bps"], ".9g"),
-                    row["serving_dl"],
-                    row["serving_ul"],
+                    i,
+                    format(self.dl_bps[i], ".9g"),
+                    format(self.ul_bps[i], ".9g"),
+                    int(self.serving_dl[i]),
+                    int(self.serving_ul[i]),
                 ])
 
 

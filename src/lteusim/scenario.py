@@ -70,7 +70,6 @@ class ScenarioConfig:
     reservoir_radius: float = 0.9
     reservoir_input_scale: float = 1.0
     expectation_budget: int = 128
-    legacy_alpha: float = 0.05  # reserved tuning knob; nothing reads it
     # harness
     max_iterations: int = 2000
     convergence_window: int = 50

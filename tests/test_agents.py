@@ -15,10 +15,11 @@ from lteusim.agents import (BEST_SWITCH_MARGIN, BroadcastMsg, EsnAgent,
                             QAgent, _best_reply, _draw_profiles, agent_step,
                             algorithm_capacities, algorithm_spaces,
                             beta_expectation, build_opponent_model,
-                            esn_alpha_target, esn_beta_target, finish_round,
-                            make_agents, observe_outcome, q_step,
-                            select_action, select_and_broadcast)
-from lteusim.game import ActionSpace, MixedStrategy, make_action
+                            finish_round, make_agents, observe_outcome,
+                            q_step, reward_joint, select_action,
+                            select_and_broadcast)
+from lteusim.game import (ActionSpace, JointEvaluator, MixedStrategy,
+                          make_action)
 from lteusim.rates import LinkCapacitySet
 from lteusim.scenario import desk_config
 
@@ -171,8 +172,10 @@ class TestBestReply:
         caps = flat_caps(1, 2)
         assert agent.opponent_bests == {1: 0}
         select_and_broadcast(agent)
-        finish_round(agent, [BroadcastMsg(sender=1, current_action=0,
-                                          best_action=1)], caps, t=1)
+        msgs = [BroadcastMsg(sender=1, current_action=0, best_action=1)]
+        reward = JointEvaluator(agent.spaces, caps).utility_of(
+            0, reward_joint(agent, msgs))
+        finish_round(agent, msgs, reward, t=1)
         assert agent.opponent_bests == {1: 1}
 
     def test_table_agents_advertise_their_argmax(self):
@@ -244,12 +247,28 @@ class TestOpponentModel:
 # alpha target --------------------------------------------------------------
 
 
+def alpha_target(agent, joint, caps):
+    """The reward ``finish_round`` receives when the agent plays
+    ``joint[agent.bs]`` and each opponent m plays ``joint[m]``: the resolved
+    utility of the agent's reward joint."""
+    # epsilon 0 and a beta readout peaked at the wanted action pin the draw
+    agent.epsilon = 0.0
+    agent.ro_beta.w_out[:] = 0.0
+    agent.ro_beta.w_out[joint[agent.bs], -1] = 1.0
+    select_and_broadcast(agent)
+    msgs = [BroadcastMsg(m, int(joint[m]), 0) for m in agent.opponents]
+    row = reward_joint(agent, msgs)
+    assert row == tuple(int(i) for i in joint)
+    return JointEvaluator(agent.spaces, caps, eta=agent.eta).utility_of(
+        agent.bs, row)
+
+
 class TestAlphaTarget:
     def test_idle_joint_is_zero(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = EsnAgent(1, spaces, tiny_config(), seed=3)
         caps = flat_caps(1, 2)
-        assert esn_alpha_target(agent, [0, 0], caps) == 0.0
+        assert alpha_target(agent, [0, 0], caps) == 0.0
 
     def test_single_bs_equals_own_utility(self):
         space = single_user_space(0, [((0.5,), (0.5,), None, None),
@@ -257,7 +276,7 @@ class TestAlphaTarget:
         agent = EsnAgent(0, [space], tiny_config(), seed=3)
         caps = flat_caps(1, 1, c=3.0)
         want = math.log2(1 + 0.5 * 3.0) + math.log2(1 + 0.5 * 3.0)
-        assert esn_alpha_target(agent, [0], caps) == pytest.approx(
+        assert alpha_target(agent, [0], caps) == pytest.approx(
             want, rel=1e-12)
 
     def test_matches_resolved_utilities_on_random_joints(self):
@@ -284,8 +303,61 @@ class TestAlphaTarget:
             joint = [rng.integers(3), rng.integers(3)]
             objects = [macro.actions[joint[0]], sbs.actions[joint[1]]]
             want = game.resolved_utilities(objects, caps, eta=config.eta)[1]
-            got = esn_alpha_target(agent, joint, caps)
+            got = alpha_target(agent, joint, caps)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+class TestRewardJoint:
+    def three_bs(self, kind):
+        spaces = [macro_two_action_space(), sbs_idle_busy_space(1),
+                  sbs_idle_busy_space(2)]
+        agent = kind(1, spaces, tiny_config(), seed=3)
+        agent.epsilon = 1.0
+        own = select_and_broadcast(agent).current_action
+        msgs = [BroadcastMsg(0, 1, 0), BroadcastMsg(2, 0, 1)]
+        return agent, own, msgs
+
+    def test_reservoir_agent_scores_against_played_actions(self):
+        agent, own, msgs = self.three_bs(EsnAgent)
+        assert reward_joint(agent, msgs) == (1, own, 0)
+
+    def test_q_agent_scores_against_announced_bests(self):
+        agent, own, msgs = self.three_bs(QAgent)
+        assert reward_joint(agent, msgs) == (0, own, 1)
+
+    def test_own_echo_is_ignored(self):
+        agent, own, msgs = self.three_bs(EsnAgent)
+        echo = BroadcastMsg(1, 1 - own, 1 - own)
+        assert reward_joint(agent, msgs + [echo]) == (1, own, 0)
+
+    def test_requires_a_pending_action(self):
+        spaces = [macro_two_action_space(), sbs_idle_busy_space()]
+        agent = QAgent(1, spaces, tiny_config(), seed=3)
+        with pytest.raises(RuntimeError, match="select_and_broadcast"):
+            reward_joint(agent, [BroadcastMsg(0, 0, 0)])
+
+    @pytest.mark.parametrize("kind", [EsnAgent, QAgent])
+    def test_missing_or_duplicate_broadcast_raises(self, kind):
+        agent, _, msgs = self.three_bs(kind)
+        with pytest.raises(ValueError, match="missing broadcast from BS 2"):
+            reward_joint(agent, msgs[:1])
+        with pytest.raises(ValueError, match="duplicate broadcast"):
+            reward_joint(agent, msgs + msgs[:1])
+
+    def test_finish_round_takes_the_reward_as_given(self):
+        spaces = [macro_two_action_space(), sbs_idle_busy_space()]
+        agent = QAgent(1, spaces, tiny_config(), seed=3)
+        select_and_broadcast(agent)
+        diag = finish_round(agent, [BroadcastMsg(0, 0, 0)], 2.5)
+        assert diag.target == 2.5
+        assert diag.q_after == pytest.approx(0.06 * 2.5, rel=1e-12)
+
+    def test_capacities_are_not_a_reward(self):
+        spaces = [macro_two_action_space(), sbs_idle_busy_space()]
+        agent = EsnAgent(1, spaces, tiny_config(), seed=3)
+        select_and_broadcast(agent)
+        with pytest.raises(TypeError):
+            finish_round(agent, [BroadcastMsg(0, 0, 0)], flat_caps(1, 2), t=1)
 
 
 # beta target ---------------------------------------------------------------
@@ -296,7 +368,7 @@ class TestBetaTarget:
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = EsnAgent(1, spaces, tiny_config(), seed=3)
         with pytest.raises(RuntimeError, match="opponent model"):
-            esn_beta_target(agent, 0)
+            beta_expectation(agent, 0).value
 
     def test_point_mass_matches_single_alpha_prediction(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
@@ -564,13 +636,13 @@ class TestAgentStep:
     def test_finish_before_select_raises(self):
         agent, caps, msgs = self.step_fixture()
         with pytest.raises(RuntimeError, match="select_and_broadcast"):
-            finish_round(agent, msgs, caps, t=1)
+            finish_round(agent, msgs, 1.0, t=1)
 
     def test_reservoir_round_requires_t(self):
         agent, caps, msgs = self.step_fixture()
         select_and_broadcast(agent)
         with pytest.raises(ValueError, match="round index"):
-            finish_round(agent, msgs, caps)
+            finish_round(agent, msgs, 1.0)
 
     def test_same_seed_same_trajectory(self):
         def run_one():

@@ -432,6 +432,55 @@ class TestJointEvaluator:
             slow = resolved_utilities(joint, caps, eta=0.7, coupled=True)
             assert np.allclose(row, slow, rtol=1e-12, atol=1e-12)
 
+    def uneven_evaluator(self):
+        # BS 0 has 2 actions, BS 1 has 5: BS 0's rows 2..4 are zero padding
+        topo = toy_topology([(0,), (0,)])
+        cfg = ScenarioConfig(z_levels=2, action_set_size=5)
+        macro = ActionSpace(owner=0, generation_seed=0, actions=tuple(
+            make_action(0, (0,), 1, (d,), (d,)) for d in (0.0, 1.0)))
+        spaces = [macro, enumerate_actions(1, topo, cfg, seed=3)]
+        assert [len(s) for s in spaces] == [2, 5]
+        return JointEvaluator(spaces, flat_caps(1, 2))
+
+    def test_gather_matches_each_space(self):
+        ev = self.uneven_evaluator()
+        for n, space in enumerate(ev.spaces):
+            for k, attr in enumerate(("d_rows", "v_rows", "kappa_rows",
+                                      "tau_rows")):
+                assert np.array_equal(ev._tables[k, n, :len(space)],
+                                      getattr(space, attr))
+        batch = np.array([[1, 4], [0, 0], [1, 2]])
+        want = [resolved_utilities(
+            [s.actions[i] for s, i in zip(ev.spaces, row)], ev.caps)
+            for row in batch]
+        np.testing.assert_allclose(ev.batch_utilities(batch), want,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_index_past_a_smaller_space_raises(self):
+        # row 2 of BS 0 exists only as zero padding
+        ev = self.uneven_evaluator()
+        with pytest.raises(IndexError):
+            ev.batch_utilities([[2, 0]])
+        with pytest.raises(IndexError):
+            ev.batch_utilities([[0, 0], [1, 1], [2, 4]])
+
+    @pytest.mark.parametrize("row", [[-1, 0], [0, -1], [-2, -5]])
+    def test_negative_index_raises(self, row):
+        with pytest.raises(IndexError):
+            self.uneven_evaluator().batch_utilities([row])
+
+    @pytest.mark.parametrize("row", [[0, 5], [5, 0], [1, 99]])
+    def test_index_past_the_widest_space_raises(self, row):
+        with pytest.raises(IndexError):
+            self.uneven_evaluator().batch_utilities([row])
+
+    def test_row_width_must_match_the_players(self):
+        ev = self.uneven_evaluator()
+        with pytest.raises(ValueError, match="2 indices"):
+            ev.batch_utilities([[0]])
+        with pytest.raises(ValueError, match="2 indices"):
+            ev.batch_utilities([[0, 0, 0]])
+
 
 class TestMixedStrategy:
     @pytest.fixture

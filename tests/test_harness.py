@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lteusim import game, harness
+from lteusim import agents, game, harness
 from lteusim.harness import (MonteCarloResult, RunResult, monte_carlo,
                              prepare_run, run, sweep, write_cdf_csv,
                              write_sweep_csv, write_trace_csv)
@@ -137,6 +137,90 @@ class TestRun:
         result = run(cfg, "esn", seed=1, keep_records=False)
         assert result.converged_at is not None
         assert result.decoupled_users > 0
+
+
+class TestBatchedRound:
+    """One evaluator call per round: each agent's reward row, then the
+    played and the greedy joint."""
+
+    @pytest.fixture(scope="class", params=ALGORITHMS)
+    def round_setup(self, request):
+        algorithm = request.param
+        config = desk_config()
+        inputs = prepare_run(config, algorithm, 5)
+        team = agents.make_agents(algorithm, inputs.spaces, config,
+                                  inputs.agent_seed)
+        evaluator = game.JointEvaluator(
+            inputs.spaces, inputs.capacities, eta=config.eta,
+            coupled=algorithm == "q_lteu_coupled")
+        return algorithm, config, inputs, team, evaluator
+
+    def random_round(self, team, spaces, rng):
+        """Broadcasts of one round, played and announced-best actions drawn
+        at random; each agent's pending action is the one it announces."""
+        msgs = []
+        for agent in team:
+            agent.epsilon = 1.0  # the played action is a uniform draw
+            played = agents.select_and_broadcast(agent).current_action
+            msgs.append(agents.BroadcastMsg(
+                agent.bs, played, int(rng.integers(len(spaces[agent.bs])))))
+        return msgs
+
+    def test_rewards_match_resolved_utilities(self, round_setup):
+        algorithm, config, inputs, team, evaluator = round_setup
+        spaces, n_bs = inputs.spaces, config.n_bs
+        coupled = algorithm == "q_lteu_coupled"
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            msgs = self.random_round(team, spaces, rng)
+            rows = harness._round_rows(team, msgs)
+            batch = evaluator.batch_utilities(rows)
+            assert batch.shape == (n_bs + 2, n_bs)
+            assert rows[n_bs] == tuple(m.current_action for m in msgs)
+            assert rows[n_bs + 1] == tuple(m.best_action for m in msgs)
+            for n, agent in enumerate(team):
+                own = msgs[n].current_action
+                others = [m.current_action if algorithm == "esn"
+                          else m.best_action for m in msgs]
+                assert rows[n] == tuple(own if m == n else others[m]
+                                        for m in range(n_bs))
+                joint = [spaces[m].actions[i] for m, i in enumerate(rows[n])]
+                want = game.resolved_utilities(joint, inputs.capacities,
+                                               eta=config.eta,
+                                               coupled=coupled)[n]
+                assert batch[n, n] == pytest.approx(want, rel=1e-12,
+                                                    abs=1e-12)
+
+    def test_batched_rows_equal_rows_alone_bitwise(self, round_setup):
+        _, config, inputs, team, evaluator = round_setup
+        rng = np.random.default_rng(9)
+        for _ in range(12):
+            rows = harness._round_rows(
+                team, self.random_round(team, inputs.spaces, rng))
+            batch = evaluator.batch_utilities(rows)
+            for row, got in zip(rows, batch):
+                alone = evaluator.batch_utilities([row])[0]
+                assert np.array_equal(got, alone)
+                assert np.array_equal(got, evaluator.utilities(row))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_run_rewards_are_the_batched_entries(self, algorithm):
+        cfg = small_config(n_sbs=2, max_iterations=25, convergence_window=26)
+        result = run(cfg, algorithm, seed=6)
+        inputs = prepare_run(cfg, algorithm, 6)
+        evaluator = game.JointEvaluator(
+            inputs.spaces, inputs.capacities, eta=cfg.eta,
+            coupled=algorithm == "q_lteu_coupled")
+        for record in result.records:
+            for n, diag in enumerate(record.diagnostics):
+                if algorithm == "esn":
+                    # the reward row is the played row, bit for bit
+                    assert diag.e_alpha == record.utilities[n]
+                    continue
+                row = tuple(record.joint_action[n] if m == n
+                            else msg.best_action
+                            for m, msg in enumerate(record.messages))
+                assert diag.target == evaluator.utility_of(n, row)
 
 
 class TestMonteCarlo:
