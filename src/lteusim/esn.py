@@ -2,9 +2,14 @@
 
 The reservoir is a fixed random sparse matrix rescaled to a spectral radius
 below one; only the readout learns, one row per action, by stochastic
-gradient on the squared prediction error. Input weights are scaled by
-1/sqrt(n_units) by default so the gradient step stays contractive at the
-reference learning rates regardless of reservoir size.
+gradient on the squared prediction error.
+
+``init`` scales the input weights by 1/sqrt(n_units) only when it is given
+no ``input_scale``. The agents always pass ``config.reservoir_input_scale``
+(default 1.0), so that default never applies in a run, and nothing here
+keeps the gradient step contractive: at ``ScenarioConfig()`` defaults the
+1000-unit states saturate, and the step lambda_alpha * ||z||^2 is about 3.3,
+above the LMS stability bound of 2.
 """
 
 from __future__ import annotations

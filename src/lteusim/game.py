@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .rates import LinkCapacitySet
+from .rates import LinkCapacitySet, _stack_dense
 
 DEFAULT_ETA = 0.7  # unlicensed-DL utility discount
 
@@ -33,7 +33,10 @@ class AllocationAction:
     ``users`` lists the covered user ids; the fraction tuples run parallel
     to it. ``kappa``/``tau`` are None for the macro cell, which has no
     unlicensed radio. Dense length-n_users views are precomputed for fast
-    joint evaluation.
+    joint evaluation: the rows of one read-only (4, n_users) block
+    ``[d, v, kappa, tau]``. A caller that already holds that block, such
+    as ``resolve_conflicts``, hands it in as ``dense`` and the tuples are
+    not scattered again; it must hold the same floats as the tuples.
     """
 
     owner: int
@@ -47,8 +50,9 @@ class AllocationAction:
     v_dense: np.ndarray = field(init=False, repr=False, compare=False)
     kappa_dense: np.ndarray = field(init=False, repr=False, compare=False)
     tau_dense: np.ndarray = field(init=False, repr=False, compare=False)
+    dense: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, dense):
         k = len(self.users)
         if len(self.d) != k or len(self.v) != k:
             raise ValueError("fraction vectors must match the covered-user count")
@@ -57,23 +61,28 @@ class AllocationAction:
                 raise ValueError("fraction vectors must match the covered-user count")
         if (self.kappa is None) != (self.tau is None):
             raise ValueError("kappa and tau must be both present or both absent")
-        idx = np.asarray(self.users, dtype=int)
-        for name, values in (("d_dense", self.d), ("v_dense", self.v),
-                             ("kappa_dense", self.kappa), ("tau_dense", self.tau)):
-            dense = np.zeros(self.n_users)
-            if values is not None and k:
-                dense[idx] = values
-            dense.flags.writeable = False
-            object.__setattr__(self, name, dense)
+        if dense is None:
+            dense = np.zeros((4, self.n_users))
+            idx = np.asarray(self.users, dtype=int)
+            for row, values in zip(dense, self.key):
+                if values is not None and k:
+                    row[idx] = values
+        elif dense.shape != (4, self.n_users):
+            raise ValueError("the dense block must have shape (4, n_users)")
+        dense = dense.view()
+        dense.flags.writeable = False
+        for name, row in zip(("d_dense", "v_dense", "kappa_dense", "tau_dense"),
+                             dense):
+            object.__setattr__(self, name, row)
 
     @property
     def key(self):
         return (self.d, self.v, self.kappa, self.tau)
 
-    def replace_fractions(self, d, v, kappa, tau) -> "AllocationAction":
+    def replace_fractions(self, d, v, kappa, tau, dense=None) -> "AllocationAction":
         return AllocationAction(owner=self.owner, users=self.users,
                                 n_users=self.n_users, d=d, v=v,
-                                kappa=kappa, tau=tau)
+                                kappa=kappa, tau=tau, dense=dense)
 
 
 def make_action(owner, users, n_users, d, v, kappa=None, tau=None):
@@ -335,39 +344,37 @@ def restrict_coupled(space: ActionSpace) -> ActionSpace:
 # utilities and conflict resolution
 
 
-def _stack_dense(joint):
-    d = np.vstack([a.d_dense for a in joint])
-    v = np.vstack([a.v_dense for a in joint])
-    kp = np.vstack([a.kappa_dense for a in joint])
-    tp = np.vstack([a.tau_dense for a in joint])
-    return d, v, kp, tp
+_DIRECTIONS = np.arange(2)[:, None]  # [DL, UL] rows of a (2, n_users) pick
 
 
-def _resolve_dense(d, v, kp, tp, caps: LinkCapacitySet):
-    """Zero out losing grants, per user and direction, in dense form.
+def _offers(frac, caps: LinkCapacitySet):
+    """Per-direction offers of a ``[[d, v], [kappa, tau]]`` fraction block
+    of shape (2, 2, n_bs, n_users).
 
-    The winner is the BS whose grant buys the user the most rate; exact
-    ties go to the lower BS index (argmax picks the first maximum).
+    Returns the (2, n_bs, n_users) active grants ``[DL, UL]`` and the
+    (2, n_users) best offering BS per direction and user: the largest
+    fraction-weighted capacity, licensed plus raw unlicensed, over the
+    active grants; exact ties go to the lower BS index (argmax picks the
+    first maximum).
     """
-    n_users = d.shape[1]
-    cols = np.arange(n_users)
-
-    def settle(frac_a, frac_b, cap_a, cap_b):
-        active = (frac_a > 0) | (frac_b > 0)
-        offer = frac_a * cap_a.T + frac_b * cap_b.T
-        winner = np.where(active, offer, -1.0).argmax(axis=0)
-        keep = np.zeros_like(active)
-        keep[winner, cols] = active.any(axis=0)
-        return np.where(keep, frac_a, 0.0), np.where(keep, frac_b, 0.0)
-
-    d2, kp2 = settle(d, kp, caps.c_l_dl, caps.c_u_dl)
-    v2, tp2 = settle(v, tp, caps.c_l_ul, caps.c_u_ul)
-    return d2, v2, kp2, tp2
+    active = (frac[0] > 0) | (frac[1] > 0)
+    product = frac * caps.block
+    offer = np.where(active, product[0] + product[1], -1.0)
+    return active, offer.argmax(axis=1)
 
 
-def _couple_dense(d, v, kp, tp, caps: LinkCapacitySet):
-    """Classic single-BS association in dense form: each user keeps grants
-    from exactly one BS, both directions.
+def _resolve_block(frac, caps: LinkCapacitySet) -> np.ndarray:
+    """Zero out losing grants, per user and direction, of a (2, 2, n_bs,
+    n_users) fraction block; the best offer keeps its grant."""
+    active, pick = _offers(frac, caps)
+    keep = np.zeros(active.shape, dtype=bool)
+    keep[_DIRECTIONS, pick, np.arange(frac.shape[-1])] = active.any(axis=1)
+    return np.where(keep, frac, 0.0)
+
+
+def _couple_block(frac, caps: LinkCapacitySet) -> np.ndarray:
+    """Classic single-BS association of a (2, 2, n_bs, n_users) fraction
+    block: each user keeps grants from exactly one BS, both directions.
 
     The serving BS is the one with the best downlink offer (same
     fraction-weighted capacities as the per-direction rule, ties to the
@@ -375,57 +382,20 @@ def _couple_dense(d, v, kp, tp, caps: LinkCapacitySet):
     best uplink offer. Grants at every other BS are zeroed, so the output
     never splits a user across cells.
     """
-    n_users = d.shape[1]
-    cols = np.arange(n_users)
-    dl_active = (d > 0) | (kp > 0)
-    ul_active = (v > 0) | (tp > 0)
-    dl_offer = d * caps.c_l_dl.T + kp * caps.c_u_dl.T
-    ul_offer = v * caps.c_l_ul.T + tp * caps.c_u_ul.T
-    dl_pick = np.where(dl_active, dl_offer, -1.0).argmax(axis=0)
-    ul_pick = np.where(ul_active, ul_offer, -1.0).argmax(axis=0)
-    serving = np.where(dl_active.any(axis=0), dl_pick, ul_pick)
-    keep = np.zeros_like(dl_active)
-    keep[serving, cols] = dl_active.any(axis=0) | ul_active.any(axis=0)
-    return tuple(np.where(keep, x, 0.0) for x in (d, v, kp, tp))
+    active, pick = _offers(frac, caps)
+    served = active.any(axis=1)
+    serving = np.where(served[0], pick[0], pick[1])
+    keep = np.zeros(active.shape[1:], dtype=bool)
+    keep[serving, np.arange(frac.shape[-1])] = served[0] | served[1]
+    return np.where(keep, frac, 0.0)
 
 
-def _dense_utilities(d, v, kp, tp, caps: LinkCapacitySet, eta: float):
-    dl = np.log2(1.0 + d * caps.c_l_dl.T + eta * kp * caps.c_u_dl.T)
-    ul = np.log2(1.0 + v * caps.c_l_ul.T + tp * caps.c_u_ul.T)
-    return dl.sum(axis=1) + ul.sum(axis=1)
-
-
-def sbs_utility(n: int, joint, caps: LinkCapacitySet,
-                eta: float = DEFAULT_ETA) -> float:
-    """Log-sum utility of small cell n under an already-settled joint action."""
-    if n == 0:
-        raise ValueError("BS 0 is the macro cell; use mbs_utility")
-    action = joint[n]
-    total = 0.0
-    kappa = action.kappa if action.kappa is not None else (0.0,) * len(action.users)
-    tau = action.tau if action.tau is not None else (0.0,) * len(action.users)
-    for pos, user in enumerate(action.users):
-        total += math.log2(1.0 + action.d[pos] * caps.c_l_dl[user, n]
-                           + eta * kappa[pos] * caps.c_u_dl[user, n])
-        total += math.log2(1.0 + action.v[pos] * caps.c_l_ul[user, n]
-                           + tau[pos] * caps.c_u_ul[user, n])
-    return total
-
-
-def mbs_utility(joint, caps: LinkCapacitySet) -> float:
-    """Licensed-only log-sum utility of the macro cell."""
-    action = joint[0]
-    total = 0.0
-    for pos, user in enumerate(action.users):
-        total += math.log2(1.0 + action.d[pos] * caps.c_l_dl[user, 0])
-        total += math.log2(1.0 + action.v[pos] * caps.c_l_ul[user, 0])
-    return total
-
-
-def joint_utilities(joint, caps: LinkCapacitySet,
-                    eta: float = DEFAULT_ETA) -> np.ndarray:
-    """Per-BS utility vector of a joint action taken at face value."""
-    return _dense_utilities(*_stack_dense(joint), caps, eta)
+def _settle(joint, caps: LinkCapacitySet, coupled: bool) -> np.ndarray:
+    """The joint's settled (2, 2, n_bs, n_users) ``[[d, v], [kappa, tau]]``
+    fraction block."""
+    block = _stack_dense(joint)
+    frac = block.reshape(2, 2, *block.shape[1:])
+    return (_couple_block if coupled else _resolve_block)(frac, caps)
 
 
 def resolve_conflicts(joint, caps: LinkCapacitySet, coupled: bool = False):
@@ -433,21 +403,19 @@ def resolve_conflicts(joint, caps: LinkCapacitySet, coupled: bool = False):
 
     ``coupled=True`` switches from the per-direction rule to classic
     association: each user is collapsed onto a single serving BS and its
-    uplink follows its downlink.
+    uplink follows its downlink. The resolved actions' dense views are
+    rows of the settled block.
     """
-    dense = _stack_dense(joint)
-    if coupled:
-        d, v, kp, tp = _couple_dense(*dense, caps)
-    else:
-        d, v, kp, tp = _resolve_dense(*dense, caps)
+    settled = _settle(joint, caps, coupled)
+    settled = settled.reshape(4, *settled.shape[2:])
+    settled.flags.writeable = False
     resolved = []
     for n, action in enumerate(joint):
-        idx = np.asarray(action.users, dtype=int)
-        pick = lambda dense: tuple(dense[n, idx].tolist())
+        d, v, kp, tp = map(tuple, settled[:, n, action.users].tolist())
+        unlicensed = action.kappa is not None
         resolved.append(action.replace_fractions(
-            pick(d), pick(v),
-            None if action.kappa is None else pick(kp),
-            None if action.tau is None else pick(tp)))
+            d, v, kp if unlicensed else None, tp if unlicensed else None,
+            dense=settled[:, n]))
     return resolved
 
 
@@ -456,9 +424,13 @@ def resolved_utilities(joint, caps: LinkCapacitySet,
                        coupled: bool = False) -> np.ndarray:
     """Per-BS utilities after conflict resolution (the payoffs the game is
     actually played over)."""
-    raw = _stack_dense(joint)
-    dense = _couple_dense(*raw, caps) if coupled else _resolve_dense(*raw, caps)
-    return _dense_utilities(*dense, caps, eta)
+    settled = _settle(joint, caps, coupled)
+    discount = np.array([eta, 1.0])[:, None, None]
+    # per direction: log2(1 + licensed rate + discounted unlicensed rate)
+    gain = np.log2(1.0 + settled[0] * caps.block[0]
+                   + discount * settled[1] * caps.block[1])
+    per_direction = gain.sum(axis=2)
+    return per_direction[0] + per_direction[1]
 
 
 class JointEvaluator:
@@ -485,6 +457,10 @@ class JointEvaluator:
                                       space.kappa_rows, space.tau_rows)):
                 self._tables[k, n, :len(space)] = rows
         self._bs = np.arange(self.n_bs)
+        # (2, 2, 1, n_bs, n_users): broadcast over the batch axis
+        self._caps = caps.block[:, :, None]
+        # per direction [DL, UL]: only unlicensed DL is discounted
+        self._discount = np.array([eta, 1.0])[:, None, None, None]
 
     def batch_utilities(self, index_matrix) -> np.ndarray:
         """(S, n_bs) joint index rows -> (S, n_bs) resolved utilities."""
@@ -494,38 +470,28 @@ class JointEvaluator:
         # an index past a smaller space would read its zero padding
         if ((idx < 0) | (idx >= self.sizes)).any():
             raise IndexError("action index outside its BS's action space")
-        d, v, kp, tp = self._tables[:, self._bs, idx]
-        caps = self.caps
-        cols = np.arange(d.shape[2])
+        # (2 band, 2 direction, S, n_bs, n_users): [[d, v], [kappa, tau]]
+        frac = self._tables[:, self._bs, idx].reshape(
+            2, 2, *idx.shape, self._tables.shape[-1])
+        caps = self._caps
+        active = (frac[0] > 0) | (frac[1] > 0)
+        product = frac * caps
+        pick = np.where(active, product[0] + product[1], -1.0).argmax(axis=2)
         rows = np.arange(idx.shape[0])[:, None]
-
-        def settle(frac_a, frac_b, cap_a, cap_b):
-            active = (frac_a > 0) | (frac_b > 0)
-            offer = frac_a * cap_a.T[None] + frac_b * cap_b.T[None]
-            winner = np.where(active, offer, -1.0).argmax(axis=1)
-            keep = np.zeros_like(active)
-            keep[rows, winner, cols[None, :]] = active.any(axis=1)
-            return np.where(keep, frac_a, 0.0), np.where(keep, frac_b, 0.0)
-
+        cols = np.arange(frac.shape[-1])[None, :]
         if self.coupled:
-            dl_active = (d > 0) | (kp > 0)
-            ul_active = (v > 0) | (tp > 0)
-            dl_offer = d * caps.c_l_dl.T[None] + kp * caps.c_u_dl.T[None]
-            ul_offer = v * caps.c_l_ul.T[None] + tp * caps.c_u_ul.T[None]
-            dl_pick = np.where(dl_active, dl_offer, -1.0).argmax(axis=1)
-            ul_pick = np.where(ul_active, ul_offer, -1.0).argmax(axis=1)
-            serving = np.where(dl_active.any(axis=1), dl_pick, ul_pick)
-            keep = np.zeros_like(dl_active)
-            keep[rows, serving, cols[None, :]] = (dl_active.any(axis=1)
-                                                 | ul_active.any(axis=1))
-            d2, v2, kp2, tp2 = (np.where(keep, x, 0.0)
-                                for x in (d, v, kp, tp))
+            served = active.any(axis=2)
+            serving = np.where(served[0], pick[0], pick[1])
+            keep = np.zeros(active.shape[1:], dtype=bool)
+            keep[rows, serving, cols] = served[0] | served[1]
         else:
-            d2, kp2 = settle(d, kp, caps.c_l_dl, caps.c_u_dl)
-            v2, tp2 = settle(v, tp, caps.c_l_ul, caps.c_u_ul)
-        dl = np.log2(1.0 + d2 * caps.c_l_dl.T[None] + self.eta * kp2 * caps.c_u_dl.T[None])
-        ul = np.log2(1.0 + v2 * caps.c_l_ul.T[None] + tp2 * caps.c_u_ul.T[None])
-        return dl.sum(axis=2) + ul.sum(axis=2)
+            keep = np.zeros(active.shape, dtype=bool)
+            keep[_DIRECTIONS[:, None], rows, pick, cols] = active.any(axis=2)
+        settled = np.where(keep, frac, 0.0)
+        gain = np.log2(1.0 + settled[0] * caps[0]
+                       + self._discount * settled[1] * caps[1])
+        per_direction = gain.sum(axis=3)
+        return per_direction[0] + per_direction[1]
 
     def utilities(self, indices) -> np.ndarray:
         return self.batch_utilities(np.asarray(indices)[None, :])[0]

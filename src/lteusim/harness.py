@@ -194,7 +194,9 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         user_rates = compute_user_rates(resolved, caps)
         audit = resolved_utilities(played, caps, eta=config.eta,
                                    coupled=coupled)
-        if not np.allclose(utilities, audit, rtol=1e-9, atol=1e-9):
+        # np.allclose(rtol=1e-9, atol=1e-9) written out, without its
+        # overhead; unlike allclose, equal infinities fail
+        if not (np.abs(utilities - audit) <= 1e-9 + 1e-9 * np.abs(audit)).all():
             raise RuntimeError("reward audit failed: evaluator and direct "
                                "recomputation disagree")
         for agent in team:
@@ -348,10 +350,17 @@ def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
     if algorithms is None:
         algorithms = ALGORITHMS
     field = SWEEP_AXES[axis]
+    kind = type(getattr(template, field))
+    values = list(values)
+    # a count axis must not truncate 12.5 to 12 and still report 12.5
+    if kind is int:
+        for value in values:
+            if not float(value).is_integer():
+                raise ValueError(f"sweep axis {axis!r} takes whole numbers, "
+                                 f"got {value!r}")
     cells = []
     for value in values:
-        config = template.with_overrides(
-            **{field: type(getattr(template, field))(value)})
+        config = template.with_overrides(**{field: kind(value)})
         for algorithm in algorithms:
             mc = monte_carlo(config, algorithm, n_runs, base_seed)
             cells.append(SweepCell(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,15 @@ class LinkCapacitySet:
     @property
     def n_bs(self) -> int:
         return self.c_l_dl.shape[1]
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """(2, 2, n_bs, n_users) ``[[c_l_dl, c_l_ul], [c_u_dl, c_u_ul]]``,
+        each matrix transposed: band by direction, laid out like a joint's
+        ``[[d, v], [kappa, tau]]`` fraction block. Built on first use, so
+        the matrices must not change after that."""
+        return np.array([[self.c_l_dl.T, self.c_l_ul.T],
+                         [self.c_u_dl.T, self.c_u_ul.T]])
 
     def without_unlicensed(self) -> "LinkCapacitySet":
         zero = np.zeros_like(self.c_u_dl)
@@ -184,6 +194,13 @@ class UserRates:
                 ])
 
 
+def _stack_dense(joint) -> np.ndarray:
+    """(4, n_bs, n_users) block ``[d, v, kappa, tau]`` of a joint's dense
+    views, in one copy."""
+    return np.array(list(zip(*((a.d_dense, a.v_dense, a.kappa_dense,
+                                a.tau_dense) for a in joint))))
+
+
 def compute_user_rates(joint_action, capacities: LinkCapacitySet) -> UserRates:
     """Fraction-weighted rates for a conflict-free joint allocation.
 
@@ -193,29 +210,23 @@ def compute_user_rates(joint_action, capacities: LinkCapacitySet) -> UserRates:
     fraction in the same direction; resolve conflicts first.
     """
     n_users, n_bs = capacities.c_l_dl.shape
-    d = np.vstack([np.asarray(a.d_dense) for a in joint_action])
-    v = np.vstack([np.asarray(a.v_dense) for a in joint_action])
-    kp = np.vstack([np.asarray(a.kappa_dense) for a in joint_action])
-    tp = np.vstack([np.asarray(a.tau_dense) for a in joint_action])
-    if d.shape != (n_bs, n_users):
+    block = _stack_dense(joint_action)
+    if block.shape != (4, n_bs, n_users):
         raise ValueError("joint action shape does not match the capacity set")
+    # (2 band, 2 direction, n_bs, n_users): [[d, v], [kappa, tau]]
+    frac = block.reshape(2, 2, n_bs, n_users)
 
-    dl_grants = (d > 0) | (kp > 0)
-    ul_grants = (v > 0) | (tp > 0)
-    for name, grants in (("DL", dl_grants), ("UL", ul_grants)):
-        counts = grants.sum(axis=0)
-        if np.any(counts > 1):
-            bad = int(np.argmax(counts > 1))
-            raise ValueError(
-                f"user {bad} is granted a {name} allocation by more than one BS")
+    grants = (frac[0] > 0) | (frac[1] > 0)
+    shared = grants.sum(axis=1) > 1
+    if shared.any():
+        direction, user = np.argwhere(shared)[0]
+        raise ValueError(f"user {user} is granted a {('DL', 'UL')[direction]} "
+                         "allocation by more than one BS")
 
-    dl = np.einsum("ji,ij->i", d, capacities.c_l_dl) + \
-        np.einsum("ji,ij->i", kp, capacities.c_u_dl)
-    ul = np.einsum("ji,ij->i", v, capacities.c_l_ul) + \
-        np.einsum("ji,ij->i", tp, capacities.c_u_ul)
-
-    serving_dl = np.where(dl_grants.any(axis=0), dl_grants.argmax(axis=0), -1)
-    serving_ul = np.where(ul_grants.any(axis=0), ul_grants.argmax(axis=0), -1)
-    return UserRates(dl_bps=dl, ul_bps=ul,
-                     serving_dl=serving_dl.astype(int),
-                     serving_ul=serving_ul.astype(int))
+    # at most one BS grants each user and direction, so every sum over the
+    # BSs below has a single nonzero term and is exact in any order
+    per_band = (frac * capacities.block).sum(axis=2)
+    rate = per_band[0] + per_band[1]
+    serving = np.where(grants.any(axis=1), grants.argmax(axis=1), -1)
+    return UserRates(dl_bps=rate[0], ul_bps=rate[1],
+                     serving_dl=serving[0], serving_ul=serving[1])

@@ -1,12 +1,16 @@
 """Action feasibility, utilities, conflict resolution, and the NE oracle."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lteusim.game import (
+    DEFAULT_ETA,
     ActionSpace,
     AllocationAction,
     JointEvaluator,
@@ -15,20 +19,134 @@ from lteusim.game import (
     expected_utility,
     export_small_game,
     feasible_count,
-    joint_utilities,
     load_small_game,
     make_action,
-    mbs_utility,
     resolve_conflicts,
     resolved_utilities,
     restrict_coupled,
     restrict_licensed_only,
-    sbs_utility,
     validate_action,
     verify_mixed_ne,
 )
+from lteusim.harness import prepare_run
 from lteusim.rates import LinkCapacitySet, compute_user_rates
-from lteusim.scenario import ScenarioConfig, Topology
+from lteusim.scenario import ScenarioConfig, Topology, desk_config
+
+
+# ---------------------------------------------------------------------------
+# utility and settling oracles: plain per-BS, per-user Python, independent
+# of the vectorized block code in lteusim.game
+
+
+def sbs_utility(n: int, joint, caps: LinkCapacitySet,
+                eta: float = DEFAULT_ETA) -> float:
+    """Log-sum utility of small cell n under an already-settled joint action."""
+    if n == 0:
+        raise ValueError("BS 0 is the macro cell; use mbs_utility")
+    action = joint[n]
+    total = 0.0
+    kappa = action.kappa if action.kappa is not None else (0.0,) * len(action.users)
+    tau = action.tau if action.tau is not None else (0.0,) * len(action.users)
+    for pos, user in enumerate(action.users):
+        total += math.log2(1.0 + action.d[pos] * caps.c_l_dl[user, n]
+                           + eta * kappa[pos] * caps.c_u_dl[user, n])
+        total += math.log2(1.0 + action.v[pos] * caps.c_l_ul[user, n]
+                           + tau[pos] * caps.c_u_ul[user, n])
+    return total
+
+
+def mbs_utility(joint, caps: LinkCapacitySet) -> float:
+    """Licensed-only log-sum utility of the macro cell."""
+    action = joint[0]
+    total = 0.0
+    for pos, user in enumerate(action.users):
+        total += math.log2(1.0 + action.d[pos] * caps.c_l_dl[user, 0])
+        total += math.log2(1.0 + action.v[pos] * caps.c_l_ul[user, 0])
+    return total
+
+
+def joint_utilities(joint, caps: LinkCapacitySet,
+                    eta: float = DEFAULT_ETA) -> np.ndarray:
+    """Per-BS utility vector of a joint action taken at face value, from
+    the actions' dense views."""
+    d, v, kp, tp = (np.vstack([getattr(a, name) for a in joint])
+                    for name in ("d_dense", "v_dense", "kappa_dense",
+                                 "tau_dense"))
+    dl = np.log2(1.0 + d * caps.c_l_dl.T + eta * kp * caps.c_u_dl.T)
+    ul = np.log2(1.0 + v * caps.c_l_ul.T + tp * caps.c_u_ul.T)
+    return dl.sum(axis=1) + ul.sum(axis=1)
+
+
+def scalar_utilities(joint, caps: LinkCapacitySet, eta: float) -> list:
+    return [mbs_utility(joint, caps)] + [sbs_utility(n, joint, caps, eta)
+                                         for n in range(1, len(joint))]
+
+
+def settle_oracle(joint, caps: LinkCapacitySet, coupled: bool = False):
+    """Per-BS ``(d, v, kappa, tau)`` tuples after conflict resolution.
+
+    Per user and direction, the BS with the largest fraction-weighted
+    offer (licensed plus raw unlicensed capacity) keeps its grant, and
+    ties go to the lower BS. Under the coupled rule the best DL offer
+    picks the serving BS, or the best UL offer for a user without any DL
+    grant, and that BS keeps both directions.
+    """
+    def fraction(action, name, user):
+        values = getattr(action, name)
+        if values is None or user not in action.users:
+            return 0.0
+        return values[action.users.index(user)]
+
+    def best(user, licensed, unlicensed, cap_l, cap_u):
+        winner, top = None, None
+        for n, action in enumerate(joint):
+            f_l = fraction(action, licensed, user)
+            f_u = fraction(action, unlicensed, user)
+            if f_l > 0 or f_u > 0:
+                offer = f_l * cap_l[user, n] + f_u * cap_u[user, n]
+                if top is None or offer > top:
+                    winner, top = n, offer
+        return winner
+
+    winners = {}
+    for user in range(joint[0].n_users):
+        dl = best(user, "d", "kappa", caps.c_l_dl, caps.c_u_dl)
+        ul = best(user, "v", "tau", caps.c_l_ul, caps.c_u_ul)
+        if coupled:
+            dl = ul = dl if dl is not None else ul
+        winners[user] = (dl, ul)
+
+    settled = []
+    for n, action in enumerate(joint):
+        def kept(name, direction):
+            values = getattr(action, name)
+            if values is None:
+                return None
+            return tuple(x if winners[u][direction] == n else 0.0
+                         for u, x in zip(action.users, values))
+        settled.append((kept("d", 0), kept("v", 1), kept("kappa", 0),
+                        kept("tau", 1)))
+    return settled
+
+
+@functools.lru_cache(maxsize=None)
+def desk_world(algorithm: str, seed: int):
+    inputs = prepare_run(desk_config(), algorithm, seed)
+    return inputs.spaces, inputs.capacities
+
+
+@st.composite
+def desk_joints(draw):
+    """(spaces, caps, index row, coupled) over desk_config() scenarios.
+
+    Flat capacities make every equal fraction offer a tie, so the tie
+    rule decides often."""
+    algorithm = draw(st.sampled_from(["esn", "q_lteu_coupled"]))
+    spaces, caps = desk_world(algorithm, draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        caps = flat_caps(caps.n_users, caps.n_bs)
+    indices = [draw(st.integers(0, len(s) - 1)) for s in spaces]
+    return spaces, caps, indices, draw(st.booleans())
 
 
 def toy_topology(covered):
@@ -73,6 +191,28 @@ class TestActionConstruction:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             make_action(1, users=(0, 1), n_users=2, d=(1.0,), v=(0.0, 0.0))
+
+    def test_dense_block_becomes_the_views(self):
+        block = np.array([[0.2, 0.0], [0.0, 1.0], [0.1, 0.0], [0.0, 0.3]])
+        a = AllocationAction(owner=1, users=(0, 1), n_users=2, d=(0.2, 0.0),
+                             v=(0.0, 1.0), kappa=(0.1, 0.0), tau=(0.0, 0.3),
+                             dense=block)
+        assert a == make_action(1, (0, 1), 2, (0.2, 0.0), (0.0, 1.0),
+                                (0.1, 0.0), (0.0, 0.3))
+        assert a.tau_dense.tolist() == [0.0, 0.3]
+        assert np.shares_memory(a.d_dense, block)
+        # the views are read-only even where the handed-in block is not
+        assert block.flags.writeable and not a.kappa_dense.flags.writeable
+
+    def test_dense_block_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            AllocationAction(owner=0, users=(0,), n_users=2, d=(1.0,),
+                             v=(0.0,), kappa=None, tau=None,
+                             dense=np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="covered-user count"):
+            AllocationAction(owner=0, users=(0,), n_users=1, d=(1.0, 0.0),
+                             v=(0.0,), kappa=None, tau=None,
+                             dense=np.zeros((4, 1)))
 
     def test_half_unlicensed_rejected(self):
         with pytest.raises(ValueError):
@@ -480,6 +620,83 @@ class TestJointEvaluator:
             ev.batch_utilities([[0]])
         with pytest.raises(ValueError, match="2 indices"):
             ev.batch_utilities([[0, 0, 0]])
+
+
+class TestSettleOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(desk_joints())
+    def test_settling_matches_the_per_user_reference(self, case):
+        spaces, caps, indices, coupled = case
+        eta = desk_config().eta
+        joint = [s.actions[i] for s, i in zip(spaces, indices)]
+        want = settle_oracle(joint, caps, coupled)
+        resolved = resolve_conflicts(joint, caps, coupled=coupled)
+        assert [a.key for a in resolved] == want
+        oracle = scalar_utilities(resolved, caps, eta)
+        np.testing.assert_allclose(
+            resolved_utilities(joint, caps, eta=eta, coupled=coupled),
+            oracle, rtol=1e-12, atol=0.0)
+        ev = JointEvaluator(spaces, caps, eta=eta, coupled=coupled)
+        np.testing.assert_allclose(ev.batch_utilities([indices])[0], oracle,
+                                   rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(desk_joints())
+    def test_resolved_actions_equal_their_rebuilt_tuples(self, case):
+        spaces, caps, indices, coupled = case
+        joint = [s.actions[i] for s, i in zip(spaces, indices)]
+        for action in resolve_conflicts(joint, caps, coupled=coupled):
+            rebuilt = make_action(action.owner, action.users, action.n_users,
+                                  action.d, action.v, action.kappa, action.tau)
+            assert action == rebuilt
+            for name in ("d_dense", "v_dense", "kappa_dense", "tau_dense"):
+                got, scattered = getattr(action, name), getattr(rebuilt, name)
+                assert got.dtype == scattered.dtype
+                assert got.tobytes() == scattered.tobytes()
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(desk_joints())
+    def test_rates_of_a_settled_joint_match_per_user_sums(self, case):
+        spaces, caps, indices, coupled = case
+        joint = [s.actions[i] for s, i in zip(spaces, indices)]
+        resolved = resolve_conflicts(joint, caps, coupled=coupled)
+        rates = compute_user_rates(resolved, caps)
+        for user in range(caps.n_users):
+            for direction, (lic, unl, cap_l, cap_u, got, serving) in enumerate((
+                    ("d", "kappa", caps.c_l_dl, caps.c_u_dl, rates.dl_bps,
+                     rates.serving_dl),
+                    ("v", "tau", caps.c_l_ul, caps.c_u_ul, rates.ul_bps,
+                     rates.serving_ul))):
+                want, server = 0.0, -1
+                for n, action in enumerate(resolved):
+                    if user not in action.users:
+                        continue
+                    pos = action.users.index(user)
+                    f_l = getattr(action, lic)[pos]
+                    f_u = 0.0 if action.kappa is None else getattr(action, unl)[pos]
+                    if f_l > 0 or f_u > 0:
+                        assert server == -1, "settled joint grants twice"
+                        want = f_l * cap_l[user, n] + f_u * cap_u[user, n]
+                        server = n
+                assert got[user] == want
+                assert serving[user] == server
+
+    def test_oracle_breaks_ties_to_the_lower_bs(self):
+        # equal offers 2.0 at BS 1 and BS 2; BS 2's UL offer is alone
+        caps = flat_caps(1, 3)
+        joint = [make_action(0, (), 1, (), ()),
+                 make_action(1, (0,), 1, (1.0,), (0.0,), (0.0,), (0.0,)),
+                 make_action(2, (0,), 1, (0.5,), (0.0,), (0.5,), (0.5,))]
+        assert settle_oracle(joint, caps) == [
+            ((), (), None, None),
+            ((1.0,), (0.0,), (0.0,), (0.0,)),
+            ((0.0,), (0.0,), (0.0,), (0.5,))]
+        # coupled: BS 1's DL offer picks it, so BS 2 loses its UL too
+        assert settle_oracle(joint, caps, coupled=True)[2] == (
+            (0.0,), (0.0,), (0.0,), (0.0,))
 
 
 class TestMixedStrategy:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lteusim import agents, game, harness
+from lteusim import agents, cli, game, harness
 from lteusim.harness import (MonteCarloResult, RunResult, monte_carlo,
                              prepare_run, run, sweep, write_cdf_csv,
                              write_sweep_csv, write_trace_csv)
@@ -265,6 +265,31 @@ class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep axis"):
             sweep(small_config(), "bandwidth", [1, 2], ["esn"], n_runs=1)
+
+    @pytest.mark.parametrize("axis", ["n_sbs", "n_users", "n_wifi"])
+    @pytest.mark.parametrize("value", [12.5, 2.000001, float("nan"),
+                                       float("inf")])
+    def test_count_axis_rejects_non_integral_values(self, axis, value):
+        # checked before any cell runs, so the valid 2 runs nothing either
+        with pytest.raises(ValueError, match="whole numbers"):
+            sweep(small_config(), axis, [2, value], ["q_lteu_decoupled"],
+                  n_runs=1)
+
+    def test_integral_float_on_a_count_axis_is_accepted(self):
+        cfg = small_config(max_iterations=3, convergence_window=4)
+        cells = sweep(cfg, "n_users", [3.0], ["q_lteu_decoupled"], n_runs=1)
+        direct = monte_carlo(cfg.with_overrides(n_users=3),
+                             "q_lteu_decoupled", n_runs=1)
+        assert cells[0].value == 3.0
+        assert cells[0].sum_rate_mean == direct.sum_rate_mean
+
+    def test_non_integral_count_exits_2_from_the_cli(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--axis", "n_users", "--values", "12.5",
+                         "--algorithms", "q_lteu_decoupled", "--runs", "1",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "whole numbers" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_wifi_demand_sweep_monotone_duty_cycle(self):
         cfg = small_config(n_waps=2, max_iterations=4, convergence_window=5)

@@ -159,6 +159,17 @@ class TestCapacityCache:
         assert np.all(caps.c_u_dl[:, 0] == 0.0)
         assert np.all(caps.c_u_ul[:, 0] == 0.0)
 
+    def test_block_is_band_by_direction_transposed(self, drawn):
+        cfg, ch = drawn
+        caps = build_capacities(ch, cfg, lte_fraction=0.8)
+        assert caps.block.shape == (2, 2, cfg.n_bs, cfg.n_users)
+        for (band, direction), matrix in {
+                (0, 0): caps.c_l_dl, (0, 1): caps.c_l_ul,
+                (1, 0): caps.c_u_dl, (1, 1): caps.c_u_ul}.items():
+            assert np.array_equal(caps.block[band, direction], matrix.T)
+        assert caps.block is caps.block  # built once
+        assert not caps.without_unlicensed().block[1].any()
+
     def test_without_unlicensed_keeps_licensed(self, drawn):
         cfg, ch = drawn
         caps = build_capacities(ch, cfg, lte_fraction=0.8)
@@ -254,6 +265,19 @@ class TestUserRates:
         joint[1].d_dense[0] = 0.5
         joint[2].kappa_dense[0] = 0.5  # also DL, different BS
         with pytest.raises(ValueError, match="more than one BS"):
+            compute_user_rates(joint, caps)
+
+    def test_double_grant_error_names_direction_and_user(self):
+        caps = grid_caps(3, 3)
+        joint = zero_joint(3, 3)
+        joint[1].v_dense[2] = 0.5
+        joint[2].tau_dense[2] = 0.5
+        with pytest.raises(ValueError, match="user 2 is granted a UL"):
+            compute_user_rates(joint, caps)
+        # a DL conflict is reported before a UL one
+        joint[0].d_dense[1] = 0.5
+        joint[1].kappa_dense[1] = 0.5
+        with pytest.raises(ValueError, match="user 1 is granted a DL"):
             compute_user_rates(joint, caps)
 
     def test_opposite_directions_are_fine(self):
