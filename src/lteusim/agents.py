@@ -15,8 +15,8 @@ variants. Both follow the same synchronous round protocol:
   3. ``observe_outcome``: absorb the conflict-resolved joint action; the
      agent's own association bits become the next round's selection input.
 
-``agent_step`` / ``q_step`` bundle phases 1 and 2 for a single agent whose
-opponents' messages are already known, evaluating its reward themselves.
+The caller evaluates every reward of a round (``harness.run`` makes one
+batched evaluator call), so an agent never scores a joint action itself.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import esn
-from .game import (ExpectedUtility, JointEvaluator, restrict_coupled,
-                   restrict_licensed_only)
+from .game import ExpectedUtility, restrict_coupled, restrict_licensed_only
 from .scenario import ALGORITHMS
 
 Q_VARIANTS = tuple(a for a in ALGORITHMS if a.startswith("q_"))
@@ -104,8 +103,6 @@ class EsnAgent:
         self.bs = int(bs)
         self.action_space = self.spaces[self.bs]
         self.epsilon = float(config.epsilon)
-        self.eta = float(config.eta)
-        self.coupled = False
         self.expectation_budget = int(config.expectation_budget)
         self.opponents = tuple(m for m in range(len(self.spaces)) if m != self.bs)
         self.opponent_model = None
@@ -134,13 +131,13 @@ class EsnAgent:
             density=config.reservoir_density,
             target_radius=config.reservoir_radius, seed=int(streams[1]),
             input_scale=config.reservoir_input_scale)
-        self.ro_alpha.rule = esn.FixedRate(config.lambda_alpha)
+        self.ro_alpha.rate = config.lambda_alpha
         self.res_beta, self.ro_beta = esn.init(
             config.reservoir_units, self.beta_dim, n_actions,
             density=config.reservoir_density,
             target_radius=config.reservoir_radius, seed=int(streams[2]),
             input_scale=config.reservoir_input_scale)
-        self.ro_beta.rule = esn.FixedRate(config.lambda_beta)
+        self.ro_beta.rate = config.lambda_beta
 
         # per-action input projections; profile encodings in the expectation
         # then reduce to row gathers instead of matrix products
@@ -159,14 +156,6 @@ class EsnAgent:
         # team one pair); reuse spares the allocator fresh pages every call.
         self._scratch = scratch
 
-    @property
-    def esn_alpha(self):
-        return self.res_alpha, self.ro_alpha
-
-    @property
-    def esn_beta(self):
-        return self.res_beta, self.ro_beta
-
     def profile_input(self, indices):
         """Alpha input vector for one opponent profile {bs: action index}."""
         if not self.opponents:
@@ -179,8 +168,8 @@ class QAgent:
 
     ``variant`` names the capacity/action-space gating the surrounding run
     applies; the update rule itself is identical across variants. The
-    coupled variant also learns over coupled-association payoffs, matching
-    how its runs are scored.
+    coupled variant's rewards are coupled-association payoffs, because its
+    run scores every joint that way.
     """
 
     def __init__(self, bs, spaces, config, seed, variant="q_lteu_decoupled"):
@@ -190,10 +179,8 @@ class QAgent:
         self.bs = int(bs)
         self.action_space = self.spaces[self.bs]
         self.epsilon = float(config.epsilon)
-        self.eta = float(config.eta)
         self.lambda_q = float(config.lambda_q)
         self.variant = variant
-        self.coupled = variant == "q_lteu_coupled"
         self.opponents = tuple(m for m in range(len(self.spaces)) if m != self.bs)
         self.q_table = np.zeros(len(self.action_space))
         self.last_action = 0
@@ -246,17 +233,13 @@ def _draw(agent, best):
     return best
 
 
-def select_action(agent) -> int:
-    """Epsilon-greedy draw from the agent's current predictor; score ties go
-    to the lowest action index."""
-    return _draw(agent, int(np.argmax(_scores(agent))))
-
-
 def select_and_broadcast(agent) -> BroadcastMsg:
     """Phase one of a round: pick an action, remember it, announce it.
 
-    For the reservoir agent the announced best and the selection peak are
-    different readouts; for the table learners they coincide.
+    The action is an epsilon-greedy draw around the stored predictor's peak;
+    score ties go to the lowest action index. For the reservoir agent the
+    announced best and the selection peak are different readouts; for the
+    table learners they coincide.
     """
     scores = _scores(agent)
     action = _draw(agent, int(np.argmax(scores)))
@@ -276,30 +259,15 @@ def _epsilon_greedy(size, best, epsilon):
     return probs
 
 
-def build_opponent_model(msgs, epsilon, spaces, expected=None):
+def build_opponent_model(by_sender, epsilon, spaces):
     """Per-sender epsilon-greedy probability arrays peaked at each broadcast
     best: epsilon/|A| on every action plus 1-epsilon on the announced best.
 
-    ``msgs`` is either a sequence of broadcasts, checked here (``expected``
-    lists the senders that must have spoken; a missing or duplicated
-    broadcast is a protocol violation), or a ``{sender: msg}`` mapping the
-    caller has already checked.
+    ``by_sender`` is a ``{sender: msg}`` mapping already checked for missing,
+    duplicate and unknown senders (``_opponent_msgs`` builds it).
     """
-    if isinstance(msgs, dict):
-        seen = msgs
-    else:
-        seen = {}
-        for msg in msgs:
-            if msg.sender in seen:
-                raise ValueError(f"duplicate broadcast from BS {msg.sender}")
-            seen[msg.sender] = msg
-        senders = tuple(expected) if expected is not None else tuple(sorted(seen))
-        missing = [m for m in senders if m not in seen]
-        if missing:
-            raise ValueError(f"missing broadcast from BS {missing[0]}")
-        seen = {m: seen[m] for m in senders}
     return {m: _epsilon_greedy(len(spaces[m]), msg.best_action, epsilon)
-            for m, msg in seen.items()}
+            for m, msg in by_sender.items()}
 
 
 def _opponent_msgs(agent, msgs):
@@ -428,7 +396,7 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
 # round completion ----------------------------------------------------------
 
 
-def _esn_finish(agent, action, best, scores, msgs, e_alpha, t):
+def _esn_finish(agent, action, best, scores, msgs, e_alpha):
     by_sender = _opponent_msgs(agent, msgs)
     agent.opponent_model = build_opponent_model(by_sender, agent.epsilon,
                                                 agent.spaces)
@@ -444,9 +412,9 @@ def _esn_finish(agent, action, best, scores, msgs, e_alpha, t):
     r_hat_alpha = esn.readout(agent.ro_alpha, mu_alpha, x_alpha, action)
     r_hat_beta = float(scores[action])
 
-    esn.train_step(agent.ro_alpha, mu_alpha, x_alpha, action, e_alpha, t)
+    esn.train_step(agent.ro_alpha, mu_alpha, x_alpha, action, e_alpha)
     esn.train_step(agent.ro_beta, agent.res_beta.state, agent.x_beta, action,
-                   e_beta, t)
+                   e_beta)
     agent.res_alpha.state = mu_alpha
     esn.update_state(agent.res_beta, agent.x_beta)
     return StepDiagnostics(action=action, best_action=best,
@@ -462,13 +430,12 @@ def _q_finish(agent, action, best, target):
                         target=target, q_after=float(agent.q_table[action]))
 
 
-def finish_round(agent, msgs, reward, t=None):
+def finish_round(agent, msgs, reward):
     """Phase two of a round. ``reward`` is the agent's resolved utility on
     its ``reward_joint`` row: the reservoir agent's alpha target, the Q
     baselines' update target. ``msgs`` must carry one broadcast per opponent
     (the reservoir agent rebuilds its opponent model from them); the agent's
-    own, if present, is ignored. ``t`` is the 1-based round index the
-    reservoir learning-rate schedule is queried at."""
+    own, if present, is ignored."""
     if agent._pending is None:
         raise RuntimeError("select_and_broadcast must run before finish_round")
     reward = float(reward)
@@ -476,30 +443,7 @@ def finish_round(agent, msgs, reward, t=None):
     agent._pending = None
     if isinstance(agent, QAgent):
         return _q_finish(agent, action, best, reward)
-    if t is None:
-        raise ValueError("the reservoir agent needs the 1-based round index t")
-    return _esn_finish(agent, action, best, scores, msgs, reward, t)
-
-
-def _solo_reward(agent, msgs, capacities):
-    evaluator = JointEvaluator(agent.spaces, capacities, eta=agent.eta,
-                               coupled=agent.coupled)
-    return evaluator.utility_of(agent.bs, reward_joint(agent, msgs))
-
-
-def agent_step(agent, msgs, capacities, t):
-    """One full round for a single agent whose opponents' broadcasts are
-    already known: select, broadcast, evaluate the reward, learn. Returns the
-    outgoing message and the step diagnostics."""
-    out = select_and_broadcast(agent)
-    reward = _solo_reward(agent, msgs, capacities)
-    return out, finish_round(agent, msgs, reward, t)
-
-
-def q_step(agent, msgs, capacities):
-    out = select_and_broadcast(agent)
-    reward = _solo_reward(agent, msgs, capacities)
-    return out, finish_round(agent, msgs, reward)
+    return _esn_finish(agent, action, best, scores, msgs, reward)
 
 
 def observe_outcome(agent, resolved_joint):

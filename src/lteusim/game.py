@@ -675,19 +675,3 @@ def export_small_game(spaces, caps: LinkCapacitySet, path,
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_small_game(path):
-    """Inverse of export_small_game: (sizes, payoff array of shape
-    (*sizes, players))."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    n_players = int(lines[0].split()[1])
-    sizes = [int(tok) for tok in lines[1].split()[1:]]
-    if len(sizes) != n_players:
-        raise ValueError("header is inconsistent")
-    payoffs = np.zeros((*sizes, n_players))
-    for line in lines[2:]:
-        tokens = line.split()
-        combo = tuple(int(tok) for tok in tokens[:n_players])
-        payoffs[combo] = [float(tok) for tok in tokens[n_players:]]
-    return sizes, payoffs

@@ -186,7 +186,7 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         batch = evaluator.batch_utilities(rows)
         current, best = rows[n_bs], rows[n_bs + 1]
         utilities, greedy_utilities = batch[n_bs], batch[n_bs + 1]
-        diags = tuple(finish_round(agent, msgs, batch[n, n], t)
+        diags = tuple(finish_round(agent, msgs, batch[n, n])
                       for n, agent in enumerate(team))
 
         played = [spaces[n].actions[current[n]] for n in range(n_bs)]

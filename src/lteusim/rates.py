@@ -62,71 +62,6 @@ def _shannon(bandwidth_hz: float, signal_w, interference_w, noise_w: float):
     return bandwidth_hz * np.log1p(signal_w / (interference_w + noise_w)) / LOG2
 
 
-def licensed_dl_capacity(user: int, bs: int, channel: ChannelRealization,
-                         config: ScenarioConfig) -> float:
-    """Downlink capacity on the licensed band; every other BS interferes at
-    its full transmit power (macro or small-cell level)."""
-    h = channel.gain[user, :, LICENSED]
-    powers = np.array([config.bs_power_w(j) for j in range(channel.gain.shape[1])])
-    received = powers * h
-    signal = received[bs]
-    interference = received.sum() - signal
-    return float(_shannon(config.f_l_dl_hz, signal, interference, config.noise_power_w))
-
-
-def licensed_ul_capacity(user: int, bs: int, channel: ChannelRealization,
-                         config: ScenarioConfig, active_users=None) -> float:
-    """Uplink capacity on the licensed band.
-
-    ``active_users`` is the set of transmitting users (the user itself must
-    belong to it); by default every user is assumed active, the worst-case
-    stationary interference.
-    """
-    n_users = channel.gain.shape[0]
-    if active_users is None:
-        active_users = range(n_users)
-    active = set(int(k) for k in active_users)
-    if user not in active:
-        raise ValueError("user must be in active_users")
-    h_to_bs = channel.gain[:, bs, LICENSED]
-    signal = config.user_power_w * h_to_bs[user]
-    interference = config.user_power_w * sum(h_to_bs[k] for k in active if k != user)
-    return float(_shannon(config.f_l_ul_hz, signal, interference, config.noise_power_w))
-
-
-def unlicensed_capacities(user: int, sbs: int, channel: ChannelRealization,
-                          config: ScenarioConfig, lte_fraction: float,
-                          active_users=None) -> tuple[float, float]:
-    """(DL, UL) capacities on the unlicensed band for one small cell.
-
-    Only small cells transmit there: DL interference comes from the other
-    SBSs, UL interference from other users. Both scale linearly with the
-    duty-cycle fraction granted to LTE-U.
-    """
-    if sbs == 0:
-        raise ValueError("the macro cell has no unlicensed radio")
-    n_users, n_bs = channel.gain.shape[:2]
-    if active_users is None:
-        active_users = range(n_users)
-    active = set(int(k) for k in active_users)
-    if user not in active:
-        raise ValueError("user must be in active_users")
-
-    h_dl = channel.gain[user, :, UNLICENSED]
-    p_sbs = config.bs_power_w(sbs)
-    signal = p_sbs * h_dl[sbs]
-    interference = p_sbs * sum(h_dl[k] for k in range(1, n_bs) if k != sbs)
-    dl = lte_fraction * float(
-        _shannon(config.f_u_hz, signal, interference, config.noise_power_w))
-
-    h_ul = channel.gain[:, sbs, UNLICENSED]
-    signal_u = config.user_power_w * h_ul[user]
-    interference_u = config.user_power_w * sum(h_ul[k] for k in active if k != user)
-    ul = lte_fraction * float(
-        _shannon(config.f_u_hz, signal_u, interference_u, config.noise_power_w))
-    return dl, ul
-
-
 def build_capacities(channel: ChannelRealization, config: ScenarioConfig,
                      lte_fraction: float) -> LinkCapacitySet:
     """Vectorized capacity matrices for every (user, BS) pair."""

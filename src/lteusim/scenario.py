@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,7 +75,6 @@ class ScenarioConfig:
     max_iterations: int = 2000
     convergence_window: int = 50
     convergence_tol: float = 1e-3
-    ne_tolerance: float = 1e-6
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -100,6 +100,11 @@ class ScenarioConfig:
             raise ValueError("reservoir_density must lie in (0, 1]")
         if not 0.0 < self.reservoir_radius < 1.0:
             raise ValueError("reservoir_radius must lie in (0, 1)")
+        for name in ("lambda_alpha", "lambda_beta", "convergence_tol"):
+            if not getattr(self, name) >= 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative")
+        if not 0.0 <= self.lambda_q <= 1.0:
+            raise ValueError("lambda_q must lie in [0, 1]")
         for name in ("pathloss_licensed", "pathloss_unlicensed"):
             coeffs = tuple(getattr(self, name))
             if len(coeffs) != 2:
@@ -176,20 +181,33 @@ class ScenarioConfig:
         return cls.from_mapping(mapping)
 
 
+def _number(key: str, value) -> float:
+    # bool is an int to Python, but true is no count or rate
+    if not isinstance(value, bool) and isinstance(value, (numbers.Real, str)):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"config key {key!r} expects a number, got {value!r}")
+
+
 def _coerce(key: str, value, annotation):
+    """``value`` as the field's type; a value of the wrong shape is a
+    ValueError that names ``key``."""
     ann = str(annotation)
     if "tuple" in ann:
         if isinstance(value, str):
-            parts = [p for p in value.replace(",", " ").split() if p]
-        else:
-            parts = list(value)
-        return tuple(float(p) for p in parts)
+            value = [p for p in value.replace(",", " ").split() if p]
+        elif not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {key!r} expects a sequence, "
+                             f"got {value!r}")
+        return tuple(_number(key, p) for p in value)
+    f = _number(key, value)
     if "int" in ann:
-        f = float(value)
-        if f != int(f):
+        if not f.is_integer():
             raise ValueError(f"config key {key!r} expects an integer, got {value!r}")
         return int(f)
-    return float(value)
+    return f
 
 
 def desk_config(**overrides) -> ScenarioConfig:
@@ -291,13 +309,6 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
         coverage_sets=tuple(coverage),
         covered_users=covered,
     )
-
-
-def path_loss_db(distance_m: float, band: int, config: ScenarioConfig) -> float:
-    """A + B log10(d) for the band's coefficient pair; d clamped to 1 m."""
-    d = max(float(distance_m), MIN_LINK_DISTANCE_M)
-    a, b = config.pathloss_licensed if band == LICENSED else config.pathloss_unlicensed
-    return a + b * math.log10(d)
 
 
 def draw_channel(

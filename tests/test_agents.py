@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from lteusim import esn, game
 from lteusim.agents import (BEST_SWITCH_MARGIN, BroadcastMsg, EsnAgent,
-                            QAgent, _best_reply, _draw_profiles, agent_step,
+                            QAgent, _best_reply, _draw_profiles,
                             algorithm_capacities, algorithm_spaces,
                             beta_expectation, build_opponent_model,
                             finish_round, make_agents, observe_outcome,
-                            q_step, reward_joint, select_action,
-                            select_and_broadcast)
-from lteusim.game import (ActionSpace, JointEvaluator, MixedStrategy,
-                          make_action)
+                            reward_joint, select_and_broadcast)
+from lteusim.game import (DEFAULT_ETA, ActionSpace, JointEvaluator,
+                          MixedStrategy, make_action)
 from lteusim.rates import LinkCapacitySet
 from lteusim.scenario import desk_config
 
@@ -59,6 +58,18 @@ def tiny_config(**overrides):
     return desk_config(**overrides)
 
 
+def play_round(agent, msgs, caps):
+    """One round of a single agent whose opponents' broadcasts are already
+    known, as ``harness.run`` plays it: select and broadcast, score the
+    reward joint with the evaluator, learn. Returns the outgoing message and
+    the step diagnostics."""
+    out = select_and_broadcast(agent)
+    evaluator = JointEvaluator(agent.spaces, caps, eta=DEFAULT_ETA)
+    row = reward_joint(agent, msgs)
+    reward = evaluator.batch_utilities([row])[0, agent.bs]
+    return out, finish_round(agent, msgs, reward)
+
+
 def macro_two_action_space():
     return single_user_space(0, [
         ((0.0,), (0.0,), None, None),
@@ -95,11 +106,12 @@ class TestSelection:
 
     def test_greedy_when_epsilon_zero(self):
         agent = self.make_agent([1.0, 5.0, 2.0], epsilon=0.0)
-        assert all(select_action(agent) == 1 for _ in range(10))
+        assert all(select_and_broadcast(agent).current_action == 1
+                   for _ in range(10))
 
     def test_tie_breaks_to_lowest_index(self):
         agent = self.make_agent([3.0, 3.0, 3.0], epsilon=0.0)
-        assert select_action(agent) == 0
+        assert select_and_broadcast(agent).current_action == 0
 
     def test_broadcast_current_action_follows_beta(self):
         agent = self.make_agent([1.0, 5.0, 2.0], epsilon=0.0)
@@ -114,7 +126,8 @@ class TestSelection:
         # argmax at index 2: P = 1 - 0.7 + 0.7/4 = 0.475, others 0.175 each
         agent = self.make_agent([0.0, 0.0, 4.0, 0.0], epsilon=0.7)
         n = 100_000
-        draws = np.array([select_action(agent) for _ in range(n)])
+        draws = np.array([select_and_broadcast(agent).current_action
+                          for _ in range(n)])
         counts = np.bincount(draws, minlength=4)
         law = np.array([0.175, 0.175, 0.475, 0.175])
         result = scipy.stats.chisquare(counts, n * law)
@@ -175,7 +188,7 @@ class TestBestReply:
         msgs = [BroadcastMsg(sender=1, current_action=0, best_action=1)]
         reward = JointEvaluator(agent.spaces, caps).utility_of(
             0, reward_joint(agent, msgs))
-        finish_round(agent, msgs, reward, t=1)
+        finish_round(agent, msgs, reward)
         assert agent.opponent_bests == {1: 1}
 
     def test_table_agents_advertise_their_argmax(self):
@@ -196,14 +209,14 @@ class TestOpponentModel:
     def test_two_action_values(self):
         space = sbs_idle_busy_space(owner=1)
         model = build_opponent_model(
-            [BroadcastMsg(1, 0, 0)], 0.7, [None, space])
+            {1: BroadcastMsg(1, 0, 0)}, 0.7, [None, space])
         assert isinstance(model[1], np.ndarray)
         assert model[1].tolist() == pytest.approx([0.65, 0.35], abs=1e-12)
 
     def test_greedy_limit_is_point_mass(self):
         space = sbs_idle_busy_space(owner=1)
         model = build_opponent_model(
-            [BroadcastMsg(1, 1, 1)], 0.0, [None, space])
+            {1: BroadcastMsg(1, 1, 1)}, 0.0, [None, space])
         assert model[1].tolist() == [0.0, 1.0]
 
     def test_probabilities_sum_to_one(self):
@@ -211,7 +224,7 @@ class TestOpponentModel:
             rows = [((i / 10.0,), (0.0,), None, None) for i in range(n_actions)]
             space = single_user_space(0, rows)
             model = build_opponent_model(
-                [BroadcastMsg(0, 0, n_actions - 1)], epsilon, [space])
+                {0: BroadcastMsg(0, 0, n_actions - 1)}, epsilon, [space])
             assert sum(model[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_same_floats_as_mixed_strategy(self):
@@ -220,7 +233,7 @@ class TestOpponentModel:
             rows = [((i / 10.0,), (0.0,), None, None) for i in range(n_actions)]
             space = single_user_space(0, rows)
             model = build_opponent_model(
-                [BroadcastMsg(0, 0, best)], epsilon, [space])
+                {0: BroadcastMsg(0, 0, best)}, epsilon, [space])
             want = MixedStrategy.epsilon_greedy(space, best, epsilon).probs
             assert model[0].tolist() == list(want)
 
@@ -231,17 +244,29 @@ class TestOpponentModel:
         assert list(model) == [1]
         assert model[1].tolist() == pytest.approx([0.35, 0.65], abs=1e-12)
 
+    # the reservoir agent builds its model in finish_round, from the bus
+    # checked there; a bad bus raises before any model exists
+
+    def bus_agent(self):
+        spaces = [macro_two_action_space(), sbs_idle_busy_space(1),
+                  sbs_idle_busy_space(2)]
+        agent = EsnAgent(1, spaces, tiny_config(), seed=3)
+        select_and_broadcast(agent)
+        return agent
+
     def test_missing_message_is_protocol_error(self):
-        space = sbs_idle_busy_space(owner=1)
+        agent = self.bus_agent()
         with pytest.raises(ValueError, match="missing broadcast from BS 2"):
-            build_opponent_model([BroadcastMsg(1, 0, 0)], 0.7,
-                                 [None, space, space], expected=(1, 2))
+            finish_round(agent, [BroadcastMsg(0, 0, 0)], 1.0)
+        assert agent.opponent_model is None
 
     def test_duplicate_message_is_protocol_error(self):
-        space = sbs_idle_busy_space(owner=1)
-        msgs = [BroadcastMsg(1, 0, 0), BroadcastMsg(1, 1, 1)]
+        agent = self.bus_agent()
+        msgs = [BroadcastMsg(0, 0, 0), BroadcastMsg(2, 0, 0),
+                BroadcastMsg(2, 1, 1)]
         with pytest.raises(ValueError, match="duplicate broadcast"):
-            build_opponent_model(msgs, 0.7, [None, space], expected=(1,))
+            finish_round(agent, msgs, 1.0)
+        assert agent.opponent_model is None
 
 
 # alpha target --------------------------------------------------------------
@@ -259,7 +284,7 @@ def alpha_target(agent, joint, caps):
     msgs = [BroadcastMsg(m, int(joint[m]), 0) for m in agent.opponents]
     row = reward_joint(agent, msgs)
     assert row == tuple(int(i) for i in joint)
-    return JointEvaluator(agent.spaces, caps, eta=agent.eta).utility_of(
+    return JointEvaluator(agent.spaces, caps, eta=DEFAULT_ETA).utility_of(
         agent.bs, row)
 
 
@@ -357,7 +382,7 @@ class TestRewardJoint:
         agent = EsnAgent(1, spaces, tiny_config(), seed=3)
         select_and_broadcast(agent)
         with pytest.raises(TypeError):
-            finish_round(agent, [BroadcastMsg(0, 0, 0)], flat_caps(1, 2), t=1)
+            finish_round(agent, [BroadcastMsg(0, 0, 0)], flat_caps(1, 2))
 
 
 # beta target ---------------------------------------------------------------
@@ -529,7 +554,7 @@ class TestAgentStep:
         agent, caps, msgs = self.step_fixture(lambda_alpha=0.0, lambda_beta=0.0)
         before_alpha = agent.ro_alpha.w_out.copy()
         before_beta = agent.ro_beta.w_out.copy()
-        msg, diag = agent_step(agent, msgs, caps, t=1)
+        msg, diag = play_round(agent, msgs, caps)
         assert np.array_equal(agent.ro_alpha.w_out, before_alpha)
         assert np.array_equal(agent.ro_beta.w_out, before_beta)
         assert 0 <= msg.current_action < 2 and 0 <= msg.best_action < 2
@@ -541,7 +566,7 @@ class TestAgentStep:
         before_beta = agent.ro_beta.w_out.copy()
         # opponent plays busy so the alpha features are nonzero already in
         # round one (idle encodes to the zero vector)
-        msg, _ = agent_step(agent, [BroadcastMsg(0, 1, 0)], caps, t=1)
+        msg, _ = play_round(agent, [BroadcastMsg(0, 1, 0)], caps)
         taken = msg.current_action
         for row in range(2):
             alpha_same = np.array_equal(agent.ro_alpha.w_out[row],
@@ -568,7 +593,7 @@ class TestAgentStep:
                                         w=scipy.sparse.csr_matrix(w_alpha),
                                         state=state_alpha.copy(), n_units=2)
         agent.ro_alpha = esn.Readout(w_out=w_out_alpha.copy(),
-                                     rule=esn.FixedRate(0.08))
+                                     rate=0.08)
         w_beta = np.array([[0.1, 0.05], [-0.2, 0.25]])
         w_in_beta = np.array([[0.2, -0.1], [0.05, 0.15]])
         state_beta = np.array([0.4, 0.1])
@@ -576,10 +601,10 @@ class TestAgentStep:
                                        w=scipy.sparse.csr_matrix(w_beta),
                                        state=state_beta.copy(), n_units=2)
         agent.ro_beta = esn.Readout(w_out=np.zeros((2, 5)),
-                                    rule=esn.FixedRate(0.06))
+                                    rate=0.06)
 
         caps = flat_caps(1, 1, c=3.0)
-        msg, diag = agent_step(agent, [], caps, t=1)
+        msg, diag = play_round(agent, [], caps)
         assert (msg.current_action, msg.best_action) == (0, 0)
 
         x_beta = np.ones(2) / math.sqrt(2.0)
@@ -615,10 +640,10 @@ class TestAgentStep:
         caps = flat_caps(1, 2)
         mbs_msg = BroadcastMsg(0, 0, 0)
         actions = []
-        for t in range(1, 201):
-            if t == 121:
+        for t in range(200):
+            if t == 120:
                 agent.epsilon = 0.0
-            msg, _ = agent_step(agent, [mbs_msg], caps, t)
+            msg, _ = play_round(agent, [mbs_msg], caps)
             actions.append(msg.current_action)
             resolved = game.resolve_conflicts(
                 [spaces[0].actions[0], spaces[1].actions[msg.current_action]],
@@ -631,17 +656,11 @@ class TestAgentStep:
     def test_missing_opponent_broadcast_raises(self):
         agent, caps, _ = self.step_fixture()
         with pytest.raises(ValueError, match="missing broadcast from BS 0"):
-            agent_step(agent, [], caps, t=1)
+            play_round(agent, [], caps)
 
     def test_finish_before_select_raises(self):
         agent, caps, msgs = self.step_fixture()
         with pytest.raises(RuntimeError, match="select_and_broadcast"):
-            finish_round(agent, msgs, 1.0, t=1)
-
-    def test_reservoir_round_requires_t(self):
-        agent, caps, msgs = self.step_fixture()
-        select_and_broadcast(agent)
-        with pytest.raises(ValueError, match="round index"):
             finish_round(agent, msgs, 1.0)
 
     def test_same_seed_same_trajectory(self):
@@ -652,7 +671,7 @@ class TestAgentStep:
             out = []
             for t in range(1, 6):
                 msg = BroadcastMsg(0, t % 2, 0)
-                out.append(agent_step(agent, [msg], caps, t))
+                out.append(play_round(agent, [msg], caps))
             return out
 
         assert run_one() == run_one()
@@ -710,7 +729,7 @@ class TestQAgent:
 
     def test_single_update_from_zero(self):
         agent, caps = self.unit_reward_agent()
-        msg, diag = q_step(agent, [], caps)
+        msg, diag = play_round(agent, [], caps)
         assert msg == BroadcastMsg(sender=0, current_action=0, best_action=0)
         assert diag.q_before == 0.0
         assert diag.target == pytest.approx(1.0, rel=1e-12)
@@ -720,13 +739,13 @@ class TestQAgent:
         agent, caps = self.unit_reward_agent()
         agent.lambda_q = 1.0
         agent.q_table[0] = 0.37
-        _, diag = q_step(agent, [], caps)
+        _, diag = play_round(agent, [], caps)
         assert diag.q_after == diag.target
 
     def test_geometric_convergence_to_constant_target(self):
         agent, caps = self.unit_reward_agent()
         for k in range(1, 101):
-            _, diag = q_step(agent, [], caps)
+            _, diag = play_round(agent, [], caps)
             want = 1.0 - (1.0 - 0.06) ** k
             assert diag.q_after == pytest.approx(want, rel=1e-12)
 
@@ -735,7 +754,7 @@ class TestQAgent:
         agent = QAgent(1, spaces, tiny_config(), seed=4)
         agent.q_table[:] = [0.2, 0.5]
         caps = flat_caps(1, 2)
-        msg, _ = q_step(agent, [BroadcastMsg(0, 0, 0)], caps)
+        msg, _ = play_round(agent, [BroadcastMsg(0, 0, 0)], caps)
         untaken = 1 - msg.current_action
         assert agent.q_table[untaken] == [0.2, 0.5][untaken]
 
@@ -752,7 +771,7 @@ class TestQAgent:
         agent = QAgent(1, [macro, sbs], tiny_config(), seed=4)
         agent.epsilon = 0.0
         agent.q_table[:] = [0.0, 1.0]
-        _, diag = q_step(agent, [BroadcastMsg(0, 0, 1)], caps)
+        _, diag = play_round(agent, [BroadcastMsg(0, 0, 1)], caps)
         assert diag.action == 1
         assert diag.target == 0.0
         against_current = game.resolved_utilities(

@@ -64,6 +64,19 @@ class TestRunCommand:
         assert code == 2
         assert "warp_drive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"pathloss_licensed": 5}', "pathloss_licensed"),
+        ('{"n_sbs": true}', "n_sbs"),
+    ])
+    def test_malformed_json_value_fails(self, tmp_path, capsys, text, key):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        code = cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
 
 class TestSweepCommand:
     def test_sweep_csv_layout(self, tmp_path):

@@ -19,7 +19,6 @@ from lteusim.game import (
     expected_utility,
     export_small_game,
     feasible_count,
-    load_small_game,
     make_action,
     resolve_conflicts,
     resolved_utilities,
@@ -883,12 +882,27 @@ class TestVerifyMixedNe:
             verify_mixed_ne(profile, caps, tolerance=1e-6, enumeration_cap=1)
 
 
+def read_small_game(path):
+    """(sizes, payoff array of shape (*sizes, players)) from the text that
+    export_small_game writes."""
+    lines = [line.split() for line in path.read_text().splitlines() if line]
+    assert lines[0][0] == "players" and lines[1][0] == "actions"
+    n_players = int(lines[0][1])
+    sizes = [int(tok) for tok in lines[1][1:]]
+    assert len(sizes) == n_players
+    payoffs = np.zeros((*sizes, n_players))
+    for tokens in lines[2:]:
+        combo = tuple(int(tok) for tok in tokens[:n_players])
+        payoffs[combo] = [float(tok) for tok in tokens[n_players:]]
+    return sizes, payoffs
+
+
 class TestSmallGameExport:
     def test_round_trip(self, tmp_path):
         caps, mbs_space, sbs_space = two_bs_game()
         path = tmp_path / "game.txt"
         export_small_game([mbs_space, sbs_space], caps, path)
-        sizes, payoffs = load_small_game(path)
+        sizes, payoffs = read_small_game(path)
         assert sizes == [1, 2]
         for j in range(2):
             joint = [mbs_space.actions[0], sbs_space.actions[j]]

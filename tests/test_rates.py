@@ -1,6 +1,12 @@
-"""Capacity formulas, capacity caching, and fraction-weighted user rates."""
+"""Capacity formulas, capacity caching, and fraction-weighted user rates.
+
+The per-link capacity functions below are scalar oracles of the vectorized
+``build_capacities``: one (user, BS) pair at a time, with plain sums over
+the interferers.
+"""
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,9 +16,6 @@ from lteusim.rates import (
     LinkCapacitySet,
     build_capacities,
     compute_user_rates,
-    licensed_dl_capacity,
-    licensed_ul_capacity,
-    unlicensed_capacities,
 )
 from lteusim.scenario import (
     LICENSED,
@@ -33,6 +36,75 @@ def make_channel(n_users, n_bs, links):
     for (user, bs, band), value in links.items():
         gain[user, bs, band] = value
     return ChannelRealization(gain=gain, distances_m=np.ones((n_users, n_bs)))
+
+
+def shannon(bandwidth_hz, signal_w, interference_w, noise_w):
+    return bandwidth_hz * math.log1p(
+        signal_w / (interference_w + noise_w)) / math.log(2.0)
+
+
+def licensed_dl_capacity(user, bs, channel, config):
+    """Downlink capacity on the licensed band; every other BS interferes at
+    its full transmit power (macro or small-cell level)."""
+    received = [config.bs_power_w(j) * channel.gain[user, j, LICENSED]
+                for j in range(channel.gain.shape[1])]
+    signal = received[bs]
+    interference = sum(received) - signal
+    return shannon(config.f_l_dl_hz, signal, interference,
+                   config.noise_power_w)
+
+
+def licensed_ul_capacity(user, bs, channel, config, active_users=None):
+    """Uplink capacity on the licensed band.
+
+    ``active_users`` is the set of transmitting users (the user itself must
+    belong to it); by default every user is active, the worst-case
+    stationary interference.
+    """
+    if active_users is None:
+        active_users = range(channel.gain.shape[0])
+    active = set(int(k) for k in active_users)
+    if user not in active:
+        raise ValueError("user must be in active_users")
+    h_to_bs = channel.gain[:, bs, LICENSED]
+    signal = config.user_power_w * h_to_bs[user]
+    interference = config.user_power_w * sum(h_to_bs[k] for k in active
+                                             if k != user)
+    return shannon(config.f_l_ul_hz, signal, interference,
+                   config.noise_power_w)
+
+
+def unlicensed_capacities(user, sbs, channel, config, lte_fraction,
+                          active_users=None):
+    """(DL, UL) capacities on the unlicensed band for one small cell.
+
+    Only small cells transmit there: DL interference comes from the other
+    SBSs, UL interference from other users. Both scale linearly with the
+    duty-cycle fraction granted to LTE-U.
+    """
+    if sbs == 0:
+        raise ValueError("the macro cell has no unlicensed radio")
+    n_users, n_bs = channel.gain.shape[:2]
+    if active_users is None:
+        active_users = range(n_users)
+    active = set(int(k) for k in active_users)
+    if user not in active:
+        raise ValueError("user must be in active_users")
+
+    h_dl = channel.gain[user, :, UNLICENSED]
+    p_sbs = config.bs_power_w(sbs)
+    signal = p_sbs * h_dl[sbs]
+    interference = p_sbs * sum(h_dl[k] for k in range(1, n_bs) if k != sbs)
+    dl = lte_fraction * shannon(config.f_u_hz, signal, interference,
+                                config.noise_power_w)
+
+    h_ul = channel.gain[:, sbs, UNLICENSED]
+    signal_u = config.user_power_w * h_ul[user]
+    interference_u = config.user_power_w * sum(h_ul[k] for k in active
+                                               if k != user)
+    ul = lte_fraction * shannon(config.f_u_hz, signal_u, interference_u,
+                                config.noise_power_w)
+    return dl, ul
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Config, topology, and channel model checks."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lteusim.scenario import (
     LICENSED,
+    MIN_LINK_DISTANCE_M,
     UNLICENSED,
     ChannelRealization,
     ScenarioConfig,
@@ -16,7 +18,6 @@ from lteusim.scenario import (
     desk_config,
     draw_channel,
     generate_topology,
-    path_loss_db,
 )
 
 
@@ -49,11 +50,24 @@ def test_config_defaults_are_reference_point():
         ("f_u_hz", 0.0),
         ("reservoir_radius", 1.0),
         ("reservoir_density", 0.0),
+        ("lambda_alpha", -0.1),
+        ("lambda_beta", -1e-9),
+        ("lambda_alpha", math.nan),
+        ("lambda_q", -0.5),
+        ("lambda_q", 3.0),
+        ("convergence_tol", -1e-3),
     ],
 )
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
         ScenarioConfig(**{field: value})
+
+
+def test_config_accepts_learning_rate_bounds():
+    cfg = desk_config(lambda_alpha=0.0, lambda_beta=0.0, lambda_q=1.0,
+                      convergence_tol=0.0)
+    assert cfg.lambda_q == 1.0
+    assert desk_config(lambda_q=0.0).lambda_q == 0.0
 
 
 def test_config_text_file_round_trip(tmp_path):
@@ -89,6 +103,24 @@ def test_config_unknown_key_rejected():
 def test_config_integer_keys_refuse_fractions():
     with pytest.raises(ValueError):
         ScenarioConfig.from_mapping({"n_users": "2.5"})
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("pathloss_licensed", 5),       # a scalar where a pair belongs
+        ("pathloss_licensed", {"a": 1}),
+        ("pathloss_licensed", [1.0, [2.0]]),
+        ("n_sbs", True),                # json true would load as 1
+        ("epsilon", [0.5]),
+        ("epsilon", None),
+        ("epsilon", "half"),
+        ("n_users", "inf"),
+    ],
+)
+def test_config_malformed_values_name_the_key(key, value):
+    with pytest.raises(ValueError, match=repr(key)):
+        ScenarioConfig.from_mapping({key: value})
 
 
 def test_dbm_conversion():
@@ -141,6 +173,15 @@ def test_coverage_monotone_in_radius():
 
 
 # path loss --------------------------------------------------------------
+
+
+def path_loss_db(distance_m, band, config):
+    """Scalar oracle of the path loss ``draw_channel`` applies: A + B
+    log10(d) for the band's coefficient pair, d clamped to 1 m."""
+    d = max(float(distance_m), MIN_LINK_DISTANCE_M)
+    a, b = (config.pathloss_licensed if band == LICENSED
+            else config.pathloss_unlicensed)
+    return a + b * math.log10(d)
 
 
 def test_path_loss_reference_points():
