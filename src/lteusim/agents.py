@@ -12,8 +12,10 @@ variants. Both follow the same synchronous round protocol:
      row, evaluated by the caller), rebuild the opponent model, compute the
      remaining targets with the pre-update readouts, apply one readout-row
      (or Q-entry) update, then commit reservoir states.
-  3. ``observe_outcome``: absorb the conflict-resolved joint action; the
-     agent's own association bits become the next round's selection input.
+  3. ``observe_outcome``: absorb the played joint's settled fraction block
+     (the array ``game.resolve_conflicts`` returns); the agent's own
+     association bits, read off its rows of that block, become the next
+     round's selection input.
 
 The caller evaluates every reward of a round (``harness.run`` makes one
 batched evaluator call), so an agent never scores a joint action itself.
@@ -124,6 +126,10 @@ class EsnAgent:
         k = len(self.action_space.covered_users)
         self.beta_dim = 2 * k
         self._beta_scale = 1.0 / math.sqrt(self.beta_dim) if self.beta_dim else 1.0
+        # observe_outcome reads this BS's row of each round's settled
+        # (4, n_bs, n_users) block at the covered users' columns
+        self._settled_shape = (4, len(self.spaces), self.action_space.n_users)
+        self._covered = np.array(self.action_space.covered_users, dtype=np.intp)
 
         n_actions = len(self.action_space)
         self.res_alpha, self.ro_alpha = esn.init(
@@ -242,11 +248,9 @@ def select_and_broadcast(agent) -> BroadcastMsg:
     table learners they coincide.
     """
     scores = _scores(agent)
-    action = _draw(agent, int(np.argmax(scores)))
-    if isinstance(agent, EsnAgent):
-        best = _best_reply(agent)
-    else:
-        best = int(np.argmax(scores))
+    peak = int(scores.argmax())
+    action = _draw(agent, peak)
+    best = _best_reply(agent) if isinstance(agent, EsnAgent) else peak
     agent.last_action = action
     agent._pending = (action, best, scores)
     return BroadcastMsg(sender=agent.bs, current_action=action, best_action=best)
@@ -446,23 +450,21 @@ def finish_round(agent, msgs, reward):
     return _esn_finish(agent, action, best, scores, msgs, reward)
 
 
-def observe_outcome(agent, resolved_joint):
-    """Absorb the conflict-resolved joint action. For the reservoir agent the
-    own-association bits (served DL, served UL per covered user) become the
-    next round's beta input; the Q baselines keep no such state."""
+def observe_outcome(agent, settled):
+    """Absorb the played joint's settled (4, n_bs, n_users) fraction block
+    ``[d, v, kappa, tau]``. For the reservoir agent the own-association bits
+    (served DL per covered user, then served UL) become the next round's
+    beta input: a direction is served when the agent's licensed or
+    unlicensed fraction for it is positive. The Q baselines keep no such
+    state."""
     if not isinstance(agent, EsnAgent):
         return
-    own = resolved_joint[agent.bs]
-    if own.owner != agent.bs or own.users != agent.action_space.covered_users:
-        raise ValueError("resolved joint must be listed in owner order")
-    k = len(own.users)
-    bits = np.zeros(2 * k)
-    for i in range(k):
-        dl = own.d[i] > 0 or (own.kappa is not None and own.kappa[i] > 0)
-        ul = own.v[i] > 0 or (own.tau is not None and own.tau[i] > 0)
-        bits[i] = 1.0 if dl else 0.0
-        bits[k + i] = 1.0 if ul else 0.0
-    agent.x_beta = bits * agent._beta_scale
+    if settled.shape != agent._settled_shape:
+        raise ValueError(f"settled block must have shape {agent._settled_shape}")
+    # (2 band, 2 direction, k): [[d, v], [kappa, tau]] of the own rows
+    own = settled[:, agent.bs, agent._covered].reshape(2, 2, -1)
+    served = (own[0] > 0) | (own[1] > 0)
+    agent.x_beta = served.ravel() * agent._beta_scale
 
 
 # per-algorithm gating ------------------------------------------------------

@@ -28,7 +28,9 @@ class Reservoir:
 
     w_in: np.ndarray              # (n_units, input_dim)
     w: scipy.sparse.csr_matrix    # (n_units, n_units), spectral radius < 1
-    state: np.ndarray             # activation vector, in (-1, 1)^n_units
+    # activation vector, in [-1, 1]^n_units: float tanh rounds to exactly
+    # +-1.0 once a pre-activation passes about 19
+    state: np.ndarray
     n_units: int
 
     @property

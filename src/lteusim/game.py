@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rates import LinkCapacitySet, _stack_dense
+from .rates import LinkCapacitySet
 
 DEFAULT_ETA = 0.7  # unlicensed-DL utility discount
 
@@ -32,11 +32,12 @@ class AllocationAction:
 
     ``users`` lists the covered user ids; the fraction tuples run parallel
     to it. ``kappa``/``tau`` are None for the macro cell, which has no
-    unlicensed radio. Dense length-n_users views are precomputed for fast
-    joint evaluation: the rows of one read-only (4, n_users) block
-    ``[d, v, kappa, tau]``. A caller that already holds that block, such
-    as ``resolve_conflicts``, hands it in as ``dense`` and the tuples are
-    not scattered again; it must hold the same floats as the tuples.
+    unlicensed radio. For fast joint evaluation the fractions are also
+    scattered once into ``block``, a read-only (4, n_users) array ``[d, v,
+    kappa, tau]`` that is zero off the covered users (and in the macro
+    cell's unlicensed rows); the ``*_dense`` views are its rows. A settled
+    joint is not an action list but the array ``resolve_conflicts``
+    returns.
     """
 
     owner: int
@@ -46,13 +47,13 @@ class AllocationAction:
     v: tuple[float, ...]
     kappa: tuple[float, ...] | None
     tau: tuple[float, ...] | None
+    block: np.ndarray = field(init=False, repr=False, compare=False)
     d_dense: np.ndarray = field(init=False, repr=False, compare=False)
     v_dense: np.ndarray = field(init=False, repr=False, compare=False)
     kappa_dense: np.ndarray = field(init=False, repr=False, compare=False)
     tau_dense: np.ndarray = field(init=False, repr=False, compare=False)
-    dense: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, dense):
+    def __post_init__(self):
         k = len(self.users)
         if len(self.d) != k or len(self.v) != k:
             raise ValueError("fraction vectors must match the covered-user count")
@@ -61,28 +62,25 @@ class AllocationAction:
                 raise ValueError("fraction vectors must match the covered-user count")
         if (self.kappa is None) != (self.tau is None):
             raise ValueError("kappa and tau must be both present or both absent")
-        if dense is None:
-            dense = np.zeros((4, self.n_users))
-            idx = np.asarray(self.users, dtype=int)
-            for row, values in zip(dense, self.key):
-                if values is not None and k:
-                    row[idx] = values
-        elif dense.shape != (4, self.n_users):
-            raise ValueError("the dense block must have shape (4, n_users)")
-        dense = dense.view()
-        dense.flags.writeable = False
+        block = np.zeros((4, self.n_users))
+        idx = np.asarray(self.users, dtype=int)
+        for row, values in zip(block, self.key):
+            if values is not None and k:
+                row[idx] = values
+        block.flags.writeable = False
+        object.__setattr__(self, "block", block)
         for name, row in zip(("d_dense", "v_dense", "kappa_dense", "tau_dense"),
-                             dense):
+                             block):
             object.__setattr__(self, name, row)
 
     @property
     def key(self):
         return (self.d, self.v, self.kappa, self.tau)
 
-    def replace_fractions(self, d, v, kappa, tau, dense=None) -> "AllocationAction":
+    def replace_fractions(self, d, v, kappa, tau) -> "AllocationAction":
         return AllocationAction(owner=self.owner, users=self.users,
                                 n_users=self.n_users, d=d, v=v,
-                                kappa=kappa, tau=tau, dense=dense)
+                                kappa=kappa, tau=tau)
 
 
 def make_action(owner, users, n_users, d, v, kappa=None, tau=None):
@@ -344,32 +342,29 @@ def restrict_coupled(space: ActionSpace) -> ActionSpace:
 # utilities and conflict resolution
 
 
-_DIRECTIONS = np.arange(2)[:, None]  # [DL, UL] rows of a (2, n_users) pick
-
-
 def _offers(frac, caps: LinkCapacitySet):
     """Per-direction offers of a ``[[d, v], [kappa, tau]]`` fraction block
     of shape (2, 2, n_bs, n_users).
 
     Returns the (2, n_bs, n_users) active grants ``[DL, UL]`` and the
-    (2, n_users) best offering BS per direction and user: the largest
+    (2, 1, n_users) best offering BS per direction and user: the largest
     fraction-weighted capacity, licensed plus raw unlicensed, over the
     active grants; exact ties go to the lower BS index (argmax picks the
-    first maximum).
+    first maximum). An active offer is never negative, so where any grant
+    is active the pick is an active one.
     """
     active = (frac[0] > 0) | (frac[1] > 0)
     product = frac * caps.block
     offer = np.where(active, product[0] + product[1], -1.0)
-    return active, offer.argmax(axis=1)
+    return active, offer.argmax(axis=1, keepdims=True)
 
 
 def _resolve_block(frac, caps: LinkCapacitySet) -> np.ndarray:
     """Zero out losing grants, per user and direction, of a (2, 2, n_bs,
     n_users) fraction block; the best offer keeps its grant."""
     active, pick = _offers(frac, caps)
-    keep = np.zeros(active.shape, dtype=bool)
-    keep[_DIRECTIONS, pick, np.arange(frac.shape[-1])] = active.any(axis=1)
-    return np.where(keep, frac, 0.0)
+    bs = np.arange(frac.shape[2])[:, None]
+    return np.where(active & (bs == pick), frac, 0.0)
 
 
 def _couple_block(frac, caps: LinkCapacitySet) -> np.ndarray:
@@ -383,52 +378,52 @@ def _couple_block(frac, caps: LinkCapacitySet) -> np.ndarray:
     never splits a user across cells.
     """
     active, pick = _offers(frac, caps)
-    served = active.any(axis=1)
+    served = active.any(axis=1, keepdims=True)
     serving = np.where(served[0], pick[0], pick[1])
-    keep = np.zeros(active.shape[1:], dtype=bool)
-    keep[serving, np.arange(frac.shape[-1])] = served[0] | served[1]
+    bs = np.arange(frac.shape[2])[:, None]
+    keep = (served[0] | served[1]) & (bs == serving)
     return np.where(keep, frac, 0.0)
 
 
-def _settle(joint, caps: LinkCapacitySet, coupled: bool) -> np.ndarray:
-    """The joint's settled (2, 2, n_bs, n_users) ``[[d, v], [kappa, tau]]``
-    fraction block."""
+def _stack_dense(joint) -> np.ndarray:
+    """(4, n_bs, n_users) block ``[d, v, kappa, tau]`` of a joint's
+    actions, in one copy."""
+    blocks = [a.block for a in joint]
+    return np.concatenate(blocks, axis=1).reshape(4, len(blocks),
+                                                  blocks[0].shape[1])
+
+
+def resolve_conflicts(joint, caps: LinkCapacitySet,
+                      coupled: bool = False) -> np.ndarray:
+    """Settle the overlapping grants of a joint, given as one action per BS
+    in BS order.
+
+    Returns the settled (4, n_bs, n_users) fraction block ``[d, v, kappa,
+    tau]``, read-only: row ``[:, n]`` is what BS n keeps of its action, and
+    a losing grant is zero. ``coupled=True`` switches from the
+    per-direction rule to classic association: each user is collapsed onto
+    a single serving BS and its uplink follows its downlink.
+    """
     block = _stack_dense(joint)
     frac = block.reshape(2, 2, *block.shape[1:])
-    return (_couple_block if coupled else _resolve_block)(frac, caps)
-
-
-def resolve_conflicts(joint, caps: LinkCapacitySet, coupled: bool = False):
-    """Settle overlapping grants; returns a new per-BS action list.
-
-    ``coupled=True`` switches from the per-direction rule to classic
-    association: each user is collapsed onto a single serving BS and its
-    uplink follows its downlink. The resolved actions' dense views are
-    rows of the settled block.
-    """
-    settled = _settle(joint, caps, coupled)
-    settled = settled.reshape(4, *settled.shape[2:])
+    settled = (_couple_block if coupled else _resolve_block)(frac, caps)
+    settled = settled.reshape(block.shape)
     settled.flags.writeable = False
-    resolved = []
-    for n, action in enumerate(joint):
-        d, v, kp, tp = map(tuple, settled[:, n, action.users].tolist())
-        unlicensed = action.kappa is not None
-        resolved.append(action.replace_fractions(
-            d, v, kp if unlicensed else None, tp if unlicensed else None,
-            dense=settled[:, n]))
-    return resolved
+    return settled
 
 
-def resolved_utilities(joint, caps: LinkCapacitySet,
-                       eta: float = DEFAULT_ETA,
-                       coupled: bool = False) -> np.ndarray:
-    """Per-BS utilities after conflict resolution (the payoffs the game is
-    actually played over)."""
-    settled = _settle(joint, caps, coupled)
+def resolved_utilities(settled, caps: LinkCapacitySet,
+                       eta: float = DEFAULT_ETA) -> np.ndarray:
+    """Per-BS utilities of a settled (4, n_bs, n_users) block, as
+    ``resolve_conflicts`` returns it: the payoffs the game is actually
+    played over."""
+    if settled.shape != (4, caps.n_bs, caps.n_users):
+        raise ValueError("settled block shape does not match the capacity set")
+    frac = settled.reshape(2, 2, caps.n_bs, caps.n_users)
     discount = np.array([eta, 1.0])[:, None, None]
     # per direction: log2(1 + licensed rate + discounted unlicensed rate)
-    gain = np.log2(1.0 + settled[0] * caps.block[0]
-                   + discount * settled[1] * caps.block[1])
+    gain = np.log2(1.0 + frac[0] * caps.block[0]
+                   + discount * frac[1] * caps.block[1])
     per_direction = gain.sum(axis=2)
     return per_direction[0] + per_direction[1]
 
@@ -437,9 +432,10 @@ class JointEvaluator:
     """Vectorized resolved-utility evaluation over index-coded joints.
 
     Stacks every space's fraction matrices once into one zero-padded
-    (4, n_bs, max |A|, n_users) table; evaluating a batch of S joints is
-    then one fancy-index gather plus array arithmetic, so per-round
-    learning loops never touch Python-level action objects.
+    (4, n_bs * max |A|, n_users) table, BS n's action i at row
+    n * max |A| + i; evaluating a batch of S joints is then one gather plus
+    array arithmetic, so per-round learning loops never touch Python-level
+    action objects.
     """
 
     def __init__(self, spaces, caps: LinkCapacitySet, eta: float = DEFAULT_ETA,
@@ -450,13 +446,16 @@ class JointEvaluator:
         self.coupled = coupled
         self.n_bs = len(self.spaces)
         self.sizes = np.array([len(s) for s in self.spaces], dtype=int)
-        self._tables = np.zeros((4, self.n_bs, int(self.sizes.max()),
-                                 self.spaces[0].n_users))
+        width = int(self.sizes.max())
+        n_users = self.spaces[0].n_users
+        tables = np.zeros((4, self.n_bs, width, n_users))
         for n, space in enumerate(self.spaces):
             for k, rows in enumerate((space.d_rows, space.v_rows,
                                       space.kappa_rows, space.tau_rows)):
-                self._tables[k, n, :len(space)] = rows
-        self._bs = np.arange(self.n_bs)
+                tables[k, n, :len(space)] = rows
+        self._table = tables.reshape(4, self.n_bs * width, n_users)
+        self._offsets = np.arange(self.n_bs) * width
+        self._bs_column = np.arange(self.n_bs)[:, None]
         # (2, 2, 1, n_bs, n_users): broadcast over the batch axis
         self._caps = caps.block[:, :, None]
         # per direction [DL, UL]: only unlicensed DL is discounted
@@ -471,22 +470,22 @@ class JointEvaluator:
         if ((idx < 0) | (idx >= self.sizes)).any():
             raise IndexError("action index outside its BS's action space")
         # (2 band, 2 direction, S, n_bs, n_users): [[d, v], [kappa, tau]]
-        frac = self._tables[:, self._bs, idx].reshape(
-            2, 2, *idx.shape, self._tables.shape[-1])
+        frac = self._table.take(idx + self._offsets, axis=1).reshape(
+            2, 2, *idx.shape, self._table.shape[-1])
         caps = self._caps
         active = (frac[0] > 0) | (frac[1] > 0)
         product = frac * caps
-        pick = np.where(active, product[0] + product[1], -1.0).argmax(axis=2)
-        rows = np.arange(idx.shape[0])[:, None]
-        cols = np.arange(frac.shape[-1])[None, :]
+        # (2, S, 1, n_users): best offering BS per direction, ties to the
+        # lower index; an active offer is never negative, so it is picked
+        # over every inactive one
+        pick = np.where(active, product[0] + product[1], -1.0).argmax(
+            axis=2, keepdims=True)
         if self.coupled:
-            served = active.any(axis=2)
+            served = active.any(axis=2, keepdims=True)
             serving = np.where(served[0], pick[0], pick[1])
-            keep = np.zeros(active.shape[1:], dtype=bool)
-            keep[rows, serving, cols] = served[0] | served[1]
+            keep = (served[0] | served[1]) & (self._bs_column == serving)
         else:
-            keep = np.zeros(active.shape, dtype=bool)
-            keep[_DIRECTIONS[:, None], rows, pick, cols] = active.any(axis=2)
+            keep = active & (self._bs_column == pick)
         settled = np.where(keep, frac, 0.0)
         gain = np.log2(1.0 + settled[0] * caps[0]
                        + self._discount * settled[1] * caps[1])

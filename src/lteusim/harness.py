@@ -189,18 +189,20 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         diags = tuple(finish_round(agent, msgs, batch[n, n])
                       for n, agent in enumerate(team))
 
-        played = [spaces[n].actions[current[n]] for n in range(n_bs)]
-        resolved = resolve_conflicts(played, caps, coupled=coupled)
-        user_rates = compute_user_rates(resolved, caps)
-        audit = resolved_utilities(played, caps, eta=config.eta,
-                                   coupled=coupled)
+        # the played joint settled once; rates, the audit and the agents'
+        # association bits all read this one block
+        settled = resolve_conflicts(
+            [spaces[n].actions[current[n]] for n in range(n_bs)], caps,
+            coupled=coupled)
+        user_rates = compute_user_rates(settled, caps)
+        audit = resolved_utilities(settled, caps, eta=config.eta)
         # np.allclose(rtol=1e-9, atol=1e-9) written out, without its
         # overhead; unlike allclose, equal infinities fail
         if not (np.abs(utilities - audit) <= 1e-9 + 1e-9 * np.abs(audit)).all():
             raise RuntimeError("reward audit failed: evaluator and direct "
                                "recomputation disagree")
         for agent in team:
-            observe_outcome(agent, resolved)
+            observe_outcome(agent, settled)
 
         greedy = resolve_conflicts(
             [spaces[n].actions[best[n]] for n in range(n_bs)], caps,

@@ -129,32 +129,25 @@ class UserRates:
                 ])
 
 
-def _stack_dense(joint) -> np.ndarray:
-    """(4, n_bs, n_users) block ``[d, v, kappa, tau]`` of a joint's dense
-    views, in one copy."""
-    return np.array(list(zip(*((a.d_dense, a.v_dense, a.kappa_dense,
-                                a.tau_dense) for a in joint))))
-
-
-def compute_user_rates(joint_action, capacities: LinkCapacitySet) -> UserRates:
+def compute_user_rates(settled, capacities: LinkCapacitySet) -> UserRates:
     """Fraction-weighted rates for a conflict-free joint allocation.
 
-    ``joint_action`` is a sequence of per-BS actions exposing dense
-    length-n_users fraction arrays (``d_dense``/``v_dense``/``kappa_dense``/
-    ``tau_dense``). Raises if two BSs grant the same user a nonzero
-    fraction in the same direction; resolve conflicts first.
+    ``settled`` is the joint's (4, n_bs, n_users) fraction block ``[d, v,
+    kappa, tau]``, as ``game.resolve_conflicts`` returns it. Raises if two
+    BSs grant the same user a nonzero fraction in the same direction;
+    resolve conflicts first.
     """
     n_users, n_bs = capacities.c_l_dl.shape
-    block = _stack_dense(joint_action)
-    if block.shape != (4, n_bs, n_users):
-        raise ValueError("joint action shape does not match the capacity set")
+    if settled.shape != (4, n_bs, n_users):
+        raise ValueError("settled block shape does not match the capacity set")
     # (2 band, 2 direction, n_bs, n_users): [[d, v], [kappa, tau]]
-    frac = block.reshape(2, 2, n_bs, n_users)
+    frac = settled.reshape(2, 2, n_bs, n_users)
 
     grants = (frac[0] > 0) | (frac[1] > 0)
-    shared = grants.sum(axis=1) > 1
-    if shared.any():
-        direction, user = np.argwhere(shared)[0]
+    # (2, n_users) granting BSs per direction and user
+    count = grants.sum(axis=1)
+    if (count > 1).any():
+        direction, user = np.argwhere(count > 1)[0]
         raise ValueError(f"user {user} is granted a {('DL', 'UL')[direction]} "
                          "allocation by more than one BS")
 
@@ -162,6 +155,6 @@ def compute_user_rates(joint_action, capacities: LinkCapacitySet) -> UserRates:
     # BSs below has a single nonzero term and is exact in any order
     per_band = (frac * capacities.block).sum(axis=2)
     rate = per_band[0] + per_band[1]
-    serving = np.where(grants.any(axis=1), grants.argmax(axis=1), -1)
+    serving = np.where(count > 0, grants.argmax(axis=1), -1)
     return UserRates(dl_bps=rate[0], ul_bps=rate[1],
                      serving_dl=serving[0], serving_ul=serving[1])

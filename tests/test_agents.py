@@ -1,6 +1,7 @@
 """Agent-level tests: selection law, opponent models, learning targets for
 both reservoir networks, the Q baselines, and the per-algorithm gating."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lteusim import esn, game
+from lteusim import esn, game, harness
 from lteusim.agents import (BEST_SWITCH_MARGIN, BroadcastMsg, EsnAgent,
                             QAgent, _best_reply, _draw_profiles,
                             algorithm_capacities, algorithm_spaces,
@@ -327,7 +328,8 @@ class TestAlphaTarget:
         for _ in range(10):
             joint = [rng.integers(3), rng.integers(3)]
             objects = [macro.actions[joint[0]], sbs.actions[joint[1]]]
-            want = game.resolved_utilities(objects, caps, eta=config.eta)[1]
+            want = game.resolved_utilities(
+                game.resolve_conflicts(objects, caps), caps, eta=config.eta)[1]
             got = alpha_target(agent, joint, caps)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -680,6 +682,54 @@ class TestAgentStep:
 # association input ---------------------------------------------------------
 
 
+def observe_reference(agent, settled):
+    """The beta input ``observe_outcome`` should leave, by a per-user loop
+    over the agent's own settled fractions: a covered user's DL bit is set
+    when its licensed or unlicensed DL fraction is positive, then the same
+    for UL. The macro cell's action has no unlicensed part to read."""
+    own = agent.action_space.actions[0]
+    d, v, kappa, tau = ([settled[row, agent.bs, u] for u in own.users]
+                        for row in range(4))
+    if own.kappa is None:
+        kappa = tau = None
+    k = len(own.users)
+    bits = np.zeros(2 * k)
+    for i in range(k):
+        dl = d[i] > 0 or (kappa is not None and kappa[i] > 0)
+        ul = v[i] > 0 or (tau is not None and tau[i] > 0)
+        bits[i] = 1.0 if dl else 0.0
+        bits[k + i] = 1.0 if ul else 0.0
+    return bits * agent._beta_scale
+
+
+@functools.lru_cache(maxsize=None)
+def desk_team(seed):
+    """Inputs and ESN team of a desk_config() run. At seed 10 BS 1 covers no
+    user, at seed 11 BS 3 covers none."""
+    config = desk_config(reservoir_units=12)
+    inputs = harness.prepare_run(config, "esn", seed)
+    team = make_agents("esn", inputs.spaces, config, inputs.agent_seed)
+    return inputs, team
+
+
+@st.composite
+def settled_desk_blocks(draw):
+    """(team, settled block): a random desk joint settled either way, or a
+    raw block of grid fractions with the macro cell's unlicensed rows zero."""
+    inputs, team = desk_team(draw(st.sampled_from([0, 10, 11])))
+    spaces, caps = inputs.spaces, inputs.capacities
+    if draw(st.booleans()):
+        joint = [s.actions[draw(st.integers(0, len(s) - 1))] for s in spaces]
+        return team, game.resolve_conflicts(joint, caps,
+                                            coupled=draw(st.booleans()))
+    levels = draw(st.lists(st.integers(0, 10),
+                           min_size=4 * caps.n_bs * caps.n_users,
+                           max_size=4 * caps.n_bs * caps.n_users))
+    block = np.array(levels).reshape(4, caps.n_bs, caps.n_users) / 10
+    block[2:, 0] = 0.0
+    return team, block
+
+
 class TestAssociationInput:
     def test_initial_request_state(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
@@ -694,8 +744,8 @@ class TestAssociationInput:
                         d=(0.6, 0.0), v=(0.0, 0.3),
                         kappa=(0.0, 0.0), tau=(0.0, 0.0)),), generation_seed=0)
         agent = EsnAgent(1, [macro, sbs], tiny_config(), seed=3)
-        resolved = [macro.actions[0], sbs.actions[0]]
-        observe_outcome(agent, resolved)
+        observe_outcome(agent, game.resolve_conflicts(
+            [macro.actions[0], sbs.actions[0]], flat_caps(2, 2)))
         np.testing.assert_allclose(agent.x_beta,
                                    np.array([1.0, 0.0, 0.0, 1.0]) / 2.0,
                                    rtol=0)
@@ -704,7 +754,8 @@ class TestAssociationInput:
         macro = space_of(0, 1, [((0.0,), (0.0,), None, None)])
         sbs = single_user_space(1, [((0.0,), (0.0,), (0.4,), (0.0,))])
         agent = EsnAgent(1, [macro, sbs], tiny_config(), seed=3)
-        observe_outcome(agent, [macro.actions[0], sbs.actions[0]])
+        observe_outcome(agent, game.resolve_conflicts(
+            [macro.actions[0], sbs.actions[0]], flat_caps(1, 2)))
         np.testing.assert_allclose(agent.x_beta,
                                    np.array([1.0, 0.0]) / math.sqrt(2.0),
                                    rtol=0)
@@ -712,8 +763,37 @@ class TestAssociationInput:
     def test_q_agent_ignores_outcomes(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = QAgent(1, spaces, tiny_config(), seed=3)
-        observe_outcome(agent, [spaces[0].actions[0], spaces[1].actions[0]])
+        observe_outcome(agent, game.resolve_conflicts(
+            [spaces[0].actions[0], spaces[1].actions[0]], flat_caps(1, 2)))
         assert not hasattr(agent, "x_beta")
+
+    @settings(max_examples=150, deadline=None)
+    @given(settled_desk_blocks())
+    def test_bits_match_the_per_user_reference(self, case):
+        team, settled = case
+        for agent in team:
+            want = observe_reference(agent, settled)
+            observe_outcome(agent, settled)
+            assert agent.x_beta.dtype == want.dtype
+            assert agent.x_beta.tobytes() == want.tobytes()
+
+    def test_empty_and_macro_agents_are_covered(self):
+        inputs, team = desk_team(10)
+        assert len(team[1].action_space.covered_users) == 0
+        assert team[0].action_space.actions[0].kappa is None
+        observe_outcome(team[1], np.ones((4, 5, inputs.capacities.n_users)))
+        assert team[1].x_beta.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 12), (4, 5, 11), (4, 5, 13),
+                                       (2, 2, 5, 12), (240,), (4, 12, 5)])
+    def test_wrongly_shaped_block_raises(self, shape):
+        inputs, team = desk_team(0)
+        assert inputs.capacities.n_users == 12 and len(team) == 5
+        agent = team[2]
+        before = agent.x_beta.copy()
+        with pytest.raises(ValueError, match="shape"):
+            observe_outcome(agent, np.ones(shape))
+        assert np.array_equal(agent.x_beta, before)
 
 
 # Q baselines ---------------------------------------------------------------
@@ -775,7 +855,8 @@ class TestQAgent:
         assert diag.action == 1
         assert diag.target == 0.0
         against_current = game.resolved_utilities(
-            [macro.actions[0], sbs.actions[1]], caps, eta=0.7)[1]
+            game.resolve_conflicts([macro.actions[0], sbs.actions[1]], caps),
+            caps, eta=0.7)[1]
         assert against_current > 0.0  # the discriminating alternative
         assert diag.q_after == pytest.approx(0.94, rel=1e-12)
 

@@ -95,6 +95,14 @@ class TestStateUpdate:
         state = update_state(reservoir, [50.0, -50.0, 30.0])
         assert np.all(np.abs(state) < 1.0)
 
+    def test_saturated_state_reaches_the_closed_bound(self):
+        # at unit input scale the same inputs drive most units past the
+        # point where float tanh returns exactly +-1.0
+        reservoir, _ = init(80, 3, 2, seed=5)
+        state = update_state(reservoir, [50.0, -50.0, 30.0])
+        assert np.all(np.abs(state) <= 1.0)
+        assert np.count_nonzero(np.abs(state) == 1.0) == 51
+
     def test_dimension_mismatch(self):
         reservoir, _ = init(10, 3, 2, seed=0)
         with pytest.raises(ValueError):

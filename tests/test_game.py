@@ -27,6 +27,7 @@ from lteusim.game import (
     validate_action,
     verify_mixed_ne,
 )
+from lteusim.game import _stack_dense
 from lteusim.harness import prepare_run
 from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import ScenarioConfig, Topology, desk_config
@@ -35,6 +36,10 @@ from lteusim.scenario import ScenarioConfig, Topology, desk_config
 # ---------------------------------------------------------------------------
 # utility and settling oracles: plain per-BS, per-user Python, independent
 # of the vectorized block code in lteusim.game
+
+
+# rows of a joint's settled (4, n_bs, n_users) fraction block
+D, V, KAPPA, TAU = range(4)
 
 
 def sbs_utility(n: int, joint, caps: LinkCapacitySet,
@@ -128,6 +133,25 @@ def settle_oracle(joint, caps: LinkCapacitySet, coupled: bool = False):
     return settled
 
 
+def settled_actions(joint, settled):
+    """The settled block as per-BS actions, for the oracles above that read
+    action objects: BS n keeps its users, with the fractions of row n."""
+    out = []
+    for n, action in enumerate(joint):
+        d, v, kp, tp = map(tuple, settled[:, n, list(action.users)].tolist())
+        unlicensed = action.kappa is not None
+        out.append(action.replace_fractions(
+            d, v, kp if unlicensed else None, tp if unlicensed else None))
+    return out
+
+
+def settled_utilities(joint, caps: LinkCapacitySet, eta: float = DEFAULT_ETA,
+                      coupled: bool = False) -> np.ndarray:
+    """Resolved utilities of a joint given as action objects."""
+    return resolved_utilities(resolve_conflicts(joint, caps, coupled=coupled),
+                              caps, eta=eta)
+
+
 @functools.lru_cache(maxsize=None)
 def desk_world(algorithm: str, seed: int):
     inputs = prepare_run(desk_config(), algorithm, seed)
@@ -190,28 +214,6 @@ class TestActionConstruction:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             make_action(1, users=(0, 1), n_users=2, d=(1.0,), v=(0.0, 0.0))
-
-    def test_dense_block_becomes_the_views(self):
-        block = np.array([[0.2, 0.0], [0.0, 1.0], [0.1, 0.0], [0.0, 0.3]])
-        a = AllocationAction(owner=1, users=(0, 1), n_users=2, d=(0.2, 0.0),
-                             v=(0.0, 1.0), kappa=(0.1, 0.0), tau=(0.0, 0.3),
-                             dense=block)
-        assert a == make_action(1, (0, 1), 2, (0.2, 0.0), (0.0, 1.0),
-                                (0.1, 0.0), (0.0, 0.3))
-        assert a.tau_dense.tolist() == [0.0, 0.3]
-        assert np.shares_memory(a.d_dense, block)
-        # the views are read-only even where the handed-in block is not
-        assert block.flags.writeable and not a.kappa_dense.flags.writeable
-
-    def test_dense_block_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            AllocationAction(owner=0, users=(0,), n_users=2, d=(1.0,),
-                             v=(0.0,), kappa=None, tau=None,
-                             dense=np.zeros((4, 1)))
-        with pytest.raises(ValueError, match="covered-user count"):
-            AllocationAction(owner=0, users=(0,), n_users=1, d=(1.0, 0.0),
-                             v=(0.0,), kappa=None, tau=None,
-                             dense=np.zeros((4, 1)))
 
     def test_half_unlicensed_rejected(self):
         with pytest.raises(ValueError):
@@ -403,7 +405,7 @@ class TestUtilities:
         spaces = [enumerate_actions(b, topo, cfg, seed=b) for b in range(3)]
         for _ in range(25):
             joint = [s.actions[rng.integers(len(s))] for s in spaces]
-            assert np.all(resolved_utilities(joint, caps) >= 0.0)
+            assert np.all(settled_utilities(joint, caps) >= 0.0)
 
     def test_macro_index_guard(self):
         caps = flat_caps(1, 1)
@@ -423,45 +425,47 @@ class TestConflictResolution:
 
     def test_better_offer_wins(self):
         joint, caps = self.overlapping_joint(1.0, 1.0)
-        resolved = resolve_conflicts(joint, caps)
-        assert resolved[1].d == (0.0,)  # offer 2 loses to offer 4
-        assert resolved[2].d == (1.0,)
+        settled = resolve_conflicts(joint, caps)
+        assert settled[D, 1, 0] == 0.0  # offer 2 loses to offer 4
+        assert settled[D, 2, 0] == 1.0
 
     def test_fraction_weighting_decides(self):
         # BS1 offers 1.0 * 2 = 2, BS2 offers 0.4 * 4 = 1.6: BS1 wins
         joint, caps = self.overlapping_joint(1.0, 0.4)
-        resolved = resolve_conflicts(joint, caps)
-        assert resolved[1].d == (1.0,)
-        assert resolved[2].d == (0.0,)
+        settled = resolve_conflicts(joint, caps)
+        assert settled[D, 1, 0] == 1.0
+        assert settled[D, 2, 0] == 0.0
 
     def test_tie_goes_to_lower_index(self):
         joint, caps = self.overlapping_joint(1.0, 0.5, caps_small=2.0,
                                              caps_big=4.0)
         # offers 2.0 vs 2.0
-        resolved = resolve_conflicts(joint, caps)
-        assert resolved[1].d == (1.0,)
-        assert resolved[2].d == (0.0,)
+        settled = resolve_conflicts(joint, caps)
+        assert settled[D, 1, 0] == 1.0
+        assert settled[D, 2, 0] == 0.0
 
     def test_directions_resolved_independently(self):
         caps = flat_caps(1, 3)
         joint = [make_action(0, (), 1, (), ()),
                  make_action(1, (0,), 1, (1.0,), (0.0,), (0.0,), (0.0,)),
                  make_action(2, (0,), 1, (0.0,), (1.0,), (0.0,), (0.0,))]
-        resolved = resolve_conflicts(joint, caps)
-        assert resolved[1].d == (1.0,) and resolved[2].v == (1.0,)
-        rates = compute_user_rates(resolved, caps)
+        settled = resolve_conflicts(joint, caps)
+        assert settled[D, 1, 0] == 1.0 and settled[V, 2, 0] == 1.0
+        rates = compute_user_rates(settled, caps)
         assert rates.serving_dl[0] == 1 and rates.serving_ul[0] == 2
 
     def test_resolved_joint_is_rate_safe(self):
         joint, caps = self.overlapping_joint(1.0, 1.0)
-        with pytest.raises(ValueError):
-            compute_user_rates(joint, caps)
+        with pytest.raises(ValueError, match="more than one BS"):
+            compute_user_rates(_stack_dense(joint), caps)
         compute_user_rates(resolve_conflicts(joint, caps), caps)  # no raise
 
     def test_resolved_utilities_match_two_step_route(self):
         joint, caps = self.overlapping_joint(0.8, 0.9)
-        direct = resolved_utilities(joint, caps, eta=0.6)
-        two_step = joint_utilities(resolve_conflicts(joint, caps), caps, eta=0.6)
+        settled = resolve_conflicts(joint, caps)
+        direct = resolved_utilities(settled, caps, eta=0.6)
+        two_step = joint_utilities(settled_actions(joint, settled), caps,
+                                   eta=0.6)
         assert np.allclose(direct, two_step, rtol=1e-12)
 
     def test_unlicensed_offer_counts_raw_capacity(self):
@@ -471,9 +475,9 @@ class TestConflictResolution:
         joint = [make_action(0, (), 1, (), ()),
                  make_action(1, (0,), 1, (1.0,), (0.0,), (0.0,), (0.0,)),
                  make_action(2, (0,), 1, (0.0,), (0.0,), (0.5,), (0.0,))]
-        resolved = resolve_conflicts(joint, caps)
-        assert resolved[1].d == (0.0,)
-        assert resolved[2].kappa == (0.5,)
+        settled = resolve_conflicts(joint, caps)
+        assert settled[D, 1, 0] == 0.0
+        assert settled[KAPPA, 2, 0] == 0.5
 
 
 class TestCoupledResolution:
@@ -491,9 +495,9 @@ class TestCoupledResolution:
 
     def test_uplink_follows_downlink(self):
         joint, caps = self.split_offers()
-        resolved = resolve_conflicts(joint, caps, coupled=True)
-        assert resolved[1].d == (1.0,) and resolved[1].v == (1.0,)
-        assert resolved[2].d == (0.0,) and resolved[2].v == (0.0,)
+        settled = resolve_conflicts(joint, caps, coupled=True)
+        assert settled[D, 1, 0] == 1.0 and settled[V, 1, 0] == 1.0
+        assert settled[D, 2, 0] == 0.0 and settled[V, 2, 0] == 0.0
 
     def test_default_rule_splits_the_same_joint(self):
         joint, caps = self.split_offers()
@@ -508,9 +512,9 @@ class TestCoupledResolution:
         joint = [make_action(0, (), 1, (), ()),
                  make_action(1, (0,), 1, (0.0,), (1.0,), (0.0,), (0.0,)),
                  make_action(2, (0,), 1, (0.0,), (1.0,), (0.0,), (0.0,))]
-        resolved = resolve_conflicts(joint, caps, coupled=True)
-        assert resolved[1].v == (0.0,)
-        assert resolved[2].v == (1.0,)
+        settled = resolve_conflicts(joint, caps, coupled=True)
+        assert settled[V, 1, 0] == 0.0
+        assert settled[V, 2, 0] == 1.0
 
     def test_never_leaves_decoupled_users(self):
         topo = toy_topology([(0, 1), (0, 1, 2), (2,)])
@@ -520,18 +524,19 @@ class TestCoupledResolution:
         spaces = [enumerate_actions(b, topo, cfg, seed=b + 5) for b in range(3)]
         for _ in range(25):
             joint = [s.actions[rng.integers(len(s))] for s in spaces]
-            resolved = resolve_conflicts(joint, caps, coupled=True)
-            rates = compute_user_rates(resolved, caps)
+            settled = resolve_conflicts(joint, caps, coupled=True)
+            rates = compute_user_rates(settled, caps)
             assert rates.decoupled_users() == 0
 
     def test_coupled_utilities_match_two_step_route(self):
         joint, caps = self.split_offers()
-        direct = resolved_utilities(joint, caps, eta=0.6, coupled=True)
-        two_step = joint_utilities(resolve_conflicts(joint, caps, coupled=True),
-                                   caps, eta=0.6)
+        settled = resolve_conflicts(joint, caps, coupled=True)
+        direct = resolved_utilities(settled, caps, eta=0.6)
+        two_step = joint_utilities(settled_actions(joint, settled), caps,
+                                   eta=0.6)
         assert np.allclose(direct, two_step, rtol=1e-12)
         # and it differs from the per-direction settlement
-        assert not np.allclose(direct, resolved_utilities(joint, caps, eta=0.6))
+        assert not np.allclose(direct, settled_utilities(joint, caps, eta=0.6))
 
 
 class TestJointEvaluator:
@@ -550,7 +555,7 @@ class TestJointEvaluator:
         fast = ev.batch_utilities(batch)
         for row, indices in zip(fast, batch):
             joint = [spaces[n].actions[i] for n, i in enumerate(indices)]
-            slow = resolved_utilities(joint, caps, eta=0.7)
+            slow = settled_utilities(joint, caps, eta=0.7)
             assert np.allclose(row, slow, rtol=1e-12, atol=1e-12)
 
     def test_coupled_matches_object_route(self):
@@ -568,7 +573,7 @@ class TestJointEvaluator:
         fast = ev.batch_utilities(batch)
         for row, indices in zip(fast, batch):
             joint = [spaces[n].actions[i] for n, i in enumerate(indices)]
-            slow = resolved_utilities(joint, caps, eta=0.7, coupled=True)
+            slow = settled_utilities(joint, caps, eta=0.7, coupled=True)
             assert np.allclose(row, slow, rtol=1e-12, atol=1e-12)
 
     def uneven_evaluator(self):
@@ -583,13 +588,14 @@ class TestJointEvaluator:
 
     def test_gather_matches_each_space(self):
         ev = self.uneven_evaluator()
+        tables = ev._table.reshape(4, ev.n_bs, -1, ev.caps.n_users)
         for n, space in enumerate(ev.spaces):
             for k, attr in enumerate(("d_rows", "v_rows", "kappa_rows",
                                       "tau_rows")):
-                assert np.array_equal(ev._tables[k, n, :len(space)],
+                assert np.array_equal(tables[k, n, :len(space)],
                                       getattr(space, attr))
         batch = np.array([[1, 4], [0, 0], [1, 2]])
-        want = [resolved_utilities(
+        want = [settled_utilities(
             [s.actions[i] for s, i in zip(ev.spaces, row)], ev.caps)
             for row in batch]
         np.testing.assert_allclose(ev.batch_utilities(batch), want,
@@ -629,12 +635,12 @@ class TestSettleOracle:
         eta = desk_config().eta
         joint = [s.actions[i] for s, i in zip(spaces, indices)]
         want = settle_oracle(joint, caps, coupled)
-        resolved = resolve_conflicts(joint, caps, coupled=coupled)
+        settled = resolve_conflicts(joint, caps, coupled=coupled)
+        resolved = settled_actions(joint, settled)
         assert [a.key for a in resolved] == want
         oracle = scalar_utilities(resolved, caps, eta)
-        np.testing.assert_allclose(
-            resolved_utilities(joint, caps, eta=eta, coupled=coupled),
-            oracle, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(resolved_utilities(settled, caps, eta=eta),
+                                   oracle, rtol=1e-12, atol=0.0)
         ev = JointEvaluator(spaces, caps, eta=eta, coupled=coupled)
         np.testing.assert_allclose(ev.batch_utilities([indices])[0], oracle,
                                    rtol=1e-12, atol=0.0)
@@ -642,27 +648,27 @@ class TestSettleOracle:
     @settings(max_examples=100, deadline=None)
     @given(desk_joints())
     def test_resolved_actions_equal_their_rebuilt_tuples(self, case):
+        # the block holds each BS's kept fractions and nothing else: zero
+        # off its covered users and in the macro cell's unlicensed rows
         spaces, caps, indices, coupled = case
         joint = [s.actions[i] for s, i in zip(spaces, indices)]
-        for action in resolve_conflicts(joint, caps, coupled=coupled):
-            rebuilt = make_action(action.owner, action.users, action.n_users,
-                                  action.d, action.v, action.kappa, action.tau)
-            assert action == rebuilt
-            for name in ("d_dense", "v_dense", "kappa_dense", "tau_dense"):
-                got, scattered = getattr(action, name), getattr(rebuilt, name)
-                assert got.dtype == scattered.dtype
-                assert got.tobytes() == scattered.tobytes()
-                assert not got.flags.writeable
-                with pytest.raises(ValueError):
-                    got[0] = 1.0
+        settled = resolve_conflicts(joint, caps, coupled=coupled)
+        assert settled.shape == (4, len(joint), caps.n_users)
+        assert settled.dtype == np.float64
+        rebuilt = _stack_dense(settled_actions(joint, settled))
+        assert rebuilt.tobytes() == settled.tobytes()
+        assert not settled.flags.writeable
+        with pytest.raises(ValueError):
+            settled[0, 0, 0] = 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(desk_joints())
     def test_rates_of_a_settled_joint_match_per_user_sums(self, case):
         spaces, caps, indices, coupled = case
         joint = [s.actions[i] for s, i in zip(spaces, indices)]
-        resolved = resolve_conflicts(joint, caps, coupled=coupled)
-        rates = compute_user_rates(resolved, caps)
+        settled = resolve_conflicts(joint, caps, coupled=coupled)
+        rates = compute_user_rates(settled, caps)
+        resolved = settled_actions(joint, settled)
         for user in range(caps.n_users):
             for direction, (lic, unl, cap_l, cap_u, got, serving) in enumerate((
                     ("d", "kappa", caps.c_l_dl, caps.c_u_dl, rates.dl_bps,
@@ -761,7 +767,7 @@ class TestExpectedUtility:
         joint = [mbs_space.actions[0], sbs_space.actions[1]]
         assert result.exact and result.stderr == 0.0
         assert result.value == pytest.approx(
-            float(resolved_utilities(joint, caps)[1]), rel=1e-12)
+            float(settled_utilities(joint, caps)[1]), rel=1e-12)
 
     def test_uniform_opponent_hand_average(self):
         # macro chooses between idle and serving the shared user; the SBS's
@@ -799,7 +805,7 @@ class TestExpectedUtility:
                 joint = [spaces[0].actions[i0], spaces[1].actions[2],
                          spaces[2].actions[i2]]
                 weight = profile[0].probs[i0] * profile[2].probs[i2]
-                brute += weight * float(resolved_utilities(joint, caps)[1])
+                brute += weight * float(settled_utilities(joint, caps)[1])
         assert result.exact
         assert result.value == pytest.approx(brute, rel=1e-12)
 
@@ -906,7 +912,7 @@ class TestSmallGameExport:
         assert sizes == [1, 2]
         for j in range(2):
             joint = [mbs_space.actions[0], sbs_space.actions[j]]
-            expected = resolved_utilities(joint, caps)
+            expected = settled_utilities(joint, caps)
             assert np.allclose(payoffs[0, j], expected, rtol=1e-12)
 
     def test_oversized_export_rejected(self, tmp_path):

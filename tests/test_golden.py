@@ -37,3 +37,13 @@ def test_q_lteu_decoupled_desk_run():
     result = run(desk_config(), "q_lteu_decoupled", 0)
     assert result.converged_at == 263
     assert result.metrics["sum_rate_bps"] == 90869110.07563984
+
+
+@pytest.mark.parametrize("algorithm, want", [
+    ("q_lteu_coupled", (263, 90236222.9237792, 4263847.125711447)),
+    ("q_lte_decoupled", (263, 90649715.16819048, 3047710.48368138)),
+])
+def test_gated_q_desk_runs(algorithm, want):
+    # the coupled settle and the licensed-only gate, each at desk_config()
+    result = run(desk_config(), algorithm, 0)
+    assert fingerprint(result) == want

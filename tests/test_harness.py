@@ -93,8 +93,9 @@ class TestRun:
         for record in result.records:
             played = [inputs.spaces[n].actions[record.joint_action[n]]
                       for n in range(cfg.n_bs)]
-            again = game.resolved_utilities(played, inputs.capacities,
-                                            eta=cfg.eta)
+            again = game.resolved_utilities(
+                game.resolve_conflicts(played, inputs.capacities),
+                inputs.capacities, eta=cfg.eta)
             np.testing.assert_allclose(record.utilities, again, atol=1e-9)
 
     def test_wifi_overload_is_flagged_but_valid(self):
@@ -185,9 +186,10 @@ class TestBatchedRound:
                 assert rows[n] == tuple(own if m == n else others[m]
                                         for m in range(n_bs))
                 joint = [spaces[m].actions[i] for m, i in enumerate(rows[n])]
-                want = game.resolved_utilities(joint, inputs.capacities,
-                                               eta=config.eta,
-                                               coupled=coupled)[n]
+                settled = game.resolve_conflicts(joint, inputs.capacities,
+                                                 coupled=coupled)
+                want = game.resolved_utilities(settled, inputs.capacities,
+                                               eta=config.eta)[n]
                 assert batch[n, n] == pytest.approx(want, rel=1e-12,
                                                     abs=1e-12)
 
@@ -373,6 +375,38 @@ class TestCsvOutput:
         write_cdf_csv([123456789.123456], path)
         rows = list(csv.reader(path.open()))
         assert rows[1][0] == "123456789"
+
+
+@pytest.mark.parametrize("algorithm", ["esn", "q_lteu_coupled"])
+def test_rounds_build_no_action_objects(monkeypatch, algorithm):
+    # every round settles two joints; the settle is one array, so once the
+    # agents exist no AllocationAction is constructed
+    counts = {"armed": False, "built": 0, "rounds": 0}
+    post_init = game.AllocationAction.__post_init__
+    make_agents, select = harness.make_agents, harness.select_and_broadcast
+
+    def counting_post_init(self):
+        counts["built"] += counts["armed"]
+        post_init(self)
+
+    def arming_make_agents(*args, **kwargs):
+        team = make_agents(*args, **kwargs)
+        counts["armed"] = True
+        return team
+
+    def counting_select(agent):
+        counts["rounds"] += agent.bs == 0
+        return select(agent)
+
+    monkeypatch.setattr(game.AllocationAction, "__post_init__",
+                        counting_post_init)
+    monkeypatch.setattr(harness, "make_agents", arming_make_agents)
+    monkeypatch.setattr(harness, "select_and_broadcast", counting_select)
+    config = desk_config(max_iterations=6, convergence_window=50,
+                         reservoir_units=20)
+    run(config, algorithm, seed=0)
+    assert counts["rounds"] == 6
+    assert counts["built"] == 0, f"{counts['built']} actions in 6 rounds"
 
 
 def test_resolve_conflicts_reexport():

@@ -7,7 +7,6 @@ the interferers.
 
 import csv
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -258,19 +257,8 @@ class TestCapacityCache:
         assert np.all(caps.c_u_dl[:, 1:] > 0) and np.all(caps.c_u_ul[:, 1:] > 0)
 
 
-@dataclass
-class FakeAction:
-    d_dense: np.ndarray
-    v_dense: np.ndarray
-    kappa_dense: np.ndarray = field(default=None)
-    tau_dense: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        zeros = np.zeros_like(self.d_dense)
-        if self.kappa_dense is None:
-            self.kappa_dense = zeros
-        if self.tau_dense is None:
-            self.tau_dense = zeros.copy()
+# rows of a joint's (4, n_bs, n_users) fraction block
+D, V, KAPPA, TAU = range(4)
 
 
 def grid_caps(n_users, n_bs, base=1e7):
@@ -286,34 +274,34 @@ def grid_caps(n_users, n_bs, base=1e7):
     return caps
 
 
-def zero_joint(n_bs, n_users):
-    return [FakeAction(np.zeros(n_users), np.zeros(n_users)) for _ in range(n_bs)]
+def zero_block(n_bs, n_users):
+    return np.zeros((4, n_bs, n_users))
 
 
 class TestUserRates:
     def test_all_zero_allocation(self):
         caps = grid_caps(2, 3)
-        rates = compute_user_rates(zero_joint(3, 2), caps)
+        rates = compute_user_rates(zero_block(3, 2), caps)
         assert np.all(rates.dl_bps == 0) and np.all(rates.ul_bps == 0)
         assert np.all(rates.serving_dl == -1) and np.all(rates.serving_ul == -1)
         assert rates.decoupled_users() == 0
 
     def test_full_grant_recovers_capacity(self):
         caps = grid_caps(2, 3)
-        joint = zero_joint(3, 2)
-        joint[1].d_dense[0] = 1.0
-        rates = compute_user_rates(joint, caps)
+        block = zero_block(3, 2)
+        block[D, 1, 0] = 1.0
+        rates = compute_user_rates(block, caps)
         assert rates.dl_bps[0] == caps.c_l_dl[0, 1]
         assert rates.serving_dl[0] == 1
         assert rates.ul_bps[0] == 0 and rates.serving_ul[0] == -1
 
     def test_fraction_weighting(self):
         caps = grid_caps(1, 2)
-        joint = zero_joint(2, 1)
-        joint[1].d_dense[0] = 0.3
-        joint[1].kappa_dense[0] = 0.7
-        joint[1].v_dense[0] = 0.2
-        rates = compute_user_rates(joint, caps)
+        block = zero_block(2, 1)
+        block[D, 1, 0] = 0.3
+        block[KAPPA, 1, 0] = 0.7
+        block[V, 1, 0] = 0.2
+        rates = compute_user_rates(block, caps)
         assert rates.dl_bps[0] == pytest.approx(
             0.3 * caps.c_l_dl[0, 1] + 0.7 * caps.c_u_dl[0, 1], rel=1e-15)
         assert rates.ul_bps[0] == pytest.approx(0.2 * caps.c_l_ul[0, 1], rel=1e-15)
@@ -321,10 +309,10 @@ class TestUserRates:
     def test_split_direction_serving(self):
         """DL from one cell, UL to another: both rates present, two servers."""
         caps = grid_caps(1, 3)
-        joint = zero_joint(3, 1)
-        joint[1].d_dense[0] = 0.6
-        joint[2].tau_dense[0] = 0.4
-        rates = compute_user_rates(joint, caps)
+        block = zero_block(3, 1)
+        block[D, 1, 0] = 0.6
+        block[TAU, 2, 0] = 0.4
+        rates = compute_user_rates(block, caps)
         assert rates.serving_dl[0] == 1
         assert rates.serving_ul[0] == 2
         assert rates.dl_bps[0] == pytest.approx(0.6 * caps.c_l_dl[0, 1])
@@ -333,63 +321,57 @@ class TestUserRates:
 
     def test_same_direction_double_grant_rejected(self):
         caps = grid_caps(1, 3)
-        joint = zero_joint(3, 1)
-        joint[1].d_dense[0] = 0.5
-        joint[2].kappa_dense[0] = 0.5  # also DL, different BS
+        block = zero_block(3, 1)
+        block[D, 1, 0] = 0.5
+        block[KAPPA, 2, 0] = 0.5  # also DL, different BS
         with pytest.raises(ValueError, match="more than one BS"):
-            compute_user_rates(joint, caps)
+            compute_user_rates(block, caps)
 
     def test_double_grant_error_names_direction_and_user(self):
         caps = grid_caps(3, 3)
-        joint = zero_joint(3, 3)
-        joint[1].v_dense[2] = 0.5
-        joint[2].tau_dense[2] = 0.5
+        block = zero_block(3, 3)
+        block[V, 1, 2] = 0.5
+        block[TAU, 2, 2] = 0.5
         with pytest.raises(ValueError, match="user 2 is granted a UL"):
-            compute_user_rates(joint, caps)
+            compute_user_rates(block, caps)
         # a DL conflict is reported before a UL one
-        joint[0].d_dense[1] = 0.5
-        joint[1].kappa_dense[1] = 0.5
+        block[D, 0, 1] = 0.5
+        block[KAPPA, 1, 1] = 0.5
         with pytest.raises(ValueError, match="user 1 is granted a DL"):
-            compute_user_rates(joint, caps)
+            compute_user_rates(block, caps)
 
     def test_opposite_directions_are_fine(self):
         caps = grid_caps(1, 3)
-        joint = zero_joint(3, 1)
-        joint[1].d_dense[0] = 0.5
-        joint[2].v_dense[0] = 0.5
-        compute_user_rates(joint, caps)  # no raise
+        block = zero_block(3, 1)
+        block[D, 1, 0] = 0.5
+        block[V, 2, 0] = 0.5
+        compute_user_rates(block, caps)  # no raise
 
     def test_shape_mismatch_rejected(self):
         caps = grid_caps(2, 3)
         with pytest.raises(ValueError):
-            compute_user_rates(zero_joint(2, 2), caps)
+            compute_user_rates(zero_block(2, 2), caps)
 
     def test_rates_monotone_in_each_fraction(self):
         rng = np.random.default_rng(5)
         caps = grid_caps(3, 3)
-        joint = zero_joint(3, 3)
+        block = zero_block(3, 3)
         # disjoint users per BS keeps every perturbation conflict-free
-        joint[1].d_dense[0] = 0.2
-        joint[1].v_dense[0] = 0.1
-        joint[2].kappa_dense[1] = 0.3
-        joint[2].tau_dense[1] = 0.3
-        base = compute_user_rates(joint, caps).total_bps.sum()
-        for action, attr, user in [
-            (joint[1], "d_dense", 0), (joint[1], "v_dense", 0),
-            (joint[2], "kappa_dense", 1), (joint[2], "tau_dense", 1),
-        ]:
-            bumped = getattr(action, attr).copy()
-            bumped[user] += rng.uniform(0.05, 0.4)
-            saved = getattr(action, attr)
-            setattr(action, attr, bumped)
-            assert compute_user_rates(joint, caps).total_bps.sum() > base
-            setattr(action, attr, saved)
+        block[D, 1, 0] = 0.2
+        block[V, 1, 0] = 0.1
+        block[KAPPA, 2, 1] = 0.3
+        block[TAU, 2, 1] = 0.3
+        base = compute_user_rates(block, caps).total_bps.sum()
+        for entry in [(D, 1, 0), (V, 1, 0), (KAPPA, 2, 1), (TAU, 2, 1)]:
+            bumped = block.copy()
+            bumped[entry] += rng.uniform(0.05, 0.4)
+            assert compute_user_rates(bumped, caps).total_bps.sum() > base
 
     def test_csv_export(self, tmp_path):
         caps = grid_caps(2, 2)
-        joint = zero_joint(2, 2)
-        joint[1].d_dense[0] = 1.0
-        rates = compute_user_rates(joint, caps)
+        block = zero_block(2, 2)
+        block[D, 1, 0] = 1.0
+        rates = compute_user_rates(block, caps)
         out = tmp_path / "rates.csv"
         rates.write_csv(out)
         with out.open() as fh:
