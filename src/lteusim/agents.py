@@ -108,6 +108,7 @@ class EsnAgent:
         self.expectation_budget = int(config.expectation_budget)
         self.opponents = tuple(m for m in range(len(self.spaces)) if m != self.bs)
         self.opponent_model = None
+        self._profile_tables = _ProfileTables()
         self.opponent_bests = {m: 0 for m in self.opponents}
         self._best_prev = None
         self.last_action = 0
@@ -319,7 +320,7 @@ def _alpha_predictions(agent, combos, action_i):
     States branch from the current committed state; nothing here mutates
     the reservoir.
     """
-    base = agent.res_alpha.w @ agent.res_alpha.state
+    base = agent.res_alpha.drive
     rows, scratch = combos.shape[1], agent._scratch
     if (scratch is None or scratch.shape[1] < rows
             or scratch.shape[2] != base.size):
@@ -351,7 +352,93 @@ def _alpha_predictions(agent, combos, action_i):
     return values
 
 
-def _draw_profiles(rng, probs, budget):
+# caps a guide row at 4096 cells; tinier probabilities only cost a few more
+# comparisons per uniform (epsilon-greedy desk rows need 64 cells)
+_MAX_GUIDE_BITS = 12
+
+
+def _guide_row(p):
+    """Inversion table of one probability array: ``(cdf, guide, cells,
+    width)``.
+
+    ``cdf`` is the normalized CDF with the floats ``Generator.choice``
+    inverts. The unit interval is cut into ``cells`` equal cells, a power
+    of two, so ``u * cells`` is exact and its floor is the cell that holds
+    ``u``. ``guide[c]`` counts the CDF entries <= c / cells: every one of
+    them is <= any ``u`` in cell c. ``width`` is the most entries any cell
+    holds strictly inside it, so ``width`` comparisons from ``guide[c]``
+    reach the count of entries <= ``u``. Cells are about as narrow as the
+    smallest positive probability, which keeps ``width`` near 1.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    bits = math.ceil(-math.log2(p[p > 0].min()))
+    cells = 1 << min(max(bits, 0), _MAX_GUIDE_BITS)
+    edges = np.arange(cells + 1) / cells
+    guide = cdf.searchsorted(edges[:-1], side="right")
+    width = int((cdf.searchsorted(edges[1:], side="left") - guide).max())
+    return cdf, guide, cells, width
+
+
+class _ProfileTables:
+    """Guide rows of one agent's opponent model, stacked for
+    ``_draw_profiles``.
+
+    A row is built once per distinct probability array (one per opponent
+    and announced best, at a fixed epsilon) and kept for the agent's life;
+    the stacked table of the last model is kept until the model changes.
+    Keys are the arrays' bytes, so a model assigned by hand hits the same
+    path as one ``build_opponent_model`` made.
+    """
+
+    def __init__(self):
+        self._rows = {}
+        self._key = None
+        self._table = None
+
+    def table(self, probs):
+        key = tuple(p.tobytes() for p in probs)
+        if key != self._key:
+            rows = []
+            for k, p in zip(key, probs):
+                if k not in self._rows:
+                    self._rows[k] = _guide_row(p)
+                rows.append(self._rows[k])
+            self._key, self._table = key, _stack_rows(rows)
+        return self._table
+
+
+def _stack_rows(rows):
+    """One flat CDF and one flat guide over every row; guide entries index
+    the flat CDF."""
+    cdfs, guides, cells, widths = zip(*rows)
+    cdf_start = np.cumsum([0] + [len(c) for c in cdfs[:-1]])
+    guide_start = np.cumsum([0] + list(cells[:-1]))
+    cdf = np.concatenate(cdfs)
+    guide = np.concatenate([g + s for g, s in zip(guides, cdf_start)])
+    scale = np.array(cells, dtype=float)[:, None]
+    return (cdf, guide, scale, guide_start[:, None], cdf_start[:, None],
+            max(widths))
+
+
+def _invert(table, uniforms):
+    """``searchsorted(cdf_j, uniforms[j], side="right")`` for every row j of
+    a stacked table at once, bit for bit.
+
+    Every CDF ends at exactly 1.0 and each uniform lies in [0, 1), so no
+    comparison reads past the end of its own row.
+    """
+    cdf, guide, scale, guide_start, cdf_start, width = table
+    index = (uniforms * scale).astype(np.intp)
+    index += guide_start
+    index = guide.take(index)
+    for _ in range(width):
+        index += cdf.take(index) <= uniforms
+    index -= cdf_start
+    return index
+
+
+def _draw_profiles(rng, probs, budget, tables=None):
     """``budget`` independent draws from each probability array, one row per
     array.
 
@@ -360,14 +447,19 @@ def _draw_profiles(rng, probs, budget):
     inverts the normalized CDF at ``budget`` fresh uniforms, and one
     (len(probs), budget) block of uniforms holds the per-call blocks back
     to back.
+
+    The inversion reads guide tables (Chen and Asau, 1974) in place of a
+    binary search per uniform: each array's unit interval is cut into a
+    power-of-two number of equal cells, the guide row holds the count of
+    CDF entries at or below each cell's left edge, and a fixed number of
+    ``cdf[i] <= u`` steps from there finishes the count (``_guide_row``).
+    That count is ``searchsorted(cdf, u, side="right")`` for any
+    probabilities, zeros included. ``tables`` keeps the rows across calls.
     """
     uniforms = rng.random((len(probs), budget))
-    draws = np.empty(uniforms.shape, dtype=np.intp)
-    for j, p in enumerate(probs):
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        draws[j] = cdf.searchsorted(uniforms[j], side="right")
-    return draws
+    if tables is None:
+        tables = _ProfileTables()
+    return _invert(tables.table(probs), uniforms)
 
 
 def beta_expectation(agent, action_i) -> ExpectedUtility:
@@ -390,10 +482,14 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
         return ExpectedUtility(value=float(weights @ values), stderr=0.0,
                                exact=True)
     budget = agent.expectation_budget
-    values = _alpha_predictions(agent, _draw_profiles(agent.rng, probs, budget),
-                                action_i)
-    stderr = float(values.std(ddof=1) / math.sqrt(budget))
-    return ExpectedUtility(value=float(values.mean()), stderr=stderr,
+    combos = _draw_profiles(agent.rng, probs, budget, agent._profile_tables)
+    values = _alpha_predictions(agent, combos, action_i)
+    # numpy's mean and std(ddof=1), in its operation order, in one pass
+    mean = values.sum() / budget
+    deviations = values - mean
+    np.square(deviations, out=deviations)
+    std = math.sqrt(deviations.sum() / (budget - 1))
+    return ExpectedUtility(value=float(mean), stderr=std / math.sqrt(budget),
                            exact=False)
 
 

@@ -22,16 +22,46 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 
-@dataclass
 class Reservoir:
-    """Fixed recurrent part of one ESN plus its evolving state."""
+    """Fixed recurrent part of one ESN plus its evolving state.
 
-    w_in: np.ndarray              # (n_units, input_dim)
-    w: scipy.sparse.csr_matrix    # (n_units, n_units), spectral radius < 1
-    # activation vector, in [-1, 1]^n_units: float tanh rounds to exactly
-    # +-1.0 once a pre-activation passes about 19
-    state: np.ndarray
-    n_units: int
+    ``state`` is the committed activation vector, in [-1, 1]^n_units:
+    float tanh rounds to exactly +-1.0 once a pre-activation passes about
+    19. Assigning it stores a read-only copy, so a committed state cannot
+    change behind the cache below.
+
+    ``drive`` is the recurrent term ``w @ state`` of the next step. It is
+    computed once per committed state, on first use, and every peek from
+    that state (``peek_state``, the agents' profile expectation) reads the
+    same floats. Assigning ``state`` drops it; ``w`` is fixed once the
+    reservoir is built.
+    """
+
+    def __init__(self, w_in: np.ndarray, w: scipy.sparse.csr_matrix,
+                 state: np.ndarray, n_units: int):
+        self.w_in = w_in      # (n_units, input_dim)
+        self.w = w            # (n_units, n_units), spectral radius < 1
+        self.state = state
+        self.n_units = n_units
+
+    @property
+    def state(self) -> np.ndarray:
+        return self._state
+
+    @state.setter
+    def state(self, value) -> None:
+        state = np.array(value, dtype=float)
+        state.flags.writeable = False
+        self._state = state
+        self._drive = None
+
+    @property
+    def drive(self) -> np.ndarray:
+        if self._drive is None:
+            drive = self.w @ self._state
+            drive.flags.writeable = False
+            self._drive = drive
+        return self._drive
 
     @property
     def input_dim(self) -> int:
@@ -119,7 +149,7 @@ def _check_input(r: Reservoir, x) -> np.ndarray:
 def peek_state(r: Reservoir, x) -> np.ndarray:
     """Next state tanh(W mu + W_in x) without committing it."""
     x = _check_input(r, x)
-    return np.tanh(r.w @ r.state + r.w_in @ x)
+    return np.tanh(r.drive + r.w_in @ x)
 
 
 def update_state(r: Reservoir, x) -> np.ndarray:

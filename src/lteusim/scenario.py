@@ -92,6 +92,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.z_levels < 2:
             raise ValueError("z_levels must be at least 2")
+        if self.expectation_budget < 2:
+            # one sampled profile has no standard error
+            raise ValueError("expectation_budget must be at least 2")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 <= self.eta <= 1.0:

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from lteusim import esn, game, harness
 from lteusim.agents import (BEST_SWITCH_MARGIN, BroadcastMsg, EsnAgent,
-                            QAgent, _best_reply, _draw_profiles,
+                            QAgent, _alpha_predictions, _best_reply,
+                            _draw_profiles, _guide_row, _invert,
+                            _ProfileTables,
                             algorithm_capacities, algorithm_spaces,
                             beta_expectation, build_opponent_model,
                             finish_round, make_agents, observe_outcome,
@@ -496,6 +498,21 @@ class TestBetaTarget:
         agent._scratch = np.full((2, budget, agent.res_alpha.n_units), np.nan)
         assert beta_expectation(agent, 1) == want
 
+    @pytest.mark.parametrize("budget", [2, 3, 16])
+    def test_sampled_moments_are_numpys(self, budget):
+        # the one-pass mean and standard error equal numpy's mean and
+        # std(ddof=1) on the same predictions, bit for bit
+        agent = self.two_opponent_agent(budget)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = agent.rng.bit_generator.state
+        probs = [agent.opponent_model[m] for m in agent.opponents]
+        values = _alpha_predictions(agent, _draw_profiles(rng, probs, budget),
+                                    1)
+        got = beta_expectation(agent, 1)
+        assert not got.exact
+        assert got.value == float(values.mean())
+        assert got.stderr == float(values.std(ddof=1) / math.sqrt(budget))
+
     def test_no_opponents_reads_alpha_directly(self):
         space = macro_two_action_space()
         agent = EsnAgent(0, [space], tiny_config(), seed=6)
@@ -538,6 +555,99 @@ class TestDrawProfiles:
         draws = _draw_profiles(np.random.default_rng(0), probs, 50)
         assert draws.shape == (2, 50) and draws.flags.c_contiguous
         assert draws[0].max() < 4 and draws[1].max() < 3
+
+
+def epsilon_greedy(size, best, epsilon):
+    p = np.full(size, epsilon / size)
+    p[best] += 1.0 - epsilon
+    return p
+
+
+def searchsorted_stack(probs, uniforms):
+    """Reference inversion: a binary search of each normalized CDF."""
+    rows = []
+    for p, u in zip(probs, uniforms):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        rows.append(cdf.searchsorted(u, side="right"))
+    return np.stack(rows)
+
+
+def edge_uniforms(probs):
+    """Per row: every CDF value below 1, every cell edge k/G, 0.0 and the
+    largest double below 1, with the neighbouring doubles of each; rows
+    are padded to a common length with 0.5."""
+    rows = []
+    for p in probs:
+        cdf, _, cells, _ = _guide_row(p)
+        points = np.concatenate([cdf[cdf < 1.0], np.arange(cells) / cells,
+                                 [0.0, np.nextafter(1.0, 0.0)]])
+        points = np.concatenate([points, np.nextafter(points, 0.0),
+                                 np.nextafter(points, 1.0)])
+        rows.append(points[(points >= 0.0) & (points < 1.0)])
+    width = max(len(r) for r in rows)
+    return np.stack([np.pad(r, (0, width - len(r)), constant_values=0.5)
+                     for r in rows])
+
+
+class TestGuideInversion:
+    """``_invert`` against ``searchsorted(side="right")``, bit for bit."""
+
+    def check(self, probs, uniforms):
+        table = _ProfileTables().table(probs)
+        got = _invert(table, uniforms)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, searchsorted_stack(probs, uniforms))
+        return table
+
+    def test_edges_of_cells_and_cdf_entries(self):
+        probs = [epsilon_greedy(32, 5, 0.7), epsilon_greedy(7, 0, 0.3),
+                 np.full(4, 0.25), np.array([1.0])]
+        self.check(probs, edge_uniforms(probs))
+
+    def test_many_entries_in_one_cell(self):
+        # 39 entries 2.5e-5 apart share the cells below the peak
+        probs = [epsilon_greedy(40, 39, 1e-3), epsilon_greedy(40, 0, 1e-3)]
+        table = self.check(probs, edge_uniforms(probs))
+        assert table[-1] > 1  # comparisons per uniform
+        rng = np.random.default_rng(1)
+        self.check(probs, rng.random((2, 4000)) * 1e-3)
+
+    def test_zero_probability_entries(self):
+        probs = [np.array([0.0, 0.3, 0.0, 0.0, 0.7, 0.0]),
+                 np.array([0.0, 0.0, 1.0]),
+                 np.array([0.5, 0.0, 0.5]),
+                 np.array([0.25, 0.25, 0.0, 0.5, 0.0])]
+        self.check(probs, edge_uniforms(probs))
+        rng = np.random.default_rng(2)
+        draws = _invert(_ProfileTables().table(probs), rng.random((4, 2000)))
+        for p, row in zip(probs, draws):
+            assert np.all(p[row] > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+                    .filter(lambda w: sum(w) > 0), min_size=1, max_size=5),
+           st.integers(0, 2**32 - 1))
+    def test_any_probabilities(self, weights, seed):
+        probs = [np.array(w) / sum(w) for w in weights]
+        uniforms = np.random.default_rng(seed).random((len(probs), 300))
+        self.check(probs, uniforms)
+        self.check(probs, edge_uniforms(probs))
+
+    def test_tables_are_kept_per_model(self):
+        tables = _ProfileTables()
+        model = [epsilon_greedy(32, 1, 0.7), epsilon_greedy(16, 2, 0.7)]
+        first = tables.table(model)
+        # equal floats in fresh arrays hit the kept table
+        assert tables.table([p.copy() for p in model]) is first
+        moved = [model[0], epsilon_greedy(16, 9, 0.7)]
+        second = tables.table(moved)
+        assert second is not first
+        uniforms = np.random.default_rng(3).random((2, 500))
+        assert np.array_equal(_invert(second, uniforms),
+                              searchsorted_stack(moved, uniforms))
+        assert np.array_equal(_invert(tables.table(model), uniforms),
+                              searchsorted_stack(model, uniforms))
 
 
 # full reservoir step -------------------------------------------------------

@@ -117,6 +117,53 @@ class TestStateUpdate:
         assert np.array_equal(peeked, committed)
 
 
+
+class TestDriveCache:
+    def fresh_peek(self, reservoir, x):
+        # the uncached expression, recomputed from scratch
+        x = np.asarray(x, dtype=float)
+        return np.tanh(reservoir.w @ reservoir.state + reservoir.w_in @ x)
+
+    def test_peek_after_reassignment_reads_the_new_state(self):
+        reservoir, _ = init(40, 3, 2, seed=2)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1, 1, 3)
+        for _ in range(3):
+            peek_state(reservoir, x)  # fills the cache for the old state
+            reservoir.state = rng.uniform(-0.9, 0.9, 40)
+            assert np.array_equal(peek_state(reservoir, x),
+                                  self.fresh_peek(reservoir, x))
+            assert np.array_equal(reservoir.drive,
+                                  reservoir.w @ reservoir.state)
+
+    def test_commit_refreshes_the_drive(self):
+        reservoir, _ = init(40, 3, 2, seed=2)
+        x = np.array([0.3, -0.2, 0.9])
+        for _ in range(4):
+            want = self.fresh_peek(reservoir, x)
+            assert np.array_equal(update_state(reservoir, x), want)
+        assert np.array_equal(peek_state(reservoir, x),
+                              self.fresh_peek(reservoir, x))
+
+    def test_committed_state_and_drive_are_read_only(self):
+        reservoir = hand_reservoir()
+        with pytest.raises(ValueError, match="read-only"):
+            reservoir.state[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            reservoir.state += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            reservoir.drive[1] = 0.0
+        assert np.array_equal(reservoir.state, [0.2, -0.1])
+
+    def test_assignment_copies(self):
+        source = np.array([0.2, -0.1])
+        reservoir = hand_reservoir()
+        reservoir.state = source
+        source[0] = 0.9  # the caller's array stays writable and apart
+        assert np.array_equal(reservoir.state, [0.2, -0.1])
+        assert np.array_equal(peek_state(reservoir, [1.0]),
+                              self.fresh_peek(reservoir, [1.0]))
+
 class TestReadout:
     def test_zero_row_predicts_zero(self):
         ro = Readout(w_out=np.zeros((3, 7)), rate=0.1)

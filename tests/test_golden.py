@@ -12,6 +12,7 @@ a whole run.
 
 import pytest
 
+from lteusim import agents
 from lteusim.harness import run
 from lteusim.scenario import desk_config
 
@@ -47,3 +48,20 @@ def test_gated_q_desk_runs(algorithm, want):
     # the coupled settle and the licensed-only gate, each at desk_config()
     result = run(desk_config(), algorithm, 0)
     assert fingerprint(result) == want
+
+
+def test_esn_exact_expectation_run(monkeypatch):
+    # two actions per cell keep every opponent space within the budget, so
+    # each beta expectation enumerates exactly
+    exact = []
+    original = agents.beta_expectation
+
+    def recording(agent, action_i):
+        result = original(agent, action_i)
+        exact.append(result.exact)
+        return result
+
+    monkeypatch.setattr(agents, "beta_expectation", recording)
+    result = run(desk_config(action_set_size=2, max_iterations=300), "esn", 0)
+    assert fingerprint(result) == (53, 123663339.29925832, 5051013.112793814)
+    assert len(exact) == 53 * 5 and all(exact)

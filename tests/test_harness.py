@@ -244,6 +244,18 @@ class TestMonteCarlo:
         b = monte_carlo(cfg, "q_lteu_decoupled", n_runs=3, base_seed=7)
         assert a == b
 
+    def test_repeated_esn_replications_share_no_cache(self):
+        # reservoir drives and profile tables live in each agent; a second
+        # replication set after a Q run in the same process must not see
+        # anything the first one left
+        cfg = desk_config(max_iterations=150)
+        first = monte_carlo(cfg, "esn", 2, 0)
+        monte_carlo(cfg, "q_lteu_decoupled", 1, 0)
+        # no run converges in 150 rounds, so mean_converged_at is NaN and
+        # == would fail; repr prints every float exactly
+        assert repr(monte_carlo(cfg, "esn", 2, 0)) == repr(first)
+        assert math.isnan(first.mean_converged_at)
+
     def test_ci_brackets_the_mean(self):
         mc = monte_carlo(small_config(), "esn", n_runs=4, base_seed=1)
         lo, hi = mc.sum_rate_ci

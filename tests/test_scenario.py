@@ -56,6 +56,7 @@ def test_config_defaults_are_reference_point():
         ("lambda_q", -0.5),
         ("lambda_q", 3.0),
         ("convergence_tol", -1e-3),
+        ("expectation_budget", 1),
     ],
 )
 def test_config_rejects_bad_values(field, value):
