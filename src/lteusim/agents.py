@@ -19,6 +19,9 @@ variants. Both follow the same synchronous round protocol:
 
 The caller evaluates every reward of a round (``harness.run`` makes one
 batched evaluator call), so an agent never scores a joint action itself.
+Actions are indices into each BS's ``game.ActionSpace``; the reservoir
+agent feeds an opponent's action to alpha as that action's fractions over
+the opponent's covered users.
 """
 
 from __future__ import annotations
@@ -76,15 +79,8 @@ def _check_spaces(bs, spaces):
 
 def _encode_space(space):
     """(|A|, 4K) matrix of [d | v | kappa | tau] blocks over covered users."""
-    k = len(space.covered_users)
-    rows = np.zeros((len(space), 4 * k))
-    for i, action in enumerate(space.actions):
-        rows[i, 0:k] = action.d
-        rows[i, k:2 * k] = action.v
-        if action.kappa is not None:
-            rows[i, 2 * k:3 * k] = action.kappa
-            rows[i, 3 * k:4 * k] = action.tau
-    return rows
+    covered = list(space.covered_users)
+    return space.fractions[:, :, covered].reshape(len(space), -1)
 
 
 class EsnAgent:

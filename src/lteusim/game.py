@@ -2,7 +2,9 @@
 
 Each BS owns a quantized set of allocation actions over the users it
 covers: licensed DL/UL fractions for everyone, plus unlicensed DL/UL
-fractions for small cells. Utilities are proportional-fair style sums of
+fractions for small cells. A space holds its actions as one array, and
+everything else names an action by its index: a joint action is an index
+row with one entry per BS. Utilities are proportional-fair style sums of
 log2(1 + allocated rate). Two BSs may both try to serve a user; the
 conflict is resolved per user and direction in favor of the better offer,
 and every game-theoretic quantity here (expected utility, equilibrium
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,70 +29,6 @@ DEFAULT_ETA = 0.7  # unlicensed-DL utility discount
 
 
 @dataclass(frozen=True)
-class AllocationAction:
-    """One BS's allocation over its covered users.
-
-    ``users`` lists the covered user ids; the fraction tuples run parallel
-    to it. ``kappa``/``tau`` are None for the macro cell, which has no
-    unlicensed radio. For fast joint evaluation the fractions are also
-    scattered once into ``block``, a read-only (4, n_users) array ``[d, v,
-    kappa, tau]`` that is zero off the covered users (and in the macro
-    cell's unlicensed rows); the ``*_dense`` views are its rows. A settled
-    joint is not an action list but the array ``resolve_conflicts``
-    returns.
-    """
-
-    owner: int
-    users: tuple[int, ...]
-    n_users: int
-    d: tuple[float, ...]
-    v: tuple[float, ...]
-    kappa: tuple[float, ...] | None
-    tau: tuple[float, ...] | None
-    block: np.ndarray = field(init=False, repr=False, compare=False)
-    d_dense: np.ndarray = field(init=False, repr=False, compare=False)
-    v_dense: np.ndarray = field(init=False, repr=False, compare=False)
-    kappa_dense: np.ndarray = field(init=False, repr=False, compare=False)
-    tau_dense: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        k = len(self.users)
-        if len(self.d) != k or len(self.v) != k:
-            raise ValueError("fraction vectors must match the covered-user count")
-        for part in (self.kappa, self.tau):
-            if part is not None and len(part) != k:
-                raise ValueError("fraction vectors must match the covered-user count")
-        if (self.kappa is None) != (self.tau is None):
-            raise ValueError("kappa and tau must be both present or both absent")
-        block = np.zeros((4, self.n_users))
-        idx = np.asarray(self.users, dtype=int)
-        for row, values in zip(block, self.key):
-            if values is not None and k:
-                row[idx] = values
-        block.flags.writeable = False
-        object.__setattr__(self, "block", block)
-        for name, row in zip(("d_dense", "v_dense", "kappa_dense", "tau_dense"),
-                             block):
-            object.__setattr__(self, name, row)
-
-    @property
-    def key(self):
-        return (self.d, self.v, self.kappa, self.tau)
-
-    def replace_fractions(self, d, v, kappa, tau) -> "AllocationAction":
-        return AllocationAction(owner=self.owner, users=self.users,
-                                n_users=self.n_users, d=d, v=v,
-                                kappa=kappa, tau=tau)
-
-
-def make_action(owner, users, n_users, d, v, kappa=None, tau=None):
-    to_tuple = lambda vec: None if vec is None else tuple(float(x) for x in vec)
-    return AllocationAction(owner=int(owner), users=tuple(int(u) for u in users),
-                            n_users=int(n_users), d=to_tuple(d), v=to_tuple(v),
-                            kappa=to_tuple(kappa), tau=to_tuple(tau))
-
-
-@dataclass(frozen=True)
 class Violation:
     """First failed feasibility constraint of an action."""
 
@@ -99,65 +37,90 @@ class Violation:
     detail: str
 
 
-def validate_action(action: AllocationAction, z_levels: int):
-    """None when feasible, otherwise the first violated constraint."""
-    parts = [action.d, action.v]
-    if action.kappa is not None:
-        parts += [action.kappa, action.tau]
-    for vec in parts:
-        for value in vec:
-            scaled = value * z_levels
-            if not 0.0 <= value <= 1.0 or abs(scaled - round(scaled)) > 1e-9:
-                return Violation("quantization",
-                                 f"{value!r} is not an i/{z_levels} level")
-    if sum(action.d) > 1.0 + 1e-9:
-        return Violation("licensed_dl_budget", f"sum(d) = {sum(action.d)!r}")
-    if sum(action.v) > 1.0 + 1e-9:
-        return Violation("licensed_ul_budget", f"sum(v) = {sum(action.v)!r}")
-    if action.kappa is not None:
-        total = sum(action.kappa) + sum(action.tau)
-        if total > 1.0 + 1e-9:
-            return Violation("unlicensed_budget", f"sum(kappa)+sum(tau) = {total!r}")
-    return None
+def _first_occurrences(fractions) -> list[int]:
+    """Index of each distinct action's first occurrence, in order; actions
+    are keyed on their bytes."""
+    first = {}
+    for i, action in enumerate(fractions):
+        first.setdefault(action.tobytes(), i)
+    return list(first.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionSpace:
-    """Ordered, duplicate-free action list of one BS, with stacked dense
-    fraction matrices (|A|, n_users) for vectorized evaluation."""
+    """Ordered, duplicate-free action set of one BS.
+
+    ``fractions`` is a read-only (|A|, 4, n_users) array: action i is
+    ``fractions[i]``, whose rows ``[d, v, kappa, tau]`` hold the licensed
+    DL/UL and unlicensed DL/UL fraction of every user. An action is zero
+    off ``covered_users``, and in the unlicensed rows of the macro cell
+    (BS 0), which has no unlicensed radio.
+    """
 
     owner: int
-    actions: tuple[AllocationAction, ...]
-    generation_seed: int
-    d_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    v_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    kappa_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    tau_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    covered_users: tuple[int, ...]
+    fractions: np.ndarray
 
     def __post_init__(self):
-        if not self.actions:
+        fractions = np.array(self.fractions, dtype=float)
+        if fractions.ndim != 3 or fractions.shape[1] != 4:
+            raise ValueError("fractions must have shape (|A|, 4, n_users)")
+        if not len(fractions):
             raise ValueError("an action space cannot be empty")
-        keys = [a.key for a in self.actions]
-        if len(set(keys)) != len(keys):
+        if len(_first_occurrences(fractions)) != len(fractions):
             raise ValueError("duplicate actions in the space")
-        if any(a.owner != self.owner for a in self.actions):
-            raise ValueError("all actions must belong to the owning BS")
-        for name, attr in (("d_rows", "d_dense"), ("v_rows", "v_dense"),
-                           ("kappa_rows", "kappa_dense"), ("tau_rows", "tau_dense")):
-            rows = np.vstack([getattr(a, attr) for a in self.actions])
-            rows.flags.writeable = False
-            object.__setattr__(self, name, rows)
+        covered = tuple(int(u) for u in self.covered_users)
+        if np.delete(fractions, covered, axis=2).any():
+            raise ValueError("an action grants a user its BS does not cover")
+        if self.owner == 0 and fractions[:, 2:].any():
+            raise ValueError("the macro cell has no unlicensed band")
+        fractions.flags.writeable = False
+        object.__setattr__(self, "covered_users", covered)
+        object.__setattr__(self, "fractions", fractions)
 
     def __len__(self):
-        return len(self.actions)
+        return len(self.fractions)
 
     @property
     def n_users(self) -> int:
-        return self.actions[0].n_users
+        return self.fractions.shape[2]
 
-    @property
-    def covered_users(self) -> tuple[int, ...]:
-        return self.actions[0].users
+
+def validate_space(space: ActionSpace, z_levels: int):
+    """None when every action is feasible, otherwise ``(i, violation)``:
+    the first infeasible action and its first violated constraint.
+
+    Constraints are checked in order: every fraction an i/z_levels level in
+    [0, 1] (the first offender named, reading d, v, kappa, tau by covered
+    user), then the licensed DL, licensed UL and shared unlicensed budgets.
+    """
+    f = space.fractions[:, :, list(space.covered_users)]  # (|A|, 4, k)
+    scaled = f * z_levels
+    with np.errstate(invalid="ignore"):  # inf - inf: out of range anyway
+        off_grid = (~((f >= 0.0) & (f <= 1.0))
+                    | (np.abs(scaled - np.round(scaled)) > 1e-9))
+    # per row, the covered users added left to right, as sum() adds them
+    sums = np.zeros(f.shape[:2])
+    for j in range(f.shape[2]):
+        sums += f[:, :, j]
+    unlicensed = sums[:, 2] + sums[:, 3]
+    failed = np.stack([off_grid.any(axis=(1, 2)), sums[:, 0] > 1.0 + 1e-9,
+                       sums[:, 1] > 1.0 + 1e-9, unlicensed > 1.0 + 1e-9],
+                      axis=1)
+    bad = np.flatnonzero(failed.any(axis=1))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    first = int(failed[i].argmax())
+    if first == 0:
+        value = float(f[i][off_grid[i]][0])
+        return i, Violation("quantization",
+                            f"{value!r} is not an i/{z_levels} level")
+    name, label, total = (
+        ("licensed_dl_budget", "sum(d)", sums[i, 0]),
+        ("licensed_ul_budget", "sum(v)", sums[i, 1]),
+        ("unlicensed_budget", "sum(kappa)+sum(tau)", unlicensed[i]))[first - 1]
+    return i, Violation(name, f"{label} = {float(total)!r}")
 
 
 def feasible_count(n_covered: int, z_levels: int, unlicensed: bool) -> int:
@@ -183,12 +146,7 @@ def _sample_grid_vector(rng, k: int, z: int):
     if k == 0:
         return ()
     bars = np.sort(rng.choice(z + k, size=k, replace=False))
-    prev = -1
-    parts = []
-    for b in bars:
-        parts.append(int(b) - prev - 1)
-        prev = int(b)
-    return tuple(parts)
+    return tuple(int(gap) - 1 for gap in np.diff(bars, prepend=-1))
 
 
 def _even_units(k: int, z: int):
@@ -197,27 +155,36 @@ def _even_units(k: int, z: int):
     return [base + (1 if i < rem else 0) for i in range(k)]
 
 
-def _even_spread_seed(owner, users, n_users, z, unlicensed):
-    k = len(users)
-    shared = [u / z for u in _even_units(k, z)]
-    kappa = tau = None
-    if unlicensed:
-        both = _even_units(2 * k, z)
-        kappa = [u / z for u in both[:k]]
-        tau = [u / z for u in both[k:]]
-    return make_action(owner, users, n_users, shared, shared, kappa, tau)
-
-
-def _full_band_seed(owner, users, n_users, target_pos, z, unlicensed):
-    k = len(users)
-    one_hot = lambda value: tuple(value if i == target_pos else 0.0
-                                  for i in range(k))
-    kappa = tau = None
-    if unlicensed:
-        kappa = one_hot((z // 2) / z)
-        tau = one_hot(math.ceil(z / 2) / z)
-    return make_action(owner, users, n_users, one_hot(1.0), one_hot(1.0),
-                       kappa, tau)
+def _sampled_units(k: int, z: int, unlicensed: bool, cap: int, seed: int):
+    """Up to ``cap`` distinct actions in grid units: the all-zero action, an
+    even split, one "whole band to user j" action per covered user, then
+    seeded uniform grid draws."""
+    rng = np.random.default_rng(seed)
+    idle = (0,) * (2 * k)
+    even = tuple(_even_units(k, z))
+    both = tuple(_even_units(2 * k, z)) if unlicensed else idle
+    seeds = [(0,) * (4 * k), even + even + both]
+    one_hot = lambda pos, units: tuple(units if i == pos else 0
+                                       for i in range(k))
+    for pos in range(k):
+        band = (one_hot(pos, z // 2) + one_hot(pos, z - z // 2) if unlicensed
+                else idle)
+        seeds.append(one_hot(pos, z) + one_hot(pos, z) + band)
+    kept = {}  # insertion-ordered set
+    for units in seeds:
+        if len(kept) < cap:
+            kept.setdefault(units)
+    attempts = 0
+    while len(kept) < cap:
+        attempts += 1
+        if attempts > 1000 * cap:
+            raise RuntimeError("action sampling failed to find enough "
+                               "distinct feasible actions")
+        d = _sample_grid_vector(rng, k, z)
+        v = _sample_grid_vector(rng, k, z)
+        kept.setdefault(d + v + (_sample_grid_vector(rng, 2 * k, z)
+                                 if unlicensed else idle))
+    return list(kept)
 
 
 def enumerate_actions(bs: int, topology, config, seed: int) -> ActionSpace:
@@ -230,112 +197,42 @@ def enumerate_actions(bs: int, topology, config, seed: int) -> ActionSpace:
     in a seed-deterministic order.
     """
     users = topology.covered_users[bs]
-    n_users = topology.n_users
     z = config.z_levels
     unlicensed = bs != 0
     k = len(users)
-    cap = config.action_set_size
 
-    if feasible_count(k, z, unlicensed) <= cap:
-        actions = []
-        for d_vec in _grid_vectors(k, z):
-            for v_vec in _grid_vectors(k, z):
-                if not unlicensed:
-                    actions.append(make_action(
-                        bs, users, n_users,
-                        [x / z for x in d_vec], [x / z for x in v_vec]))
-                    continue
-                for uv in _grid_vectors(2 * k, z):
-                    actions.append(make_action(
-                        bs, users, n_users,
-                        [x / z for x in d_vec], [x / z for x in v_vec],
-                        [x / z for x in uv[:k]], [x / z for x in uv[k:]]))
-        return ActionSpace(owner=bs, actions=tuple(actions), generation_seed=seed)
-
-    rng = np.random.default_rng(seed)
-    zeros = (0.0,) * k
-    actions = [make_action(bs, users, n_users, zeros, zeros,
-                           zeros if unlicensed else None,
-                           zeros if unlicensed else None)]
-    seen = {actions[0].key}
-    spread = _even_spread_seed(bs, users, n_users, z, unlicensed)
-    if spread.key not in seen and len(actions) < cap:
-        seen.add(spread.key)
-        actions.append(spread)
-    for pos in range(k):
-        if len(actions) >= cap:
-            break
-        seed_action = _full_band_seed(bs, users, n_users, pos, z, unlicensed)
-        if seed_action.key not in seen:
-            seen.add(seed_action.key)
-            actions.append(seed_action)
-    attempts = 0
-    while len(actions) < cap:
-        attempts += 1
-        if attempts > 1000 * cap:
-            raise RuntimeError("action sampling failed to find enough "
-                               "distinct feasible actions")
-        d_vec = _sample_grid_vector(rng, k, z)
-        v_vec = _sample_grid_vector(rng, k, z)
-        kappa = tau = None
-        if unlicensed:
-            uv = _sample_grid_vector(rng, 2 * k, z)
-            kappa, tau = uv[:k], uv[k:]
-        candidate = make_action(
-            bs, users, n_users,
-            [x / z for x in d_vec], [x / z for x in v_vec],
-            None if kappa is None else [x / z for x in kappa],
-            None if tau is None else [x / z for x in tau])
-        if candidate.key in seen:
-            continue
-        seen.add(candidate.key)
-        actions.append(candidate)
-    return ActionSpace(owner=bs, actions=tuple(actions), generation_seed=seed)
+    # each action as a flat d + v + kappa + tau tuple of grid units
+    if feasible_count(k, z, unlicensed) <= config.action_set_size:
+        licensed = list(_grid_vectors(k, z))
+        shared = (list(_grid_vectors(2 * k, z)) if unlicensed
+                  else [(0,) * (2 * k)])
+        units = [d + v + s for d in licensed for v in licensed for s in shared]
+    else:
+        units = _sampled_units(k, z, unlicensed, config.action_set_size, seed)
+    fractions = np.zeros((len(units), 4, topology.n_users))
+    fractions[:, :, list(users)] = np.reshape(units, (len(units), 4, k)) / z
+    return ActionSpace(owner=bs, covered_users=users, fractions=fractions)
 
 
-def _dedupe(space: ActionSpace, actions) -> ActionSpace:
-    kept, seen = [], set()
-    for action in actions:
-        if action.key not in seen:
-            seen.add(action.key)
-            kept.append(action)
-    return ActionSpace(owner=space.owner, actions=tuple(kept),
-                       generation_seed=space.generation_seed)
+def _distinct(space: ActionSpace, fractions) -> ActionSpace:
+    return ActionSpace(owner=space.owner, covered_users=space.covered_users,
+                       fractions=fractions[_first_occurrences(fractions)])
 
 
 def restrict_licensed_only(space: ActionSpace) -> ActionSpace:
     """Project every action to the licensed bands (kappa = tau = 0)."""
-    projected = []
-    for action in space.actions:
-        if action.kappa is None:
-            projected.append(action)
-            continue
-        zeros = (0.0,) * len(action.users)
-        projected.append(action.replace_fractions(action.d, action.v,
-                                                  zeros, zeros))
-    return _dedupe(space, projected)
+    fractions = space.fractions.copy()
+    fractions[:, 2:] = 0.0
+    return _distinct(space, fractions)
 
 
 def restrict_coupled(space: ActionSpace) -> ActionSpace:
     """Force single-BS association: a user granted only one direction loses
     that grant, so every surviving grant pairs DL and UL at the same BS."""
-    projected = []
-    for action in space.actions:
-        k = len(action.users)
-        kappa = action.kappa if action.kappa is not None else (0.0,) * k
-        tau = action.tau if action.tau is not None else (0.0,) * k
-        d, v = list(action.d), list(action.v)
-        kp, tp = list(kappa), list(tau)
-        for i in range(k):
-            has_dl = d[i] > 0 or kp[i] > 0
-            has_ul = v[i] > 0 or tp[i] > 0
-            if has_dl != has_ul:
-                d[i] = v[i] = kp[i] = tp[i] = 0.0
-        projected.append(action.replace_fractions(
-            tuple(d), tuple(v),
-            None if action.kappa is None else tuple(kp),
-            None if action.tau is None else tuple(tp)))
-    return _dedupe(space, projected)
+    f = space.fractions
+    has_dl = (f[:, 0] > 0) | (f[:, 2] > 0)
+    has_ul = (f[:, 1] > 0) | (f[:, 3] > 0)
+    return _distinct(space, np.where((has_dl != has_ul)[:, None], 0.0, f))
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +282,10 @@ def _couple_block(frac, caps: LinkCapacitySet) -> np.ndarray:
     return np.where(keep, frac, 0.0)
 
 
-def _stack_dense(joint) -> np.ndarray:
-    """(4, n_bs, n_users) block ``[d, v, kappa, tau]`` of a joint's
-    actions, in one copy."""
-    blocks = [a.block for a in joint]
-    return np.concatenate(blocks, axis=1).reshape(4, len(blocks),
-                                                  blocks[0].shape[1])
-
-
-def resolve_conflicts(joint, caps: LinkCapacitySet,
+def resolve_conflicts(spaces, joint, caps: LinkCapacitySet,
                       coupled: bool = False) -> np.ndarray:
-    """Settle the overlapping grants of a joint, given as one action per BS
-    in BS order.
+    """Settle the overlapping grants of a joint index row: BS n plays
+    action ``joint[n]`` of ``spaces[n]``.
 
     Returns the settled (4, n_bs, n_users) fraction block ``[d, v, kappa,
     tau]``, read-only: row ``[:, n]`` is what BS n keeps of its action, and
@@ -404,10 +293,13 @@ def resolve_conflicts(joint, caps: LinkCapacitySet,
     per-direction rule to classic association: each user is collapsed onto
     a single serving BS and its uplink follows its downlink.
     """
-    block = _stack_dense(joint)
-    frac = block.reshape(2, 2, *block.shape[1:])
+    n_bs, n_users = len(spaces), caps.n_users
+    # the joint's actions side by side, in one copy
+    frac = np.concatenate([space.fractions[i]
+                           for space, i in zip(spaces, joint)],
+                          axis=1).reshape(2, 2, n_bs, n_users)
     settled = (_couple_block if coupled else _resolve_block)(frac, caps)
-    settled = settled.reshape(block.shape)
+    settled = settled.reshape(4, n_bs, n_users)
     settled.flags.writeable = False
     return settled
 
@@ -431,11 +323,11 @@ def resolved_utilities(settled, caps: LinkCapacitySet,
 class JointEvaluator:
     """Vectorized resolved-utility evaluation over index-coded joints.
 
-    Stacks every space's fraction matrices once into one zero-padded
+    Stacks every space's fractions once into one zero-padded
     (4, n_bs * max |A|, n_users) table, BS n's action i at row
     n * max |A| + i; evaluating a batch of S joints is then one gather plus
-    array arithmetic, so per-round learning loops never touch Python-level
-    action objects.
+    array arithmetic. The gather and settle here are separate from
+    ``resolve_conflicts``, so the reward audit compares two computations.
     """
 
     def __init__(self, spaces, caps: LinkCapacitySet, eta: float = DEFAULT_ETA,
@@ -450,9 +342,7 @@ class JointEvaluator:
         n_users = self.spaces[0].n_users
         tables = np.zeros((4, self.n_bs, width, n_users))
         for n, space in enumerate(self.spaces):
-            for k, rows in enumerate((space.d_rows, space.v_rows,
-                                      space.kappa_rows, space.tau_rows)):
-                tables[k, n, :len(space)] = rows
+            tables[:, n, :len(space)] = space.fractions.transpose(1, 0, 2)
         self._table = tables.reshape(4, self.n_bs * width, n_users)
         self._offsets = np.arange(self.n_bs) * width
         self._bs_column = np.arange(self.n_bs)[:, None]
@@ -519,21 +409,12 @@ class MixedStrategy:
         object.__setattr__(self, "probs", tuple(float(p) for p in probs))
 
     @classmethod
-    def point_mass(cls, space: ActionSpace, index: int) -> "MixedStrategy":
-        probs = [0.0] * len(space)
-        probs[index] = 1.0
-        return cls(space=space, probs=tuple(probs))
-
-    @classmethod
     def epsilon_greedy(cls, space: ActionSpace, best_index: int,
                        epsilon: float) -> "MixedStrategy":
         share = epsilon / len(space)
         probs = [share] * len(space)
         probs[best_index] += 1.0 - epsilon
         return cls(space=space, probs=tuple(probs))
-
-    def sample(self, rng) -> int:
-        return int(rng.choice(len(self.probs), p=np.asarray(self.probs)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .agents import (BroadcastMsg, QDiagnostics, algorithm_capacities,
                      algorithm_spaces, finish_round, make_agents,
                      observe_outcome, reward_joint, select_and_broadcast)
 from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
-                   resolved_utilities, validate_action)
+                   resolved_utilities, validate_space)
 from .rates import UserRates, build_capacities, compute_user_rates
 from .scenario import ALGORITHMS, ScenarioConfig, draw_channel, generate_topology
 from .wifi import default_params, duty_cycle_for_config, saturation_throughput
@@ -117,12 +117,12 @@ def _audit_wifi(config: ScenarioConfig, duty) -> None:
 
 def _audit_spaces(spaces, z_levels: int) -> None:
     for space in spaces:
-        for action in space.actions:
-            violation = validate_action(action, z_levels)
-            if violation is not None:
-                raise RuntimeError(
-                    f"infeasible action in BS {space.owner} space: "
-                    f"{violation.constraint}")
+        found = validate_space(space, z_levels)
+        if found is not None:
+            i, violation = found
+            raise RuntimeError(
+                f"infeasible action {i} in BS {space.owner} space: "
+                f"{violation.constraint}")
 
 
 def _empty_rates(n_users: int) -> UserRates:
@@ -141,7 +141,7 @@ def _metrics_from(rates: UserRates, per_bs_utility) -> dict:
     }
 
 
-def _round_rows(team, msgs) -> list:
+def _evaluator_rows(team, msgs) -> list:
     """The round's (n_bs + 2, n_bs) evaluator rows: each agent's reward
     joint in team order, then the played and the greedy joint."""
     return ([reward_joint(agent, msgs) for agent in team]
@@ -182,7 +182,7 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         msgs = [select_and_broadcast(agent) for agent in team]
         # every resolved utility of the round in one evaluator call: agent
         # n's reward is entry (n, n), then the played and the greedy rows
-        rows = _round_rows(team, msgs)
+        rows = _evaluator_rows(team, msgs)
         batch = evaluator.batch_utilities(rows)
         current, best = rows[n_bs], rows[n_bs + 1]
         utilities, greedy_utilities = batch[n_bs], batch[n_bs + 1]
@@ -191,9 +191,7 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
 
         # the played joint settled once; rates, the audit and the agents'
         # association bits all read this one block
-        settled = resolve_conflicts(
-            [spaces[n].actions[current[n]] for n in range(n_bs)], caps,
-            coupled=coupled)
+        settled = resolve_conflicts(spaces, current, caps, coupled=coupled)
         user_rates = compute_user_rates(settled, caps)
         audit = resolved_utilities(settled, caps, eta=config.eta)
         # np.allclose(rtol=1e-9, atol=1e-9) written out, without its
@@ -204,9 +202,7 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         for agent in team:
             observe_outcome(agent, settled)
 
-        greedy = resolve_conflicts(
-            [spaces[n].actions[best[n]] for n in range(n_bs)], caps,
-            coupled=coupled)
+        greedy = resolve_conflicts(spaces, best, caps, coupled=coupled)
         greedy_rates = compute_user_rates(greedy, caps)
         association = tuple(zip(greedy_rates.serving_dl.tolist(),
                                 greedy_rates.serving_ul.tolist()))
@@ -265,7 +261,7 @@ class MonteCarloResult:
     median_rate_ci: tuple[float, float]
     pooled_cdf_bps: tuple
     converged_fraction: float
-    mean_converged_at: float
+    mean_converged_at: float | None  # None when no run converged
     run_sum_rates: tuple
     run_median_rates: tuple
     run_converged_at: tuple
@@ -311,7 +307,7 @@ def monte_carlo(config: ScenarioConfig, algorithm: str, n_runs: int,
         median_rate_ci=_bootstrap_ci(med_rates, rng),
         pooled_cdf_bps=tuple(float(v) for v in pooled),
         converged_fraction=len(done) / n_runs,
-        mean_converged_at=float(np.mean(done)) if done else float("nan"),
+        mean_converged_at=float(np.mean(done)) if done else None,
         run_sum_rates=tuple(float(v) for v in sum_rates),
         run_median_rates=tuple(float(v) for v in med_rates),
         run_converged_at=tuple(converged),
@@ -338,7 +334,7 @@ class SweepCell:
     median_rate_ci_lo: float
     median_rate_ci_hi: float
     converged_fraction: float
-    mean_converged_at: float
+    mean_converged_at: float | None
 
 
 def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
@@ -384,6 +380,8 @@ def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
 
 
 def _fmt(value) -> str:
+    if value is None:  # a mean over no converged run
+        return "nan"
     if isinstance(value, float):
         return format(value, FLOAT_FORMAT)
     return str(value)

@@ -14,16 +14,17 @@ from hypothesis import strategies as st
 from lteusim import esn, game, harness
 from lteusim.agents import (BEST_SWITCH_MARGIN, BroadcastMsg, EsnAgent,
                             QAgent, _alpha_predictions, _best_reply,
+                            _encode_space,
                             _draw_profiles, _guide_row, _invert,
                             _ProfileTables,
                             algorithm_capacities, algorithm_spaces,
                             beta_expectation, build_opponent_model,
                             finish_round, make_agents, observe_outcome,
                             reward_joint, select_and_broadcast)
-from lteusim.game import (DEFAULT_ETA, ActionSpace, JointEvaluator,
-                          MixedStrategy, make_action)
+from lteusim.game import DEFAULT_ETA, JointEvaluator, MixedStrategy
 from lteusim.rates import LinkCapacitySet
 from lteusim.scenario import desk_config
+from oracles import action_at, actions_of, make_action, space_of
 
 
 # helpers -------------------------------------------------------------------
@@ -38,22 +39,18 @@ def flat_caps(n_users, n_bs, c=2.0, cu=2.0):
                            lte_fraction=1.0)
 
 
-def space_of(owner, n_users, fraction_rows):
-    """Space from (d, v, kappa, tau) per-covered-user tuples; kappa=None rows
-    build macro-style actions."""
-    actions = []
-    for d, v, kappa, tau in fraction_rows:
-        actions.append(make_action(owner=owner, users=tuple(range(n_users))
-                                   if owner == 0 else None, n_users=n_users,
-                                   d=d, v=v, kappa=kappa, tau=tau))
-    return ActionSpace(owner=owner, actions=tuple(actions), generation_seed=0)
+def macro_space(n_users, fraction_rows):
+    """Macro-cell space over every user from (d, v, kappa, tau)
+    per-user tuples; kappa and tau are None."""
+    return space_of([make_action(0, tuple(range(n_users)), n_users, d, v,
+                                 kappa, tau)
+                     for d, v, kappa, tau in fraction_rows])
 
 
 def single_user_space(owner, rows, users=(0,), n_users=1):
-    actions = tuple(make_action(owner=owner, users=users, n_users=n_users,
-                                d=d, v=v, kappa=kappa, tau=tau)
-                    for d, v, kappa, tau in rows)
-    return ActionSpace(owner=owner, actions=actions, generation_seed=0)
+    return space_of([make_action(owner=owner, users=users, n_users=n_users,
+                                 d=d, v=v, kappa=kappa, tau=tau)
+                     for d, v, kappa, tau in rows])
 
 
 def tiny_config(**overrides):
@@ -310,7 +307,7 @@ class TestAlphaTarget:
     def test_matches_resolved_utilities_on_random_joints(self):
         config = tiny_config()
         rng = np.random.default_rng(11)
-        macro = space_of(0, 2, [
+        macro = macro_space(2, [
             ((0.0, 0.0), (0.0, 0.0), None, None),
             ((1.0, 0.0), (0.0, 1.0), None, None),
             ((0.5, 0.5), (0.5, 0.5), None, None),
@@ -329,9 +326,9 @@ class TestAlphaTarget:
         agent = EsnAgent(1, [macro, sbs], config, seed=4)
         for _ in range(10):
             joint = [rng.integers(3), rng.integers(3)]
-            objects = [macro.actions[joint[0]], sbs.actions[joint[1]]]
             want = game.resolved_utilities(
-                game.resolve_conflicts(objects, caps), caps, eta=config.eta)[1]
+                game.resolve_conflicts([macro, sbs], joint, caps), caps,
+                eta=config.eta)[1]
             got = alpha_target(agent, joint, caps)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -431,7 +428,7 @@ class TestBetaTarget:
     def naive_prediction(self, agent, indices, action_i):
         parts = []
         for m in agent.opponents:
-            action = agent.spaces[m].actions[indices[m]]
+            action = action_at(agent.spaces[m], indices[m])
             k = len(action.users)
             block = np.zeros(4 * k)
             block[:k] = action.d
@@ -758,8 +755,7 @@ class TestAgentStep:
             msg, _ = play_round(agent, [mbs_msg], caps)
             actions.append(msg.current_action)
             resolved = game.resolve_conflicts(
-                [spaces[0].actions[0], spaces[1].actions[msg.current_action]],
-                caps)
+                spaces, [0, msg.current_action], caps)
             observe_outcome(agent, resolved)
         # busy strictly dominates idle, and after exploration stops the
         # selection must sit still on it
@@ -797,7 +793,7 @@ def observe_reference(agent, settled):
     over the agent's own settled fractions: a covered user's DL bit is set
     when its licensed or unlicensed DL fraction is positive, then the same
     for UL. The macro cell's action has no unlicensed part to read."""
-    own = agent.action_space.actions[0]
+    own = action_at(agent.action_space, 0)
     d, v, kappa, tau = ([settled[row, agent.bs, u] for u in own.users]
                         for row in range(4))
     if own.kappa is None:
@@ -829,8 +825,8 @@ def settled_desk_blocks(draw):
     inputs, team = desk_team(draw(st.sampled_from([0, 10, 11])))
     spaces, caps = inputs.spaces, inputs.capacities
     if draw(st.booleans()):
-        joint = [s.actions[draw(st.integers(0, len(s) - 1))] for s in spaces]
-        return team, game.resolve_conflicts(joint, caps,
+        joint = [draw(st.integers(0, len(s) - 1)) for s in spaces]
+        return team, game.resolve_conflicts(spaces, joint, caps,
                                             coupled=draw(st.booleans()))
     levels = draw(st.lists(st.integers(0, 10),
                            min_size=4 * caps.n_bs * caps.n_users,
@@ -838,6 +834,22 @@ def settled_desk_blocks(draw):
     block = np.array(levels).reshape(4, caps.n_bs, caps.n_users) / 10
     block[2:, 0] = 0.0
     return team, block
+
+
+@pytest.mark.parametrize("seed", [0, 10])
+def test_opponent_encoding_is_the_per_action_blocks(seed):
+    # [d | v | kappa | tau] over the covered users, kappa and tau zero at
+    # the macro cell; seed 10 leaves BS 1 with no covered user
+    inputs, _ = desk_team(seed)
+    for space in inputs.spaces:
+        want = []
+        for action in actions_of(space):
+            zeros = (0.0,) * len(action.users)
+            want.append(list(action.d + action.v + (action.kappa or zeros)
+                             + (action.tau or zeros)))
+        got = _encode_space(space)
+        assert got.shape == (len(space), 4 * len(space.covered_users))
+        assert got.tolist() == want
 
 
 class TestAssociationInput:
@@ -848,24 +860,23 @@ class TestAssociationInput:
                                    np.ones(2) / math.sqrt(2.0), rtol=0)
 
     def test_bits_follow_resolved_grants(self):
-        macro = space_of(0, 2, [((0.0, 0.0), (0.0, 0.0), None, None)])
-        sbs = ActionSpace(owner=1, actions=(
-            make_action(owner=1, users=(0, 1), n_users=2,
-                        d=(0.6, 0.0), v=(0.0, 0.3),
-                        kappa=(0.0, 0.0), tau=(0.0, 0.0)),), generation_seed=0)
+        macro = macro_space(2, [((0.0, 0.0), (0.0, 0.0), None, None)])
+        sbs = space_of([make_action(owner=1, users=(0, 1), n_users=2,
+                                    d=(0.6, 0.0), v=(0.0, 0.3),
+                                    kappa=(0.0, 0.0), tau=(0.0, 0.0))])
         agent = EsnAgent(1, [macro, sbs], tiny_config(), seed=3)
         observe_outcome(agent, game.resolve_conflicts(
-            [macro.actions[0], sbs.actions[0]], flat_caps(2, 2)))
+            [macro, sbs], [0, 0], flat_caps(2, 2)))
         np.testing.assert_allclose(agent.x_beta,
                                    np.array([1.0, 0.0, 0.0, 1.0]) / 2.0,
                                    rtol=0)
 
     def test_unlicensed_grant_counts_as_association(self):
-        macro = space_of(0, 1, [((0.0,), (0.0,), None, None)])
+        macro = macro_space(1, [((0.0,), (0.0,), None, None)])
         sbs = single_user_space(1, [((0.0,), (0.0,), (0.4,), (0.0,))])
         agent = EsnAgent(1, [macro, sbs], tiny_config(), seed=3)
         observe_outcome(agent, game.resolve_conflicts(
-            [macro.actions[0], sbs.actions[0]], flat_caps(1, 2)))
+            [macro, sbs], [0, 0], flat_caps(1, 2)))
         np.testing.assert_allclose(agent.x_beta,
                                    np.array([1.0, 0.0]) / math.sqrt(2.0),
                                    rtol=0)
@@ -874,7 +885,7 @@ class TestAssociationInput:
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = QAgent(1, spaces, tiny_config(), seed=3)
         observe_outcome(agent, game.resolve_conflicts(
-            [spaces[0].actions[0], spaces[1].actions[0]], flat_caps(1, 2)))
+            spaces, [0, 0], flat_caps(1, 2)))
         assert not hasattr(agent, "x_beta")
 
     @settings(max_examples=150, deadline=None)
@@ -890,7 +901,7 @@ class TestAssociationInput:
     def test_empty_and_macro_agents_are_covered(self):
         inputs, team = desk_team(10)
         assert len(team[1].action_space.covered_users) == 0
-        assert team[0].action_space.actions[0].kappa is None
+        assert action_at(team[0].action_space, 0).kappa is None
         observe_outcome(team[1], np.ones((4, 5, inputs.capacities.n_users)))
         assert team[1].x_beta.shape == (0,)
 
@@ -965,7 +976,7 @@ class TestQAgent:
         assert diag.action == 1
         assert diag.target == 0.0
         against_current = game.resolved_utilities(
-            game.resolve_conflicts([macro.actions[0], sbs.actions[1]], caps),
+            game.resolve_conflicts([macro, sbs], [0, 1], caps),
             caps, eta=0.7)[1]
         assert against_current > 0.0  # the discriminating alternative
         assert diag.q_after == pytest.approx(0.94, rel=1e-12)
@@ -981,7 +992,7 @@ class TestQAgent:
 
 class TestAlgorithmGating:
     def gated_spaces(self, algorithm):
-        macro = space_of(0, 1, [((0.0,), (0.0,), None, None),
+        macro = macro_space(1, [((0.0,), (0.0,), None, None),
                                 ((1.0,), (1.0,), None, None)])
         sbs = single_user_space(1, [
             ((0.0,), (0.0,), (0.0,), (0.0,)),
@@ -1003,12 +1014,12 @@ class TestAlgorithmGating:
         macro, sbs = self.gated_spaces("q_lte_decoupled")
         assert len(macro) == 2
         assert len(sbs) == 4  # pure-unlicensed action collapses into idle
-        for action in sbs.actions:
+        for action in actions_of(sbs):
             assert max(action.kappa) == 0.0 and max(action.tau) == 0.0
 
     def test_coupled_spaces_never_decouple(self):
         for space in self.gated_spaces("q_lteu_coupled"):
-            for action in space.actions:
+            for action in actions_of(space):
                 kappa = action.kappa or (0.0,) * len(action.users)
                 tau = action.tau or (0.0,) * len(action.users)
                 for i in range(len(action.users)):

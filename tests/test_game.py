@@ -1,6 +1,7 @@
 """Action feasibility, utilities, conflict resolution, and the NE oracle."""
 
 import functools
+import hashlib
 import itertools
 import math
 
@@ -12,25 +13,25 @@ from hypothesis import strategies as st
 from lteusim.game import (
     DEFAULT_ETA,
     ActionSpace,
-    AllocationAction,
     JointEvaluator,
     MixedStrategy,
     enumerate_actions,
     expected_utility,
     export_small_game,
     feasible_count,
-    make_action,
     resolve_conflicts,
     resolved_utilities,
     restrict_coupled,
     restrict_licensed_only,
-    validate_action,
+    validate_space,
     verify_mixed_ne,
 )
-from lteusim.game import _stack_dense
 from lteusim.harness import prepare_run
 from lteusim.rates import LinkCapacitySet, compute_user_rates
-from lteusim.scenario import ScenarioConfig, Topology, desk_config
+from lteusim.scenario import ALGORITHMS, ScenarioConfig, Topology, desk_config
+from oracles import (action_at, actions_of, make_action, point_mass,
+                     restrict_coupled_oracle, restrict_licensed_only_oracle,
+                     settle, space_of, validate_action, validate_space_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +73,8 @@ def mbs_utility(joint, caps: LinkCapacitySet) -> float:
 def joint_utilities(joint, caps: LinkCapacitySet,
                     eta: float = DEFAULT_ETA) -> np.ndarray:
     """Per-BS utility vector of a joint action taken at face value, from
-    the actions' dense views."""
-    d, v, kp, tp = (np.vstack([getattr(a, name) for a in joint])
-                    for name in ("d_dense", "v_dense", "kappa_dense",
-                                 "tau_dense"))
+    the actions' dense rows."""
+    d, v, kp, tp = np.stack([a.dense() for a in joint], axis=1)
     dl = np.log2(1.0 + d * caps.c_l_dl.T + eta * kp * caps.c_u_dl.T)
     ul = np.log2(1.0 + v * caps.c_l_ul.T + tp * caps.c_u_ul.T)
     return dl.sum(axis=1) + ul.sum(axis=1)
@@ -140,16 +139,16 @@ def settled_actions(joint, settled):
     for n, action in enumerate(joint):
         d, v, kp, tp = map(tuple, settled[:, n, list(action.users)].tolist())
         unlicensed = action.kappa is not None
-        out.append(action.replace_fractions(
-            d, v, kp if unlicensed else None, tp if unlicensed else None))
+        out.append(action._replace(d=d, v=v, kappa=kp if unlicensed else None,
+                                   tau=tp if unlicensed else None))
     return out
 
 
 def settled_utilities(joint, caps: LinkCapacitySet, eta: float = DEFAULT_ETA,
                       coupled: bool = False) -> np.ndarray:
-    """Resolved utilities of a joint given as action objects."""
-    return resolved_utilities(resolve_conflicts(joint, caps, coupled=coupled),
-                              caps, eta=eta)
+    """Resolved utilities of a joint given as one ``Action`` per BS."""
+    return resolved_utilities(settle(joint, caps, coupled=coupled), caps,
+                              eta=eta)
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,57 +199,99 @@ class TestActionConstruction:
     def test_dense_views_scatter(self):
         a = make_action(1, users=(2, 0), n_users=4, d=(0.5, 0.2), v=(0.0, 1.0),
                         kappa=(0.1, 0.0), tau=(0.0, 0.3))
-        assert a.d_dense.tolist() == [0.2, 0.0, 0.5, 0.0]
-        assert a.v_dense.tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert a.kappa_dense.tolist() == [0.0, 0.0, 0.1, 0.0]
-        assert a.tau_dense.tolist() == [0.3, 0.0, 0.0, 0.0]
-        assert not a.d_dense.flags.writeable
+        space = space_of([a])
+        assert space.fractions.tolist() == [[[0.2, 0.0, 0.5, 0.0],
+                                             [1.0, 0.0, 0.0, 0.0],
+                                             [0.0, 0.0, 0.1, 0.0],
+                                             [0.3, 0.0, 0.0, 0.0]]]
+        assert not space.fractions.flags.writeable
+        assert action_at(space, 0) == a
+
+    def test_space_copies_its_fractions(self):
+        fractions = np.zeros((1, 4, 2))
+        space = ActionSpace(owner=1, covered_users=(0,), fractions=fractions)
+        fractions[0, 0, 0] = 1.0
+        assert not space.fractions.any()
+        assert fractions.flags.writeable
 
     def test_macro_action_has_no_unlicensed_part(self):
-        a = make_action(0, users=(0,), n_users=1, d=(1.0,), v=(1.0,))
-        assert a.kappa is None and a.tau is None
-        assert not a.kappa_dense.any()
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            make_action(1, users=(0, 1), n_users=2, d=(1.0,), v=(0.0, 0.0))
+        topo = toy_topology([(0, 1), (0,)])
+        space = enumerate_actions(0, topo, ScenarioConfig(z_levels=2), seed=0)
+        assert not space.fractions[:, 2:].any()
+        assert all(a.kappa is None and a.tau is None for a in actions_of(space))
 
     def test_half_unlicensed_rejected(self):
-        with pytest.raises(ValueError):
-            AllocationAction(owner=1, users=(0,), n_users=1, d=(0.0,),
-                             v=(0.0,), kappa=(0.5,), tau=None)
+        # an unlicensed grant, even in one direction, has no radio at BS 0
+        fractions = np.zeros((1, 4, 1))
+        fractions[0, 3, 0] = 0.5
+        with pytest.raises(ValueError, match="unlicensed"):
+            ActionSpace(owner=0, covered_users=(0,), fractions=fractions)
+        ActionSpace(owner=1, covered_users=(0,), fractions=fractions)
+
+    def test_length_mismatch_rejected(self):
+        for shape in [(2, 3, 2), (4, 2), (1, 4, 2, 1)]:
+            with pytest.raises(ValueError, match="shape"):
+                ActionSpace(owner=1, covered_users=(0, 1),
+                            fractions=np.zeros(shape))
+
+    def test_grant_outside_covered_users_rejected(self):
+        fractions = np.zeros((2, 4, 3))
+        fractions[1, 1, 2] = 0.5
+        with pytest.raises(ValueError, match="does not cover"):
+            ActionSpace(owner=1, covered_users=(0, 1), fractions=fractions)
+        ActionSpace(owner=1, covered_users=(0, 2), fractions=fractions)
+
+    def test_empty_space_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            ActionSpace(owner=1, covered_users=(), fractions=np.zeros((0, 4, 2)))
+
+
+def validate_one(action, z_levels):
+    """validate_space's verdict on a space of ``action`` alone."""
+    found = validate_space(space_of([action]), z_levels)
+    return None if found is None else found[1]
 
 
 class TestValidateAction:
     def test_feasible_boundary(self):
         a = make_action(1, (0,), 1, d=(1.0,), v=(1.0,), kappa=(0.5,), tau=(0.5,))
-        assert validate_action(a, z_levels=10) is None
+        assert validate_one(a, z_levels=10) is None
 
     def test_dl_budget_violation(self):
         a = make_action(1, (0, 1), 2, d=(0.6, 0.5), v=(0.0, 0.0),
                         kappa=(0.0, 0.0), tau=(0.0, 0.0))
-        report = validate_action(a, z_levels=10)
+        report = validate_one(a, z_levels=10)
         assert report.constraint == "licensed_dl_budget"
 
     def test_ul_budget_violation(self):
         a = make_action(0, (0, 1), 2, d=(0.0, 0.0), v=(0.7, 0.4))
-        assert validate_action(a, 10).constraint == "licensed_ul_budget"
+        assert validate_one(a, 10).constraint == "licensed_ul_budget"
 
     def test_unlicensed_budget_violation(self):
         a = make_action(1, (0,), 1, d=(0.0,), v=(0.0,), kappa=(0.7,), tau=(0.4,))
-        assert validate_action(a, 10).constraint == "unlicensed_budget"
+        assert validate_one(a, 10).constraint == "unlicensed_budget"
 
     def test_off_grid_value(self):
         a = make_action(0, (0,), 1, d=(0.15,), v=(0.0,))
-        assert validate_action(a, 10).constraint == "quantization"
+        assert validate_one(a, 10).constraint == "quantization"
 
     def test_quantization_reported_before_budgets(self):
         a = make_action(0, (0, 1), 2, d=(0.15, 0.99), v=(0.0, 0.0))
-        assert validate_action(a, 10).constraint == "quantization"
+        assert validate_one(a, 10).constraint == "quantization"
 
     def test_out_of_range_is_quantization(self):
         a = make_action(0, (0,), 1, d=(-0.1,), v=(0.0,))
-        assert validate_action(a, 10).constraint == "quantization"
+        assert validate_one(a, 10).constraint == "quantization"
+
+    def test_first_infeasible_action_is_named(self):
+        ok = make_action(1, (0,), 1, d=(0.5,), v=(0.0,), kappa=(0.0,), tau=(0.0,))
+        over = make_action(1, (0,), 1, d=(0.0,), v=(0.0,), kappa=(0.7,),
+                           tau=(0.4,))
+        off = make_action(1, (0,), 1, d=(0.15,), v=(0.0,), kappa=(0.0,),
+                          tau=(0.0,))
+        i, violation = validate_space(space_of([ok, over, off]), 10)
+        assert i == 1 and violation.constraint == "unlicensed_budget"
+        assert violation == validate_action(over, 10)
 
 
 class TestEnumerateActions:
@@ -268,41 +309,48 @@ class TestEnumerateActions:
         cfg = ScenarioConfig(z_levels=2, action_set_size=100)
         space = enumerate_actions(0, topo, cfg, seed=3)
         assert len(space) == 9
-        pairs = {(a.d[0], a.v[0]) for a in space.actions}
+        pairs = {(a.d[0], a.v[0]) for a in actions_of(space)}
         levels = (0.0, 0.5, 1.0)
         assert pairs == set(itertools.product(levels, levels))
-        assert all(a.kappa is None for a in space.actions)
+        assert all(a.kappa is None for a in actions_of(space))
 
     def test_exhaustive_sbs_space(self):
         topo = toy_topology([(0,), (0,)])
         cfg = ScenarioConfig(z_levels=2, action_set_size=100)
         space = enumerate_actions(1, topo, cfg, seed=3)
         assert len(space) == 54
-        assert all(validate_action(a, 2) is None for a in space.actions)
+        assert validate_space(space, 2) is None
+        # d slowest, then v, then the unlicensed pair
+        assert [a.key for a in actions_of(space)[:4]] == [
+            ((0.0,), (0.0,), (0.0,), (0.0,)), ((0.0,), (0.0,), (0.0,), (0.5,)),
+            ((0.0,), (0.0,), (0.0,), (1.0,)), ((0.0,), (0.0,), (0.5,), (0.0,))]
+        assert action_at(space, 6).key == ((0.0,), (0.5,), (0.0,), (0.0,))
+        assert action_at(space, 18).key == ((0.5,), (0.0,), (0.0,), (0.0,))
+        assert action_at(space, 53).key == ((1.0,), (1.0,), (1.0,), (0.0,))
 
     def test_sampled_space_layout(self):
         topo = toy_topology([(0, 1), (0, 1)])
         cfg = ScenarioConfig(z_levels=10, action_set_size=16)
         space = enumerate_actions(1, topo, cfg, seed=9)
         assert len(space) == 16
-        zero = space.actions[0]
+        zero = action_at(space, 0)
         assert not any(zero.d) and not any(zero.v)
         assert not any(zero.kappa) and not any(zero.tau)
-        spread = space.actions[1]
+        spread = action_at(space, 1)
         assert spread.d == (0.5, 0.5) and spread.v == (0.5, 0.5)
         # 10 units over 4 unlicensed cells: 3, 3, 2, 2
         assert spread.kappa == (0.3, 0.3) and spread.tau == (0.2, 0.2)
-        first_seed = space.actions[2]
+        first_seed = action_at(space, 2)
         assert first_seed.d == (1.0, 0.0) and first_seed.v == (1.0, 0.0)
         assert first_seed.kappa == (0.5, 0.0) and first_seed.tau == (0.5, 0.0)
-        assert all(validate_action(a, 10) is None for a in space.actions)
-        assert len({a.key for a in space.actions}) == 16
+        assert validate_space(space, 10) is None
+        assert len({a.key for a in actions_of(space)}) == 16
 
     def test_sampling_deterministic_in_seed(self):
         topo = toy_topology([(0, 1), (0, 1)])
         cfg = ScenarioConfig(z_levels=10, action_set_size=16)
         keys = lambda seed: [a.key for a in
-                             enumerate_actions(1, topo, cfg, seed).actions]
+                             actions_of(enumerate_actions(1, topo, cfg, seed))]
         assert keys(4) == keys(4)
         assert keys(4) != keys(5)
 
@@ -311,13 +359,14 @@ class TestEnumerateActions:
         cfg = ScenarioConfig(z_levels=10, action_set_size=16)
         space = enumerate_actions(1, topo, cfg, seed=0)
         assert len(space) == 1
-        assert space.actions[0].users == ()
+        assert space.covered_users == ()
+        assert space.fractions.shape == (1, 4, 1) and not space.fractions.any()
 
     def test_duplicates_rejected_by_space(self):
         a = make_action(0, (0,), 1, d=(0.0,), v=(0.0,))
         b = make_action(0, (0,), 1, d=(0.0,), v=(0.0,))
-        with pytest.raises(ValueError):
-            ActionSpace(owner=0, actions=(a, b), generation_seed=0)
+        with pytest.raises(ValueError, match="duplicate"):
+            space_of([a, b])
 
 
 class TestRestrictions:
@@ -330,13 +379,13 @@ class TestRestrictions:
     def test_licensed_only_strips_unlicensed(self, sampled_space):
         stripped = restrict_licensed_only(sampled_space)
         assert all(not any(a.kappa) and not any(a.tau)
-                   for a in stripped.actions)
+                   for a in actions_of(stripped))
         assert len(stripped) <= len(sampled_space)
-        assert len({a.key for a in stripped.actions}) == len(stripped)
+        assert len({a.key for a in actions_of(stripped)}) == len(stripped)
 
     def test_coupled_pairs_directions(self, sampled_space):
         coupled = restrict_coupled(sampled_space)
-        for action in coupled.actions:
+        for action in actions_of(coupled):
             for i in range(len(action.users)):
                 has_dl = action.d[i] > 0 or action.kappa[i] > 0
                 has_ul = action.v[i] > 0 or action.tau[i] > 0
@@ -344,8 +393,109 @@ class TestRestrictions:
 
     def test_coupled_keeps_whole_band_seed(self, sampled_space):
         coupled = restrict_coupled(sampled_space)
-        seed_keys = {a.key for a in sampled_space.actions[1:3]}
-        assert seed_keys <= {a.key for a in coupled.actions}
+        seed_keys = {a.key for a in actions_of(sampled_space)[1:3]}
+        assert seed_keys <= {a.key for a in actions_of(coupled)}
+
+
+def grid_levels(z):
+    return st.integers(0, z).map(lambda i: i / z)
+
+
+# off-grid, out-of-range and non-finite values beside grid ones; x + 0.0
+# turns -0.0 into 0.0
+ODD_VALUES = st.one_of(grid_levels(2), grid_levels(10),
+                       st.floats(-0.5, 1.5).map(lambda x: x + 0.0),
+                       st.sampled_from([math.nan, math.inf, 0.15]))
+
+
+@st.composite
+def spaces_of(draw, values):
+    """Spaces of up to 8 distinct actions over 0-4 users, covered or not,
+    of the macro cell or a small cell."""
+    owner = draw(st.sampled_from([0, 1, 2]))
+    n_users = draw(st.integers(0, 4))
+    mask = draw(st.lists(st.booleans(), min_size=n_users, max_size=n_users))
+    users = tuple(u for u, covered in enumerate(mask) if covered)
+    k = len(users)
+    rows = draw(st.lists(st.lists(values, min_size=4 * k, max_size=4 * k),
+                         min_size=1, max_size=8))
+    actions = {}
+    for row in rows:
+        d, v, kappa, tau = (row[j * k:(j + 1) * k] for j in range(4))
+        if owner == 0:
+            kappa = tau = None
+        action = make_action(owner, users, n_users, d, v, kappa, tau)
+        actions.setdefault(action.dense().tobytes(), action)
+    return space_of(list(actions.values()))
+
+
+class TestSpaceOracles:
+    """The array space functions against the per-action loops they
+    replaced (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spaces_of(grid_levels(2)))
+    def test_projections_match_the_per_action_loops(self, space):
+        # at z = 2 most projections collide, so deduplication decides often
+        assert (actions_of(restrict_coupled(space))
+                == restrict_coupled_oracle(space))
+        assert (actions_of(restrict_licensed_only(space))
+                == restrict_licensed_only_oracle(space))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spaces_of(ODD_VALUES), st.sampled_from([2, 4, 10]))
+    def test_validation_matches_the_per_action_loop(self, space, z_levels):
+        assert (validate_space(space, z_levels)
+                == validate_space_oracle(space, z_levels))
+
+    def test_projections_drop_the_duplicates_they_create(self):
+        dl_only = make_action(1, (0,), 1, (0.5,), (0.0,), (0.0,), (0.0,))
+        idle = make_action(1, (0,), 1, (0.0,), (0.0,), (0.0,), (0.0,))
+        both = make_action(1, (0,), 1, (0.5,), (0.5,), (0.5,), (0.0,))
+        mixed = make_action(1, (0,), 1, (0.5,), (0.0,), (0.5,), (0.0,))
+        space = space_of([dl_only, idle, both, mixed])
+        licensed = actions_of(restrict_licensed_only(space))
+        assert licensed == [dl_only, idle, both._replace(kappa=(0.0,))]
+        assert actions_of(restrict_coupled(space)) == [idle, both]
+        for project in (restrict_coupled, restrict_licensed_only):
+            assert not project(space).fractions.flags.writeable
+
+
+# SHA-256 over each desk space's fractions in BS order, read from the
+# per-action dense rows before spaces held their actions as one array
+DESK_SPACE_PINS = {
+    (0, "esn"): "9580b70a60e09bacf1c2698501f675d7fd7fe18c4f986e979a03755e475a3371",
+    (0, "q_lteu_decoupled"):
+        "9580b70a60e09bacf1c2698501f675d7fd7fe18c4f986e979a03755e475a3371",
+    (0, "q_lte_decoupled"):
+        "82365c381c051a0b27dfe0a7a8ae792652b61fb6b17204bddfd3c916c668784e",
+    (0, "q_lteu_coupled"):
+        "b02e78b6f66d4ac3dbc0e6a47efa2dd1ae254f240d994669d7265df895ba5b82",
+    (1, "esn"): "0f6fde0019ca13f1eb121fc5fd91cdde06fba9fe15503452729984fee082c49f",
+    (1, "q_lteu_decoupled"):
+        "0f6fde0019ca13f1eb121fc5fd91cdde06fba9fe15503452729984fee082c49f",
+    (1, "q_lte_decoupled"):
+        "061c0f61f767ab9532c20dd7d2012320d9df094f0bbec23b2aa814d761f724ed",
+    (1, "q_lteu_coupled"):
+        "dbeb3d997c1946b7b4385645a25fef2788d8fa77b67fc289926ca5e39baea332",
+    (2, "esn"): "9fc9bfd644b0bce1f7e60ede19f9c6b799aac36607c2cc1fc0a31bcbe7bb87b7",
+    (2, "q_lteu_decoupled"):
+        "9fc9bfd644b0bce1f7e60ede19f9c6b799aac36607c2cc1fc0a31bcbe7bb87b7",
+    (2, "q_lte_decoupled"):
+        "6e01e268bc4087dc6598464172a806207e123262c17ed8ed4041bd1524bba0d9",
+    (2, "q_lteu_coupled"):
+        "81a51be8fd9ae08c4e903e658139c6c7d5c07fc9f19ffe604e30d734b3c0cf5b",
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_desk_spaces_match_their_pins(seed, algorithm):
+    digest = hashlib.sha256()
+    for space in desk_world(algorithm, seed)[0]:
+        assert space.fractions.dtype == np.float64
+        digest.update(space.fractions.tobytes())
+    assert digest.hexdigest() == DESK_SPACE_PINS[seed, algorithm]
 
 
 class TestUtilities:
@@ -404,7 +554,7 @@ class TestUtilities:
         caps = flat_caps(2, 3, *(rng.uniform(0.1, 20.0, size=4)))
         spaces = [enumerate_actions(b, topo, cfg, seed=b) for b in range(3)]
         for _ in range(25):
-            joint = [s.actions[rng.integers(len(s))] for s in spaces]
+            joint = [action_at(s, rng.integers(len(s))) for s in spaces]
             assert np.all(settled_utilities(joint, caps) >= 0.0)
 
     def test_macro_index_guard(self):
@@ -425,14 +575,14 @@ class TestConflictResolution:
 
     def test_better_offer_wins(self):
         joint, caps = self.overlapping_joint(1.0, 1.0)
-        settled = resolve_conflicts(joint, caps)
+        settled = settle(joint, caps)
         assert settled[D, 1, 0] == 0.0  # offer 2 loses to offer 4
         assert settled[D, 2, 0] == 1.0
 
     def test_fraction_weighting_decides(self):
         # BS1 offers 1.0 * 2 = 2, BS2 offers 0.4 * 4 = 1.6: BS1 wins
         joint, caps = self.overlapping_joint(1.0, 0.4)
-        settled = resolve_conflicts(joint, caps)
+        settled = settle(joint, caps)
         assert settled[D, 1, 0] == 1.0
         assert settled[D, 2, 0] == 0.0
 
@@ -440,7 +590,7 @@ class TestConflictResolution:
         joint, caps = self.overlapping_joint(1.0, 0.5, caps_small=2.0,
                                              caps_big=4.0)
         # offers 2.0 vs 2.0
-        settled = resolve_conflicts(joint, caps)
+        settled = settle(joint, caps)
         assert settled[D, 1, 0] == 1.0
         assert settled[D, 2, 0] == 0.0
 
@@ -449,20 +599,21 @@ class TestConflictResolution:
         joint = [make_action(0, (), 1, (), ()),
                  make_action(1, (0,), 1, (1.0,), (0.0,), (0.0,), (0.0,)),
                  make_action(2, (0,), 1, (0.0,), (1.0,), (0.0,), (0.0,))]
-        settled = resolve_conflicts(joint, caps)
+        settled = settle(joint, caps)
         assert settled[D, 1, 0] == 1.0 and settled[V, 2, 0] == 1.0
         rates = compute_user_rates(settled, caps)
         assert rates.serving_dl[0] == 1 and rates.serving_ul[0] == 2
 
     def test_resolved_joint_is_rate_safe(self):
         joint, caps = self.overlapping_joint(1.0, 1.0)
+        unsettled = np.stack([a.dense() for a in joint], axis=1)
         with pytest.raises(ValueError, match="more than one BS"):
-            compute_user_rates(_stack_dense(joint), caps)
-        compute_user_rates(resolve_conflicts(joint, caps), caps)  # no raise
+            compute_user_rates(unsettled, caps)
+        compute_user_rates(settle(joint, caps), caps)  # no raise
 
     def test_resolved_utilities_match_two_step_route(self):
         joint, caps = self.overlapping_joint(0.8, 0.9)
-        settled = resolve_conflicts(joint, caps)
+        settled = settle(joint, caps)
         direct = resolved_utilities(settled, caps, eta=0.6)
         two_step = joint_utilities(settled_actions(joint, settled), caps,
                                    eta=0.6)
@@ -475,7 +626,7 @@ class TestConflictResolution:
         joint = [make_action(0, (), 1, (), ()),
                  make_action(1, (0,), 1, (1.0,), (0.0,), (0.0,), (0.0,)),
                  make_action(2, (0,), 1, (0.0,), (0.0,), (0.5,), (0.0,))]
-        settled = resolve_conflicts(joint, caps)
+        settled = settle(joint, caps)
         assert settled[D, 1, 0] == 0.0
         assert settled[KAPPA, 2, 0] == 0.5
 
@@ -495,13 +646,13 @@ class TestCoupledResolution:
 
     def test_uplink_follows_downlink(self):
         joint, caps = self.split_offers()
-        settled = resolve_conflicts(joint, caps, coupled=True)
+        settled = settle(joint, caps, coupled=True)
         assert settled[D, 1, 0] == 1.0 and settled[V, 1, 0] == 1.0
         assert settled[D, 2, 0] == 0.0 and settled[V, 2, 0] == 0.0
 
     def test_default_rule_splits_the_same_joint(self):
         joint, caps = self.split_offers()
-        rates = compute_user_rates(resolve_conflicts(joint, caps), caps)
+        rates = compute_user_rates(settle(joint, caps), caps)
         assert rates.serving_dl[0] == 1 and rates.serving_ul[0] == 2
         assert rates.decoupled_users() == 1
 
@@ -512,7 +663,7 @@ class TestCoupledResolution:
         joint = [make_action(0, (), 1, (), ()),
                  make_action(1, (0,), 1, (0.0,), (1.0,), (0.0,), (0.0,)),
                  make_action(2, (0,), 1, (0.0,), (1.0,), (0.0,), (0.0,))]
-        settled = resolve_conflicts(joint, caps, coupled=True)
+        settled = settle(joint, caps, coupled=True)
         assert settled[V, 1, 0] == 0.0
         assert settled[V, 2, 0] == 1.0
 
@@ -523,14 +674,14 @@ class TestCoupledResolution:
         caps = flat_caps(3, 3, *(rng.uniform(0.5, 9.0, size=4)))
         spaces = [enumerate_actions(b, topo, cfg, seed=b + 5) for b in range(3)]
         for _ in range(25):
-            joint = [s.actions[rng.integers(len(s))] for s in spaces]
-            settled = resolve_conflicts(joint, caps, coupled=True)
+            indices = [rng.integers(len(s)) for s in spaces]
+            settled = resolve_conflicts(spaces, indices, caps, coupled=True)
             rates = compute_user_rates(settled, caps)
             assert rates.decoupled_users() == 0
 
     def test_coupled_utilities_match_two_step_route(self):
         joint, caps = self.split_offers()
-        settled = resolve_conflicts(joint, caps, coupled=True)
+        settled = settle(joint, caps, coupled=True)
         direct = resolved_utilities(settled, caps, eta=0.6)
         two_step = joint_utilities(settled_actions(joint, settled), caps,
                                    eta=0.6)
@@ -554,8 +705,8 @@ class TestJointEvaluator:
         batch = rng.integers(0, [len(s) for s in spaces], size=(20, 3))
         fast = ev.batch_utilities(batch)
         for row, indices in zip(fast, batch):
-            joint = [spaces[n].actions[i] for n, i in enumerate(indices)]
-            slow = settled_utilities(joint, caps, eta=0.7)
+            slow = resolved_utilities(resolve_conflicts(spaces, indices, caps),
+                                      caps, eta=0.7)
             assert np.allclose(row, slow, rtol=1e-12, atol=1e-12)
 
     def test_coupled_matches_object_route(self):
@@ -572,16 +723,17 @@ class TestJointEvaluator:
         batch = rng.integers(0, [len(s) for s in spaces], size=(20, 3))
         fast = ev.batch_utilities(batch)
         for row, indices in zip(fast, batch):
-            joint = [spaces[n].actions[i] for n, i in enumerate(indices)]
-            slow = settled_utilities(joint, caps, eta=0.7, coupled=True)
+            slow = resolved_utilities(
+                resolve_conflicts(spaces, indices, caps, coupled=True), caps,
+                eta=0.7)
             assert np.allclose(row, slow, rtol=1e-12, atol=1e-12)
 
     def uneven_evaluator(self):
         # BS 0 has 2 actions, BS 1 has 5: BS 0's rows 2..4 are zero padding
         topo = toy_topology([(0,), (0,)])
         cfg = ScenarioConfig(z_levels=2, action_set_size=5)
-        macro = ActionSpace(owner=0, generation_seed=0, actions=tuple(
-            make_action(0, (0,), 1, (d,), (d,)) for d in (0.0, 1.0)))
+        macro = space_of([make_action(0, (0,), 1, (d,), (d,))
+                          for d in (0.0, 1.0)])
         spaces = [macro, enumerate_actions(1, topo, cfg, seed=3)]
         assert [len(s) for s in spaces] == [2, 5]
         return JointEvaluator(spaces, flat_caps(1, 2))
@@ -590,13 +742,12 @@ class TestJointEvaluator:
         ev = self.uneven_evaluator()
         tables = ev._table.reshape(4, ev.n_bs, -1, ev.caps.n_users)
         for n, space in enumerate(ev.spaces):
-            for k, attr in enumerate(("d_rows", "v_rows", "kappa_rows",
-                                      "tau_rows")):
-                assert np.array_equal(tables[k, n, :len(space)],
-                                      getattr(space, attr))
+            for i, action in enumerate(actions_of(space)):
+                assert np.array_equal(tables[:, n, i], action.dense())
+            assert not tables[:, n, len(space):].any()
         batch = np.array([[1, 4], [0, 0], [1, 2]])
         want = [settled_utilities(
-            [s.actions[i] for s, i in zip(ev.spaces, row)], ev.caps)
+            [action_at(s, i) for s, i in zip(ev.spaces, row)], ev.caps)
             for row in batch]
         np.testing.assert_allclose(ev.batch_utilities(batch), want,
                                    rtol=1e-12, atol=1e-12)
@@ -633,9 +784,9 @@ class TestSettleOracle:
     def test_settling_matches_the_per_user_reference(self, case):
         spaces, caps, indices, coupled = case
         eta = desk_config().eta
-        joint = [s.actions[i] for s, i in zip(spaces, indices)]
+        joint = [action_at(s, i) for s, i in zip(spaces, indices)]
         want = settle_oracle(joint, caps, coupled)
-        settled = resolve_conflicts(joint, caps, coupled=coupled)
+        settled = resolve_conflicts(spaces, indices, caps, coupled=coupled)
         resolved = settled_actions(joint, settled)
         assert [a.key for a in resolved] == want
         oracle = scalar_utilities(resolved, caps, eta)
@@ -651,11 +802,12 @@ class TestSettleOracle:
         # the block holds each BS's kept fractions and nothing else: zero
         # off its covered users and in the macro cell's unlicensed rows
         spaces, caps, indices, coupled = case
-        joint = [s.actions[i] for s, i in zip(spaces, indices)]
-        settled = resolve_conflicts(joint, caps, coupled=coupled)
+        joint = [action_at(s, i) for s, i in zip(spaces, indices)]
+        settled = resolve_conflicts(spaces, indices, caps, coupled=coupled)
         assert settled.shape == (4, len(joint), caps.n_users)
         assert settled.dtype == np.float64
-        rebuilt = _stack_dense(settled_actions(joint, settled))
+        rebuilt = np.stack([a.dense() for a in settled_actions(joint, settled)],
+                           axis=1)
         assert rebuilt.tobytes() == settled.tobytes()
         assert not settled.flags.writeable
         with pytest.raises(ValueError):
@@ -665,8 +817,8 @@ class TestSettleOracle:
     @given(desk_joints())
     def test_rates_of_a_settled_joint_match_per_user_sums(self, case):
         spaces, caps, indices, coupled = case
-        joint = [s.actions[i] for s, i in zip(spaces, indices)]
-        settled = resolve_conflicts(joint, caps, coupled=coupled)
+        joint = [action_at(s, i) for s, i in zip(spaces, indices)]
+        settled = resolve_conflicts(spaces, indices, caps, coupled=coupled)
         rates = compute_user_rates(settled, caps)
         resolved = settled_actions(joint, settled)
         for user in range(caps.n_users):
@@ -718,10 +870,6 @@ class TestMixedStrategy:
         with pytest.raises(ValueError):
             MixedStrategy(space=space, probs=(-0.1, 1.1) + (0.0,) * 7)
 
-    def test_point_mass(self, space):
-        strat = MixedStrategy.point_mass(space, 4)
-        assert strat.probs[4] == 1.0 and sum(strat.probs) == 1.0
-
     def test_epsilon_greedy_split(self, space):
         strat = MixedStrategy.epsilon_greedy(space, best_index=2, epsilon=0.7)
         share = 0.7 / 9
@@ -731,16 +879,9 @@ class TestMixedStrategy:
     def test_epsilon_greedy_two_actions(self):
         a = make_action(0, (0,), 1, (0.0,), (0.0,))
         b = make_action(0, (0,), 1, (1.0,), (0.0,))
-        tiny = ActionSpace(owner=0, actions=(a, b), generation_seed=0)
+        tiny = space_of([a, b])
         strat = MixedStrategy.epsilon_greedy(tiny, best_index=0, epsilon=0.7)
         assert strat.probs == (0.65, 0.35)
-
-    def test_sampling_follows_probs(self, space):
-        strat = MixedStrategy.epsilon_greedy(space, best_index=1, epsilon=0.4)
-        rng = np.random.default_rng(0)
-        draws = [strat.sample(rng) for _ in range(4000)]
-        freq = np.bincount(draws, minlength=9) / 4000
-        assert freq[1] == pytest.approx(strat.probs[1], abs=0.03)
 
 
 def two_bs_game(c1=2.0, c2=4.0):
@@ -751,20 +892,18 @@ def two_bs_game(c1=2.0, c2=4.0):
     caps.c_l_ul[0, 1] = c2
     idle = make_action(1, (0,), 1, (0.0,), (0.0,), (0.0,), (0.0,))
     busy = make_action(1, (0,), 1, (1.0,), (1.0,), (0.0,), (0.0,))
-    mbs_space = ActionSpace(owner=0, actions=(make_action(0, (0,), 1, (0.0,),
-                                                          (0.0,)),),
-                            generation_seed=0)
-    sbs_space = ActionSpace(owner=1, actions=(idle, busy), generation_seed=0)
+    mbs_space = space_of([make_action(0, (0,), 1, (0.0,), (0.0,))])
+    sbs_space = space_of([idle, busy])
     return caps, mbs_space, sbs_space
 
 
 class TestExpectedUtility:
     def test_point_mass_reduces_to_plain_utility(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        profile = [MixedStrategy.point_mass(mbs_space, 0),
-                   MixedStrategy.point_mass(sbs_space, 1)]
+        profile = [point_mass(mbs_space, 0),
+                   point_mass(sbs_space, 1)]
         result = expected_utility(1, 1, profile, caps)
-        joint = [mbs_space.actions[0], sbs_space.actions[1]]
+        joint = [action_at(mbs_space, 0), action_at(sbs_space, 1)]
         assert result.exact and result.stderr == 0.0
         assert result.value == pytest.approx(
             float(settled_utilities(joint, caps)[1]), rel=1e-12)
@@ -777,12 +916,11 @@ class TestExpectedUtility:
         caps.c_l_dl[0, 1] = 2.0
         m_idle = make_action(0, (0,), 1, (0.0,), (0.0,))
         m_busy = make_action(0, (0,), 1, (1.0,), (0.0,))
-        mbs_space = ActionSpace(owner=0, actions=(m_idle, m_busy),
-                                generation_seed=0)
+        mbs_space = space_of([m_idle, m_busy])
         s_busy = make_action(1, (0,), 1, (1.0,), (0.0,), (0.0,), (0.0,))
-        sbs_space = ActionSpace(owner=1, actions=(s_busy,), generation_seed=0)
+        sbs_space = space_of([s_busy])
         profile = [MixedStrategy(space=mbs_space, probs=(0.5, 0.5)),
-                   MixedStrategy.point_mass(sbs_space, 0)]
+                   point_mass(sbs_space, 0)]
         result = expected_utility(1, 0, profile, caps)
         # macro idle: SBS keeps the user, log2(1+2); macro busy: SBS loses it
         assert result.value == pytest.approx(0.5 * math.log2(3.0), rel=1e-12)
@@ -802,8 +940,8 @@ class TestExpectedUtility:
         brute = 0.0
         for i0 in range(len(spaces[0])):
             for i2 in range(len(spaces[2])):
-                joint = [spaces[0].actions[i0], spaces[1].actions[2],
-                         spaces[2].actions[i2]]
+                joint = [action_at(spaces[0], i0), action_at(spaces[1], 2),
+                         action_at(spaces[2], i2)]
                 weight = profile[0].probs[i0] * profile[2].probs[i2]
                 brute += weight * float(settled_utilities(joint, caps)[1])
         assert result.exact
@@ -840,15 +978,15 @@ class TestVerifyMixedNe:
         caps = flat_caps(1, 1, c_l_dl=2.0, c_l_ul=4.0)
         idle = make_action(0, (0,), 1, (0.0,), (0.0,))
         busy = make_action(0, (0,), 1, (1.0,), (1.0,))
-        space = ActionSpace(owner=0, actions=(idle, busy), generation_seed=0)
-        report = verify_mixed_ne([MixedStrategy.point_mass(space, 1)], caps,
+        space = space_of([idle, busy])
+        report = verify_mixed_ne([point_mass(space, 1)], caps,
                                  tolerance=1e-9)
         assert report.ok and report.best_gain <= 1e-9
 
     def test_dominated_support_fails(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        profile = [MixedStrategy.point_mass(mbs_space, 0),
-                   MixedStrategy.point_mass(sbs_space, 0)]  # idle, dominated
+        profile = [point_mass(mbs_space, 0),
+                   point_mass(sbs_space, 0)]  # idle, dominated
         report = verify_mixed_ne(profile, caps, tolerance=1e-6)
         assert not report.ok
         assert report.best_bs == 1 and report.best_action == 1
@@ -857,8 +995,8 @@ class TestVerifyMixedNe:
 
     def test_dominant_profile_passes(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        profile = [MixedStrategy.point_mass(mbs_space, 0),
-                   MixedStrategy.point_mass(sbs_space, 1)]
+        profile = [point_mass(mbs_space, 0),
+                   point_mass(sbs_space, 1)]
         report = verify_mixed_ne(profile, caps, tolerance=1e-9)
         assert report.ok
         assert report.expected_current[1] == pytest.approx(
@@ -866,13 +1004,13 @@ class TestVerifyMixedNe:
 
     def test_infinite_tolerance_passes_anything(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        profile = [MixedStrategy.point_mass(mbs_space, 0),
-                   MixedStrategy.point_mass(sbs_space, 0)]
+        profile = [point_mass(mbs_space, 0),
+                   point_mass(sbs_space, 0)]
         assert verify_mixed_ne(profile, caps, tolerance=math.inf).ok
 
     def test_tables_match_expected_utility(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        profile = [MixedStrategy.point_mass(mbs_space, 0),
+        profile = [point_mass(mbs_space, 0),
                    MixedStrategy(space=sbs_space, probs=(0.3, 0.7))]
         report = verify_mixed_ne(profile, caps, tolerance=1e-6)
         for i in range(2):
@@ -882,8 +1020,8 @@ class TestVerifyMixedNe:
 
     def test_oversized_instance_rejected(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        profile = [MixedStrategy.point_mass(mbs_space, 0),
-                   MixedStrategy.point_mass(sbs_space, 0)]
+        profile = [point_mass(mbs_space, 0),
+                   point_mass(sbs_space, 0)]
         with pytest.raises(ValueError, match="too large"):
             verify_mixed_ne(profile, caps, tolerance=1e-6, enumeration_cap=1)
 
@@ -911,7 +1049,7 @@ class TestSmallGameExport:
         sizes, payoffs = read_small_game(path)
         assert sizes == [1, 2]
         for j in range(2):
-            joint = [mbs_space.actions[0], sbs_space.actions[j]]
+            joint = [action_at(mbs_space, 0), action_at(sbs_space, j)]
             expected = settled_utilities(joint, caps)
             assert np.allclose(payoffs[0, j], expected, rtol=1e-12)
 

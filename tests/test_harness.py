@@ -11,6 +11,7 @@ from lteusim.harness import (MonteCarloResult, RunResult, monte_carlo,
                              prepare_run, run, sweep, write_cdf_csv,
                              write_sweep_csv, write_trace_csv)
 from lteusim.scenario import ALGORITHMS, desk_config
+from oracles import make_action, space_of
 
 
 def toy_config(**overrides):
@@ -91,10 +92,9 @@ class TestRun:
         result = run(cfg, "esn", seed=4)
         inputs = prepare_run(cfg, "esn", 4)
         for record in result.records:
-            played = [inputs.spaces[n].actions[record.joint_action[n]]
-                      for n in range(cfg.n_bs)]
             again = game.resolved_utilities(
-                game.resolve_conflicts(played, inputs.capacities),
+                game.resolve_conflicts(inputs.spaces, record.joint_action,
+                                       inputs.capacities),
                 inputs.capacities, eta=cfg.eta)
             np.testing.assert_allclose(record.utilities, again, atol=1e-9)
 
@@ -174,7 +174,7 @@ class TestBatchedRound:
         rng = np.random.default_rng(8)
         for _ in range(12):
             msgs = self.random_round(team, spaces, rng)
-            rows = harness._round_rows(team, msgs)
+            rows = harness._evaluator_rows(team, msgs)
             batch = evaluator.batch_utilities(rows)
             assert batch.shape == (n_bs + 2, n_bs)
             assert rows[n_bs] == tuple(m.current_action for m in msgs)
@@ -185,8 +185,8 @@ class TestBatchedRound:
                           else m.best_action for m in msgs]
                 assert rows[n] == tuple(own if m == n else others[m]
                                         for m in range(n_bs))
-                joint = [spaces[m].actions[i] for m, i in enumerate(rows[n])]
-                settled = game.resolve_conflicts(joint, inputs.capacities,
+                settled = game.resolve_conflicts(spaces, rows[n],
+                                                 inputs.capacities,
                                                  coupled=coupled)
                 want = game.resolved_utilities(settled, inputs.capacities,
                                                eta=config.eta)[n]
@@ -197,7 +197,7 @@ class TestBatchedRound:
         _, config, inputs, team, evaluator = round_setup
         rng = np.random.default_rng(9)
         for _ in range(12):
-            rows = harness._round_rows(
+            rows = harness._evaluator_rows(
                 team, self.random_round(team, inputs.spaces, rng))
             batch = evaluator.batch_utilities(rows)
             for row, got in zip(rows, batch):
@@ -251,10 +251,9 @@ class TestMonteCarlo:
         cfg = desk_config(max_iterations=150)
         first = monte_carlo(cfg, "esn", 2, 0)
         monte_carlo(cfg, "q_lteu_decoupled", 1, 0)
-        # no run converges in 150 rounds, so mean_converged_at is NaN and
-        # == would fail; repr prints every float exactly
-        assert repr(monte_carlo(cfg, "esn", 2, 0)) == repr(first)
-        assert math.isnan(first.mean_converged_at)
+        assert monte_carlo(cfg, "esn", 2, 0) == first
+        # no run converges in 150 rounds
+        assert first.mean_converged_at is None
 
     def test_ci_brackets_the_mean(self):
         mc = monte_carlo(small_config(), "esn", n_runs=4, base_seed=1)
@@ -381,6 +380,9 @@ class TestCsvOutput:
         assert rows[0][0] == "axis"
         assert rows[1][0] == "r_w"
         assert float(rows[1][1]) == 1e6
+        # no run converges in 3 rounds: the mean is None, written as nan
+        assert cells[0].mean_converged_at is None
+        assert rows[0][-1] == "mean_converged_at" and rows[1][-1] == "nan"
 
     def test_nine_significant_digits(self, tmp_path):
         path = tmp_path / "cdf.csv"
@@ -389,40 +391,17 @@ class TestCsvOutput:
         assert rows[1][0] == "123456789"
 
 
-@pytest.mark.parametrize("algorithm", ["esn", "q_lteu_coupled"])
-def test_rounds_build_no_action_objects(monkeypatch, algorithm):
-    # every round settles two joints; the settle is one array, so once the
-    # agents exist no AllocationAction is constructed
-    counts = {"armed": False, "built": 0, "rounds": 0}
-    post_init = game.AllocationAction.__post_init__
-    make_agents, select = harness.make_agents, harness.select_and_broadcast
-
-    def counting_post_init(self):
-        counts["built"] += counts["armed"]
-        post_init(self)
-
-    def arming_make_agents(*args, **kwargs):
-        team = make_agents(*args, **kwargs)
-        counts["armed"] = True
-        return team
-
-    def counting_select(agent):
-        counts["rounds"] += agent.bs == 0
-        return select(agent)
-
-    monkeypatch.setattr(game.AllocationAction, "__post_init__",
-                        counting_post_init)
-    monkeypatch.setattr(harness, "make_agents", arming_make_agents)
-    monkeypatch.setattr(harness, "select_and_broadcast", counting_select)
-    config = desk_config(max_iterations=6, convergence_window=50,
-                         reservoir_units=20)
-    run(config, algorithm, seed=0)
-    assert counts["rounds"] == 6
-    assert counts["built"] == 0, f"{counts['built']} actions in 6 rounds"
-
-
 def test_resolve_conflicts_reexport():
     assert harness.resolve_conflicts is game.resolve_conflicts
+
+
+def test_space_audit_names_the_first_infeasible_action():
+    fine = make_action(1, (0,), 1, (0.5,), (0.5,), (0.0,), (0.0,))
+    over = make_action(1, (0,), 1, (0.5,), (0.5,), (0.6,), (0.5,))
+    harness._audit_spaces([space_of([fine])], z_levels=10)
+    with pytest.raises(RuntimeError, match="infeasible action 1 in BS 1 "
+                                           "space: unlicensed_budget"):
+        harness._audit_spaces([space_of([fine, over])], z_levels=10)
 
 
 def test_run_result_is_frozen():

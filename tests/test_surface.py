@@ -1,9 +1,9 @@
 """Guards against code in ``src/lteusim`` that only the tests reach.
 
-A public module-level function or class must be named somewhere in the
-package besides its own definition, and every ``ScenarioConfig`` field
-must be read somewhere besides its validation. Scalar oracles and other
-test helpers belong in ``tests/``.
+A public module-level function or class, and a public method of any
+class, must be named somewhere in the package besides its own definition,
+and every ``ScenarioConfig`` field must be read somewhere besides its
+validation. Scalar oracles and other test helpers belong in ``tests/``.
 """
 
 import ast
@@ -47,6 +47,12 @@ DEFINITIONS = [(module, node) for module, tree in TREES.items()
                and not node.name.startswith("_")]
 CHECKED = [(module, node) for module, node in DEFINITIONS
            if (module, node.name) not in ALLOWED]
+# (module, class name, method) for every method without a leading _
+METHODS = [(module, cls.name, node) for module, tree in TREES.items()
+           for cls in tree.body if isinstance(cls, ast.ClassDef)
+           for node in cls.body
+           if isinstance(node, ast.FunctionDef)
+           and not node.name.startswith("_")]
 
 
 def _used_outside(name, node):
@@ -59,6 +65,15 @@ def _used_outside(name, node):
 def test_public_name_is_used_in_the_package(module, node):
     assert _used_outside(node.name, node), (
         f"{module}.{node.name} is named nowhere else in src/lteusim; "
+        "move it to tests/ or delete it")
+
+
+@pytest.mark.parametrize(
+    "module,cls,node", METHODS,
+    ids=[f"{module}.{cls}.{node.name}" for module, cls, node in METHODS])
+def test_public_method_is_used_in_the_package(module, cls, node):
+    assert _used_outside(node.name, node), (
+        f"{module}.{cls}.{node.name} is named nowhere else in src/lteusim; "
         "move it to tests/ or delete it")
 
 
