@@ -6,10 +6,11 @@ expectations with a second, and the table-driven QAgent baselines in three
 variants. Both follow the same synchronous round protocol:
 
   1. ``select_and_broadcast``: epsilon-greedy pick from the stored predictor,
-     announce (current_action, best_action).
-  2. ``finish_round``: once every broadcast of the round is in, take the
-     round's reward (the resolved utility of the ``reward_joint`` index
-     row, evaluated by the caller), rebuild the opponent model, compute the
+     return (played, advertised best); the caller stacks the pairs into the
+     round's broadcast, two index rows with one entry per BS.
+  2. ``finish_round``: once both rows are in, take the round's reward (the
+     resolved utility of the ``reward_joint`` index row, evaluated by the
+     caller), adopt the advertised row as the opponent model, compute the
      remaining targets with the pre-update readouts, apply one readout-row
      (or Q-entry) update, then commit reservoir states.
   3. ``observe_outcome``: absorb the played joint's settled fraction block
@@ -32,26 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import esn
-from .game import ExpectedUtility, restrict_coupled, restrict_licensed_only
+from .game import (ExpectedUtility, _epsilon_greedy, restrict_coupled,
+                   restrict_licensed_only)
 from .scenario import ALGORITHMS
 
 Q_VARIANTS = tuple(a for a in ALGORITHMS if a.startswith("q_"))
 
 
 @dataclass(frozen=True)
-class BroadcastMsg:
-    """One BS's round announcement: the action it plays and the action its
-    learner currently ranks best."""
-
-    sender: int
-    current_action: int
-    best_action: int
-
-
-@dataclass(frozen=True)
 class StepDiagnostics:
-    action: int
-    best_action: int
     r_hat_alpha: float
     e_alpha: float
     r_hat_beta: float
@@ -60,8 +50,6 @@ class StepDiagnostics:
 
 @dataclass(frozen=True)
 class QDiagnostics:
-    action: int
-    best_action: int
     q_before: float
     target: float
     q_after: float
@@ -103,11 +91,10 @@ class EsnAgent:
         self.epsilon = float(config.epsilon)
         self.expectation_budget = int(config.expectation_budget)
         self.opponents = tuple(m for m in range(len(self.spaces)) if m != self.bs)
-        self.opponent_model = None
+        # the opponent model: the last advertised row (own entry unread)
+        self.opponent_bests = (0,) * len(self.spaces)
         self._profile_tables = _ProfileTables()
-        self.opponent_bests = {m: 0 for m in self.opponents}
         self._best_prev = None
-        self.last_action = 0
         self._pending = None
 
         streams = np.random.SeedSequence([int(seed), self.bs]).generate_state(3)
@@ -160,7 +147,7 @@ class EsnAgent:
         self._scratch = scratch
 
     def profile_input(self, indices):
-        """Alpha input vector for one opponent profile {bs: action index}."""
+        """Alpha input vector for one opponent profile, an index row."""
         if not self.opponents:
             return np.zeros(0)
         return np.concatenate([self._enc[m][indices[m]] for m in self.opponents])
@@ -184,9 +171,7 @@ class QAgent:
         self.epsilon = float(config.epsilon)
         self.lambda_q = float(config.lambda_q)
         self.variant = variant
-        self.opponents = tuple(m for m in range(len(self.spaces)) if m != self.bs)
         self.q_table = np.zeros(len(self.action_space))
-        self.last_action = 0
         self._pending = None
         streams = np.random.SeedSequence([int(seed), self.bs]).generate_state(1)
         self.rng = np.random.default_rng(int(streams[0]))
@@ -228,83 +213,49 @@ def _best_reply(agent):
     return best
 
 
-def _draw(agent, best):
-    # argmax with prob 1-eps, uniform with prob eps; realizes the epsilon
-    # greedy law (best gets 1-eps+eps/|A|, everything else eps/|A|)
-    if agent.rng.random() < agent.epsilon:
-        return int(agent.rng.integers(len(agent.action_space)))
-    return best
-
-
-def select_and_broadcast(agent) -> BroadcastMsg:
-    """Phase one of a round: pick an action, remember it, announce it.
+def select_and_broadcast(agent) -> tuple[int, int]:
+    """Phase one of a round: pick an action, remember it, and return the
+    broadcast pair (played, advertised).
 
     The action is an epsilon-greedy draw around the stored predictor's peak;
     score ties go to the lowest action index. For the reservoir agent the
-    announced best and the selection peak are different readouts; for the
+    advertised best and the selection peak are different readouts; for the
     table learners they coincide.
     """
     scores = _scores(agent)
-    peak = int(scores.argmax())
-    action = _draw(agent, peak)
+    peak = action = int(scores.argmax())
+    # argmax with prob 1-eps, uniform with prob eps; realizes the epsilon
+    # greedy law (peak gets 1-eps+eps/|A|, everything else eps/|A|)
+    if agent.rng.random() < agent.epsilon:
+        action = int(agent.rng.integers(len(agent.action_space)))
     best = _best_reply(agent) if isinstance(agent, EsnAgent) else peak
-    agent.last_action = action
-    agent._pending = (action, best, scores)
-    return BroadcastMsg(sender=agent.bs, current_action=action, best_action=best)
+    agent._pending = (action, scores)
+    return action, best
 
 
-def _epsilon_greedy(size, best, epsilon):
-    # the floats of game.MixedStrategy.epsilon_greedy, as an array
-    probs = np.full(size, epsilon / size)
-    probs[best] += 1.0 - epsilon
-    return probs
-
-
-def build_opponent_model(by_sender, epsilon, spaces):
-    """Per-sender epsilon-greedy probability arrays peaked at each broadcast
-    best: epsilon/|A| on every action plus 1-epsilon on the announced best.
-
-    ``by_sender`` is a ``{sender: msg}`` mapping already checked for missing,
-    duplicate and unknown senders (``_opponent_msgs`` builds it).
-    """
-    return {m: _epsilon_greedy(len(spaces[m]), msg.best_action, epsilon)
-            for m, msg in by_sender.items()}
-
-
-def _opponent_msgs(agent, msgs):
-    seen = {}
-    for msg in msgs:
-        if msg.sender == agent.bs:
-            continue  # own echo on the bus is fine, just ignored
-        if msg.sender not in agent.opponents:
-            raise ValueError(f"broadcast from unknown BS {msg.sender}")
-        if msg.sender in seen:
-            raise ValueError(f"duplicate broadcast from BS {msg.sender}")
-        seen[msg.sender] = msg
-    missing = [m for m in agent.opponents if m not in seen]
-    if missing:
-        raise ValueError(f"missing broadcast from BS {missing[0]}")
-    return seen
+def _check_rows(agent, *rows):
+    if any(len(row) != len(agent.spaces) for row in rows):
+        raise ValueError(f"a broadcast row needs {len(agent.spaces)} "
+                         "entries, one per BS")
 
 
 # learning targets ----------------------------------------------------------
 
 
-def reward_joint(agent, msgs) -> tuple[int, ...]:
+def reward_joint(agent, played, advertised) -> tuple[int, ...]:
     """Index row whose resolved utility is the agent's reward this round.
 
-    The reservoir agent is rewarded for its pending action against what the
-    opponents played (their ``current_action``); the Q baselines score it
-    against the opponents' announced bests. ``msgs`` must carry one
-    broadcast per opponent; the agent's own, if present, is ignored.
+    ``played`` and ``advertised`` are the round's broadcast rows, one entry
+    per BS. The reservoir agent is rewarded for its pending action against
+    what the opponents played; the Q baselines score it against the
+    opponents' advertised bests. The agent's own entry is its pending
+    action either way.
     """
     if agent._pending is None:
         raise RuntimeError("select_and_broadcast must run before reward_joint")
-    joint = [0] * len(agent.spaces)
+    _check_rows(agent, played, advertised)
+    joint = list(advertised if isinstance(agent, QAgent) else played)
     joint[agent.bs] = agent._pending[0]
-    at_best = isinstance(agent, QAgent)
-    for m, msg in _opponent_msgs(agent, msgs).items():
-        joint[m] = msg.best_action if at_best else msg.current_action
     return tuple(joint)
 
 
@@ -377,30 +328,30 @@ def _guide_row(p):
 
 
 class _ProfileTables:
-    """Guide rows of one agent's opponent model, stacked for
-    ``_draw_profiles``.
+    """Guide rows of one agent's opponent model, stacked for the sampled
+    expectation: opponent m's row inverts the epsilon-greedy law peaked at
+    its advertised best.
 
-    A row is built once per distinct probability array (one per opponent
-    and announced best, at a fixed epsilon) and kept for the agent's life;
-    the stacked table of the last model is kept until the model changes.
-    Keys are the arrays' bytes, so a model assigned by hand hits the same
-    path as one ``build_opponent_model`` made.
+    A row is built once per ``(opponent, best)`` and kept for the agent's
+    life (``agent.epsilon`` is fixed after construction, like a reservoir's
+    ``w``); the stacked table is kept while the advertised bests stay.
     """
 
     def __init__(self):
         self._rows = {}
-        self._key = None
+        self._bests = None
         self._table = None
 
-    def table(self, probs):
-        key = tuple(p.tobytes() for p in probs)
-        if key != self._key:
-            rows = []
-            for k, p in zip(key, probs):
-                if k not in self._rows:
-                    self._rows[k] = _guide_row(p)
-                rows.append(self._rows[k])
-            self._key, self._table = key, _stack_rows(rows)
+    def table(self, agent):
+        bests = tuple(agent.opponent_bests[m] for m in agent.opponents)
+        if bests != self._bests:
+            keys = list(zip(agent.opponents, bests))
+            for m, best in keys:
+                if (m, best) not in self._rows:
+                    self._rows[m, best] = _guide_row(_epsilon_greedy(
+                        len(agent.spaces[m]), best, agent.epsilon))
+            self._bests = bests
+            self._table = _stack_rows([self._rows[key] for key in keys])
         return self._table
 
 
@@ -434,51 +385,33 @@ def _invert(table, uniforms):
     return index
 
 
-def _draw_profiles(rng, probs, budget, tables=None):
-    """``budget`` independent draws from each probability array, one row per
-    array.
-
-    The same draws, and the same generator state afterwards, as one
-    ``rng.choice(len(p), size=budget, p=p)`` per array in order: that call
-    inverts the normalized CDF at ``budget`` fresh uniforms, and one
-    (len(probs), budget) block of uniforms holds the per-call blocks back
-    to back.
-
-    The inversion reads guide tables (Chen and Asau, 1974) in place of a
-    binary search per uniform: each array's unit interval is cut into a
-    power-of-two number of equal cells, the guide row holds the count of
-    CDF entries at or below each cell's left edge, and a fixed number of
-    ``cdf[i] <= u`` steps from there finishes the count (``_guide_row``).
-    That count is ``searchsorted(cdf, u, side="right")`` for any
-    probabilities, zeros included. ``tables`` keeps the rows across calls.
-    """
-    uniforms = rng.random((len(probs), budget))
-    if tables is None:
-        tables = _ProfileTables()
-    return _invert(tables.table(probs), uniforms)
-
-
 def beta_expectation(agent, action_i) -> ExpectedUtility:
     """Expectation of alpha's predicted reward for ``action_i`` over the
-    opponent model: exact enumeration when the joint opponent space fits the
-    budget, else a Monte-Carlo average over that many profile draws."""
-    if agent.opponent_model is None:
-        raise RuntimeError("opponent model not built yet")
-    probs = [agent.opponent_model[m] for m in agent.opponents]
-    sizes = [len(p) for p in probs]
-    if math.prod(sizes) <= agent.expectation_budget:
-        if sizes:
-            combos = np.indices(sizes).reshape(len(sizes), -1)
-        else:
-            combos = np.zeros((0, 1), dtype=int)
+    opponent model, where opponent m plays the epsilon-greedy law peaked at
+    ``agent.opponent_bests[m]``: exact enumeration when the joint opponent
+    space fits the budget, else a Monte-Carlo average over that many
+    profile draws.
+
+    The draws, and the generator state after them, equal one
+    ``rng.choice(|A_m|, size=budget, p=p_m)`` per opponent in order: one
+    (opponents, budget) block holds those calls' uniforms back to back, and
+    guide tables (Chen and Asau, 1974; ``_guide_row``) invert them.
+    """
+    sizes = [len(agent.spaces[m]) for m in agent.opponents]
+    budget, n_profiles = agent.expectation_budget, math.prod(sizes)
+    if n_profiles <= budget:
+        # no opponents: one empty profile
+        combos = np.indices(sizes).reshape(len(sizes), n_profiles)
         weights = np.ones(combos.shape[1])
-        for j, p in enumerate(probs):
+        for j, m in enumerate(agent.opponents):
+            p = _epsilon_greedy(sizes[j], agent.opponent_bests[m],
+                                agent.epsilon)
             weights *= p[combos[j]]
         values = _alpha_predictions(agent, combos, action_i)
         return ExpectedUtility(value=float(weights @ values), stderr=0.0,
                                exact=True)
-    budget = agent.expectation_budget
-    combos = _draw_profiles(agent.rng, probs, budget, agent._profile_tables)
+    uniforms = agent.rng.random((len(sizes), budget))
+    combos = _invert(agent._profile_tables.table(agent), uniforms)
     values = _alpha_predictions(agent, combos, action_i)
     # numpy's mean and std(ddof=1), in its operation order, in one pass
     mean = values.sum() / budget
@@ -492,54 +425,49 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
 # round completion ----------------------------------------------------------
 
 
-def _esn_finish(agent, action, best, scores, msgs, e_alpha):
-    by_sender = _opponent_msgs(agent, msgs)
-    agent.opponent_model = build_opponent_model(by_sender, agent.epsilon,
-                                                agent.spaces)
-    for m, msg in by_sender.items():
-        agent.opponent_bests[m] = msg.best_action
+def _esn_finish(agent, action, scores, played, advertised, e_alpha):
+    agent.opponent_bests = tuple(advertised)
 
     # both targets and both predictions use the readouts and states as they
     # stood at selection time; training and state commits come after
     e_beta = beta_expectation(agent, action).value
-    x_alpha = agent.profile_input(
-        {m: msg.current_action for m, msg in by_sender.items()})
+    x_alpha = agent.profile_input(played)
     mu_alpha = esn.peek_state(agent.res_alpha, x_alpha)
-    r_hat_alpha = esn.readout(agent.ro_alpha, mu_alpha, x_alpha, action)
     r_hat_beta = float(scores[action])
 
-    esn.train_step(agent.ro_alpha, mu_alpha, x_alpha, action, e_alpha)
+    r_hat_alpha = esn.train_step(agent.ro_alpha, mu_alpha, x_alpha, action,
+                                 e_alpha)
     esn.train_step(agent.ro_beta, agent.res_beta.state, agent.x_beta, action,
                    e_beta)
     agent.res_alpha.state = mu_alpha
     esn.update_state(agent.res_beta, agent.x_beta)
-    return StepDiagnostics(action=action, best_action=best,
-                           r_hat_alpha=r_hat_alpha, e_alpha=e_alpha,
+    return StepDiagnostics(r_hat_alpha=r_hat_alpha, e_alpha=e_alpha,
                            r_hat_beta=r_hat_beta, e_beta=e_beta)
 
 
-def _q_finish(agent, action, best, target):
+def _q_finish(agent, action, target):
     q_before = float(agent.q_table[action])
     agent.q_table[action] = (1.0 - agent.lambda_q) * q_before \
         + agent.lambda_q * target
-    return QDiagnostics(action=action, best_action=best, q_before=q_before,
-                        target=target, q_after=float(agent.q_table[action]))
+    return QDiagnostics(q_before=q_before, target=target,
+                        q_after=float(agent.q_table[action]))
 
 
-def finish_round(agent, msgs, reward):
+def finish_round(agent, played, advertised, reward):
     """Phase two of a round. ``reward`` is the agent's resolved utility on
     its ``reward_joint`` row: the reservoir agent's alpha target, the Q
-    baselines' update target. ``msgs`` must carry one broadcast per opponent
-    (the reservoir agent rebuilds its opponent model from them); the agent's
-    own, if present, is ignored."""
+    baselines' update target. ``played`` and ``advertised`` are the round's
+    broadcast rows, one entry per BS; the reservoir agent feeds the played
+    row to alpha and keeps the advertised row as its opponent model."""
     if agent._pending is None:
         raise RuntimeError("select_and_broadcast must run before finish_round")
+    _check_rows(agent, played, advertised)
     reward = float(reward)
-    action, best, scores = agent._pending
+    action, scores = agent._pending
     agent._pending = None
     if isinstance(agent, QAgent):
-        return _q_finish(agent, action, best, reward)
-    return _esn_finish(agent, action, best, scores, msgs, reward)
+        return _q_finish(agent, action, reward)
+    return _esn_finish(agent, action, scores, played, advertised, reward)
 
 
 def observe_outcome(agent, settled):

@@ -161,32 +161,24 @@ def update_state(r: Reservoir, x) -> np.ndarray:
 # readout ------------------------------------------------------------------
 
 
-def _features(r_or_mu, x) -> np.ndarray:
-    mu = np.asarray(r_or_mu, dtype=float)
-    return np.concatenate([mu, np.asarray(x, dtype=float), [1.0]])
-
-
-def readout(ro: Readout, mu, x, action_i: int) -> float:
-    """Predicted reward of one action from the concatenated [state; input]."""
-    z = _features(mu, x)
+def _features(ro: Readout, mu, x) -> np.ndarray:
+    """The readout's input z = [mu; x; 1], checked against its width."""
+    z = np.concatenate([np.asarray(mu, dtype=float),
+                        np.asarray(x, dtype=float), [1.0]])
     if z.shape[0] != ro.w_out.shape[1]:
         raise ValueError("feature length does not match the readout width")
-    return float(ro.w_out[action_i] @ z)
+    return z
 
 
 def readout_all(ro: Readout, mu, x) -> np.ndarray:
     """Predicted rewards of every action at once."""
-    z = _features(mu, x)
-    if z.shape[0] != ro.w_out.shape[1]:
-        raise ValueError("feature length does not match the readout width")
-    return ro.w_out @ z
+    return ro.w_out @ _features(ro, mu, x)
 
 
-def train_step(ro: Readout, mu, x, action_i: int, e: float) -> Readout:
-    """One LMS step on the taken action's row: row += rate (e - r_hat) z."""
-    z = _features(mu, x)
-    if z.shape[0] != ro.w_out.shape[1]:
-        raise ValueError("feature length does not match the readout width")
+def train_step(ro: Readout, mu, x, action_i: int, e: float) -> float:
+    """One LMS step on the taken action's row: row += rate (e - r_hat) z.
+    Returns r_hat, the row's prediction from before the update."""
+    z = _features(ro, mu, x)
     prediction = float(ro.w_out[action_i] @ z)
     ro.w_out[action_i] += ro.rate * (e - prediction) * z
-    return ro
+    return prediction

@@ -23,6 +23,9 @@ from .rates import LinkCapacitySet
 
 DEFAULT_ETA = 0.7  # unlicensed-DL utility discount
 
+# most joints (times players, in verify_mixed_ne) an exhaustive pass takes
+_ENUMERATION_CAP = 500_000
+
 
 # ---------------------------------------------------------------------------
 # actions and action spaces
@@ -393,6 +396,13 @@ class JointEvaluator:
 # mixed strategies, expected utility, equilibrium check
 
 
+def _epsilon_greedy(size: int, best: int, epsilon: float) -> np.ndarray:
+    """epsilon/size on each of ``size`` actions, plus 1 - epsilon on best."""
+    probs = np.full(size, epsilon / size)
+    probs[best] += 1.0 - epsilon
+    return probs
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """Probability vector over one BS's action space."""
@@ -411,10 +421,7 @@ class MixedStrategy:
     @classmethod
     def epsilon_greedy(cls, space: ActionSpace, best_index: int,
                        epsilon: float) -> "MixedStrategy":
-        share = epsilon / len(space)
-        probs = [share] * len(space)
-        probs[best_index] += 1.0 - epsilon
-        return cls(space=space, probs=tuple(probs))
+        return cls(space, _epsilon_greedy(len(space), best_index, epsilon))
 
 
 @dataclass(frozen=True)
@@ -484,17 +491,16 @@ class NeReport:
 
 
 def verify_mixed_ne(profile, caps: LinkCapacitySet, tolerance: float,
-                    eta: float = DEFAULT_ETA,
-                    enumeration_cap: int = 500_000) -> NeReport:
+                    eta: float = DEFAULT_ETA) -> NeReport:
     """Check a mixed profile for approximate-equilibrium by full enumeration."""
     spaces = [s.space for s in profile]
     n_bs = len(spaces)
     sizes = [len(s) for s in spaces]
     joint_size = math.prod(sizes)
-    if joint_size * n_bs > enumeration_cap:
+    if joint_size * n_bs > _ENUMERATION_CAP:
         raise ValueError(
             f"instance too large for exact verification: {joint_size} joints "
-            f"x {n_bs} players exceeds the cap of {enumeration_cap}")
+            f"x {n_bs} players exceeds the cap of {_ENUMERATION_CAP}")
 
     evaluator = JointEvaluator(spaces, caps, eta)
     combos = np.array(list(itertools.product(*(range(k) for k in sizes))),
@@ -535,13 +541,12 @@ def verify_mixed_ne(profile, caps: LinkCapacitySet, tolerance: float,
 
 
 def export_small_game(spaces, caps: LinkCapacitySet, path,
-                      eta: float = DEFAULT_ETA,
-                      enumeration_cap: int = 500_000) -> None:
+                      eta: float = DEFAULT_ETA) -> None:
     """Write the resolved-payoff tensor in a plain text form readable by
     external solvers: a header, then one line per joint action holding the
     action indices and every BS's payoff."""
     sizes = [len(s) for s in spaces]
-    if math.prod(sizes) > enumeration_cap:
+    if math.prod(sizes) > _ENUMERATION_CAP:
         raise ValueError("game too large to export exhaustively")
     evaluator = JointEvaluator(spaces, caps, eta)
     combos = np.array(list(itertools.product(*(range(k) for k in sizes))),

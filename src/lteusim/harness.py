@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (BroadcastMsg, QDiagnostics, algorithm_capacities,
-                     algorithm_spaces, finish_round, make_agents,
-                     observe_outcome, reward_joint, select_and_broadcast)
+from .agents import (QDiagnostics, algorithm_capacities, algorithm_spaces,
+                     finish_round, make_agents, observe_outcome, reward_joint,
+                     select_and_broadcast)
 from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
                    resolved_utilities, validate_space)
 from .rates import UserRates, build_capacities, compute_user_rates
@@ -44,8 +44,9 @@ FLOAT_FORMAT = ".9g"
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One synchronous round: what was played, what it earned, and what the
-    greedy profile (everyone's broadcast best) would have looked like."""
+    """One synchronous round: its broadcast (the played row ``joint_action``
+    and the advertised-best row ``greedy_action``), what the played row
+    earned, and what the greedy profile would have looked like."""
 
     t: int
     joint_action: tuple[int, ...]
@@ -55,7 +56,6 @@ class RoundRecord:
     greedy_total: float
     association: tuple[tuple[int, int], ...]  # greedy (dl, ul) serving per user
     user_rates: UserRates
-    messages: tuple[BroadcastMsg, ...]
     diagnostics: tuple
 
 
@@ -141,12 +141,11 @@ def _metrics_from(rates: UserRates, per_bs_utility) -> dict:
     }
 
 
-def _evaluator_rows(team, msgs) -> list:
+def _evaluator_rows(team, current, best) -> list:
     """The round's (n_bs + 2, n_bs) evaluator rows: each agent's reward
     joint in team order, then the played and the greedy joint."""
-    return ([reward_joint(agent, msgs) for agent in team]
-            + [tuple(m.current_action for m in msgs),
-               tuple(m.best_action for m in msgs)])
+    rewards = [reward_joint(agent, current, best) for agent in team]
+    return rewards + [current, best]
 
 
 def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
@@ -179,14 +178,13 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
     armed = False
 
     for t in range(1, config.max_iterations + 1):
-        msgs = [select_and_broadcast(agent) for agent in team]
+        # the broadcast: the played row and the advertised-best row
+        current, best = zip(*[select_and_broadcast(agent) for agent in team])
         # every resolved utility of the round in one evaluator call: agent
         # n's reward is entry (n, n), then the played and the greedy rows
-        rows = _evaluator_rows(team, msgs)
-        batch = evaluator.batch_utilities(rows)
-        current, best = rows[n_bs], rows[n_bs + 1]
+        batch = evaluator.batch_utilities(_evaluator_rows(team, current, best))
         utilities, greedy_utilities = batch[n_bs], batch[n_bs + 1]
-        diags = tuple(finish_round(agent, msgs, batch[n, n])
+        diags = tuple(finish_round(agent, current, best, batch[n, n])
                       for n, agent in enumerate(team))
 
         # the played joint settled once; rates, the audit and the agents'
@@ -214,7 +212,7 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
                 total_reward=float(utilities.sum()),
                 greedy_action=best, greedy_total=float(greedy_utilities.sum()),
                 association=association, user_rates=user_rates,
-                messages=tuple(msgs), diagnostics=diags))
+                diagnostics=diags))
 
         final_rates = greedy_rates
         per_bs_utility = greedy_utilities

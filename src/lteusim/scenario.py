@@ -78,6 +78,10 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            values = np.asarray(getattr(self, f.name), dtype=float)
+            if not np.isfinite(values).all():
+                raise ValueError(f"{f.name} must be finite")
         positive = (
             "macro_radius_m", "wifi_users_per_wap", "sbs_coverage_m",
             "f_l_dl_hz", "f_l_ul_hz", "f_u_hz", "action_set_size",
@@ -87,7 +91,10 @@ class ScenarioConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("n_sbs", "n_waps", "n_users", "max_iterations"):
+        nonnegative = ("n_sbs", "n_waps", "n_users", "max_iterations",
+                       "lambda_alpha", "lambda_beta", "convergence_tol",
+                       "wifi_rate_req_bps")
+        for name in nonnegative:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.z_levels < 2:
@@ -103,9 +110,6 @@ class ScenarioConfig:
             raise ValueError("reservoir_density must lie in (0, 1]")
         if not 0.0 < self.reservoir_radius < 1.0:
             raise ValueError("reservoir_radius must lie in (0, 1)")
-        for name in ("lambda_alpha", "lambda_beta", "convergence_tol"):
-            if not getattr(self, name) >= 0.0:  # NaN fails too
-                raise ValueError(f"{name} must be nonnegative")
         if not 0.0 <= self.lambda_q <= 1.0:
             raise ValueError("lambda_q must lie in [0, 1]")
         for name in ("pathloss_licensed", "pathloss_unlicensed"):

@@ -9,7 +9,7 @@ fraction that leaves each WiFi user its required rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 CW_MIN = 16
 BACKOFF_STAGES = 6
@@ -85,11 +85,10 @@ def tx_probability(cw_min: int, backoff_stages: int, n_wifi: int) -> float:
                      "check cw_min/backoff_stages/n_wifi")
 
 
-def default_params(n_wifi: int, **overrides) -> WifiParams:
+def default_params(n_wifi: int) -> WifiParams:
     """Standard contention domain with tau solved for ``n_wifi`` stations."""
-    params = WifiParams(n_wifi=n_wifi,
-                        tau_prob=tx_probability(CW_MIN, BACKOFF_STAGES, n_wifi))
-    return replace(params, **overrides) if overrides else params
+    return WifiParams(n_wifi=n_wifi,
+                      tau_prob=tx_probability(CW_MIN, BACKOFF_STAGES, n_wifi))
 
 
 def t_success(params: WifiParams) -> float:

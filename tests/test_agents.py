@@ -3,6 +3,7 @@ both reservoir networks, the Q baselines, and the per-algorithm gating."""
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,17 +12,16 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lteusim import esn, game, harness
-from lteusim.agents import (BEST_SWITCH_MARGIN, BroadcastMsg, EsnAgent,
-                            QAgent, _alpha_predictions, _best_reply,
-                            _encode_space,
-                            _draw_profiles, _guide_row, _invert,
-                            _ProfileTables,
+from lteusim import agents, esn, game, harness
+from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
+                            _alpha_predictions, _best_reply, _encode_space,
+                            _guide_row, _invert, _ProfileTables, _stack_rows,
                             algorithm_capacities, algorithm_spaces,
-                            beta_expectation, build_opponent_model,
-                            finish_round, make_agents, observe_outcome,
-                            reward_joint, select_and_broadcast)
-from lteusim.game import DEFAULT_ETA, JointEvaluator, MixedStrategy
+                            beta_expectation, finish_round, make_agents,
+                            observe_outcome, reward_joint,
+                            select_and_broadcast)
+from lteusim.game import (DEFAULT_ETA, JointEvaluator, MixedStrategy,
+                          _epsilon_greedy)
 from lteusim.rates import LinkCapacitySet
 from lteusim.scenario import desk_config
 from oracles import action_at, actions_of, make_action, space_of
@@ -58,16 +58,19 @@ def tiny_config(**overrides):
     return desk_config(**overrides)
 
 
-def play_round(agent, msgs, caps):
+def play_round(agent, others, caps):
     """One round of a single agent whose opponents' broadcasts are already
-    known, as ``harness.run`` plays it: select and broadcast, score the
-    reward joint with the evaluator, learn. Returns the outgoing message and
-    the step diagnostics."""
-    out = select_and_broadcast(agent)
+    known, as ``harness.run`` plays it: select and broadcast, stack the
+    (played, advertised) pairs into the round's two rows, score the reward
+    joint with the evaluator, learn. ``others`` maps each opponent to its
+    pair. Returns the agent's own pair and the step diagnostics."""
+    own = select_and_broadcast(agent)
+    pairs = {**others, agent.bs: own}
+    played, advertised = zip(*(pairs[m] for m in range(len(agent.spaces))))
     evaluator = JointEvaluator(agent.spaces, caps, eta=DEFAULT_ETA)
-    row = reward_joint(agent, msgs)
+    row = reward_joint(agent, played, advertised)
     reward = evaluator.batch_utilities([row])[0, agent.bs]
-    return out, finish_round(agent, msgs, reward)
+    return own, finish_round(agent, played, advertised, reward)
 
 
 def macro_two_action_space():
@@ -106,28 +109,25 @@ class TestSelection:
 
     def test_greedy_when_epsilon_zero(self):
         agent = self.make_agent([1.0, 5.0, 2.0], epsilon=0.0)
-        assert all(select_and_broadcast(agent).current_action == 1
-                   for _ in range(10))
+        assert all(select_and_broadcast(agent)[0] == 1 for _ in range(10))
 
     def test_tie_breaks_to_lowest_index(self):
         agent = self.make_agent([3.0, 3.0, 3.0], epsilon=0.0)
-        assert select_and_broadcast(agent).current_action == 0
+        assert select_and_broadcast(agent)[0] == 0
 
     def test_broadcast_current_action_follows_beta(self):
         agent = self.make_agent([1.0, 5.0, 2.0], epsilon=0.0)
         # the advertised best comes from the alpha readout; pin it to 2
         agent.ro_alpha.w_out[:] = 0.0
         agent.ro_alpha.w_out[:, -1] = [0.0, 0.0, 7.0]
-        msg = select_and_broadcast(agent)
-        assert msg == BroadcastMsg(sender=0, current_action=1, best_action=2)
-        assert agent.last_action == 1
+        assert select_and_broadcast(agent) == (1, 2)
+        assert agent._pending[0] == 1  # the action finish_round trains
 
     def test_epsilon_greedy_law_chi_square(self):
         # argmax at index 2: P = 1 - 0.7 + 0.7/4 = 0.475, others 0.175 each
         agent = self.make_agent([0.0, 0.0, 4.0, 0.0], epsilon=0.7)
         n = 100_000
-        draws = np.array([select_and_broadcast(agent).current_action
-                          for _ in range(n)])
+        draws = np.array([select_and_broadcast(agent)[0] for _ in range(n)])
         counts = np.bincount(draws, minlength=4)
         law = np.array([0.175, 0.175, 0.475, 0.175])
         result = scipy.stats.chisquare(counts, n * law)
@@ -157,11 +157,11 @@ class TestBestReply:
         # the opponent sits at its action 1 (its idle row encodes to zeros)
         agent.ro_alpha.w_out[0, -1] = 1.0
         agent.ro_alpha.w_out[1, n:n + 4] = [4.0, 4.0, 0.0, 0.0]
-        agent.opponent_bests[1] = 0
+        agent.opponent_bests = (0, 0)
         assert _best_reply(agent) == 0
-        agent.opponent_bests[1] = 1
+        agent.opponent_bests = (0, 1)
         assert _best_reply(agent) == 1
-        agent.opponent_bests[1] = 0
+        agent.opponent_bests = (0, 0)
         assert _best_reply(agent) == 0
 
     def test_advertised_action_sticks_within_margin(self):
@@ -183,13 +183,13 @@ class TestBestReply:
     def test_finish_round_records_opponent_bests(self):
         agent = self.reply_agent()
         caps = flat_caps(1, 2)
-        assert agent.opponent_bests == {1: 0}
-        select_and_broadcast(agent)
-        msgs = [BroadcastMsg(sender=1, current_action=0, best_action=1)]
+        assert agent.opponent_bests == (0, 0)
+        own_played, own_best = select_and_broadcast(agent)
+        played, advertised = (own_played, 0), (own_best, 1)
         reward = JointEvaluator(agent.spaces, caps).utility_of(
-            0, reward_joint(agent, msgs))
-        finish_round(agent, msgs, reward)
-        assert agent.opponent_bests == {1: 1}
+            0, reward_joint(agent, played, advertised))
+        finish_round(agent, played, advertised, reward)
+        assert agent.opponent_bests == advertised
 
     def test_table_agents_advertise_their_argmax(self):
         own = macro_two_action_space()
@@ -197,55 +197,58 @@ class TestBestReply:
         agent = QAgent(0, [own, opp], tiny_config(), seed=3)
         agent.epsilon = 0.0
         agent.q_table[:] = [0.2, 0.9]
-        msg = select_and_broadcast(agent)
-        assert msg.best_action == 1
-        assert msg.current_action == 1
+        assert select_and_broadcast(agent) == (1, 1)
 
 
 # opponent model ------------------------------------------------------------
 
 
 class TestOpponentModel:
+    """Opponent m plays the epsilon-greedy law peaked at its advertised
+    best; ``game._epsilon_greedy`` is that law for the agents' expectation
+    and for ``MixedStrategy``."""
+
     def test_two_action_values(self):
-        space = sbs_idle_busy_space(owner=1)
-        model = build_opponent_model(
-            {1: BroadcastMsg(1, 0, 0)}, 0.7, [None, space])
-        assert isinstance(model[1], np.ndarray)
-        assert model[1].tolist() == pytest.approx([0.65, 0.35], abs=1e-12)
+        probs = _epsilon_greedy(2, 0, 0.7)
+        assert isinstance(probs, np.ndarray)
+        assert probs.tolist() == pytest.approx([0.65, 0.35], abs=1e-12)
 
     def test_greedy_limit_is_point_mass(self):
-        space = sbs_idle_busy_space(owner=1)
-        model = build_opponent_model(
-            {1: BroadcastMsg(1, 1, 1)}, 0.0, [None, space])
-        assert model[1].tolist() == [0.0, 1.0]
+        assert _epsilon_greedy(2, 1, 0.0).tolist() == [0.0, 1.0]
 
     def test_probabilities_sum_to_one(self):
         for n_actions, epsilon in [(2, 0.3), (5, 0.7), (9, 0.95)]:
-            rows = [((i / 10.0,), (0.0,), None, None) for i in range(n_actions)]
-            space = single_user_space(0, rows)
-            model = build_opponent_model(
-                {0: BroadcastMsg(0, 0, n_actions - 1)}, epsilon, [space])
-            assert sum(model[0]) == pytest.approx(1.0, abs=1e-12)
+            probs = _epsilon_greedy(n_actions, n_actions - 1, epsilon)
+            assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_same_floats_as_mixed_strategy(self):
         for n_actions, epsilon, best in [(2, 0.3, 1), (5, 0.7, 0), (9, 0.95, 4),
                                          (32, 0.1, 31), (7, 1.0, 3)]:
             rows = [((i / 10.0,), (0.0,), None, None) for i in range(n_actions)]
             space = single_user_space(0, rows)
-            model = build_opponent_model(
-                {0: BroadcastMsg(0, 0, best)}, epsilon, [space])
-            want = MixedStrategy.epsilon_greedy(space, best, epsilon).probs
-            assert model[0].tolist() == list(want)
+            # the plain formula in Python floats
+            want = [epsilon / n_actions] * n_actions
+            want[best] += 1.0 - epsilon
+            assert _epsilon_greedy(n_actions, best, epsilon).tolist() == want
+            got = MixedStrategy.epsilon_greedy(space, best, epsilon).probs
+            assert list(got) == want
 
-    def test_checked_mapping_is_taken_as_is(self):
-        space = sbs_idle_busy_space(owner=1)
-        model = build_opponent_model({1: BroadcastMsg(1, 0, 1)}, 0.7,
-                                     [None, space])
-        assert list(model) == [1]
-        assert model[1].tolist() == pytest.approx([0.35, 0.65], abs=1e-12)
-
-    # the reservoir agent builds its model in finish_round, from the bus
-    # checked there; a bad bus raises before any model exists
+    def test_model_is_the_advertised_row(self):
+        # the exact expectation weighs each opponent action by the law
+        # peaked at the opponent's entry of the last advertised row
+        spaces = [macro_two_action_space(), sbs_idle_busy_space(1),
+                  sbs_idle_busy_space(2)]
+        agent = EsnAgent(1, spaces, tiny_config(), seed=3)
+        assert agent.opponent_bests == (0, 0, 0)
+        values = {}
+        distinct = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
+        for bests in distinct + [(0, 1, 0), (1, 0, 1)]:
+            agent.opponent_bests = bests
+            values[bests] = beta_expectation(agent, 1).value
+        # the own entry is never read; each opponent pair is its own model
+        assert values[(0, 0, 0)] == values[(0, 1, 0)]
+        assert values[(1, 1, 1)] == values[(1, 0, 1)]
+        assert len({values[b] for b in distinct}) == 4
 
     def bus_agent(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space(1),
@@ -255,18 +258,18 @@ class TestOpponentModel:
         return agent
 
     def test_missing_message_is_protocol_error(self):
+        # BS 2 sent nothing: its entry is absent from both rows
         agent = self.bus_agent()
-        with pytest.raises(ValueError, match="missing broadcast from BS 2"):
-            finish_round(agent, [BroadcastMsg(0, 0, 0)], 1.0)
-        assert agent.opponent_model is None
+        with pytest.raises(ValueError, match="3 entries, one per BS"):
+            finish_round(agent, (0, 0), (0, 0), 1.0)
+        assert agent.opponent_bests == (0, 0, 0)
 
     def test_duplicate_message_is_protocol_error(self):
+        # BS 2 sent twice: its surplus entry makes each row one too long
         agent = self.bus_agent()
-        msgs = [BroadcastMsg(0, 0, 0), BroadcastMsg(2, 0, 0),
-                BroadcastMsg(2, 1, 1)]
-        with pytest.raises(ValueError, match="duplicate broadcast"):
-            finish_round(agent, msgs, 1.0)
-        assert agent.opponent_model is None
+        with pytest.raises(ValueError, match="3 entries, one per BS"):
+            finish_round(agent, (0, 0, 0, 1), (0, 0, 0, 1), 1.0)
+        assert agent.opponent_bests == (0, 0, 0)
 
 
 # alpha target --------------------------------------------------------------
@@ -281,9 +284,9 @@ def alpha_target(agent, joint, caps):
     agent.ro_beta.w_out[:] = 0.0
     agent.ro_beta.w_out[joint[agent.bs], -1] = 1.0
     select_and_broadcast(agent)
-    msgs = [BroadcastMsg(m, int(joint[m]), 0) for m in agent.opponents]
-    row = reward_joint(agent, msgs)
-    assert row == tuple(int(i) for i in joint)
+    played, advertised = tuple(int(i) for i in joint), (0,) * len(joint)
+    row = reward_joint(agent, played, advertised)
+    assert row == played
     return JointEvaluator(agent.spaces, caps, eta=DEFAULT_ETA).utility_of(
         agent.bs, row)
 
@@ -339,42 +342,59 @@ class TestRewardJoint:
                   sbs_idle_busy_space(2)]
         agent = kind(1, spaces, tiny_config(), seed=3)
         agent.epsilon = 1.0
-        own = select_and_broadcast(agent).current_action
-        msgs = [BroadcastMsg(0, 1, 0), BroadcastMsg(2, 0, 1)]
-        return agent, own, msgs
+        own, best = select_and_broadcast(agent)
+        # BS 0 plays 1 and advertises 0; BS 2 plays 0 and advertises 1
+        return agent, own, (1, own, 0), (0, best, 1)
 
     def test_reservoir_agent_scores_against_played_actions(self):
-        agent, own, msgs = self.three_bs(EsnAgent)
-        assert reward_joint(agent, msgs) == (1, own, 0)
+        agent, own, played, advertised = self.three_bs(EsnAgent)
+        assert reward_joint(agent, played, advertised) == (1, own, 0)
 
     def test_q_agent_scores_against_announced_bests(self):
-        agent, own, msgs = self.three_bs(QAgent)
-        assert reward_joint(agent, msgs) == (0, own, 1)
+        agent, own, played, advertised = self.three_bs(QAgent)
+        assert reward_joint(agent, played, advertised) == (0, own, 1)
 
     def test_own_echo_is_ignored(self):
-        agent, own, msgs = self.three_bs(EsnAgent)
-        echo = BroadcastMsg(1, 1 - own, 1 - own)
-        assert reward_joint(agent, msgs + [echo]) == (1, own, 0)
+        # the agent's own entries are replaced by its pending action
+        for kind, (first, last) in [(EsnAgent, (1, 0)), (QAgent, (0, 1))]:
+            agent, own, _, _ = self.three_bs(kind)
+            echo = (1, 1 - own, 0), (0, 1 - own, 1)
+            assert reward_joint(agent, *echo) == (first, own, last)
 
     def test_requires_a_pending_action(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = QAgent(1, spaces, tiny_config(), seed=3)
         with pytest.raises(RuntimeError, match="select_and_broadcast"):
-            reward_joint(agent, [BroadcastMsg(0, 0, 0)])
+            reward_joint(agent, (0, 0), (0, 0))
 
     @pytest.mark.parametrize("kind", [EsnAgent, QAgent])
     def test_missing_or_duplicate_broadcast_raises(self, kind):
-        agent, _, msgs = self.three_bs(kind)
-        with pytest.raises(ValueError, match="missing broadcast from BS 2"):
-            reward_joint(agent, msgs[:1])
-        with pytest.raises(ValueError, match="duplicate broadcast"):
-            reward_joint(agent, msgs + msgs[:1])
+        # a row short of an entry misses a broadcast, a longer one carries
+        # a surplus; either raises before anything is learned
+        agent, own, played, advertised = self.three_bs(kind)
+        state = (agent.opponent_bests if kind is EsnAgent
+                 else agent.q_table.copy())
+        bad_rows = [played[:2], played + (0,), (), played[:1]]
+        for bad in bad_rows:
+            for rows in [(bad, advertised), (played, bad)]:
+                with pytest.raises(ValueError, match="3 entries, one per BS"):
+                    reward_joint(agent, *rows)
+                with pytest.raises(ValueError, match="3 entries, one per BS"):
+                    finish_round(agent, *rows, 1.0)
+        # nothing was learned, and the pending action still finishes
+        if kind is EsnAgent:
+            assert agent.opponent_bests == state
+        else:
+            assert np.array_equal(agent.q_table, state)
+        finish_round(agent, played, advertised, 1.0)
+        with pytest.raises(RuntimeError, match="select_and_broadcast"):
+            finish_round(agent, played, advertised, 1.0)
 
     def test_finish_round_takes_the_reward_as_given(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = QAgent(1, spaces, tiny_config(), seed=3)
         select_and_broadcast(agent)
-        diag = finish_round(agent, [BroadcastMsg(0, 0, 0)], 2.5)
+        diag = finish_round(agent, (0, 0), (0, 0), 2.5)
         assert diag.target == 2.5
         assert diag.q_after == pytest.approx(0.06 * 2.5, rel=1e-12)
 
@@ -383,30 +403,25 @@ class TestRewardJoint:
         agent = EsnAgent(1, spaces, tiny_config(), seed=3)
         select_and_broadcast(agent)
         with pytest.raises(TypeError):
-            finish_round(agent, [BroadcastMsg(0, 0, 0)], flat_caps(1, 2))
+            finish_round(agent, (0, 0), (0, 0), flat_caps(1, 2))
 
 
 # beta target ---------------------------------------------------------------
 
 
 class TestBetaTarget:
-    def test_requires_opponent_model(self):
-        spaces = [macro_two_action_space(), sbs_idle_busy_space()]
-        agent = EsnAgent(1, spaces, tiny_config(), seed=3)
-        with pytest.raises(RuntimeError, match="opponent model"):
-            beta_expectation(agent, 0).value
-
     def test_point_mass_matches_single_alpha_prediction(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = EsnAgent(1, spaces, tiny_config(), seed=9)
         rng = np.random.default_rng(2)
         agent.res_alpha.state = rng.uniform(-0.5, 0.5, agent.res_alpha.n_units)
-        agent.opponent_model = {0: np.array([0.0, 1.0])}
+        agent.epsilon = 0.0  # the law is a point mass on the advertised best
+        agent.opponent_bests = (1, 0)
         got = beta_expectation(agent, 1)
         assert got.exact and got.stderr == 0.0
-        x = agent.profile_input({0: 1})
+        x = agent.profile_input((1, 0))
         mu = esn.peek_state(agent.res_alpha, x)
-        want = esn.readout(agent.ro_alpha, mu, x, 1)
+        want = esn.readout_all(agent.ro_alpha, mu, x)[1]
         assert got.value == pytest.approx(want, rel=1e-12)
 
     def test_uniform_opponent_averages_trained_values(self):
@@ -420,7 +435,7 @@ class TestBetaTarget:
         agent = EsnAgent(0, [own, opp], tiny_config(), seed=1)
         agent.ro_alpha.w_out[:] = 0.0
         agent.ro_alpha.w_out[0, agent.res_alpha.n_units] = 30.0
-        agent.opponent_model = {1: np.array([0.5, 0.5])}
+        agent.epsilon = 1.0  # uniform over the opponent's two actions
         got = beta_expectation(agent, 0)
         assert got.exact
         assert got.value == pytest.approx((3.0 + 6.0) / 2.0, rel=1e-12)
@@ -462,18 +477,20 @@ class TestBetaTarget:
         agent = EsnAgent(0, [own, opp1, opp2], config, seed=21)
         rng = np.random.default_rng(3)
         agent.res_alpha.state = rng.uniform(-0.4, 0.4, agent.res_alpha.n_units)
-        agent.opponent_model = {
-            1: np.array(MixedStrategy.epsilon_greedy(opp1, 2, 0.7).probs),
-            2: np.array(MixedStrategy.epsilon_greedy(opp2, 0, 0.5).probs),
-        }
+        agent.opponent_bests = (0, 2, 0)
         return agent
+
+    def model(self, agent):
+        """The opponents' epsilon-greedy arrays, by the plain formula."""
+        return [epsilon_greedy(len(agent.spaces[m]), agent.opponent_bests[m],
+                               agent.epsilon) for m in agent.opponents]
 
     def test_exact_expectation_matches_brute_force(self):
         agent = self.two_opponent_agent()
+        assert agent.epsilon == 0.7
         got = beta_expectation(agent, 1)
         assert got.exact
-        probs1 = agent.opponent_model[1]
-        probs2 = agent.opponent_model[2]
+        probs1, probs2 = self.model(agent)
         want = sum(probs1[j] * probs2[k]
                    * self.naive_prediction(agent, {1: j, 2: k}, 1)
                    for j in range(4) for k in range(5))
@@ -497,27 +514,27 @@ class TestBetaTarget:
 
     @pytest.mark.parametrize("budget", [2, 3, 16])
     def test_sampled_moments_are_numpys(self, budget):
+        # the sampled profiles are one Generator.choice per opponent, and
         # the one-pass mean and standard error equal numpy's mean and
-        # std(ddof=1) on the same predictions, bit for bit
+        # std(ddof=1) on their predictions, bit for bit
         agent = self.two_opponent_agent(budget)
         rng = np.random.default_rng()
         rng.bit_generator.state = agent.rng.bit_generator.state
-        probs = [agent.opponent_model[m] for m in agent.opponents]
-        values = _alpha_predictions(agent, _draw_profiles(rng, probs, budget),
-                                    1)
+        values = _alpha_predictions(
+            agent, choice_stack(rng, self.model(agent), budget), 1)
         got = beta_expectation(agent, 1)
         assert not got.exact
         assert got.value == float(values.mean())
         assert got.stderr == float(values.std(ddof=1) / math.sqrt(budget))
+        assert agent.rng.random() == rng.random()
 
     def test_no_opponents_reads_alpha_directly(self):
         space = macro_two_action_space()
         agent = EsnAgent(0, [space], tiny_config(), seed=6)
-        agent.opponent_model = {}
         got = beta_expectation(agent, 1)
         empty = np.zeros(0)
-        want = esn.readout(agent.ro_alpha,
-                           esn.peek_state(agent.res_alpha, empty), empty, 1)
+        want = esn.readout_all(agent.ro_alpha,
+                               esn.peek_state(agent.res_alpha, empty), empty)[1]
         assert got.exact and got.value == pytest.approx(want, rel=1e-12)
 
 
@@ -527,20 +544,38 @@ def choice_stack(rng, probs, budget):
     return np.stack([rng.choice(len(p), size=budget, p=p) for p in probs])
 
 
+def model_agent(sizes, bests, epsilon):
+    """What ``_ProfileTables.table`` reads of an agent: BS 0 and one
+    opponent per entry of ``sizes``, advertising ``bests``."""
+    return SimpleNamespace(opponents=tuple(range(1, len(sizes) + 1)),
+                           spaces=[None] + [range(n) for n in sizes],
+                           opponent_bests=(0,) + tuple(bests),
+                           epsilon=epsilon)
+
+
+def sampled_profiles(rng, agent, budget, tables=None):
+    """The sampled expectation's profiles: one block of uniforms, inverted
+    through the agent's stacked guide table."""
+    tables = _ProfileTables() if tables is None else tables
+    return _invert(tables.table(agent),
+                   rng.random((len(agent.opponents), budget)))
+
+
 class TestDrawProfiles:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(1, 40), st.floats(0.0, 1.0),
-                              st.integers(0, 39)), min_size=1, max_size=5),
-           st.integers(1, 600), st.integers(0, 2**32 - 1))
-    def test_matches_per_opponent_choice_bitwise(self, opponents, budget,
-                                                 seed):
-        probs = []
-        for size, epsilon, best in opponents:
-            p = np.full(size, epsilon / size)
-            p[best % size] += 1.0 - epsilon
-            probs.append(p)
+    @given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 39)),
+                    min_size=1, max_size=5),
+           st.floats(0.0, 1.0), st.integers(1, 600), st.integers(0, 2**32 - 1))
+    def test_matches_per_opponent_choice_bitwise(self, opponents, epsilon,
+                                                 budget, seed):
+        agent = model_agent([size for size, _ in opponents],
+                            [best % size for size, best in opponents],
+                            epsilon)
+        probs = [epsilon_greedy(len(agent.spaces[m]),
+                                agent.opponent_bests[m], epsilon)
+                 for m in agent.opponents]
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _draw_profiles(ours, probs, budget)
+        got = sampled_profiles(ours, agent, budget)
         want = choice_stack(ref, probs, budget)
         assert got.shape == want.shape == (len(probs), budget)
         assert np.array_equal(got, want)
@@ -548,8 +583,8 @@ class TestDrawProfiles:
         assert ours.random() == ref.random()
 
     def test_rows_are_contiguous_index_rows(self):
-        probs = [np.full(4, 0.25), np.full(3, 1.0 / 3.0)]
-        draws = _draw_profiles(np.random.default_rng(0), probs, 50)
+        agent = model_agent([4, 3], [0, 2], epsilon=1.0)  # uniform laws
+        draws = sampled_profiles(np.random.default_rng(0), agent, 50)
         assert draws.shape == (2, 50) and draws.flags.c_contiguous
         assert draws[0].max() < 4 and draws[1].max() < 3
 
@@ -558,6 +593,11 @@ def epsilon_greedy(size, best, epsilon):
     p = np.full(size, epsilon / size)
     p[best] += 1.0 - epsilon
     return p
+
+
+def stacked(probs):
+    """Guide rows of arbitrary probability arrays, stacked."""
+    return _stack_rows([_guide_row(p) for p in probs])
 
 
 def searchsorted_stack(probs, uniforms):
@@ -591,7 +631,7 @@ class TestGuideInversion:
     """``_invert`` against ``searchsorted(side="right")``, bit for bit."""
 
     def check(self, probs, uniforms):
-        table = _ProfileTables().table(probs)
+        table = stacked(probs)
         got = _invert(table, uniforms)
         assert got.dtype == np.intp
         assert np.array_equal(got, searchsorted_stack(probs, uniforms))
@@ -617,7 +657,7 @@ class TestGuideInversion:
                  np.array([0.25, 0.25, 0.0, 0.5, 0.0])]
         self.check(probs, edge_uniforms(probs))
         rng = np.random.default_rng(2)
-        draws = _invert(_ProfileTables().table(probs), rng.random((4, 2000)))
+        draws = _invert(stacked(probs), rng.random((4, 2000)))
         for p, row in zip(probs, draws):
             assert np.all(p[row] > 0)
 
@@ -631,19 +671,36 @@ class TestGuideInversion:
         self.check(probs, uniforms)
         self.check(probs, edge_uniforms(probs))
 
-    def test_tables_are_kept_per_model(self):
+    def test_tables_are_kept_per_model(self, monkeypatch):
+        built = []
+
+        def counted(p):
+            built.append(p.tolist())
+            return _guide_row(p)
+
+        monkeypatch.setattr(agents, "_guide_row", counted)
         tables = _ProfileTables()
+        agent = model_agent([32, 16], [1, 2], epsilon=0.7)
         model = [epsilon_greedy(32, 1, 0.7), epsilon_greedy(16, 2, 0.7)]
-        first = tables.table(model)
-        # equal floats in fresh arrays hit the kept table
-        assert tables.table([p.copy() for p in model]) is first
+        first = tables.table(agent)
+        assert built == [p.tolist() for p in model]
+        # the same bests in a fresh row keep the stacked table
+        agent.opponent_bests = tuple(list(agent.opponent_bests))
+        assert tables.table(agent) is first
+        # a moved best restacks, building only the new (opponent, best) row
+        agent.opponent_bests = (0, 1, 9)
         moved = [model[0], epsilon_greedy(16, 9, 0.7)]
-        second = tables.table(moved)
+        second = tables.table(agent)
         assert second is not first
+        assert built[2:] == [moved[1].tolist()]
         uniforms = np.random.default_rng(3).random((2, 500))
         assert np.array_equal(_invert(second, uniforms),
                               searchsorted_stack(moved, uniforms))
-        assert np.array_equal(_invert(tables.table(model), uniforms),
+        # moving back reuses both kept rows
+        agent.opponent_bests = (5, 1, 2)  # the own entry is not read
+        third = tables.table(agent)
+        assert third is not second and len(built) == 3
+        assert np.array_equal(_invert(third, uniforms),
                               searchsorted_stack(model, uniforms))
 
 
@@ -656,17 +713,18 @@ class TestAgentStep:
         config = tiny_config(**config_overrides)
         agent = EsnAgent(1, spaces, config, seed=17)
         caps = flat_caps(1, 2)
-        msgs = [BroadcastMsg(0, 0, 0)]
-        return agent, caps, msgs
+        others = {0: (0, 0)}  # the macro cell plays and advertises idle
+        return agent, caps, others
 
     def test_frozen_rates_leave_readouts_unchanged(self):
-        agent, caps, msgs = self.step_fixture(lambda_alpha=0.0, lambda_beta=0.0)
+        agent, caps, others = self.step_fixture(lambda_alpha=0.0,
+                                                lambda_beta=0.0)
         before_alpha = agent.ro_alpha.w_out.copy()
         before_beta = agent.ro_beta.w_out.copy()
-        msg, diag = play_round(agent, msgs, caps)
+        (played, best), diag = play_round(agent, others, caps)
         assert np.array_equal(agent.ro_alpha.w_out, before_alpha)
         assert np.array_equal(agent.ro_beta.w_out, before_beta)
-        assert 0 <= msg.current_action < 2 and 0 <= msg.best_action < 2
+        assert 0 <= played < 2 and 0 <= best < 2
         assert math.isfinite(diag.e_alpha) and math.isfinite(diag.e_beta)
 
     def test_exactly_one_row_per_readout_changes(self):
@@ -675,8 +733,7 @@ class TestAgentStep:
         before_beta = agent.ro_beta.w_out.copy()
         # opponent plays busy so the alpha features are nonzero already in
         # round one (idle encodes to the zero vector)
-        msg, _ = play_round(agent, [BroadcastMsg(0, 1, 0)], caps)
-        taken = msg.current_action
+        (taken, _), _ = play_round(agent, {0: (1, 0)}, caps)
         for row in range(2):
             alpha_same = np.array_equal(agent.ro_alpha.w_out[row],
                                         before_alpha[row])
@@ -713,8 +770,8 @@ class TestAgentStep:
                                     rate=0.06)
 
         caps = flat_caps(1, 1, c=3.0)
-        msg, diag = play_round(agent, [], caps)
-        assert (msg.current_action, msg.best_action) == (0, 0)
+        own, diag = play_round(agent, {}, caps)
+        assert own == (0, 0)
 
         x_beta = np.ones(2) / math.sqrt(2.0)
         mu_alpha = np.tanh(w_alpha @ state_alpha)
@@ -741,35 +798,37 @@ class TestAgentStep:
         np.testing.assert_allclose(agent.res_beta.state, want_state_beta,
                                    rtol=0, atol=1e-12)
 
+    def test_missing_opponent_broadcast_raises(self):
+        agent, _, _ = self.step_fixture()
+        select_and_broadcast(agent)
+        before = agent.ro_alpha.w_out.copy()
+        # the rows carry the agent's own entry but none from BS 0
+        with pytest.raises(ValueError, match="2 entries, one per BS"):
+            finish_round(agent, (0,), (0,), 1.0)
+        assert np.array_equal(agent.ro_alpha.w_out, before)
+
     def test_fixed_opponent_reaches_constant_argmax(self):
         spaces = [single_user_space(0, [((0.0,), (0.0,), None, None)]),
                   sbs_idle_busy_space()]
         agent = EsnAgent(1, spaces, tiny_config(reservoir_units=16), seed=8)
         agent.epsilon = 0.3
         caps = flat_caps(1, 2)
-        mbs_msg = BroadcastMsg(0, 0, 0)
         actions = []
         for t in range(200):
             if t == 120:
                 agent.epsilon = 0.0
-            msg, _ = play_round(agent, [mbs_msg], caps)
-            actions.append(msg.current_action)
-            resolved = game.resolve_conflicts(
-                spaces, [0, msg.current_action], caps)
+            (played, _), _ = play_round(agent, {0: (0, 0)}, caps)
+            actions.append(played)
+            resolved = game.resolve_conflicts(spaces, [0, played], caps)
             observe_outcome(agent, resolved)
         # busy strictly dominates idle, and after exploration stops the
         # selection must sit still on it
         assert set(actions[-50:]) == {1}
 
-    def test_missing_opponent_broadcast_raises(self):
-        agent, caps, _ = self.step_fixture()
-        with pytest.raises(ValueError, match="missing broadcast from BS 0"):
-            play_round(agent, [], caps)
-
     def test_finish_before_select_raises(self):
-        agent, caps, msgs = self.step_fixture()
+        agent, _, _ = self.step_fixture()
         with pytest.raises(RuntimeError, match="select_and_broadcast"):
-            finish_round(agent, msgs, 1.0)
+            finish_round(agent, (0, 0), (0, 0), 1.0)
 
     def test_same_seed_same_trajectory(self):
         def run_one():
@@ -778,8 +837,7 @@ class TestAgentStep:
             caps = flat_caps(1, 2)
             out = []
             for t in range(1, 6):
-                msg = BroadcastMsg(0, t % 2, 0)
-                out.append(play_round(agent, [msg], caps))
+                out.append(play_round(agent, {0: (t % 2, 0)}, caps))
             return out
 
         assert run_one() == run_one()
@@ -930,8 +988,8 @@ class TestQAgent:
 
     def test_single_update_from_zero(self):
         agent, caps = self.unit_reward_agent()
-        msg, diag = play_round(agent, [], caps)
-        assert msg == BroadcastMsg(sender=0, current_action=0, best_action=0)
+        own, diag = play_round(agent, {}, caps)
+        assert own == (0, 0)
         assert diag.q_before == 0.0
         assert diag.target == pytest.approx(1.0, rel=1e-12)
         assert diag.q_after == pytest.approx(0.06, rel=1e-12)
@@ -940,13 +998,13 @@ class TestQAgent:
         agent, caps = self.unit_reward_agent()
         agent.lambda_q = 1.0
         agent.q_table[0] = 0.37
-        _, diag = play_round(agent, [], caps)
+        _, diag = play_round(agent, {}, caps)
         assert diag.q_after == diag.target
 
     def test_geometric_convergence_to_constant_target(self):
         agent, caps = self.unit_reward_agent()
         for k in range(1, 101):
-            _, diag = play_round(agent, [], caps)
+            _, diag = play_round(agent, {}, caps)
             want = 1.0 - (1.0 - 0.06) ** k
             assert diag.q_after == pytest.approx(want, rel=1e-12)
 
@@ -955,8 +1013,8 @@ class TestQAgent:
         agent = QAgent(1, spaces, tiny_config(), seed=4)
         agent.q_table[:] = [0.2, 0.5]
         caps = flat_caps(1, 2)
-        msg, _ = play_round(agent, [BroadcastMsg(0, 0, 0)], caps)
-        untaken = 1 - msg.current_action
+        (taken, _), _ = play_round(agent, {0: (0, 0)}, caps)
+        untaken = 1 - taken
         assert agent.q_table[untaken] == [0.2, 0.5][untaken]
 
     def test_target_uses_broadcast_best_profile(self):
@@ -972,8 +1030,8 @@ class TestQAgent:
         agent = QAgent(1, [macro, sbs], tiny_config(), seed=4)
         agent.epsilon = 0.0
         agent.q_table[:] = [0.0, 1.0]
-        _, diag = play_round(agent, [BroadcastMsg(0, 0, 1)], caps)
-        assert diag.action == 1
+        (taken, _), diag = play_round(agent, {0: (0, 1)}, caps)
+        assert taken == 1
         assert diag.target == 0.0
         against_current = game.resolved_utilities(
             game.resolve_conflicts([macro, sbs], [0, 1], caps),

@@ -64,6 +64,15 @@ class TestRunCommand:
         assert code == 2
         assert "warp_drive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", ["wifi_rate_req_bps=nan", "f_u_hz=inf",
+                                      "p_sbs_dbm=nan", "sbs_coverage_m=nan"])
+    def test_non_finite_set_value_fails(self, tmp_path, capsys, pair):
+        code = cli.main(["run", "--out", str(tmp_path), "--set", pair,
+                         "--set", "max_iterations=5"])
+        assert code == 2
+        key = pair.split("=")[0]
+        assert f"error: {key} must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text,key", [
         ('{"pathloss_licensed": 5}', "pathloss_licensed"),
         ('{"n_sbs": true}', "n_sbs"),

@@ -11,7 +11,6 @@ from lteusim.esn import (
     Reservoir,
     init,
     peek_state,
-    readout,
     readout_all,
     train_step,
     update_state,
@@ -164,22 +163,30 @@ class TestDriveCache:
         assert np.array_equal(peek_state(reservoir, [1.0]),
                               self.fresh_peek(reservoir, [1.0]))
 
+def readout(ro, mu, x, action_i):
+    """One action's prediction w_out[action_i] @ [mu; x; 1], as the LMS
+    step computes it."""
+    z = np.concatenate([np.asarray(mu, dtype=float),
+                        np.asarray(x, dtype=float), [1.0]])
+    return float(ro.w_out[action_i] @ z)
+
+
 class TestReadout:
     def test_zero_row_predicts_zero(self):
         ro = Readout(w_out=np.zeros((3, 7)), rate=0.1)
-        assert readout(ro, np.ones(4), [1.0, 2.0], 1) == 0.0
+        assert readout_all(ro, np.ones(4), [1.0, 2.0])[1] == 0.0
 
     def test_selector_row_reads_the_input_slot(self):
         w_out = np.zeros((2, 7))
         w_out[0, 4] = 1.0  # first input slot after 4 state units
         ro = Readout(w_out=w_out, rate=0.1)
-        assert readout(ro, np.zeros(4), [3.5, -1.0], 0) == 3.5
+        assert readout_all(ro, np.zeros(4), [3.5, -1.0])[0] == 3.5
 
     def test_constant_slot_is_always_on(self):
         w_out = np.zeros((1, 7))
         w_out[0, -1] = 2.5  # trailing bias slot
         ro = Readout(w_out=w_out, rate=0.1)
-        assert readout(ro, np.zeros(4), [0.0, 0.0], 0) == 2.5
+        assert readout_all(ro, np.zeros(4), [0.0, 0.0])[0] == 2.5
 
     def test_matches_manual_dot_product(self):
         rng = np.random.default_rng(7)
@@ -187,20 +194,25 @@ class TestReadout:
         mu, x = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 3)
         manual = sum(w * z for w, z in zip(ro.w_out[2],
                                            list(mu) + list(x) + [1.0]))
-        assert readout(ro, mu, x, 2) == pytest.approx(manual, rel=1e-12)
+        assert readout_all(ro, mu, x)[2] == pytest.approx(manual, rel=1e-12)
 
     def test_readout_all_consistent(self):
+        # every entry agrees with the prediction the LMS step makes
         rng = np.random.default_rng(8)
-        ro = Readout(w_out=rng.uniform(-1, 1, (5, 8)), rate=0.1)
+        ro = Readout(w_out=rng.uniform(-1, 1, (5, 8)), rate=0.0)
         mu, x = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 2)
         stacked = readout_all(ro, mu, x)
         for i in range(5):
-            assert stacked[i] == pytest.approx(readout(ro, mu, x, i), rel=1e-14)
+            assert stacked[i] == pytest.approx(train_step(ro, mu, x, i, 0.0),
+                                               rel=1e-14)
 
     def test_width_mismatch(self):
         ro = Readout(w_out=np.zeros((2, 5)), rate=0.1)
         with pytest.raises(ValueError):
-            readout(ro, np.zeros(4), [1.0, 2.0], 0)
+            readout_all(ro, np.zeros(4), [1.0, 2.0])
+        with pytest.raises(ValueError):
+            train_step(ro, np.zeros(4), [1.0, 2.0], 0, 1.0)
+        assert not ro.w_out.any()
 
 
 class TestTrainStep:
@@ -212,6 +224,14 @@ class TestTrainStep:
         before = ro.w_out.copy()
         train_step(ro, mu, x, 1, target)
         assert np.array_equal(ro.w_out, before)
+
+    def test_returns_the_prediction_before_the_update(self):
+        rng = np.random.default_rng(11)
+        ro = Readout(w_out=rng.uniform(-1, 1, (3, 9)), rate=0.3)
+        mu, x = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 2)
+        before = readout(ro, mu, x, 2)
+        assert train_step(ro, mu, x, 2, before + 1.0) == before
+        assert readout(ro, mu, x, 2) != before
 
     def test_single_coordinate_update(self):
         ro = Readout(w_out=np.zeros((2, 5)), rate=0.5)

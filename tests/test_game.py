@@ -897,6 +897,13 @@ def two_bs_game(c1=2.0, c2=4.0):
     return caps, mbs_space, sbs_space
 
 
+def wide_space(owner, size):
+    """``size`` distinct one-user actions: licensed DL fractions i/size."""
+    fractions = np.zeros((size, 4, 1))
+    fractions[:, 0, 0] = np.arange(size) / size
+    return ActionSpace(owner=owner, covered_users=(0,), fractions=fractions)
+
+
 class TestExpectedUtility:
     def test_point_mass_reduces_to_plain_utility(self):
         caps, mbs_space, sbs_space = two_bs_game()
@@ -1019,11 +1026,11 @@ class TestVerifyMixedNe:
                 direct.value, rel=1e-12)
 
     def test_oversized_instance_rejected(self):
-        caps, mbs_space, sbs_space = two_bs_game()
-        profile = [point_mass(mbs_space, 0),
-                   point_mass(sbs_space, 0)]
+        # 80^3 joints x 3 players is past the 500,000 enumeration cap
+        spaces = [wide_space(n, 80) for n in range(3)]
+        profile = [point_mass(space, 0) for space in spaces]
         with pytest.raises(ValueError, match="too large"):
-            verify_mixed_ne(profile, caps, tolerance=1e-6, enumeration_cap=1)
+            verify_mixed_ne(profile, flat_caps(1, 3), tolerance=1e-6)
 
 
 def read_small_game(path):
@@ -1054,7 +1061,8 @@ class TestSmallGameExport:
             assert np.allclose(payoffs[0, j], expected, rtol=1e-12)
 
     def test_oversized_export_rejected(self, tmp_path):
-        caps, mbs_space, sbs_space = two_bs_game()
-        with pytest.raises(ValueError):
-            export_small_game([mbs_space, sbs_space], caps,
-                              tmp_path / "g.txt", enumeration_cap=1)
+        # 80^3 = 512,000 joints is past the 500,000 enumeration cap
+        spaces = [wide_space(n, 80) for n in range(3)]
+        with pytest.raises(ValueError, match="too large"):
+            export_small_game(spaces, flat_caps(1, 3), tmp_path / "g.txt")
+        assert not (tmp_path / "g.txt").exists()

@@ -83,7 +83,7 @@ class TestRun:
         for record in result.records:
             assert len(record.joint_action) == cfg.n_bs
             assert len(record.utilities) == cfg.n_bs
-            assert len(record.messages) == cfg.n_bs
+            assert len(record.greedy_action) == cfg.n_bs
             assert len(record.association) == cfg.n_users
             assert record.total_reward == pytest.approx(sum(record.utilities))
 
@@ -157,15 +157,15 @@ class TestBatchedRound:
         return algorithm, config, inputs, team, evaluator
 
     def random_round(self, team, spaces, rng):
-        """Broadcasts of one round, played and announced-best actions drawn
-        at random; each agent's pending action is the one it announces."""
-        msgs = []
+        """The broadcast rows of one round, (joint_action, greedy_action):
+        played actions drawn uniformly by the agents, advertised bests at
+        random."""
+        joint_action, greedy_action = [], []
         for agent in team:
             agent.epsilon = 1.0  # the played action is a uniform draw
-            played = agents.select_and_broadcast(agent).current_action
-            msgs.append(agents.BroadcastMsg(
-                agent.bs, played, int(rng.integers(len(spaces[agent.bs])))))
-        return msgs
+            joint_action.append(agents.select_and_broadcast(agent)[0])
+            greedy_action.append(int(rng.integers(len(spaces[agent.bs]))))
+        return tuple(joint_action), tuple(greedy_action)
 
     def test_rewards_match_resolved_utilities(self, round_setup):
         algorithm, config, inputs, team, evaluator = round_setup
@@ -173,18 +173,17 @@ class TestBatchedRound:
         coupled = algorithm == "q_lteu_coupled"
         rng = np.random.default_rng(8)
         for _ in range(12):
-            msgs = self.random_round(team, spaces, rng)
-            rows = harness._evaluator_rows(team, msgs)
+            joint_action, greedy_action = self.random_round(team, spaces, rng)
+            rows = harness._evaluator_rows(team, joint_action, greedy_action)
             batch = evaluator.batch_utilities(rows)
             assert batch.shape == (n_bs + 2, n_bs)
-            assert rows[n_bs] == tuple(m.current_action for m in msgs)
-            assert rows[n_bs + 1] == tuple(m.best_action for m in msgs)
+            assert rows[n_bs] == joint_action
+            assert rows[n_bs + 1] == greedy_action
             for n, agent in enumerate(team):
-                own = msgs[n].current_action
-                others = [m.current_action if algorithm == "esn"
-                          else m.best_action for m in msgs]
-                assert rows[n] == tuple(own if m == n else others[m]
-                                        for m in range(n_bs))
+                others = (joint_action if algorithm == "esn"
+                          else greedy_action)
+                assert rows[n] == tuple(joint_action[n] if m == n
+                                        else others[m] for m in range(n_bs))
                 settled = game.resolve_conflicts(spaces, rows[n],
                                                  inputs.capacities,
                                                  coupled=coupled)
@@ -198,7 +197,7 @@ class TestBatchedRound:
         rng = np.random.default_rng(9)
         for _ in range(12):
             rows = harness._evaluator_rows(
-                team, self.random_round(team, inputs.spaces, rng))
+                team, *self.random_round(team, inputs.spaces, rng))
             batch = evaluator.batch_utilities(rows)
             for row, got in zip(rows, batch):
                 alone = evaluator.batch_utilities([row])[0]
@@ -219,9 +218,8 @@ class TestBatchedRound:
                     # the reward row is the played row, bit for bit
                     assert diag.e_alpha == record.utilities[n]
                     continue
-                row = tuple(record.joint_action[n] if m == n
-                            else msg.best_action
-                            for m, msg in enumerate(record.messages))
+                row = tuple(record.joint_action[n] if m == n else best
+                            for m, best in enumerate(record.greedy_action))
                 assert diag.target == evaluator.utility_of(n, row)
 
 

@@ -57,11 +57,36 @@ def test_config_defaults_are_reference_point():
         ("lambda_q", 3.0),
         ("convergence_tol", -1e-3),
         ("expectation_budget", 1),
+        ("wifi_rate_req_bps", math.nan),
+        ("wifi_rate_req_bps", -1.0),
+        ("sbs_coverage_m", math.nan),
+        ("f_u_hz", math.inf),
+        ("p_sbs_dbm", math.nan),
+        ("pathloss_licensed", (math.nan, 37.5)),
+        ("pathloss_unlicensed", (15.3, math.inf)),
+        ("pathloss_licensed", (-math.inf, 37.5)),
     ],
 )
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError):
         ScenarioConfig(**{field: value})
+
+
+def test_negative_wifi_demand_rejected_without_waps():
+    # with no WAP the duty cycle never reads the demand, so only the
+    # config can catch it
+    with pytest.raises(ValueError, match="wifi_rate_req_bps"):
+        desk_config(n_waps=0, wifi_rate_req_bps=-1.0)
+
+
+def test_every_float_field_must_be_finite():
+    floats = [f.name for f in dataclasses.fields(ScenarioConfig)
+              if f.type == "float"]
+    assert "wifi_rate_req_bps" in floats and "p_sbs_dbm" in floats
+    for name in floats:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ScenarioConfig(**{name: value})
 
 
 def test_config_accepts_learning_rate_bounds():

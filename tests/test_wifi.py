@@ -6,6 +6,7 @@ formula) and are frozen here; the bisection and the high-precision route are
 additionally re-run in-test as independent cross-checks.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -119,14 +120,14 @@ class TestBusyTimes:
 
     def test_propagation_delay_terms(self):
         base = default_params(4)
-        delayed = default_params(4, prop_delay_s=1e-6)
+        delayed = replace(default_params(4), prop_delay_s=1e-6)
         assert t_success(delayed) - t_success(base) == pytest.approx(4e-6, rel=1e-9)
         assert t_collision(delayed) - t_collision(base) == pytest.approx(
             1e-6, rel=1e-9)
 
     def test_faster_channel_shortens_both(self):
         base = default_params(4)
-        fast = default_params(4, channel_bps=2 * base.channel_bps)
+        fast = replace(default_params(4), channel_bps=2 * base.channel_bps)
         assert t_success(fast) < t_success(base)
         assert t_collision(fast) < t_collision(base)
 
@@ -164,18 +165,18 @@ class TestSaturationThroughput:
 
     def test_always_transmit_limit(self):
         # one station, tau -> 1: every slot is a success, R -> E[S] / T_s
-        params = default_params(1, tau_prob=1.0 - 1e-13)
+        params = replace(default_params(1), tau_prob=1.0 - 1e-13)
         assert saturation_throughput(params) == pytest.approx(
             params.payload_info_bits / t_success(params), rel=1e-9)
 
     def test_silent_limit(self):
-        params = default_params(4, tau_prob=1e-9)
+        params = replace(default_params(4), tau_prob=1e-9)
         assert saturation_throughput(params) < 10.0  # bps, essentially idle
 
     @given(tau=st.floats(0.01, 0.99), n_wifi=st.integers(1, 30))
     @settings(max_examples=200, deadline=None)
     def test_event_probabilities_stay_in_range(self, tau, n_wifi):
-        params = default_params(n_wifi, tau_prob=tau)
+        params = replace(default_params(n_wifi), tau_prob=tau)
         p_tr, p_s = event_probabilities(params)
         assert 0.0 <= p_tr <= 1.0
         assert 0.0 <= p_s <= 1.0
