@@ -37,8 +37,6 @@ from .game import (ExpectedUtility, _epsilon_greedy, restrict_coupled,
                    restrict_licensed_only)
 from .scenario import ALGORITHMS
 
-Q_VARIANTS = tuple(a for a in ALGORITHMS if a.startswith("q_"))
-
 
 @dataclass(frozen=True)
 class StepDiagnostics:
@@ -52,7 +50,6 @@ class StepDiagnostics:
 class QDiagnostics:
     q_before: float
     target: float
-    q_after: float
 
 
 def _check_spaces(bs, spaces):
@@ -103,13 +100,12 @@ class EsnAgent:
         # opponents' actions enter alpha as one concatenated block per
         # opponent, the whole vector scaled by 1/sqrt(width)
         blocks = [_encode_space(self.spaces[m]) for m in self.opponents]
-        self.alpha_dim = int(sum(b.shape[1] for b in blocks))
-        scale = 1.0 / math.sqrt(self.alpha_dim) if self.alpha_dim else 1.0
+        alpha_dim = int(sum(b.shape[1] for b in blocks))
+        scale = 1.0 / math.sqrt(alpha_dim) if alpha_dim else 1.0
         self._enc = {m: b * scale for m, b in zip(self.opponents, blocks)}
 
-        k = len(self.action_space.covered_users)
-        self.beta_dim = 2 * k
-        self._beta_scale = 1.0 / math.sqrt(self.beta_dim) if self.beta_dim else 1.0
+        beta_dim = 2 * len(self.action_space.covered_users)
+        self._beta_scale = 1.0 / math.sqrt(beta_dim) if beta_dim else 1.0
         # observe_outcome reads this BS's row of each round's settled
         # (4, n_bs, n_users) block at the covered users' columns
         self._settled_shape = (4, len(self.spaces), self.action_space.n_users)
@@ -117,13 +113,13 @@ class EsnAgent:
 
         n_actions = len(self.action_space)
         self.res_alpha, self.ro_alpha = esn.init(
-            config.reservoir_units, self.alpha_dim, n_actions,
+            config.reservoir_units, alpha_dim, n_actions,
             density=config.reservoir_density,
             target_radius=config.reservoir_radius, seed=int(streams[1]),
             input_scale=config.reservoir_input_scale)
         self.ro_alpha.rate = config.lambda_alpha
         self.res_beta, self.ro_beta = esn.init(
-            config.reservoir_units, self.beta_dim, n_actions,
+            config.reservoir_units, beta_dim, n_actions,
             density=config.reservoir_density,
             target_radius=config.reservoir_radius, seed=int(streams[2]),
             input_scale=config.reservoir_input_scale)
@@ -138,7 +134,7 @@ class EsnAgent:
             self._phi[m] = self._enc[m] @ self.res_alpha.w_in[:, off:off + width].T
             off += width
 
-        self.x_beta = np.ones(self.beta_dim) * self._beta_scale  # request state
+        self.x_beta = np.ones(beta_dim) * self._beta_scale  # request state
 
         # (2, rows, reservoir units) work arrays of beta_expectation, made on
         # first use when None. They are overwritten on every call, so agents
@@ -156,21 +152,18 @@ class EsnAgent:
 class QAgent:
     """Per-action value learner of one BS.
 
-    ``variant`` names the capacity/action-space gating the surrounding run
-    applies; the update rule itself is identical across variants. The
-    coupled variant's rewards are coupled-association payoffs, because its
-    run scores every joint that way.
+    One update rule serves every Q baseline: a variant acts only through
+    the gated spaces and capacities its run hands over. The coupled
+    variant's rewards are coupled-association payoffs, because its run
+    scores every joint that way.
     """
 
-    def __init__(self, bs, spaces, config, seed, variant="q_lteu_decoupled"):
-        if variant not in Q_VARIANTS:
-            raise ValueError(f"unknown Q variant {variant!r}")
+    def __init__(self, bs, spaces, config, seed):
         self.spaces = _check_spaces(bs, spaces)
         self.bs = int(bs)
         self.action_space = self.spaces[self.bs]
         self.epsilon = float(config.epsilon)
         self.lambda_q = float(config.lambda_q)
-        self.variant = variant
         self.q_table = np.zeros(len(self.action_space))
         self._pending = None
         streams = np.random.SeedSequence([int(seed), self.bs]).generate_state(1)
@@ -449,8 +442,7 @@ def _q_finish(agent, action, target):
     q_before = float(agent.q_table[action])
     agent.q_table[action] = (1.0 - agent.lambda_q) * q_before \
         + agent.lambda_q * target
-    return QDiagnostics(q_before=q_before, target=target,
-                        q_after=float(agent.q_table[action]))
+    return QDiagnostics(q_before=q_before, target=target)
 
 
 def finish_round(agent, played, advertised, reward):
@@ -519,5 +511,4 @@ def make_agents(algorithm, spaces, config, seed):
                             config.reservoir_units))
         return [EsnAgent(n, spaces, config, seed, scratch=scratch)
                 for n in range(len(spaces))]
-    return [QAgent(n, spaces, config, seed, variant=algorithm)
-            for n in range(len(spaces))]
+    return [QAgent(n, spaces, config, seed) for n in range(len(spaces))]

@@ -47,6 +47,8 @@ def _out_dir(args) -> Path:
 
 
 def _seed(args, config: ScenarioConfig) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     return config.rng_seed if args.seed is None else args.seed
 
 
@@ -70,8 +72,9 @@ def _run_summary_lines(result) -> list[str]:
 
 def cmd_run(args) -> int:
     config = _build_config(args)
+    seed = _seed(args, config)
     out = _out_dir(args)
-    result = harness.run(config, args.algorithm, _seed(args, config))
+    result = harness.run(config, args.algorithm, seed)
     config.echo(out / "config_echo.txt")
     harness.write_trace_csv(result, out / "trace.csv")
     harness.write_cdf_csv(result.metrics["rate_cdf_bps"], out / "cdf.csv")
@@ -86,6 +89,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _build_config(args)
+    seed = _seed(args, config)
     out = _out_dir(args)
     values = [float(v) for v in args.values.split(",") if v]
     algorithms = [a for a in args.algorithms.split(",") if a]
@@ -93,7 +97,7 @@ def cmd_sweep(args) -> int:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
     cells = harness.sweep(config, args.axis, values, algorithms,
-                          n_runs=args.runs, base_seed=_seed(args, config))
+                          n_runs=args.runs, base_seed=seed)
     config.echo(out / "config_echo.txt")
     harness.write_sweep_csv(cells, out / "sweep.csv")
     lines = [f"axis = {args.axis}", f"cells = {len(cells)}",
@@ -141,8 +145,8 @@ NE_CHECK_DEFAULTS = dict(n_sbs=2, n_users=4, action_set_size=5,
 def cmd_ne_check(args) -> int:
     # defaults keep the joint space small enough for exact enumeration
     config = _build_config(args, defaults=NE_CHECK_DEFAULTS)
-    out = _out_dir(args)
     seed = _seed(args, config)
+    out = _out_dir(args)
     result = harness.run(config, "esn", seed)
     if not result.records:
         raise ValueError("ne-check needs at least one round; "
@@ -151,8 +155,7 @@ def cmd_ne_check(args) -> int:
     best = result.records[-1].greedy_action
     profile = [game.MixedStrategy.epsilon_greedy(space, best[n], config.epsilon)
                for n, space in enumerate(inputs.spaces)]
-    probe = game.verify_mixed_ne(profile, inputs.capacities, tolerance=0.0,
-                                 eta=config.eta)
+    probe = game.verify_mixed_ne(profile, inputs.capacities, eta=config.eta)
     lines = [f"seed = {seed}", f"converged_at = {result.converged_at}",
              f"epsilon = {_fmt(config.epsilon)}"]
     all_ok = True

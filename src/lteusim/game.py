@@ -335,16 +335,14 @@ class JointEvaluator:
 
     def __init__(self, spaces, caps: LinkCapacitySet, eta: float = DEFAULT_ETA,
                  coupled: bool = False):
-        self.spaces = tuple(spaces)
-        self.caps = caps
-        self.eta = eta
+        spaces = tuple(spaces)
         self.coupled = coupled
-        self.n_bs = len(self.spaces)
-        self.sizes = np.array([len(s) for s in self.spaces], dtype=int)
+        self.n_bs = len(spaces)
+        self.sizes = np.array([len(s) for s in spaces], dtype=int)
         width = int(self.sizes.max())
-        n_users = self.spaces[0].n_users
+        n_users = spaces[0].n_users
         tables = np.zeros((4, self.n_bs, width, n_users))
-        for n, space in enumerate(self.spaces):
+        for n, space in enumerate(spaces):
             tables[:, n, :len(space)] = space.fractions.transpose(1, 0, 2)
         self._table = tables.reshape(4, self.n_bs * width, n_users)
         self._offsets = np.arange(self.n_bs) * width
@@ -474,25 +472,21 @@ def expected_utility(n: int, action_i: int, strategies, caps: LinkCapacitySet,
 
 @dataclass(frozen=True)
 class NeReport:
-    """Outcome of the mixed-equilibrium check.
-
-    ``expected_by_action[n][i]`` is BS n's expected utility when it swaps
-    its whole strategy for pure action i, opponents unchanged; linearity
-    in the own strategy makes checking pure swaps sufficient.
+    """Expected utilities of a mixed profile: ``expected_current[n]`` is BS
+    n's under the profile, ``expected_by_action[n][i]`` its own after
+    swapping its whole strategy for pure action i, opponents unchanged.
+    Linearity in the own strategy makes pure swaps sufficient; the caller
+    judges the best swap's gain (``cli.cmd_ne_check``).
     """
 
-    ok: bool
-    tolerance: float
     expected_current: tuple[float, ...]
     expected_by_action: tuple[tuple[float, ...], ...]
-    best_bs: int | None
-    best_action: int | None
-    best_gain: float
 
 
-def verify_mixed_ne(profile, caps: LinkCapacitySet, tolerance: float,
+def verify_mixed_ne(profile, caps: LinkCapacitySet,
                     eta: float = DEFAULT_ETA) -> NeReport:
-    """Check a mixed profile for approximate-equilibrium by full enumeration."""
+    """Every BS's expected utility under a mixed profile and after each
+    pure swap, by full enumeration of the joint space."""
     spaces = [s.space for s in profile]
     n_bs = len(spaces)
     sizes = [len(s) for s in spaces]
@@ -520,20 +514,8 @@ def verify_mixed_ne(profile, caps: LinkCapacitySet, tolerance: float,
         tables.append(table)
 
     current = [float(np.dot(prob_vectors[n], tables[n])) for n in range(n_bs)]
-    best_bs = best_action = None
-    best_gain = 0.0
-    for n in range(n_bs):
-        i = int(np.argmax(tables[n]))
-        gain = float(tables[n][i] - current[n])
-        if gain > best_gain:
-            best_bs, best_action, best_gain = n, i, gain
-    ok = best_gain <= tolerance
-    return NeReport(ok=ok, tolerance=tolerance,
-                    expected_current=tuple(current),
-                    expected_by_action=tuple(tuple(map(float, t)) for t in tables),
-                    best_bs=None if ok else best_bs,
-                    best_action=None if ok else best_action,
-                    best_gain=best_gain)
+    return NeReport(expected_current=tuple(current),
+                    expected_by_action=tuple(tuple(map(float, t)) for t in tables))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .wifi import default_params, duty_cycle_for_config, saturation_throughput
 
 __all__ = [
     "RoundRecord", "RunResult", "MonteCarloResult", "SweepCell", "RunInputs",
-    "prepare_run", "run", "monte_carlo", "sweep", "resolve_conflicts",
-    "write_trace_csv", "write_cdf_csv", "write_sweep_csv", "SWEEP_AXES",
+    "prepare_run", "run", "monte_carlo", "sweep", "write_trace_csv",
+    "write_cdf_csv", "write_sweep_csv", "SWEEP_AXES",
 ]
 
 SWEEP_AXES = {
@@ -122,7 +122,7 @@ def _audit_spaces(spaces, z_levels: int) -> None:
             i, violation = found
             raise RuntimeError(
                 f"infeasible action {i} in BS {space.owner} space: "
-                f"{violation.constraint}")
+                f"{violation.constraint} ({violation.detail})")
 
 
 def _empty_rates(n_users: int) -> UserRates:

@@ -25,15 +25,14 @@ class LinkCapacitySet:
     """Cached capacities in bps, shape (n_users, n_bs) each.
 
     The macro cell has no unlicensed radio: column 0 of the unlicensed
-    matrices is identically zero. ``lte_fraction`` is the duty-cycle share
-    already folded into the unlicensed entries.
+    matrices is identically zero. The unlicensed entries already carry the
+    LTE duty-cycle share (``build_capacities``' ``lte_fraction``).
     """
 
     c_l_dl: np.ndarray
     c_l_ul: np.ndarray
     c_u_dl: np.ndarray
     c_u_ul: np.ndarray
-    lte_fraction: float
 
     @property
     def n_users(self) -> int:
@@ -54,8 +53,7 @@ class LinkCapacitySet:
 
     def without_unlicensed(self) -> "LinkCapacitySet":
         zero = np.zeros_like(self.c_u_dl)
-        return LinkCapacitySet(self.c_l_dl, self.c_l_ul, zero, zero.copy(),
-                               self.lte_fraction)
+        return LinkCapacitySet(self.c_l_dl, self.c_l_ul, zero, zero.copy())
 
 
 def _shannon(bandwidth_hz: float, signal_w, interference_w, noise_w: float):
@@ -93,7 +91,7 @@ def build_capacities(channel: ChannelRealization, config: ScenarioConfig,
     c_u_ul[:, 0] = 0.0
 
     return LinkCapacitySet(c_l_dl=c_l_dl, c_l_ul=c_l_ul, c_u_dl=c_u_dl,
-                           c_u_ul=c_u_ul, lte_fraction=lte_fraction)
+                           c_u_ul=c_u_ul)
 
 
 @dataclass(frozen=True)

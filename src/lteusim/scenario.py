@@ -93,7 +93,7 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive")
         nonnegative = ("n_sbs", "n_waps", "n_users", "max_iterations",
                        "lambda_alpha", "lambda_beta", "convergence_tol",
-                       "wifi_rate_req_bps")
+                       "wifi_rate_req_bps", "rng_seed")
         for name in nonnegative:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -247,16 +247,15 @@ def desk_config(**overrides) -> ScenarioConfig:
 class Topology:
     """Fixed placement of one macro cell (origin), small cells, WAPs, users.
 
-    ``coverage_sets[i]`` lists the BS indices that may serve user i; the
-    macro cell (index 0) is always included, a small cell only when the
-    user sits inside its coverage radius.
+    ``covered_users[n]`` lists the users BS n may serve: the macro cell
+    (index 0) covers every user, a small cell the users inside its coverage
+    radius.
     """
 
     mbs_position: np.ndarray
     sbs_positions: np.ndarray    # (n_sbs, 2)
     wap_positions: np.ndarray    # (n_waps, 2)
     user_positions: np.ndarray   # (n_users, 2)
-    coverage_sets: tuple         # per user, ascending tuple of BS indices
     covered_users: tuple         # per BS, ascending tuple of user indices
 
     @property
@@ -275,8 +274,7 @@ class Topology:
 class ChannelRealization:
     """Linear power gains per (user, BS, band), path loss times fading."""
 
-    gain: np.ndarray         # (n_users, n_bs, 2), strictly positive
-    distances_m: np.ndarray  # (n_users, n_bs), after the 1 m clamp
+    gain: np.ndarray  # (n_users, n_bs, 2), strictly positive
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.gain)) or np.any(self.gain <= 0):
@@ -297,24 +295,17 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
     wap = _uniform_disc(rng, config.n_waps, config.macro_radius_m)
     users = _uniform_disc(rng, config.n_users, config.macro_radius_m)
 
-    coverage = []
-    for i in range(config.n_users):
-        inside = [0]
-        for j in range(config.n_sbs):
-            if np.linalg.norm(users[i] - sbs[j]) <= config.sbs_coverage_m:
-                inside.append(j + 1)
-        coverage.append(tuple(inside))
-    covered = tuple(
-        tuple(i for i in range(config.n_users) if bs in coverage[i])
-        for bs in range(config.n_bs)
-    )
+    covered = [tuple(range(config.n_users))]
+    for j in range(config.n_sbs):
+        covered.append(tuple(
+            i for i in range(config.n_users)
+            if np.linalg.norm(users[i] - sbs[j]) <= config.sbs_coverage_m))
     return Topology(
         mbs_position=np.zeros(2),
         sbs_positions=sbs,
         wap_positions=wap,
         user_positions=users,
-        coverage_sets=tuple(coverage),
-        covered_users=covered,
+        covered_users=tuple(covered),
     )
 
 
@@ -322,13 +313,12 @@ def draw_channel(
     topology: Topology,
     config: ScenarioConfig,
     seed: int,
-    unit_fading: bool = False,
 ) -> ChannelRealization:
     """Sample one channel realization, held fixed for a whole learning run.
 
     gain = 10^(-PL_dB/10) * g with g ~ Exponential(mean 1), drawn
-    independently per link and band. ``unit_fading`` pins g = 1, leaving
-    the pure path-loss gains.
+    independently per link and band; PL_dB = A + B log10(d), with the
+    user-BS distance d clamped below at MIN_LINK_DISTANCE_M.
     """
     rng = np.random.default_rng(seed)
     users = topology.user_positions
@@ -343,10 +333,7 @@ def draw_channel(
     pl[:, :, LICENSED] = a_l + b_l * logd
     pl[:, :, UNLICENSED] = a_u + b_u * logd
 
-    if unit_fading:
-        fading = np.ones_like(pl)
-    else:
-        fading = rng.exponential(1.0, size=pl.shape)
-        fading = np.maximum(fading, 1e-300)  # exact zeros would break the positivity contract
+    fading = rng.exponential(1.0, size=pl.shape)
+    fading = np.maximum(fading, 1e-300)  # exact zeros would break the positivity contract
     gain = 10.0 ** (-pl / 10.0) * fading
-    return ChannelRealization(gain=gain, distances_m=dist)
+    return ChannelRealization(gain=gain)

@@ -83,6 +83,20 @@ def point_mass(space: ActionSpace, index: int) -> MixedStrategy:
     return MixedStrategy(space=space, probs=tuple(probs))
 
 
+def best_swap(report):
+    """``(bs, action, gain)`` of the most profitable pure swap in a
+    ``verify_mixed_ne`` report: the largest ``max(expected_by_action[n]) -
+    expected_current[n]``, the first BS on ties. ``bs`` and ``action`` are
+    None, and ``gain`` is 0.0, when no swap gains."""
+    best = (None, None, 0.0)
+    for n, (table, current) in enumerate(zip(report.expected_by_action,
+                                             report.expected_current)):
+        i = int(np.argmax(table))
+        if table[i] - current > best[2]:
+            best = (n, i, table[i] - current)
+    return best
+
+
 # per-action oracles ----------------------------------------------------------
 
 

@@ -35,8 +35,7 @@ def flat_caps(n_users, n_bs, c=2.0, cu=2.0):
     unlicensed = np.full((n_users, n_bs), float(cu))
     unlicensed[:, 0] = 0.0
     return LinkCapacitySet(c_l_dl=licensed.copy(), c_l_ul=licensed.copy(),
-                           c_u_dl=unlicensed.copy(), c_u_ul=unlicensed.copy(),
-                           lte_fraction=1.0)
+                           c_u_dl=unlicensed.copy(), c_u_ul=unlicensed.copy())
 
 
 def macro_space(n_users, fraction_rows):
@@ -324,8 +323,7 @@ class TestAlphaTarget:
         unlicensed = rng.uniform(0.5, 4.0, size=(2, 2))
         unlicensed[:, 0] = 0.0
         caps = LinkCapacitySet(c_l_dl=licensed, c_l_ul=licensed * 1.5,
-                               c_u_dl=unlicensed, c_u_ul=unlicensed * 0.5,
-                               lte_fraction=1.0)
+                               c_u_dl=unlicensed, c_u_ul=unlicensed * 0.5)
         agent = EsnAgent(1, [macro, sbs], config, seed=4)
         for _ in range(10):
             joint = [rng.integers(3), rng.integers(3)]
@@ -393,10 +391,10 @@ class TestRewardJoint:
     def test_finish_round_takes_the_reward_as_given(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = QAgent(1, spaces, tiny_config(), seed=3)
-        select_and_broadcast(agent)
+        action, _ = select_and_broadcast(agent)
         diag = finish_round(agent, (0, 0), (0, 0), 2.5)
         assert diag.target == 2.5
-        assert diag.q_after == pytest.approx(0.06 * 2.5, rel=1e-12)
+        assert agent.q_table[action] == pytest.approx(0.06 * 2.5, rel=1e-12)
 
     def test_capacities_are_not_a_reward(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
@@ -452,7 +450,8 @@ class TestBetaTarget:
                 block[2 * k:3 * k] = action.kappa
                 block[3 * k:4 * k] = action.tau
             parts.append(block)
-        x = np.concatenate(parts) / math.sqrt(agent.alpha_dim)
+        x = np.concatenate(parts)
+        x = x / math.sqrt(x.size)
         reservoir = agent.res_alpha
         mu = np.tanh(reservoir.w @ reservoir.state + reservoir.w_in @ x)
         z = np.concatenate([mu, x, [1.0]])
@@ -979,10 +978,10 @@ class TestAssociationInput:
 
 
 class TestQAgent:
-    def unit_reward_agent(self, **kwargs):
+    def unit_reward_agent(self):
         # one action worth exactly log2(1 + 1*1) = 1 per round
         space = single_user_space(0, [((1.0,), (0.0,), None, None)])
-        agent = QAgent(0, [space], tiny_config(), seed=2, **kwargs)
+        agent = QAgent(0, [space], tiny_config(), seed=2)
         caps = flat_caps(1, 1, c=1.0)
         return agent, caps
 
@@ -992,21 +991,21 @@ class TestQAgent:
         assert own == (0, 0)
         assert diag.q_before == 0.0
         assert diag.target == pytest.approx(1.0, rel=1e-12)
-        assert diag.q_after == pytest.approx(0.06, rel=1e-12)
+        assert agent.q_table[0] == pytest.approx(0.06, rel=1e-12)
 
     def test_rate_one_jumps_to_target(self):
         agent, caps = self.unit_reward_agent()
         agent.lambda_q = 1.0
         agent.q_table[0] = 0.37
         _, diag = play_round(agent, {}, caps)
-        assert diag.q_after == diag.target
+        assert agent.q_table[0] == diag.target
 
     def test_geometric_convergence_to_constant_target(self):
         agent, caps = self.unit_reward_agent()
         for k in range(1, 101):
             _, diag = play_round(agent, {}, caps)
             want = 1.0 - (1.0 - 0.06) ** k
-            assert diag.q_after == pytest.approx(want, rel=1e-12)
+            assert agent.q_table[0] == pytest.approx(want, rel=1e-12)
 
     def test_update_touches_only_taken_entry(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
@@ -1025,8 +1024,7 @@ class TestQAgent:
         licensed = np.array([[5.0, 2.0]])
         unlicensed = np.zeros((1, 2))
         caps = LinkCapacitySet(c_l_dl=licensed, c_l_ul=licensed * 0.0,
-                               c_u_dl=unlicensed, c_u_ul=unlicensed,
-                               lte_fraction=1.0)
+                               c_u_dl=unlicensed, c_u_ul=unlicensed)
         agent = QAgent(1, [macro, sbs], tiny_config(), seed=4)
         agent.epsilon = 0.0
         agent.q_table[:] = [0.0, 1.0]
@@ -1037,12 +1035,7 @@ class TestQAgent:
             game.resolve_conflicts([macro, sbs], [0, 1], caps),
             caps, eta=0.7)[1]
         assert against_current > 0.0  # the discriminating alternative
-        assert diag.q_after == pytest.approx(0.94, rel=1e-12)
-
-    def test_unknown_variant_rejected(self):
-        space = single_user_space(0, [((1.0,), (0.0,), None, None)])
-        with pytest.raises(ValueError, match="unknown Q variant"):
-            QAgent(0, [space], tiny_config(), seed=0, variant="sarsa")
+        assert agent.q_table[taken] == pytest.approx(0.94, rel=1e-12)
 
 
 # per-algorithm gating ------------------------------------------------------
@@ -1105,7 +1098,6 @@ class TestAlgorithmGating:
         # one pair of expectation work arrays for the whole team
         assert team[0]._scratch is team[1]._scratch
         team = make_agents("q_lteu_coupled", spaces, config, seed=1)
-        assert all(isinstance(a, QAgent) and a.variant == "q_lteu_coupled"
-                   for a in team)
+        assert all(isinstance(a, QAgent) for a in team)
         with pytest.raises(ValueError, match="unknown algorithm"):
             make_agents("dqn", spaces, config, seed=1)

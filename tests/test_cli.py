@@ -73,6 +73,18 @@ class TestRunCommand:
         key = pair.split("=")[0]
         assert f"error: {key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,name", [
+        (["--set", "rng_seed=-1"], "rng_seed"),
+        (["--seed", "-3"], "--seed"),
+    ])
+    def test_negative_seed_fails(self, tmp_path, capsys, args, name):
+        # numpy refuses a negative seed with a message naming neither
+        out = tmp_path / "out"
+        code = cli.main(["run", "--out", str(out), *args, *SMALL])
+        assert code == 2
+        assert f"error: {name} must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text,key", [
         ('{"pathloss_licensed": 5}', "pathloss_licensed"),
         ('{"n_sbs": true}', "n_sbs"),

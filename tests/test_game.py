@@ -29,7 +29,7 @@ from lteusim.game import (
 from lteusim.harness import prepare_run
 from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import ALGORITHMS, ScenarioConfig, Topology, desk_config
-from oracles import (action_at, actions_of, make_action, point_mass,
+from oracles import (action_at, actions_of, best_swap, make_action, point_mass,
                      restrict_coupled_oracle, restrict_licensed_only_oracle,
                      settle, space_of, validate_action, validate_space_oracle)
 
@@ -174,14 +174,11 @@ def desk_joints(draw):
 def toy_topology(covered):
     """Topology stub from per-BS covered-user tuples (BS 0 first)."""
     n_users = max((u for us in covered for u in us), default=-1) + 1
-    coverage = tuple(tuple(b for b, us in enumerate(covered) if u in us)
-                     for u in range(n_users))
     return Topology(
         mbs_position=np.zeros(2),
         sbs_positions=np.zeros((len(covered) - 1, 2)),
         wap_positions=np.zeros((0, 2)),
         user_positions=np.zeros((n_users, 2)),
-        coverage_sets=coverage,
         covered_users=tuple(tuple(us) for us in covered),
     )
 
@@ -191,8 +188,7 @@ def flat_caps(n_users, n_bs, c_l_dl=2.0, c_l_ul=2.0, c_u_dl=2.0, c_u_ul=2.0):
     full = lambda value: np.full((n_users, n_bs), float(value))
     unl = lambda value: np.where(np.arange(n_bs) == 0, 0.0, full(value))
     return LinkCapacitySet(c_l_dl=full(c_l_dl), c_l_ul=full(c_l_ul),
-                           c_u_dl=unl(c_u_dl), c_u_ul=unl(c_u_ul),
-                           lte_fraction=1.0)
+                           c_u_dl=unl(c_u_dl), c_u_ul=unl(c_u_ul))
 
 
 class TestActionConstruction:
@@ -728,7 +724,7 @@ class TestJointEvaluator:
                 eta=0.7)
             assert np.allclose(row, slow, rtol=1e-12, atol=1e-12)
 
-    def uneven_evaluator(self):
+    def uneven_world(self):
         # BS 0 has 2 actions, BS 1 has 5: BS 0's rows 2..4 are zero padding
         topo = toy_topology([(0,), (0,)])
         cfg = ScenarioConfig(z_levels=2, action_set_size=5)
@@ -736,18 +732,22 @@ class TestJointEvaluator:
                           for d in (0.0, 1.0)])
         spaces = [macro, enumerate_actions(1, topo, cfg, seed=3)]
         assert [len(s) for s in spaces] == [2, 5]
-        return JointEvaluator(spaces, flat_caps(1, 2))
+        return spaces, flat_caps(1, 2)
+
+    def uneven_evaluator(self):
+        return JointEvaluator(*self.uneven_world())
 
     def test_gather_matches_each_space(self):
-        ev = self.uneven_evaluator()
-        tables = ev._table.reshape(4, ev.n_bs, -1, ev.caps.n_users)
-        for n, space in enumerate(ev.spaces):
+        spaces, caps = self.uneven_world()
+        ev = JointEvaluator(spaces, caps)
+        tables = ev._table.reshape(4, ev.n_bs, -1, caps.n_users)
+        for n, space in enumerate(spaces):
             for i, action in enumerate(actions_of(space)):
                 assert np.array_equal(tables[:, n, i], action.dense())
             assert not tables[:, n, len(space):].any()
         batch = np.array([[1, 4], [0, 0], [1, 2]])
         want = [settled_utilities(
-            [action_at(s, i) for s, i in zip(ev.spaces, row)], ev.caps)
+            [action_at(s, i) for s, i in zip(spaces, row)], caps)
             for row in batch]
         np.testing.assert_allclose(ev.batch_utilities(batch), want,
                                    rtol=1e-12, atol=1e-12)
@@ -986,40 +986,32 @@ class TestVerifyMixedNe:
         idle = make_action(0, (0,), 1, (0.0,), (0.0,))
         busy = make_action(0, (0,), 1, (1.0,), (1.0,))
         space = space_of([idle, busy])
-        report = verify_mixed_ne([point_mass(space, 1)], caps,
-                                 tolerance=1e-9)
-        assert report.ok and report.best_gain <= 1e-9
+        report = verify_mixed_ne([point_mass(space, 1)], caps)
+        assert best_swap(report) == (None, None, 0.0)
 
     def test_dominated_support_fails(self):
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    point_mass(sbs_space, 0)]  # idle, dominated
-        report = verify_mixed_ne(profile, caps, tolerance=1e-6)
-        assert not report.ok
-        assert report.best_bs == 1 and report.best_action == 1
+        bs, action, gain = best_swap(verify_mixed_ne(profile, caps))
+        assert (bs, action) == (1, 1)
         expected_gain = math.log2(3.0) + math.log2(5.0)
-        assert report.best_gain == pytest.approx(expected_gain, rel=1e-12)
+        assert gain == pytest.approx(expected_gain, rel=1e-12)
 
     def test_dominant_profile_passes(self):
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    point_mass(sbs_space, 1)]
-        report = verify_mixed_ne(profile, caps, tolerance=1e-9)
-        assert report.ok
+        report = verify_mixed_ne(profile, caps)
+        assert best_swap(report) == (None, None, 0.0)
         assert report.expected_current[1] == pytest.approx(
             math.log2(3.0) + math.log2(5.0), rel=1e-12)
-
-    def test_infinite_tolerance_passes_anything(self):
-        caps, mbs_space, sbs_space = two_bs_game()
-        profile = [point_mass(mbs_space, 0),
-                   point_mass(sbs_space, 0)]
-        assert verify_mixed_ne(profile, caps, tolerance=math.inf).ok
 
     def test_tables_match_expected_utility(self):
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    MixedStrategy(space=sbs_space, probs=(0.3, 0.7))]
-        report = verify_mixed_ne(profile, caps, tolerance=1e-6)
+        report = verify_mixed_ne(profile, caps)
         for i in range(2):
             direct = expected_utility(1, i, profile, caps)
             assert report.expected_by_action[1][i] == pytest.approx(
@@ -1030,7 +1022,7 @@ class TestVerifyMixedNe:
         spaces = [wide_space(n, 80) for n in range(3)]
         profile = [point_mass(space, 0) for space in spaces]
         with pytest.raises(ValueError, match="too large"):
-            verify_mixed_ne(profile, flat_caps(1, 3), tolerance=1e-6)
+            verify_mixed_ne(profile, flat_caps(1, 3))
 
 
 def read_small_game(path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import lteusim
 from lteusim import agents, cli, game, harness
 from lteusim.harness import (MonteCarloResult, RunResult, monte_carlo,
                              prepare_run, run, sweep, write_cdf_csv,
@@ -389,16 +390,21 @@ class TestCsvOutput:
         assert rows[1][0] == "123456789"
 
 
-def test_resolve_conflicts_reexport():
+def test_harness_settles_with_the_one_resolver():
+    # game.resolve_conflicts is the resolver's one public path; harness
+    # holds the same function for its own rounds
     assert harness.resolve_conflicts is game.resolve_conflicts
+    assert "resolve_conflicts" not in harness.__all__
+    assert not hasattr(lteusim, "resolve_conflicts")
 
 
 def test_space_audit_names_the_first_infeasible_action():
     fine = make_action(1, (0,), 1, (0.5,), (0.5,), (0.0,), (0.0,))
     over = make_action(1, (0,), 1, (0.5,), (0.5,), (0.6,), (0.5,))
     harness._audit_spaces([space_of([fine])], z_levels=10)
-    with pytest.raises(RuntimeError, match="infeasible action 1 in BS 1 "
-                                           "space: unlicensed_budget"):
+    with pytest.raises(RuntimeError, match=r"infeasible action 1 in BS 1 "
+                                           r"space: unlicensed_budget "
+                                           r"\(sum\(kappa\)\+sum\(tau\) = 1\.1\)"):
         harness._audit_spaces([space_of([fine, over])], z_levels=10)
 
 

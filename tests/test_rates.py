@@ -34,7 +34,7 @@ def make_channel(n_users, n_bs, links):
     gain = np.full((n_users, n_bs, 2), TINY)
     for (user, bs, band), value in links.items():
         gain[user, bs, band] = value
-    return ChannelRealization(gain=gain, distances_m=np.ones((n_users, n_bs)))
+    return ChannelRealization(gain=gain)
 
 
 def shannon(bandwidth_hz, signal_w, interference_w, noise_w):
@@ -269,7 +269,6 @@ def grid_caps(n_users, n_bs, base=1e7):
         c_l_ul=2.0 * ramp,
         c_u_dl=np.where(np.arange(n_bs) == 0, 0.0, 3.0 * ramp),
         c_u_ul=np.where(np.arange(n_bs) == 0, 0.0, 4.0 * ramp),
-        lte_fraction=1.0,
     )
     return caps
 

@@ -65,6 +65,7 @@ def test_config_defaults_are_reference_point():
         ("pathloss_licensed", (math.nan, 37.5)),
         ("pathloss_unlicensed", (15.3, math.inf)),
         ("pathloss_licensed", (-math.inf, 37.5)),
+        ("rng_seed", -1),
     ],
 )
 def test_config_rejects_bad_values(field, value):
@@ -162,8 +163,7 @@ def test_dbm_conversion():
 def test_macro_only_coverage():
     cfg = ScenarioConfig(n_sbs=0, n_users=1)
     topo = generate_topology(cfg, seed=3)
-    assert topo.coverage_sets == ((0,),)
-    assert topo.covered_users[0] == (0,)
+    assert topo.covered_users == ((0,),)
 
 
 def test_topology_determinism():
@@ -173,18 +173,21 @@ def test_topology_determinism():
     assert np.array_equal(a.sbs_positions, b.sbs_positions)
     assert np.array_equal(a.wap_positions, b.wap_positions)
     assert np.array_equal(a.user_positions, b.user_positions)
-    assert a.coverage_sets == b.coverage_sets
+    assert a.covered_users == b.covered_users
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_coverage_matches_distances(seed):
     cfg = desk_config(n_sbs=5, n_users=20)
     topo = generate_topology(cfg, seed=seed)
-    for i in range(cfg.n_users):
-        assert 0 in topo.coverage_sets[i]
-        for j in range(cfg.n_sbs):
+    assert len(topo.covered_users) == cfg.n_bs
+    assert topo.covered_users[0] == tuple(range(cfg.n_users))
+    for j in range(cfg.n_sbs):
+        users = topo.covered_users[j + 1]
+        assert users == tuple(sorted(users))
+        for i in range(cfg.n_users):
             d = np.linalg.norm(topo.user_positions[i] - topo.sbs_positions[j])
-            assert ((j + 1) in topo.coverage_sets[i]) == (d <= cfg.sbs_coverage_m)
+            assert (i in users) == (d <= cfg.sbs_coverage_m)
     for i in range(cfg.n_users):
         assert np.linalg.norm(topo.user_positions[i]) <= cfg.macro_radius_m + 1e-9
 
@@ -194,7 +197,7 @@ def test_coverage_monotone_in_radius():
     large = small.with_overrides(sbs_coverage_m=160.0)
     ts = generate_topology(small, seed=5)
     tl = generate_topology(large, seed=5)
-    for a, b in zip(ts.coverage_sets, tl.coverage_sets):
+    for a, b in zip(ts.covered_users, tl.covered_users):
         assert set(a) <= set(b)
 
 
@@ -238,24 +241,37 @@ def test_path_loss_monotone_in_distance(d1, d2):
 # channel ----------------------------------------------------------------
 
 
-def test_unit_fading_equals_linear_path_loss():
+def replay_channel(topo, cfg, seed):
+    """``(path_gain, fading)`` of ``draw_channel(topo, cfg, seed)``: the
+    linear path-loss gains over the clamped user-BS distances, recomputed
+    from the topology, and the seed's one exponential draw."""
+    dist = np.linalg.norm(
+        topo.user_positions[:, None, :] - topo.bs_positions()[None, :, :],
+        axis=2)
+    logd = np.log10(np.maximum(dist, MIN_LINK_DISTANCE_M))
+    pl = np.stack([a + b * logd for a, b in (cfg.pathloss_licensed,
+                                             cfg.pathloss_unlicensed)],
+                  axis=2)
+    fading = np.random.default_rng(seed).exponential(
+        1.0, (topo.n_users, topo.n_bs, 2))
+    return 10.0 ** (-pl / 10.0), np.maximum(fading, 1e-300)
+
+
+@pytest.mark.parametrize("topo_seed,seed", [(2, 9), (4, 4), (0, 123)])
+def test_gain_replays_path_loss_times_fading(topo_seed, seed):
     cfg = desk_config()
-    topo = generate_topology(cfg, seed=2)
-    chan = draw_channel(topo, cfg, seed=9, unit_fading=True)
+    topo = generate_topology(cfg, seed=topo_seed)
+    chan = draw_channel(topo, cfg, seed=seed)
+    path_gain, fading = replay_channel(topo, cfg, seed)
+    assert np.array_equal(chan.gain, path_gain * fading)
+    # the replay's path loss is the scalar law
     for i in (0, cfg.n_users - 1):
         for j in (0, cfg.n_bs - 1):
+            d = np.linalg.norm(topo.user_positions[i] - topo.bs_positions()[j])
             for band in (LICENSED, UNLICENSED):
-                expected = 10.0 ** (-path_loss_db(chan.distances_m[i, j], band, cfg) / 10.0)
-                assert chan.gain[i, j, band] == pytest.approx(expected, rel=1e-12)
-
-
-def test_unit_fading_gains_at_most_one():
-    # path loss is >= 0 dB at every distance here, so linear gains stay in (0, 1]
-    cfg = desk_config()
-    topo = generate_topology(cfg, seed=4)
-    chan = draw_channel(topo, cfg, seed=4, unit_fading=True)
-    assert np.all(chan.gain > 0)
-    assert np.all(chan.gain <= 1.0)
+                expected = 10.0 ** (-path_loss_db(d, band, cfg) / 10.0)
+                assert path_gain[i, j, band] == pytest.approx(expected,
+                                                              rel=1e-12)
 
 
 def test_identical_positions_identical_gains():
@@ -265,12 +281,13 @@ def test_identical_positions_identical_gains():
         sbs_positions=np.array([[30.0, 0.0]]),
         wap_positions=np.zeros((0, 2)),
         user_positions=pos,
-        coverage_sets=((0, 1), (0, 1), (0,)),
         covered_users=((0, 1, 2), (0, 1)),
     )
     cfg = ScenarioConfig(n_sbs=1, n_users=3, n_waps=1)
-    chan = draw_channel(topo, cfg, seed=0, unit_fading=True)
-    assert np.array_equal(chan.gain[0], chan.gain[1])
+    chan = draw_channel(topo, cfg, seed=0)
+    path_gain, fading = replay_channel(topo, cfg, seed=0)
+    assert np.array_equal(chan.gain, path_gain * fading)
+    assert np.array_equal(path_gain[0], path_gain[1])
 
 
 def test_channel_determinism_and_positivity():
@@ -289,12 +306,12 @@ def test_fading_empirical_mean_near_one():
     cfg = ScenarioConfig(n_sbs=99, n_users=500, n_waps=1)
     topo = generate_topology(cfg, seed=0)
     faded = draw_channel(topo, cfg, seed=123)
-    flat = draw_channel(topo, cfg, seed=123, unit_fading=True)
-    ratio = faded.gain / flat.gain
+    path_gain, _ = replay_channel(topo, cfg, seed=123)
+    ratio = faded.gain / path_gain
     assert ratio.size == 100_000
     assert 0.99 <= ratio.mean() <= 1.01
 
 
 def test_channel_rejects_nonpositive_gain():
     with pytest.raises(ValueError):
-        ChannelRealization(gain=np.zeros((1, 1, 2)), distances_m=np.ones((1, 1)))
+        ChannelRealization(gain=np.zeros((1, 1, 2)))

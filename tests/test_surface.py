@@ -1,9 +1,16 @@
-"""Guards against code in ``src/lteusim`` that only the tests reach.
+"""Guards against code and state in ``src/lteusim`` that only the tests
+reach.
 
 A public module-level function or class, and a public method of any
 class, must be named somewhere in the package besides its own definition,
 and every ``ScenarioConfig`` field must be read somewhere besides its
-validation. Scalar oracles and other test helpers belong in ``tests/``.
+validation. Every public dataclass field and every public ``self.X =``
+attribute of a class must be read somewhere in the package: an attribute
+load of that name, or a string constant equal to it (``getattr`` and the
+CSV column lists read fields by name). Writes do not count. The check
+goes by name, so a read of another object's attribute of the same name
+hides an unread one. Scalar oracles and other test helpers belong in
+``tests/``.
 """
 
 import ast
@@ -22,6 +29,26 @@ ALLOWED = {
     ("game", "expected_utility"):
         "ROADMAP item 6 makes it the shared expectation routine of "
         "verify_mixed_ne",
+}
+
+# "module.Class" (every attribute) or "module.Class.attr" -> why it may
+# stay unread in the package
+ALLOWED_UNREAD = {
+    "harness.RoundRecord":
+        "per-round output of run() for callers and audits; user_rates "
+        "waits for ROADMAP item 2",
+    "harness.MonteCarloResult":
+        "output of monte_carlo() for callers and sweeps",
+    "harness.RunInputs.topology":
+        "RunInputs rebuilds a run's world for audits; the topology is "
+        "part of it",
+    "harness.RunInputs.channel":
+        "RunInputs rebuilds a run's world for audits; the channel is "
+        "part of it",
+    "game.ExpectedUtility.exact":
+        "bench/tracer.py counts the exact branch of beta_expectation",
+    "scenario.Topology.wap_positions":
+        "ROADMAP item 1 removes it with its RNG draw and the golden re-pin",
 }
 
 TREES = {path.stem: ast.parse(path.read_text())
@@ -59,6 +86,50 @@ def _used_outside(name, node):
     return PACKAGE_NAMES[name] > _names(node)[name]
 
 
+# every attribute load and every str constant in the package: the reads
+READS = Counter(
+    node.attr if isinstance(node, ast.Attribute) else node.value
+    for tree in TREES.values() for node in ast.walk(tree)
+    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    or (isinstance(node, ast.Constant) and isinstance(node.value, str)))
+
+
+def _is_dataclass(cls):
+    # @dataclass or @dataclass(...)
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in cls.decorator_list)
+
+
+def _attributes(cls):
+    """Public dataclass fields and public ``self.X`` targets of ``cls``."""
+    names = []
+    if _is_dataclass(cls):
+        names += [stmt.target.id for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)]
+    names += [node.attr for node in ast.walk(cls)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    return [name for name in dict.fromkeys(names) if not name.startswith("_")]
+
+
+# "module.Class.attr" for every attribute the rule covers
+ATTRIBUTES = [f"{module}.{cls.name}.{name}"
+              for module, tree in TREES.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for name in _attributes(cls)]
+
+
+def _allowed_unread(attribute):
+    return (attribute in ALLOWED_UNREAD
+            or attribute.rsplit(".", 1)[0] in ALLOWED_UNREAD)
+
+
+def _unread(attribute):
+    return READS[attribute.rsplit(".", 1)[1]] == 0
+
+
 @pytest.mark.parametrize(
     "module,node", CHECKED,
     ids=[f"{module}.{node.name}" for module, node in CHECKED])
@@ -84,6 +155,21 @@ def test_allowlist_is_current():
     assert len(allowed) == len(ALLOWED)
     for module, node in allowed:
         assert not _used_outside(node.name, node), (module, node.name)
+
+
+@pytest.mark.parametrize(
+    "attribute", [a for a in ATTRIBUTES if not _allowed_unread(a)])
+def test_public_attribute_is_read_in_the_package(attribute):
+    assert not _unread(attribute), (
+        f"nothing in src/lteusim reads {attribute}; delete it")
+
+
+@pytest.mark.parametrize("entry", sorted(ALLOWED_UNREAD))
+def test_unread_allowlist_is_current(entry):
+    # an entry goes once everything it covers is read, or gone
+    covered = [a for a in ATTRIBUTES if a == entry
+               or a.rsplit(".", 1)[0] == entry]
+    assert any(_unread(a) for a in covered), entry
 
 
 def test_every_config_field_is_read():
