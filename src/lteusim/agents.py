@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import esn
 from .game import (ExpectedUtility, _epsilon_greedy, restrict_coupled,
@@ -126,13 +127,24 @@ class EsnAgent:
         self.ro_beta.rate = config.lambda_beta
 
         # per-action input projections; profile encodings in the expectation
-        # then reduce to row gathers instead of matrix products
-        self._phi = {}
-        off = 0
+        # then reduce to row gathers instead of matrix products. The sampled
+        # expectation reads them stacked, opponent after opponent, as one
+        # (sum |A_m|, units) table (``_phi[m]`` is a view of m's block), and
+        # the encodings as one block-diagonal (sum |A_m|, alpha_dim) matrix
+        phi, off = [], 0
         for m in self.opponents:
             width = self._enc[m].shape[1]
-            self._phi[m] = self._enc[m] @ self.res_alpha.w_in[:, off:off + width].T
+            phi.append(self._enc[m] @ self.res_alpha.w_in[:, off:off + width].T)
             off += width
+        sizes = [len(self.spaces[m]) for m in self.opponents]
+        starts = np.cumsum([0] + sizes, dtype=np.intp)
+        self._phi_stack = np.concatenate(
+            phi or [np.zeros((0, config.reservoir_units))])
+        self._phi = {m: self._phi_stack[a:b]
+                     for m, a, b in zip(self.opponents, starts, starts[1:])}
+        self._enc_stack = scipy.linalg.block_diag(
+            *[self._enc[m] for m in self.opponents])
+        self._row_starts = starts[:-1, None]
 
         self.x_beta = np.ones(beta_dim) * self._beta_scale  # request state
 
@@ -323,7 +335,8 @@ def _guide_row(p):
 class _ProfileTables:
     """Guide rows of one agent's opponent model, stacked for the sampled
     expectation: opponent m's row inverts the epsilon-greedy law peaked at
-    its advertised best.
+    its advertised best. ``probs`` holds those laws back to back, in the
+    order of the agent's stacked ``_phi`` rows.
 
     A row is built once per ``(opponent, best)`` and kept for the agent's
     life (``agent.epsilon`` is fixed after construction, like a reservoir's
@@ -334,6 +347,7 @@ class _ProfileTables:
         self._rows = {}
         self._bests = None
         self._table = None
+        self.probs = None
 
     def table(self, agent):
         bests = tuple(agent.opponent_bests[m] for m in agent.opponents)
@@ -341,10 +355,13 @@ class _ProfileTables:
             keys = list(zip(agent.opponents, bests))
             for m, best in keys:
                 if (m, best) not in self._rows:
-                    self._rows[m, best] = _guide_row(_epsilon_greedy(
-                        len(agent.spaces[m]), best, agent.epsilon))
+                    p = _epsilon_greedy(len(agent.spaces[m]), best,
+                                        agent.epsilon)
+                    self._rows[m, best] = (_guide_row(p), p)
+            rows, probs = zip(*[self._rows[key] for key in keys])
             self._bests = bests
-            self._table = _stack_rows([self._rows[key] for key in keys])
+            self._table = _stack_rows(rows)
+            self.probs = np.concatenate(probs)
         return self._table
 
 
@@ -380,10 +397,26 @@ def _invert(table, uniforms):
 
 def beta_expectation(agent, action_i) -> ExpectedUtility:
     """Expectation of alpha's predicted reward for ``action_i`` over the
-    opponent model, where opponent m plays the epsilon-greedy law peaked at
-    ``agent.opponent_bests[m]``: exact enumeration when the joint opponent
-    space fits the budget, else a Monte-Carlo average over that many
-    profile draws.
+    opponent model, where opponent m plays the epsilon-greedy law p_m
+    peaked at ``agent.opponent_bests[m]``.
+
+    When the joint opponent space fits ``expectation_budget`` the profiles
+    are enumerated exactly and ``stderr`` is 0. Otherwise the estimate is a
+    control variate (Glasserman, *Monte Carlo Methods in Financial
+    Engineering*, 2003, sec. 4.1): with ``w`` and ``b`` the reservoir part
+    and constant of alpha's row, ``tanh`` is linearized at the expected
+    pre-activation ``s_bar = drive + sum_m p_m . phi_m``, ``t_bar =
+    tanh(s_bar)``. The linear part, and the readout's input part, which is
+    linear already, are taken in exact expectation through one
+    ``|A_m|``-vector per opponent, ``g_m = phi_m (w * (1 - t_bar**2))`` and
+    ``c_m = enc_m . (input part of the row)``. Only the curvature residual
+    ``r = w . (tanh(s) - t_bar) - sum_m g_m[a_m]`` is sampled, over
+    ``budget`` profiles:
+
+        value = w . t_bar + b + sum_m p_m . (c_m + g_m) + mean(r)
+
+    and ``stderr = std(r, ddof=1) / sqrt(budget)``, the standard error of
+    that residual mean; it is 0 when the row's reservoir part is.
 
     The draws, and the generator state after them, equal one
     ``rng.choice(|A_m|, size=budget, p=p_m)`` per opponent in order: one
@@ -403,16 +436,32 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
         values = _alpha_predictions(agent, combos, action_i)
         return ExpectedUtility(value=float(weights @ values), stderr=0.0,
                                exact=True)
+    tables = agent._profile_tables
     uniforms = agent.rng.random((len(sizes), budget))
-    combos = _invert(agent._profile_tables.table(agent), uniforms)
-    values = _alpha_predictions(agent, combos, action_i)
-    # numpy's mean and std(ddof=1), in its operation order, in one pass
-    mean = values.sum() / budget
-    deviations = values - mean
-    np.square(deviations, out=deviations)
-    std = math.sqrt(deviations.sum() / (budget - 1))
-    return ExpectedUtility(value=float(mean), stderr=std / math.sqrt(budget),
-                           exact=False)
+    # each profile as one row index of the stacked tables per opponent
+    picks = _invert(tables.table(agent), uniforms)
+    picks += agent._row_starts
+    probs, phi = tables.probs, agent._phi_stack
+    row = agent.ro_alpha.w_out[action_i]
+    n = agent.res_alpha.n_units
+    w = row[:n]
+    drive = agent.res_alpha.drive
+    t_bar = np.tanh(drive + probs @ phi)
+    g = phi @ (w * (1.0 - t_bar * t_bar))
+    c = agent._enc_stack @ row[n:-1]
+    linear = w @ t_bar
+    states = phi.take(picks, axis=0).sum(axis=0)
+    states += drive
+    np.tanh(states, out=states)
+    residual = states @ w
+    residual -= linear
+    residual -= g.take(picks).sum(axis=0)
+    mean = residual.sum() / budget
+    residual -= mean
+    variance = residual @ residual / (budget - 1)
+    return ExpectedUtility(value=float(linear + row[-1] + probs @ (c + g)
+                                       + mean),
+                           stderr=math.sqrt(variance / budget), exact=False)
 
 
 # round completion ----------------------------------------------------------

@@ -425,7 +425,10 @@ class MixedStrategy:
 @dataclass(frozen=True)
 class ExpectedUtility:
     value: float
-    stderr: float  # 0 under exact enumeration
+    # standard error of the sampled part: of the plain mean in
+    # expected_utility, of the linearization residual's mean in
+    # agents.beta_expectation; 0 under exact enumeration
+    stderr: float
     exact: bool
 
 

@@ -157,6 +157,8 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
     """
     if seed is None:
         seed = config.rng_seed
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     inputs = prepare_run(config, algorithm, seed)
     caps, spaces = inputs.capacities, inputs.spaces
     _audit_wifi(config, inputs.duty)
@@ -284,6 +286,8 @@ def monte_carlo(config: ScenarioConfig, algorithm: str, n_runs: int,
     mean sum-rate and mean median-user-rate, plus the pooled rate CDF."""
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be nonnegative, got {base_seed}")
     seeds = np.random.SeedSequence(int(base_seed)).generate_state(n_runs)
     results = [run(config, algorithm, int(s), keep_records=False)
                for s in seeds]

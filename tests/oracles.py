@@ -4,9 +4,11 @@
 ``Action`` is a plain view of one action as per-covered-user tuples, with
 builders to and from ``ActionSpace``. The per-action loops that
 ``validate_space``, ``restrict_coupled`` and ``restrict_licensed_only``
-replaced are kept here as oracles for them.
+replaced are kept here as oracles for them, and so are the plain and the
+control-variate Monte-Carlo estimators of the agents' beta expectation.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -169,3 +171,101 @@ def restrict_coupled_oracle(space: ActionSpace) -> list:
             kappa=None if action.kappa is None else tuple(kp),
             tau=None if action.tau is None else tuple(tp)))
     return _dedupe(projected)
+
+
+# beta expectation oracles ----------------------------------------------------
+
+
+def epsilon_greedy(size, best, epsilon):
+    p = np.full(size, epsilon / size)
+    p[best] += 1.0 - epsilon
+    return p
+
+
+def opponent_laws(agent):
+    """The opponents' epsilon-greedy arrays of an ``EsnAgent``, by the plain
+    formula, in ``agent.opponents`` order."""
+    return [epsilon_greedy(len(agent.spaces[m]), agent.opponent_bests[m],
+                           agent.epsilon) for m in agent.opponents]
+
+
+def choice_stack(rng, probs, budget):
+    """Reference sampler: one ``Generator.choice`` call per probability
+    array, in order, stacked one row per array."""
+    return np.stack([rng.choice(len(p), size=budget, p=p) for p in probs])
+
+
+def _opponent_block(agent, m, a):
+    """Opponent m's action a as ``[d | v | kappa | tau]`` over its covered
+    users, unscaled; kappa and tau are zero at the macro cell."""
+    action = action_at(agent.spaces[m], a)
+    k = len(action.users)
+    block = np.zeros(4 * k)
+    block[:k] = action.d
+    block[k:2 * k] = action.v
+    if action.kappa is not None:
+        block[2 * k:3 * k] = action.kappa
+        block[3 * k:4 * k] = action.tau
+    return block
+
+
+def alpha_input(blocks):
+    """Alpha's input from one block per opponent: their concatenation over
+    the square root of its width."""
+    x = np.concatenate(blocks)
+    return x / math.sqrt(x.size)
+
+
+def naive_predictions(agent, profiles, action_i):
+    """Alpha's prediction for ``action_i`` against each opponent profile, a
+    column of ``profiles`` (one row of action indices per opponent), by the
+    plain formula w . tanh(W mu + W_in x) + v . x + b."""
+    reservoir = agent.res_alpha
+    tables = [np.stack([_opponent_block(agent, m, a)
+                        for a in range(len(agent.spaces[m]))])
+              for m in agent.opponents]
+    x = np.hstack([t[row] for t, row in zip(tables, np.asarray(profiles))])
+    x /= math.sqrt(x.shape[1])
+    mu = np.tanh(reservoir.w @ reservoir.state + x @ reservoir.w_in.T)
+    z = np.hstack([mu, x, np.ones((len(x), 1))])
+    return z @ agent.ro_alpha.w_out[action_i]
+
+
+def plain_expectation(agent, action_i, rng, budget):
+    """``(mean, stderr)`` of alpha's prediction over ``budget`` profiles
+    drawn from the opponent model: the plain Monte-Carlo estimator."""
+    values = naive_predictions(
+        agent, choice_stack(rng, opponent_laws(agent), budget), action_i)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(budget))
+
+
+def control_variate_expectation(agent, action_i, rng, budget):
+    """``(value, stderr)`` of the control-variate estimator, by an explicit
+    linearization: alpha's prediction is expanded to first order in the
+    input around its expectation x_bar,
+
+        L(x) = w . t_bar + (w * (1 - t_bar**2)) . W_in (x - x_bar) + v . x + b,
+
+    with t_bar = tanh(W mu + W_in x_bar). E[L] is exact; the residual
+    prediction(x) - L(x) is averaged over ``budget`` profiles drawn from
+    the opponent model."""
+    laws = opponent_laws(agent)
+    x_bar = alpha_input([
+        sum(p[a] * _opponent_block(agent, m, a) for a in range(len(p)))
+        for m, p in zip(agent.opponents, laws)])
+    reservoir = agent.res_alpha
+    row = agent.ro_alpha.w_out[action_i]
+    n = reservoir.n_units
+    w, v, b = row[:n], row[n:-1], row[-1]
+    t_bar = np.tanh(reservoir.w @ reservoir.state + reservoir.w_in @ x_bar)
+    slope = w * (1.0 - t_bar ** 2)
+
+    profiles = choice_stack(rng, laws, budget)
+    residual = naive_predictions(agent, profiles, action_i)
+    for k, column in enumerate(profiles.T):
+        x = alpha_input([_opponent_block(agent, m, a)
+                                for m, a in zip(agent.opponents, column)])
+        residual[k] -= (w @ t_bar + slope @ (reservoir.w_in @ (x - x_bar))
+                        + v @ x + b)
+    value = w @ t_bar + v @ x_bar + b + residual.mean()
+    return float(value), float(residual.std(ddof=1) / math.sqrt(budget))

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from lteusim import agents, esn, game, harness
 from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
-                            _alpha_predictions, _best_reply, _encode_space,
-                            _guide_row, _invert, _ProfileTables, _stack_rows,
+                            _best_reply, _encode_space, _guide_row, _invert,
+                            _ProfileTables, _stack_rows,
                             algorithm_capacities, algorithm_spaces,
                             beta_expectation, finish_round, make_agents,
                             observe_outcome, reward_joint,
@@ -24,7 +24,10 @@ from lteusim.game import (DEFAULT_ETA, JointEvaluator, MixedStrategy,
                           _epsilon_greedy)
 from lteusim.rates import LinkCapacitySet
 from lteusim.scenario import desk_config
-from oracles import action_at, actions_of, make_action, space_of
+from oracles import (action_at, actions_of, choice_stack,
+                     control_variate_expectation, epsilon_greedy, make_action,
+                     naive_predictions, opponent_laws, plain_expectation,
+                     space_of)
 
 
 # helpers -------------------------------------------------------------------
@@ -70,6 +73,25 @@ def play_round(agent, others, caps):
     row = reward_joint(agent, played, advertised)
     reward = evaluator.batch_utilities([row])[0, agent.bs]
     return own, finish_round(agent, played, advertised, reward)
+
+
+def desk_team_after(config, seed, rounds):
+    """The ESN team of a run of ``config`` after ``rounds`` rounds, played
+    as ``harness.run`` plays them."""
+    inputs = harness.prepare_run(config, "esn", seed)
+    spaces, caps = inputs.spaces, inputs.capacities
+    team = make_agents("esn", spaces, config, inputs.agent_seed)
+    evaluator = JointEvaluator(spaces, caps, eta=config.eta)
+    for _ in range(rounds):
+        played, advertised = zip(*[select_and_broadcast(a) for a in team])
+        rows = [reward_joint(a, played, advertised) for a in team]
+        rewards = evaluator.batch_utilities(rows)
+        for n, agent in enumerate(team):
+            finish_round(agent, played, advertised, rewards[n, n])
+        settled = game.resolve_conflicts(spaces, played, caps)
+        for agent in team:
+            observe_outcome(agent, settled)
+    return team
 
 
 def macro_two_action_space():
@@ -438,25 +460,6 @@ class TestBetaTarget:
         assert got.exact
         assert got.value == pytest.approx((3.0 + 6.0) / 2.0, rel=1e-12)
 
-    def naive_prediction(self, agent, indices, action_i):
-        parts = []
-        for m in agent.opponents:
-            action = action_at(agent.spaces[m], indices[m])
-            k = len(action.users)
-            block = np.zeros(4 * k)
-            block[:k] = action.d
-            block[k:2 * k] = action.v
-            if action.kappa is not None:
-                block[2 * k:3 * k] = action.kappa
-                block[3 * k:4 * k] = action.tau
-            parts.append(block)
-        x = np.concatenate(parts)
-        x = x / math.sqrt(x.size)
-        reservoir = agent.res_alpha
-        mu = np.tanh(reservoir.w @ reservoir.state + reservoir.w_in @ x)
-        z = np.concatenate([mu, x, [1.0]])
-        return float(agent.ro_alpha.w_out[action_i] @ z)
-
     def two_opponent_agent(self, budget=128):
         own = macro_two_action_space()
         opp1 = single_user_space(1, [
@@ -479,19 +482,14 @@ class TestBetaTarget:
         agent.opponent_bests = (0, 2, 0)
         return agent
 
-    def model(self, agent):
-        """The opponents' epsilon-greedy arrays, by the plain formula."""
-        return [epsilon_greedy(len(agent.spaces[m]), agent.opponent_bests[m],
-                               agent.epsilon) for m in agent.opponents]
-
     def test_exact_expectation_matches_brute_force(self):
         agent = self.two_opponent_agent()
         assert agent.epsilon == 0.7
         got = beta_expectation(agent, 1)
         assert got.exact
-        probs1, probs2 = self.model(agent)
+        probs1, probs2 = opponent_laws(agent)
         want = sum(probs1[j] * probs2[k]
-                   * self.naive_prediction(agent, {1: j, 2: k}, 1)
+                   * naive_predictions(agent, [[j], [k]], 1)[0]
                    for j in range(4) for k in range(5))
         assert got.value == pytest.approx(want, rel=1e-12)
 
@@ -512,20 +510,65 @@ class TestBetaTarget:
         assert beta_expectation(agent, 1) == want
 
     @pytest.mark.parametrize("budget", [2, 3, 16])
-    def test_sampled_moments_are_numpys(self, budget):
-        # the sampled profiles are one Generator.choice per opponent, and
-        # the one-pass mean and standard error equal numpy's mean and
-        # std(ddof=1) on their predictions, bit for bit
+    def test_matches_the_control_variate_oracle(self, budget):
+        # the same profiles (a copy of the generator), alpha by the plain
+        # formula and an explicit linearization of it around E[x]
         agent = self.two_opponent_agent(budget)
-        rng = np.random.default_rng()
+        rng, after = (np.random.default_rng() for _ in range(2))
         rng.bit_generator.state = agent.rng.bit_generator.state
-        values = _alpha_predictions(
-            agent, choice_stack(rng, self.model(agent), budget), 1)
+        after.bit_generator.state = agent.rng.bit_generator.state
+        want = control_variate_expectation(agent, 1, rng, budget)
         got = beta_expectation(agent, 1)
         assert not got.exact
-        assert got.value == float(values.mean())
-        assert got.stderr == float(values.std(ddof=1) / math.sqrt(budget))
-        assert agent.rng.random() == rng.random()
+        assert got.value == pytest.approx(want[0], rel=1e-12)
+        assert got.stderr == pytest.approx(want[1], rel=1e-12)
+        # the draws take one (opponents, budget) block of uniforms
+        after.random((len(agent.opponents), budget))
+        assert agent.rng.random() == after.random()
+
+    def test_zero_reservoir_row_leaves_no_residual(self):
+        # with w = 0 alpha's row is linear in the profile, so the control
+        # variate is the whole prediction and the sample adds nothing
+        exact, agent = self.two_opponent_agent(), self.two_opponent_agent(16)
+        for a in (exact, agent):
+            a.ro_alpha.w_out[1, :a.res_alpha.n_units] = 0.0
+        want = beta_expectation(exact, 1)
+        got = beta_expectation(agent, 1)
+        assert want.exact and not got.exact
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.stderr == 0.0
+
+    def test_desk_estimate_within_three_stderr_of_exact(self):
+        # two actions per cell: 16 opponent profiles, sampled 8 at a time.
+        # One 8-draw standard error is itself noisy (|z| > 3 in 2-7% of
+        # calls), so the check pools 64 calls: their mean against the
+        # pooled standard error
+        team = desk_team_after(desk_config(action_set_size=2,
+                                           expectation_budget=8), 0, 40)
+        for agent in team:
+            for action_i in range(len(agent.action_space)):
+                calls = [beta_expectation(agent, action_i) for _ in range(64)]
+                agent.expectation_budget = 16
+                want = beta_expectation(agent, action_i)
+                agent.expectation_budget = 8
+                assert want.exact and not any(c.exact for c in calls)
+                value = np.mean([c.value for c in calls])
+                stderr = math.sqrt(np.mean([c.stderr ** 2 for c in calls])
+                                   / len(calls))
+                assert stderr > 0.0
+                assert abs(value - want.value) <= 3.0 * stderr
+
+    def test_desk_stderr_below_plain_estimators(self):
+        # 16 control-variate draws against 512 plain ones, on a desk team
+        # that has learned for 300 rounds
+        team = desk_team_after(desk_config(), 0, 300)
+        rng = np.random.default_rng(5)
+        for agent in team:
+            for action_i in range(len(agent.action_space)):
+                got = beta_expectation(agent, action_i)
+                assert not got.exact and agent.expectation_budget == 16
+                _, plain = plain_expectation(agent, action_i, rng, 512)
+                assert got.stderr < plain
 
     def test_no_opponents_reads_alpha_directly(self):
         space = macro_two_action_space()
@@ -535,12 +578,6 @@ class TestBetaTarget:
         want = esn.readout_all(agent.ro_alpha,
                                esn.peek_state(agent.res_alpha, empty), empty)[1]
         assert got.exact and got.value == pytest.approx(want, rel=1e-12)
-
-
-def choice_stack(rng, probs, budget):
-    """Reference sampler: one ``Generator.choice`` call per probability
-    array, in order, stacked one row per array."""
-    return np.stack([rng.choice(len(p), size=budget, p=p) for p in probs])
 
 
 def model_agent(sizes, bests, epsilon):
@@ -586,12 +623,6 @@ class TestDrawProfiles:
         draws = sampled_profiles(np.random.default_rng(0), agent, 50)
         assert draws.shape == (2, 50) and draws.flags.c_contiguous
         assert draws[0].max() < 4 and draws[1].max() < 3
-
-
-def epsilon_greedy(size, best, epsilon):
-    p = np.full(size, epsilon / size)
-    p[best] += 1.0 - epsilon
-    return p
 
 
 def stacked(probs):

@@ -23,9 +23,9 @@ def fingerprint(result):
 
 
 @pytest.mark.parametrize("seed, max_iterations, want", [
-    (0, None, (614, 123753415.68088701, 5043364.293362219)),
-    (1, 300, (None, 99665879.08155341, 5449552.180389568)),
-    (2, 300, (None, 138052376.71295893, 4258289.939265495)),
+    (0, None, (362, 105522379.23053253, 5014182.3040722795)),
+    (1, 300, (None, 109771403.11622687, 7275107.358667487)),
+    (2, 300, (None, 121036523.0014369, 4342921.187403829)),
 ])
 def test_esn_desk_runs(seed, max_iterations, want):
     overrides = {} if max_iterations is None else {

@@ -115,6 +115,15 @@ class TestRun:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run(small_config(), "sarsa", seed=0)
 
+    def test_negative_seed_rejected_by_name(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the seed reached prepare_run")
+
+        monkeypatch.setattr(harness, "prepare_run", unreachable)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, "
+                                             "got -1$"):
+            run(desk_config(max_iterations=2), "q_lteu_decoupled", -1)
+
     def test_coupled_variant_never_splits_users(self):
         cfg = desk_config(n_sbs=2, n_users=6, n_waps=0, action_set_size=8,
                           sbs_coverage_m=250.0, max_iterations=300,
@@ -271,6 +280,16 @@ class TestMonteCarlo:
     def test_zero_runs_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo(small_config(), "esn", n_runs=0)
+
+    def test_negative_base_seed_rejected_by_name(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the seed reached prepare_run")
+
+        monkeypatch.setattr(harness, "prepare_run", unreachable)
+        with pytest.raises(ValueError, match="^base_seed must be "
+                                             "nonnegative, got -1$"):
+            monte_carlo(desk_config(max_iterations=2), "q_lteu_decoupled",
+                        1, -1)
 
 
 class TestSweep:
