@@ -82,7 +82,7 @@ class EsnAgent:
     bests were.
     """
 
-    def __init__(self, bs, spaces, config, seed, scratch=None):
+    def __init__(self, bs, spaces, config, seed):
         self.spaces = _check_spaces(bs, spaces)
         self.bs = int(bs)
         self.action_space = self.spaces[self.bs]
@@ -91,7 +91,7 @@ class EsnAgent:
         self.opponents = tuple(m for m in range(len(self.spaces)) if m != self.bs)
         # the opponent model: the last advertised row (own entry unread)
         self.opponent_bests = (0,) * len(self.spaces)
-        self._profile_tables = _ProfileTables()
+        self._laws = None  # (bests, probs, cdfs) of _opponent_laws
         self._best_prev = None
         self._pending = None
 
@@ -127,10 +127,10 @@ class EsnAgent:
         self.ro_beta.rate = config.lambda_beta
 
         # per-action input projections; profile encodings in the expectation
-        # then reduce to row gathers instead of matrix products. The sampled
-        # expectation reads them stacked, opponent after opponent, as one
-        # (sum |A_m|, units) table (``_phi[m]`` is a view of m's block), and
-        # the encodings as one block-diagonal (sum |A_m|, alpha_dim) matrix
+        # then reduce to row gathers instead of matrix products. It reads
+        # them stacked, opponent after opponent, as one (sum |A_m|, units)
+        # table, and the encodings as one block-diagonal (sum |A_m|,
+        # alpha_dim) matrix; a profile is one row index per opponent
         phi, off = [], 0
         for m in self.opponents:
             width = self._enc[m].shape[1]
@@ -140,19 +140,11 @@ class EsnAgent:
         starts = np.cumsum([0] + sizes, dtype=np.intp)
         self._phi_stack = np.concatenate(
             phi or [np.zeros((0, config.reservoir_units))])
-        self._phi = {m: self._phi_stack[a:b]
-                     for m, a, b in zip(self.opponents, starts, starts[1:])}
         self._enc_stack = scipy.linalg.block_diag(
             *[self._enc[m] for m in self.opponents])
         self._row_starts = starts[:-1, None]
 
         self.x_beta = np.ones(beta_dim) * self._beta_scale  # request state
-
-        # (2, rows, reservoir units) work arrays of beta_expectation, made on
-        # first use when None. They are overwritten on every call, so agents
-        # that never run at the same time can share them (make_agents gives a
-        # team one pair); reuse spares the allocator fresh pages every call.
-        self._scratch = scratch
 
     def profile_input(self, indices):
         """Alpha input vector for one opponent profile, an index row."""
@@ -264,135 +256,37 @@ def reward_joint(agent, played, advertised) -> tuple[int, ...]:
     return tuple(joint)
 
 
-def _alpha_predictions(agent, combos, action_i):
-    """Alpha readout of one action over candidate states, one per opponent
-    profile: ``combos`` holds one row of action indices per opponent
-    (agent.opponents order) and one column per profile.
-
-    States branch from the current committed state; nothing here mutates
-    the reservoir.
-    """
-    base = agent.res_alpha.drive
-    rows, scratch = combos.shape[1], agent._scratch
-    if (scratch is None or scratch.shape[1] < rows
-            or scratch.shape[2] != base.size):
-        scratch = agent._scratch = np.empty((2, rows, base.size))
-    states, gathered = scratch[:, :rows]
-    if agent.opponents:
-        # pre-activations add up as ((base + phi_1) + phi_2) + ..., so
-        # gathering the first term from base + phi_1 (|A| rows) gives the
-        # same floats as adding base to every profile's phi_1 row; the
-        # indices are in range, and "clip" lets take write to out unbuffered
-        first, *rest = agent.opponents
-        np.take(base + agent._phi[first], combos[0], axis=0, out=states,
-                mode="clip")
-        for j, m in enumerate(rest, 1):
-            np.take(agent._phi[m], combos[j], axis=0, out=gathered,
-                    mode="clip")
-            states += gathered
-    else:
-        states[:] = base  # the one empty profile
-    np.tanh(states, out=states)
-    row = agent.ro_alpha.w_out[action_i]
-    n = agent.res_alpha.n_units
-    values = states @ row[:n] + row[-1]
-    off = n
-    for j, m in enumerate(agent.opponents):
-        width = agent._enc[m].shape[1]
-        values += (agent._enc[m] @ row[off:off + width])[combos[j]]
-        off += width
-    return values
+def _cdf_rows(laws):
+    """One row per probability array: its normalized CDF, the floats
+    ``Generator.choice`` inverts, padded with 1.0 to the longest array."""
+    cdfs = np.ones((len(laws), max(map(len, laws), default=0)))
+    for row, p in zip(cdfs, laws):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        row[:len(p)] = cdf
+    return cdfs
 
 
-# caps a guide row at 4096 cells; tinier probabilities only cost a few more
-# comparisons per uniform (epsilon-greedy desk rows need 64 cells)
-_MAX_GUIDE_BITS = 12
+def _inverse_cdf(cdfs, uniforms):
+    """``searchsorted(cdfs[j], uniforms[j], side="right")`` for every row j
+    at once, bit for bit: the count of CDF entries at or below each
+    uniform. A padded 1.0 lies above every uniform in [0, 1), so it is
+    never counted."""
+    return (cdfs[:, None, :] <= uniforms[:, :, None]).sum(axis=2)
 
 
-def _guide_row(p):
-    """Inversion table of one probability array: ``(cdf, guide, cells,
-    width)``.
-
-    ``cdf`` is the normalized CDF with the floats ``Generator.choice``
-    inverts. The unit interval is cut into ``cells`` equal cells, a power
-    of two, so ``u * cells`` is exact and its floor is the cell that holds
-    ``u``. ``guide[c]`` counts the CDF entries <= c / cells: every one of
-    them is <= any ``u`` in cell c. ``width`` is the most entries any cell
-    holds strictly inside it, so ``width`` comparisons from ``guide[c]``
-    reach the count of entries <= ``u``. Cells are about as narrow as the
-    smallest positive probability, which keeps ``width`` near 1.
-    """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    bits = math.ceil(-math.log2(p[p > 0].min()))
-    cells = 1 << min(max(bits, 0), _MAX_GUIDE_BITS)
-    edges = np.arange(cells + 1) / cells
-    guide = cdf.searchsorted(edges[:-1], side="right")
-    width = int((cdf.searchsorted(edges[1:], side="left") - guide).max())
-    return cdf, guide, cells, width
-
-
-class _ProfileTables:
-    """Guide rows of one agent's opponent model, stacked for the sampled
-    expectation: opponent m's row inverts the epsilon-greedy law peaked at
-    its advertised best. ``probs`` holds those laws back to back, in the
-    order of the agent's stacked ``_phi`` rows.
-
-    A row is built once per ``(opponent, best)`` and kept for the agent's
-    life (``agent.epsilon`` is fixed after construction, like a reservoir's
-    ``w``); the stacked table is kept while the advertised bests stay.
-    """
-
-    def __init__(self):
-        self._rows = {}
-        self._bests = None
-        self._table = None
-        self.probs = None
-
-    def table(self, agent):
-        bests = tuple(agent.opponent_bests[m] for m in agent.opponents)
-        if bests != self._bests:
-            keys = list(zip(agent.opponents, bests))
-            for m, best in keys:
-                if (m, best) not in self._rows:
-                    p = _epsilon_greedy(len(agent.spaces[m]), best,
-                                        agent.epsilon)
-                    self._rows[m, best] = (_guide_row(p), p)
-            rows, probs = zip(*[self._rows[key] for key in keys])
-            self._bests = bests
-            self._table = _stack_rows(rows)
-            self.probs = np.concatenate(probs)
-        return self._table
-
-
-def _stack_rows(rows):
-    """One flat CDF and one flat guide over every row; guide entries index
-    the flat CDF."""
-    cdfs, guides, cells, widths = zip(*rows)
-    cdf_start = np.cumsum([0] + [len(c) for c in cdfs[:-1]])
-    guide_start = np.cumsum([0] + list(cells[:-1]))
-    cdf = np.concatenate(cdfs)
-    guide = np.concatenate([g + s for g, s in zip(guides, cdf_start)])
-    scale = np.array(cells, dtype=float)[:, None]
-    return (cdf, guide, scale, guide_start[:, None], cdf_start[:, None],
-            max(widths))
-
-
-def _invert(table, uniforms):
-    """``searchsorted(cdf_j, uniforms[j], side="right")`` for every row j of
-    a stacked table at once, bit for bit.
-
-    Every CDF ends at exactly 1.0 and each uniform lies in [0, 1), so no
-    comparison reads past the end of its own row.
-    """
-    cdf, guide, scale, guide_start, cdf_start, width = table
-    index = (uniforms * scale).astype(np.intp)
-    index += guide_start
-    index = guide.take(index)
-    for _ in range(width):
-        index += cdf.take(index) <= uniforms
-    index -= cdf_start
-    return index
+def _opponent_laws(agent):
+    """The opponent model's epsilon-greedy laws, peaked at the advertised
+    bests: ``(probs, cdfs)``. ``probs`` holds the laws back to back, in the
+    order of the stacked ``_phi_stack`` rows, and ``cdfs`` is their
+    ``_cdf_rows``. Kept while the advertised bests stay."""
+    bests = tuple(agent.opponent_bests[m] for m in agent.opponents)
+    if agent._laws is None or agent._laws[0] != bests:
+        laws = [_epsilon_greedy(len(agent.spaces[m]), best, agent.epsilon)
+                for m, best in zip(agent.opponents, bests)]
+        agent._laws = (bests, np.concatenate([np.zeros(0), *laws]),
+                       _cdf_rows(laws))
+    return agent._laws[1:]
 
 
 def beta_expectation(agent, action_i) -> ExpectedUtility:
@@ -400,48 +294,42 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
     opponent model, where opponent m plays the epsilon-greedy law p_m
     peaked at ``agent.opponent_bests[m]``.
 
-    When the joint opponent space fits ``expectation_budget`` the profiles
-    are enumerated exactly and ``stderr`` is 0. Otherwise the estimate is a
-    control variate (Glasserman, *Monte Carlo Methods in Financial
-    Engineering*, 2003, sec. 4.1): with ``w`` and ``b`` the reservoir part
-    and constant of alpha's row, ``tanh`` is linearized at the expected
-    pre-activation ``s_bar = drive + sum_m p_m . phi_m``, ``t_bar =
-    tanh(s_bar)``. The linear part, and the readout's input part, which is
-    linear already, are taken in exact expectation through one
-    ``|A_m|``-vector per opponent, ``g_m = phi_m (w * (1 - t_bar**2))`` and
-    ``c_m = enc_m . (input part of the row)``. Only the curvature residual
-    ``r = w . (tanh(s) - t_bar) - sum_m g_m[a_m]`` is sampled, over
-    ``budget`` profiles:
+    One estimator serves both cases, a control variate (Glasserman, *Monte
+    Carlo Methods in Financial Engineering*, 2003, sec. 4.1). With ``w``
+    and ``b`` the reservoir part and constant of alpha's row, ``tanh`` is
+    linearized at the expected pre-activation ``s_bar = drive + sum_m p_m .
+    phi_m``, ``t_bar = tanh(s_bar)``. The linear part, and the readout's
+    input part, which is linear already, are taken in exact expectation
+    through one ``|A_m|``-vector per opponent, ``g_m = phi_m (w * (1 -
+    t_bar**2))`` and ``c_m = enc_m . (input part of the row)``. What is
+    left is the curvature residual ``r = w . (tanh(s) - t_bar) - sum_m
+    g_m[a_m]`` of each opponent profile:
 
-        value = w . t_bar + b + sum_m p_m . (c_m + g_m) + mean(r)
+        value = w . t_bar + b + sum_m p_m . (c_m + g_m) + sum weight * r
 
-    and ``stderr = std(r, ddof=1) / sqrt(budget)``, the standard error of
-    that residual mean; it is 0 when the row's reservoir part is.
+    When the joint opponent space fits ``expectation_budget``, every profile
+    enters with its product of epsilon-greedy weights, the value is exact
+    and ``stderr`` is 0 (no opponents: the one empty profile). Otherwise
+    ``budget`` drawn profiles enter with weight 1/budget, and ``stderr =
+    std(r, ddof=1) / sqrt(budget)`` is the standard error of that residual
+    mean; it is 0 when the row's reservoir part is.
 
     The draws, and the generator state after them, equal one
     ``rng.choice(|A_m|, size=budget, p=p_m)`` per opponent in order: one
     (opponents, budget) block holds those calls' uniforms back to back, and
-    guide tables (Chen and Asau, 1974; ``_guide_row``) invert them.
+    ``_inverse_cdf`` inverts each against its opponent's CDF.
     """
     sizes = [len(agent.spaces[m]) for m in agent.opponents]
     budget, n_profiles = agent.expectation_budget, math.prod(sizes)
-    if n_profiles <= budget:
-        # no opponents: one empty profile
-        combos = np.indices(sizes).reshape(len(sizes), n_profiles)
-        weights = np.ones(combos.shape[1])
-        for j, m in enumerate(agent.opponents):
-            p = _epsilon_greedy(sizes[j], agent.opponent_bests[m],
-                                agent.epsilon)
-            weights *= p[combos[j]]
-        values = _alpha_predictions(agent, combos, action_i)
-        return ExpectedUtility(value=float(weights @ values), stderr=0.0,
-                               exact=True)
-    tables = agent._profile_tables
-    uniforms = agent.rng.random((len(sizes), budget))
+    probs, cdfs = _opponent_laws(agent)
+    exact = n_profiles <= budget
     # each profile as one row index of the stacked tables per opponent
-    picks = _invert(tables.table(agent), uniforms)
+    if exact:
+        picks = np.indices(sizes).reshape(len(sizes), n_profiles)
+    else:
+        picks = _inverse_cdf(cdfs, agent.rng.random((len(sizes), budget)))
     picks += agent._row_starts
-    probs, phi = tables.probs, agent._phi_stack
+    phi = agent._phi_stack
     row = agent.ro_alpha.w_out[action_i]
     n = agent.res_alpha.n_units
     w = row[:n]
@@ -456,11 +344,15 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
     residual = states @ w
     residual -= linear
     residual -= g.take(picks).sum(axis=0)
+    control = linear + row[-1] + probs @ (c + g)
+    if exact:
+        weights = probs.take(picks).prod(axis=0)
+        return ExpectedUtility(value=float(control + weights @ residual),
+                               stderr=0.0, exact=True)
     mean = residual.sum() / budget
     residual -= mean
     variance = residual @ residual / (budget - 1)
-    return ExpectedUtility(value=float(linear + row[-1] + probs @ (c + g)
-                                       + mean),
+    return ExpectedUtility(value=float(control + mean),
                            stderr=math.sqrt(variance / budget), exact=False)
 
 
@@ -556,8 +448,5 @@ def make_agents(algorithm, spaces, config, seed):
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "esn":
-        scratch = np.empty((2, config.expectation_budget,
-                            config.reservoir_units))
-        return [EsnAgent(n, spaces, config, seed, scratch=scratch)
-                for n in range(len(spaces))]
+        return [EsnAgent(n, spaces, config, seed) for n in range(len(spaces))]
     return [QAgent(n, spaces, config, seed) for n in range(len(spaces))]

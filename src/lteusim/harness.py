@@ -347,11 +347,14 @@ def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; "
                          f"choose from {sorted(SWEEP_AXES)}")
-    if algorithms is None:
-        algorithms = ALGORITHMS
+    algorithms = ALGORITHMS if algorithms is None else list(algorithms)
+    values = list(values)
+    # an empty axis or algorithm list would write a header-only table
+    for name, given in (("values", values), ("algorithms", algorithms)):
+        if not given:
+            raise ValueError(f"sweep {name} must not be empty")
     field = SWEEP_AXES[axis]
     kind = type(getattr(template, field))
-    values = list(values)
     # a count axis must not truncate 12.5 to 12 and still report 12.5
     if kind is int:
         for value in values:

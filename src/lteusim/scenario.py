@@ -79,9 +79,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            values = np.asarray(getattr(self, f.name), dtype=float)
-            if not np.isfinite(values).all():
+            value = getattr(self, f.name)
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
                 raise ValueError(f"{f.name} must be finite")
+            if f.type == "int":
+                # bool is an int to Python, but True is no count or seed
+                if isinstance(value, bool) or not float(value).is_integer():
+                    raise ValueError(f"{f.name} must be an integer")
+                object.__setattr__(self, f.name, int(value))
         positive = (
             "macro_radius_m", "wifi_users_per_wap", "sbs_coverage_m",
             "f_l_dl_hz", "f_l_ul_hz", "f_u_hz", "action_set_size",

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from lteusim import agents, esn, game, harness
 from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
-                            _best_reply, _encode_space, _guide_row, _invert,
-                            _ProfileTables, _stack_rows,
+                            _best_reply, _cdf_rows, _encode_space,
+                            _inverse_cdf, _opponent_laws,
                             algorithm_capacities, algorithm_spaces,
                             beta_expectation, finish_round, make_agents,
                             observe_outcome, reward_joint,
@@ -501,13 +501,17 @@ class TestBetaTarget:
         assert abs(got.value - exact) <= 3.0 * got.stderr
 
     @pytest.mark.parametrize("budget", [16, 128])  # sampled, exact
-    def test_stale_scratch_does_not_reach_the_result(self, budget):
-        # a team shares one pair of work arrays, so each call must write
-        # every entry it reads
-        want = beta_expectation(self.two_opponent_agent(budget), 1)
+    def test_moved_bests_reach_the_kept_laws(self, budget):
+        # the laws are kept per advertised row; a call after the bests
+        # move equals a fresh agent's on the same generator state
         agent = self.two_opponent_agent(budget)
-        agent._scratch = np.full((2, budget, agent.res_alpha.n_units), np.nan)
-        assert beta_expectation(agent, 1) == want
+        beta_expectation(agent, 1)
+        agent.opponent_bests = (0, 3, 4)
+        fresh = self.two_opponent_agent(budget)
+        fresh.opponent_bests = (0, 3, 4)
+        fresh.rng.bit_generator.state = agent.rng.bit_generator.state
+        assert beta_expectation(agent, 1) == beta_expectation(fresh, 1)
+        assert agent.rng.random() == fresh.rng.random()
 
     @pytest.mark.parametrize("budget", [2, 3, 16])
     def test_matches_the_control_variate_oracle(self, budget):
@@ -581,20 +585,19 @@ class TestBetaTarget:
 
 
 def model_agent(sizes, bests, epsilon):
-    """What ``_ProfileTables.table`` reads of an agent: BS 0 and one
-    opponent per entry of ``sizes``, advertising ``bests``."""
+    """What ``_opponent_laws`` reads of an agent: BS 0 and one opponent per
+    entry of ``sizes``, advertising ``bests``."""
     return SimpleNamespace(opponents=tuple(range(1, len(sizes) + 1)),
                            spaces=[None] + [range(n) for n in sizes],
                            opponent_bests=(0,) + tuple(bests),
-                           epsilon=epsilon)
+                           epsilon=epsilon, _laws=None)
 
 
-def sampled_profiles(rng, agent, budget, tables=None):
+def sampled_profiles(rng, agent, budget):
     """The sampled expectation's profiles: one block of uniforms, inverted
-    through the agent's stacked guide table."""
-    tables = _ProfileTables() if tables is None else tables
-    return _invert(tables.table(agent),
-                   rng.random((len(agent.opponents), budget)))
+    against the agent's CDF rows."""
+    _, cdfs = _opponent_laws(agent)
+    return _inverse_cdf(cdfs, rng.random((len(agent.opponents), budget)))
 
 
 class TestDrawProfiles:
@@ -625,11 +628,6 @@ class TestDrawProfiles:
         assert draws[0].max() < 4 and draws[1].max() < 3
 
 
-def stacked(probs):
-    """Guide rows of arbitrary probability arrays, stacked."""
-    return _stack_rows([_guide_row(p) for p in probs])
-
-
 def searchsorted_stack(probs, uniforms):
     """Reference inversion: a binary search of each normalized CDF."""
     rows = []
@@ -641,13 +639,14 @@ def searchsorted_stack(probs, uniforms):
 
 
 def edge_uniforms(probs):
-    """Per row: every CDF value below 1, every cell edge k/G, 0.0 and the
-    largest double below 1, with the neighbouring doubles of each; rows
-    are padded to a common length with 0.5."""
+    """Per row: every CDF value below 1, 0.0 and the largest double below
+    1, with the neighbouring doubles of each; rows are padded to a common
+    length with 0.5."""
     rows = []
     for p in probs:
-        cdf, _, cells, _ = _guide_row(p)
-        points = np.concatenate([cdf[cdf < 1.0], np.arange(cells) / cells,
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        points = np.concatenate([cdf[cdf < 1.0],
                                  [0.0, np.nextafter(1.0, 0.0)]])
         points = np.concatenate([points, np.nextafter(points, 0.0),
                                  np.nextafter(points, 1.0)])
@@ -657,26 +656,25 @@ def edge_uniforms(probs):
                      for r in rows])
 
 
-class TestGuideInversion:
-    """``_invert`` against ``searchsorted(side="right")``, bit for bit."""
+class TestInverseCdf:
+    """``_inverse_cdf`` over ``_cdf_rows`` against
+    ``searchsorted(side="right")``, bit for bit."""
 
     def check(self, probs, uniforms):
-        table = stacked(probs)
-        got = _invert(table, uniforms)
+        got = _inverse_cdf(_cdf_rows(probs), uniforms)
         assert got.dtype == np.intp
         assert np.array_equal(got, searchsorted_stack(probs, uniforms))
-        return table
 
-    def test_edges_of_cells_and_cdf_entries(self):
+    def test_cdf_entries_and_their_neighbours(self):
+        # rows of different lengths, so the shorter ones are padded
         probs = [epsilon_greedy(32, 5, 0.7), epsilon_greedy(7, 0, 0.3),
                  np.full(4, 0.25), np.array([1.0])]
         self.check(probs, edge_uniforms(probs))
 
-    def test_many_entries_in_one_cell(self):
-        # 39 entries 2.5e-5 apart share the cells below the peak
+    def test_entries_a_hair_apart(self):
+        # 39 entries 2.5e-5 apart below the peak
         probs = [epsilon_greedy(40, 39, 1e-3), epsilon_greedy(40, 0, 1e-3)]
-        table = self.check(probs, edge_uniforms(probs))
-        assert table[-1] > 1  # comparisons per uniform
+        self.check(probs, edge_uniforms(probs))
         rng = np.random.default_rng(1)
         self.check(probs, rng.random((2, 4000)) * 1e-3)
 
@@ -687,7 +685,7 @@ class TestGuideInversion:
                  np.array([0.25, 0.25, 0.0, 0.5, 0.0])]
         self.check(probs, edge_uniforms(probs))
         rng = np.random.default_rng(2)
-        draws = _invert(stacked(probs), rng.random((4, 2000)))
+        draws = _inverse_cdf(_cdf_rows(probs), rng.random((4, 2000)))
         for p, row in zip(probs, draws):
             assert np.all(p[row] > 0)
 
@@ -701,37 +699,31 @@ class TestGuideInversion:
         self.check(probs, uniforms)
         self.check(probs, edge_uniforms(probs))
 
-    def test_tables_are_kept_per_model(self, monkeypatch):
+    def test_laws_are_kept_per_advertised_row(self, monkeypatch):
         built = []
 
-        def counted(p):
-            built.append(p.tolist())
-            return _guide_row(p)
+        def counted(size, best, epsilon):
+            built.append((size, best))
+            return game._epsilon_greedy(size, best, epsilon)
 
-        monkeypatch.setattr(agents, "_guide_row", counted)
-        tables = _ProfileTables()
+        monkeypatch.setattr(agents, "_epsilon_greedy", counted)
         agent = model_agent([32, 16], [1, 2], epsilon=0.7)
         model = [epsilon_greedy(32, 1, 0.7), epsilon_greedy(16, 2, 0.7)]
-        first = tables.table(agent)
-        assert built == [p.tolist() for p in model]
-        # the same bests in a fresh row keep the stacked table
+        probs, cdfs = _opponent_laws(agent)
+        assert built == [(32, 1), (16, 2)]
+        assert np.array_equal(probs, np.concatenate(model))
+        # the same bests in a fresh row keep the laws
         agent.opponent_bests = tuple(list(agent.opponent_bests))
-        assert tables.table(agent) is first
-        # a moved best restacks, building only the new (opponent, best) row
-        agent.opponent_bests = (0, 1, 9)
+        assert _opponent_laws(agent)[1] is cdfs
+        # a moved best rebuilds them; the own entry is not read
+        agent.opponent_bests = (7, 1, 9)
         moved = [model[0], epsilon_greedy(16, 9, 0.7)]
-        second = tables.table(agent)
-        assert second is not first
-        assert built[2:] == [moved[1].tolist()]
+        probs, cdfs = _opponent_laws(agent)
+        assert built[2:] == [(32, 1), (16, 9)]
+        assert np.array_equal(probs, np.concatenate(moved))
         uniforms = np.random.default_rng(3).random((2, 500))
-        assert np.array_equal(_invert(second, uniforms),
+        assert np.array_equal(_inverse_cdf(cdfs, uniforms),
                               searchsorted_stack(moved, uniforms))
-        # moving back reuses both kept rows
-        agent.opponent_bests = (5, 1, 2)  # the own entry is not read
-        third = tables.table(agent)
-        assert third is not second and len(built) == 3
-        assert np.array_equal(_invert(third, uniforms),
-                              searchsorted_stack(model, uniforms))
 
 
 # full reservoir step -------------------------------------------------------
@@ -779,7 +771,7 @@ class TestAgentStep:
         # numpy arithmetic on the 2-unit reservoirs
         space = single_user_space(0, [((0.5,), (0.5,), None, None),
                                       ((1.0,), (0.0,), None, None)])
-        agent = EsnAgent(0, [space], tiny_config(), seed=0)
+        agent = EsnAgent(0, [space], tiny_config(reservoir_units=2), seed=0)
         agent.epsilon = 0.0
 
         w_alpha = np.array([[0.5, -0.25], [0.1, 0.3]])
@@ -1126,8 +1118,6 @@ class TestAlgorithmGating:
         team = make_agents("esn", spaces, config, seed=1)
         assert [a.bs for a in team] == [0, 1]
         assert all(isinstance(a, EsnAgent) for a in team)
-        # one pair of expectation work arrays for the whole team
-        assert team[0]._scratch is team[1]._scratch
         team = make_agents("q_lteu_coupled", spaces, config, seed=1)
         assert all(isinstance(a, QAgent) for a in team)
         with pytest.raises(ValueError, match="unknown algorithm"):

@@ -117,6 +117,20 @@ class TestSweepCommand:
         assert code == 2
         assert "dqn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, name", [
+        (["--values", ""], "values"),
+        (["--values", ","], "values"),
+        (["--values", "2", "--algorithms", ""], "algorithms"),
+        (["--values", "2", "--algorithms", ","], "algorithms"),
+    ])
+    def test_empty_sweep_exits_2(self, tmp_path, capsys, flag, name):
+        code = cli.main(["sweep", "--axis", "n_users", *flag, "--runs", "1",
+                         "--out", str(tmp_path), *SMALL])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: sweep {name} must not be empty" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestCoexistenceCommand:
     def test_table_matches_the_model(self, tmp_path):

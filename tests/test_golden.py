@@ -10,6 +10,8 @@ differently in the last bits, which can flip a near-tied action and move
 a whole run.
 """
 
+import math
+
 import pytest
 
 from lteusim import agents
@@ -65,3 +67,26 @@ def test_esn_exact_expectation_run(monkeypatch):
     result = run(desk_config(action_set_size=2, max_iterations=300), "esn", 0)
     assert fingerprint(result) == (53, 123663339.29925832, 5051013.112793814)
     assert len(exact) == 53 * 5 and all(exact)
+
+
+def learner_sum(result):
+    """Exact sum of every round's learner floats: each BS's e_alpha, e_beta,
+    r_hat_alpha and r_hat_beta. Float drift that flips no decision leaves
+    the fingerprint alone but moves this."""
+    return math.fsum(value for record in result.records
+                     for d in record.diagnostics
+                     for value in (d.e_alpha, d.e_beta, d.r_hat_alpha,
+                                   d.r_hat_beta))
+
+
+def test_esn_learner_floats_sampled():
+    # every beta expectation of this run is sampled
+    result = run(desk_config(max_iterations=100), "esn", 0)
+    assert learner_sum(result) == 75003.95869562491
+
+
+def test_esn_learner_floats_exact():
+    # every beta expectation is enumerated; a reordered sum of the same
+    # terms may move the last bits
+    result = run(desk_config(action_set_size=2, max_iterations=300), "esn", 0)
+    assert learner_sum(result) == pytest.approx(62351.098233667224, rel=1e-12)

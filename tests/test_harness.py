@@ -297,6 +297,15 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown sweep axis"):
             sweep(small_config(), "bandwidth", [1, 2], ["esn"], n_runs=1)
 
+    @pytest.mark.parametrize("values, algorithms, name", [
+        ([], ["esn"], "values"),
+        ([2], [], "algorithms"),
+        ((v for v in ()), None, "values"),
+    ])
+    def test_empty_sweep_rejected_by_name(self, values, algorithms, name):
+        with pytest.raises(ValueError, match=f"sweep {name} must not be empty"):
+            sweep(small_config(), "n_users", values, algorithms, n_runs=1)
+
     @pytest.mark.parametrize("axis", ["n_sbs", "n_users", "n_wifi"])
     @pytest.mark.parametrize("value", [12.5, 2.000001, float("nan"),
                                        float("inf")])

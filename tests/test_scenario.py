@@ -132,6 +132,36 @@ def test_config_integer_keys_refuse_fractions():
         ScenarioConfig.from_mapping({"n_users": "2.5"})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("action_set_size", 16.5),   # would silently run 17-action spaces
+    ("z_levels", 10.5),
+    ("reservoir_units", 12.5),
+    ("convergence_window", 2.5),
+    ("expectation_budget", 2.5),
+    ("n_sbs", True),
+])
+def test_integer_fields_refuse_fractions_when_built_directly(field, value):
+    for build in (lambda: desk_config(**{field: value}),
+                  lambda: ScenarioConfig().with_overrides(**{field: value}),
+                  lambda: ScenarioConfig(**{field: value})):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            build()
+
+
+def test_every_integer_field_checked_and_kept_an_int():
+    ints = [f.name for f in dataclasses.fields(ScenarioConfig)
+            if f.type == "int"]
+    assert "action_set_size" in ints and "rng_seed" in ints
+    for name in ints:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ScenarioConfig(**{name: 2.5})
+    # an integral float or numpy integer is stored as a Python int
+    cfg = desk_config(action_set_size=4.0, n_users=np.int64(6))
+    assert type(cfg.action_set_size) is int and cfg.action_set_size == 4
+    assert type(cfg.n_users) is int and cfg == desk_config(action_set_size=4,
+                                                           n_users=6)
+
+
 @pytest.mark.parametrize(
     "key,value",
     [
