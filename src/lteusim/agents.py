@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -91,7 +92,7 @@ class EsnAgent:
         self.opponents = tuple(m for m in range(len(self.spaces)) if m != self.bs)
         # the opponent model: the last advertised row (own entry unread)
         self.opponent_bests = (0,) * len(self.spaces)
-        self._laws = None  # (bests, probs, cdfs) of _opponent_laws
+        self._laws = None  # the _OpponentLaws of the advertised bests
         self._best_prev = None
         self._pending = None
 
@@ -198,7 +199,7 @@ def _best_reply(agent):
     to revisit actions the way a value table must. Switches of the
     advertised action are debounced by BEST_SWITCH_MARGIN.
     """
-    x = agent.profile_input(agent.opponent_bests)
+    x = _opponent_laws(agent).x_best
     mu = esn.peek_state(agent.res_alpha, x)
     values = esn.readout_all(agent.ro_alpha, mu, x)
     best = int(np.argmax(values))
@@ -275,18 +276,31 @@ def _inverse_cdf(cdfs, uniforms):
     return (cdfs[:, None, :] <= uniforms[:, :, None]).sum(axis=2)
 
 
-def _opponent_laws(agent):
+class _OpponentLaws(NamedTuple):
+    """What the opponent model fixes until an advertised best moves."""
+
+    bests: tuple       # the opponents' advertised bests, the cache key
+    probs: np.ndarray  # the epsilon-greedy laws back to back
+    cdfs: np.ndarray   # their _cdf_rows
+    phi_mean: np.ndarray  # probs @ _phi_stack: the expected input drive
+    x_best: np.ndarray    # alpha's input for the advertised profile
+
+
+def _opponent_laws(agent) -> _OpponentLaws:
     """The opponent model's epsilon-greedy laws, peaked at the advertised
-    bests: ``(probs, cdfs)``. ``probs`` holds the laws back to back, in the
-    order of the stacked ``_phi_stack`` rows, and ``cdfs`` is their
-    ``_cdf_rows``. Kept while the advertised bests stay."""
+    bests, with what the agent derives from them alone. ``probs`` follows
+    the order of the stacked ``_phi_stack`` rows. Kept while the
+    advertised bests stay."""
     bests = tuple(agent.opponent_bests[m] for m in agent.opponents)
-    if agent._laws is None or agent._laws[0] != bests:
+    if agent._laws is None or agent._laws.bests != bests:
         laws = [_epsilon_greedy(len(agent.spaces[m]), best, agent.epsilon)
                 for m, best in zip(agent.opponents, bests)]
-        agent._laws = (bests, np.concatenate([np.zeros(0), *laws]),
-                       _cdf_rows(laws))
-    return agent._laws[1:]
+        probs = np.concatenate([np.zeros(0), *laws])
+        x_best = agent.profile_input(agent.opponent_bests)
+        x_best.flags.writeable = False
+        agent._laws = _OpponentLaws(bests, probs, _cdf_rows(laws),
+                                    probs @ agent._phi_stack, x_best)
+    return agent._laws
 
 
 def beta_expectation(agent, action_i) -> ExpectedUtility:
@@ -321,20 +335,22 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
     """
     sizes = [len(agent.spaces[m]) for m in agent.opponents]
     budget, n_profiles = agent.expectation_budget, math.prod(sizes)
-    probs, cdfs = _opponent_laws(agent)
+    laws = _opponent_laws(agent)
+    probs = laws.probs
     exact = n_profiles <= budget
     # each profile as one row index of the stacked tables per opponent
     if exact:
         picks = np.indices(sizes).reshape(len(sizes), n_profiles)
     else:
-        picks = _inverse_cdf(cdfs, agent.rng.random((len(sizes), budget)))
+        picks = _inverse_cdf(laws.cdfs,
+                             agent.rng.random((len(sizes), budget)))
     picks += agent._row_starts
     phi = agent._phi_stack
     row = agent.ro_alpha.w_out[action_i]
     n = agent.res_alpha.n_units
     w = row[:n]
     drive = agent.res_alpha.drive
-    t_bar = np.tanh(drive + probs @ phi)
+    t_bar = np.tanh(drive + laws.phi_mean)
     g = phi @ (w * (1.0 - t_bar * t_bar))
     c = agent._enc_stack @ row[n:-1]
     linear = w @ t_bar
@@ -415,7 +431,7 @@ def observe_outcome(agent, settled):
     if settled.shape != agent._settled_shape:
         raise ValueError(f"settled block must have shape {agent._settled_shape}")
     # (2 band, 2 direction, k): [[d, v], [kappa, tau]] of the own rows
-    own = settled[:, agent.bs, agent._covered].reshape(2, 2, -1)
+    own = settled[:, agent.bs].take(agent._covered, axis=1).reshape(2, 2, -1)
     served = (own[0] > 0) | (own[1] > 0)
     agent.x_beta = served.ravel() * agent._beta_scale
 

@@ -25,6 +25,21 @@ def _parse_sets(pairs):
     return mapping
 
 
+def _parse_list(flag, text, kind):
+    """The non-empty entries of a comma-separated flag value, each read as
+    ``kind``; an entry that does not read names the flag."""
+    entries = []
+    for entry in text.split(","):
+        if not entry:
+            continue
+        try:
+            entries.append(kind(entry))
+        except ValueError:
+            raise ValueError(f"{flag} takes comma-separated {kind.__name__} "
+                             f"values, got {entry!r}") from None
+    return entries
+
+
 def _build_config(args, defaults=None) -> ScenarioConfig:
     if args.config:
         base = ScenarioConfig.from_file(args.config)
@@ -91,7 +106,7 @@ def cmd_sweep(args) -> int:
     config = _build_config(args)
     seed = _seed(args, config)
     out = _out_dir(args)
-    values = [float(v) for v in args.values.split(",") if v]
+    values = _parse_list("--values", args.values, float)
     algorithms = [a for a in args.algorithms.split(",") if a]
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
@@ -115,8 +130,8 @@ def cmd_sweep(args) -> int:
 def cmd_coexistence(args) -> int:
     config = _build_config(args)
     out = _out_dir(args)
-    users = [int(v) for v in args.wifi_users.split(",") if v]
-    rates = ([float(v) for v in args.rates.split(",") if v]
+    users = _parse_list("--wifi-users", args.wifi_users, int)
+    rates = (_parse_list("--rates", args.rates, float)
              if args.rates else [config.wifi_rate_req_bps])
     config.echo(out / "config_echo.txt")
     path = out / "coexistence.csv"

@@ -161,10 +161,12 @@ def update_state(r: Reservoir, x) -> np.ndarray:
 # readout ------------------------------------------------------------------
 
 
+_ONE = np.ones(1)
+
+
 def _features(ro: Readout, mu, x) -> np.ndarray:
     """The readout's input z = [mu; x; 1], checked against its width."""
-    z = np.concatenate([np.asarray(mu, dtype=float),
-                        np.asarray(x, dtype=float), [1.0]])
+    z = np.concatenate([mu, x, _ONE])
     if z.shape[0] != ro.w_out.shape[1]:
         raise ValueError("feature length does not match the readout width")
     return z

@@ -326,31 +326,55 @@ def resolved_utilities(settled, caps: LinkCapacitySet,
 class JointEvaluator:
     """Vectorized resolved-utility evaluation over index-coded joints.
 
-    Stacks every space's fractions once into one zero-padded
-    (4, n_bs * max |A|, n_users) table, BS n's action i at row
-    n * max |A| + i; evaluating a batch of S joints is then one gather plus
-    array arithmetic. The gather and settle here are separate from
+    What a joint's settlement reads of an action is a constant of the run,
+    so it is tabulated once per action at construction, BS n's action i at
+    row n * max |A| + i (rows past a smaller space are inactive padding).
+    Per direction ``[DL, UL]`` and user, an action has an active-grant
+    mask, an offer (licensed plus raw unlicensed fraction-weighted
+    capacity, -1.0 where the grant is inactive), and the gain it earns if
+    it keeps the grant, ``log2(1 + d * c_l + (eta * kappa) * c_u)`` (the
+    uplink undiscounted). Evaluating a batch of S joints is then a gather,
+    one argmax over the offers, and the sum of the kept gains.
+
+    A lost grant earns exactly 0.0, as ``log2(1 + 0 * c_l + 0 * c_u)``
+    does when the capacities are finite (``0 * inf`` is NaN), and an
+    active offer is never negative when they are nonnegative; other
+    capacities are refused. The gather and settle here are separate from
     ``resolve_conflicts``, so the reward audit compares two computations.
     """
 
     def __init__(self, spaces, caps: LinkCapacitySet, eta: float = DEFAULT_ETA,
                  coupled: bool = False):
+        for name in ("c_l_dl", "c_l_ul", "c_u_dl", "c_u_ul"):
+            matrix = getattr(caps, name)
+            if not (np.isfinite(matrix).all() and (matrix >= 0.0).all()):
+                raise ValueError(f"capacity matrix {name} must be finite "
+                                 "and nonnegative")
         spaces = tuple(spaces)
         self.coupled = coupled
         self.n_bs = len(spaces)
         self.sizes = np.array([len(s) for s in spaces], dtype=int)
         width = int(self.sizes.max())
         n_users = spaces[0].n_users
-        tables = np.zeros((4, self.n_bs, width, n_users))
+        # (2 band, 2 direction, n_bs, width, n_users): [[d, v], [kappa, tau]]
+        frac = np.zeros((2, 2, self.n_bs, width, n_users))
         for n, space in enumerate(spaces):
-            tables[:, n, :len(space)] = space.fractions.transpose(1, 0, 2)
-        self._table = tables.reshape(4, self.n_bs * width, n_users)
+            frac[:, :, n, :len(space)] = space.fractions.transpose(
+                1, 0, 2).reshape(2, 2, len(space), n_users)
+        caps_block = caps.block[:, :, :, None]
+        active = (frac[0] > 0) | (frac[1] > 0)
+        product = frac * caps_block
+        offer = np.where(active, product[0] + product[1], -1.0)
+        # per direction [DL, UL]: only unlicensed DL is discounted
+        discount = np.array([eta, 1.0])[:, None, None, None]
+        gain = np.log2(1.0 + frac[0] * caps_block[0]
+                       + discount * frac[1] * caps_block[1])
+        rows = (2, self.n_bs * width, n_users)
+        self._active = active.reshape(rows)
+        # (2, 2 direction, rows, n_users): the offers, then the gains
+        self._table = np.stack([offer, gain]).reshape(2, *rows)
         self._offsets = np.arange(self.n_bs) * width
         self._bs_column = np.arange(self.n_bs)[:, None]
-        # (2, 2, 1, n_bs, n_users): broadcast over the batch axis
-        self._caps = caps.block[:, :, None]
-        # per direction [DL, UL]: only unlicensed DL is discounted
-        self._discount = np.array([eta, 1.0])[:, None, None, None]
 
     def batch_utilities(self, index_matrix) -> np.ndarray:
         """(S, n_bs) joint index rows -> (S, n_bs) resolved utilities."""
@@ -360,27 +384,21 @@ class JointEvaluator:
         # an index past a smaller space would read its zero padding
         if ((idx < 0) | (idx >= self.sizes)).any():
             raise IndexError("action index outside its BS's action space")
-        # (2 band, 2 direction, S, n_bs, n_users): [[d, v], [kappa, tau]]
-        frac = self._table.take(idx + self._offsets, axis=1).reshape(
-            2, 2, *idx.shape, self._table.shape[-1])
-        caps = self._caps
-        active = (frac[0] > 0) | (frac[1] > 0)
-        product = frac * caps
+        rows = idx + self._offsets
+        # (2 direction, S, n_bs, n_users) each
+        active = self._active.take(rows, axis=1)
+        offer, gain = self._table.take(rows, axis=2)
         # (2, S, 1, n_users): best offering BS per direction, ties to the
         # lower index; an active offer is never negative, so it is picked
         # over every inactive one
-        pick = np.where(active, product[0] + product[1], -1.0).argmax(
-            axis=2, keepdims=True)
+        pick = offer.argmax(axis=2, keepdims=True)
         if self.coupled:
             served = active.any(axis=2, keepdims=True)
             serving = np.where(served[0], pick[0], pick[1])
             keep = (served[0] | served[1]) & (self._bs_column == serving)
         else:
             keep = active & (self._bs_column == pick)
-        settled = np.where(keep, frac, 0.0)
-        gain = np.log2(1.0 + settled[0] * caps[0]
-                       + self._discount * settled[1] * caps[1])
-        per_direction = gain.sum(axis=3)
+        per_direction = np.where(keep, gain, 0.0).sum(axis=3)
         return per_direction[0] + per_direction[1]
 
     def utilities(self, indices) -> np.ndarray:

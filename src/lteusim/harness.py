@@ -22,7 +22,8 @@ from .agents import (QDiagnostics, algorithm_capacities, algorithm_spaces,
                      select_and_broadcast)
 from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
                    resolved_utilities, validate_space)
-from .rates import UserRates, build_capacities, compute_user_rates
+from .rates import (UserRates, build_capacities, check_grants,
+                    compute_user_rates)
 from .scenario import ALGORITHMS, ScenarioConfig, draw_channel, generate_topology
 from .wifi import default_params, duty_cycle_for_config, saturation_throughput
 
@@ -152,8 +153,9 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         keep_records: bool = True) -> RunResult:
     """One full learning run; deterministic in (config, algorithm, seed).
 
-    ``keep_records`` drops the per-round records (Monte-Carlo replications
-    only need the end-state metrics).
+    ``keep_records=False`` drops the per-round records (Monte-Carlo
+    replications only need the end-state metrics), and with them the played
+    joint's per-round rates; its grants are still checked every round.
     """
     if seed is None:
         seed = config.rng_seed
@@ -189,10 +191,13 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         diags = tuple(finish_round(agent, current, best, batch[n, n])
                       for n, agent in enumerate(team))
 
-        # the played joint settled once; rates, the audit and the agents'
-        # association bits all read this one block
+        # the played joint settled once; its grant check, the audit, the
+        # agents' association bits and a record's rates all read this block
         settled = resolve_conflicts(spaces, current, caps, coupled=coupled)
-        user_rates = compute_user_rates(settled, caps)
+        if keep_records:
+            user_rates = compute_user_rates(settled, caps)
+        else:
+            check_grants(settled, caps)
         audit = resolved_utilities(settled, caps, eta=config.eta)
         # np.allclose(rtol=1e-9, atol=1e-9) written out, without its
         # overhead; unlike allclose, equal infinities fail
@@ -342,17 +347,23 @@ class SweepCell:
 def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
           n_runs: int = 100, base_seed: int = 0) -> list[SweepCell]:
     """Cross-product of axis values and algorithms, one Monte-Carlo cell
-    each. All algorithms at one axis value share the same base seed, so
-    their replications are pairwise comparable."""
+    each; neither list may be empty or repeat an entry. All algorithms at
+    one axis value share the same base seed, so their replications are
+    pairwise comparable."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; "
                          f"choose from {sorted(SWEEP_AXES)}")
     algorithms = ALGORITHMS if algorithms is None else list(algorithms)
     values = list(values)
-    # an empty axis or algorithm list would write a header-only table
+    # an empty axis or algorithm list would write a header-only table, and
+    # a repeated entry would run the same cells again
     for name, given in (("values", values), ("algorithms", algorithms)):
         if not given:
             raise ValueError(f"sweep {name} must not be empty")
+        for i, entry in enumerate(given):
+            if entry in given[:i]:
+                raise ValueError(f"sweep {name} must not repeat an entry, "
+                                 f"got {entry!r} twice")
     field = SWEEP_AXES[axis]
     kind = type(getattr(template, field))
     # a count axis must not truncate 12.5 to 12 and still report 12.5

@@ -127,32 +127,41 @@ class UserRates:
                 ])
 
 
-def compute_user_rates(settled, capacities: LinkCapacitySet) -> UserRates:
-    """Fraction-weighted rates for a conflict-free joint allocation.
+def check_grants(settled, capacities: LinkCapacitySet) -> np.ndarray:
+    """The (2, n_bs, n_users) active grants ``[DL, UL]`` of a settled
+    (4, n_bs, n_users) fraction block ``[d, v, kappa, tau]``, as
+    ``game.resolve_conflicts`` returns it.
 
-    ``settled`` is the joint's (4, n_bs, n_users) fraction block ``[d, v,
-    kappa, tau]``, as ``game.resolve_conflicts`` returns it. Raises if two
-    BSs grant the same user a nonzero fraction in the same direction;
-    resolve conflicts first.
+    Raises if two BSs grant the same user a nonzero fraction in the same
+    direction; resolve conflicts first.
     """
     n_users, n_bs = capacities.c_l_dl.shape
     if settled.shape != (4, n_bs, n_users):
         raise ValueError("settled block shape does not match the capacity set")
-    # (2 band, 2 direction, n_bs, n_users): [[d, v], [kappa, tau]]
-    frac = settled.reshape(2, 2, n_bs, n_users)
-
-    grants = (frac[0] > 0) | (frac[1] > 0)
+    grants = (settled[:2] > 0) | (settled[2:] > 0)
     # (2, n_users) granting BSs per direction and user
     count = grants.sum(axis=1)
     if (count > 1).any():
         direction, user = np.argwhere(count > 1)[0]
         raise ValueError(f"user {user} is granted a {('DL', 'UL')[direction]} "
                          "allocation by more than one BS")
+    return grants
 
+
+def compute_user_rates(settled, capacities: LinkCapacitySet) -> UserRates:
+    """Fraction-weighted rates for a conflict-free joint allocation.
+
+    ``settled`` is the joint's (4, n_bs, n_users) fraction block ``[d, v,
+    kappa, tau]``, as ``game.resolve_conflicts`` returns it; it must pass
+    ``check_grants``.
+    """
+    grants = check_grants(settled, capacities)
+    # (2 band, 2 direction, n_bs, n_users): [[d, v], [kappa, tau]]
+    frac = settled.reshape(2, 2, *settled.shape[1:])
     # at most one BS grants each user and direction, so every sum over the
     # BSs below has a single nonzero term and is exact in any order
     per_band = (frac * capacities.block).sum(axis=2)
     rate = per_band[0] + per_band[1]
-    serving = np.where(count > 0, grants.argmax(axis=1), -1)
+    serving = np.where(grants.any(axis=1), grants.argmax(axis=1), -1)
     return UserRates(dl_bps=rate[0], ul_bps=rate[1],
                      serving_dl=serving[0], serving_ul=serving[1])

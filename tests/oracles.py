@@ -4,8 +4,10 @@
 ``Action`` is a plain view of one action as per-covered-user tuples, with
 builders to and from ``ActionSpace``. The per-action loops that
 ``validate_space``, ``restrict_coupled`` and ``restrict_licensed_only``
-replaced are kept here as oracles for them, and so are the plain and the
-control-variate Monte-Carlo estimators of the agents' beta expectation.
+replaced are kept here as oracles for them, and so are the per-batch
+arithmetic that ``JointEvaluator``'s per-action tables replaced and the
+plain and the control-variate Monte-Carlo estimators of the agents' beta
+expectation.
 """
 
 import math
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lteusim.game import (ActionSpace, MixedStrategy, Violation,
+from lteusim.game import (DEFAULT_ETA, ActionSpace, MixedStrategy, Violation,
                           resolve_conflicts)
 
 
@@ -171,6 +173,41 @@ def restrict_coupled_oracle(space: ActionSpace) -> list:
             kappa=None if action.kappa is None else tuple(kp),
             tau=None if action.tau is None else tuple(tp)))
     return _dedupe(projected)
+
+
+# evaluator oracle ------------------------------------------------------------
+
+
+def batch_utilities_oracle(spaces, caps, index_matrix, eta=DEFAULT_ETA,
+                           coupled=False):
+    """``JointEvaluator.batch_utilities`` with the fraction-weighted
+    capacities recomputed for every batch: gather the joints' fractions,
+    weight them by the capacities, settle, and take the log-sum of the
+    kept fractions' rates."""
+    idx = np.atleast_2d(np.asarray(index_matrix, dtype=int))
+    n_bs, n_users = len(spaces), caps.n_users
+    # (2 band, 2 direction, S, n_bs, n_users): [[d, v], [kappa, tau]]
+    frac = np.stack([space.fractions[idx[:, n]] for n, space
+                     in enumerate(spaces)], axis=1)
+    frac = frac.transpose(2, 0, 1, 3).reshape(2, 2, len(idx), n_bs, n_users)
+    block = caps.block[:, :, None]
+    active = (frac[0] > 0) | (frac[1] > 0)
+    product = frac * block
+    pick = np.where(active, product[0] + product[1], -1.0).argmax(
+        axis=2, keepdims=True)
+    bs = np.arange(n_bs)[:, None]
+    if coupled:
+        served = active.any(axis=2, keepdims=True)
+        serving = np.where(served[0], pick[0], pick[1])
+        keep = (served[0] | served[1]) & (bs == serving)
+    else:
+        keep = active & (bs == pick)
+    settled = np.where(keep, frac, 0.0)
+    discount = np.array([eta, 1.0])[:, None, None, None]
+    gain = np.log2(1.0 + settled[0] * block[0]
+                   + discount * settled[1] * block[1])
+    per_direction = gain.sum(axis=3)
+    return per_direction[0] + per_direction[1]
 
 
 # beta expectation oracles ----------------------------------------------------

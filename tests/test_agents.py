@@ -586,18 +586,23 @@ class TestBetaTarget:
 
 def model_agent(sizes, bests, epsilon):
     """What ``_opponent_laws`` reads of an agent: BS 0 and one opponent per
-    entry of ``sizes``, advertising ``bests``."""
-    return SimpleNamespace(opponents=tuple(range(1, len(sizes) + 1)),
-                           spaces=[None] + [range(n) for n in sizes],
-                           opponent_bests=(0,) + tuple(bests),
-                           epsilon=epsilon, _laws=None)
+    entry of ``sizes``, advertising ``bests``. Its stacked input rows are
+    three seeded columns, and its alpha input for a profile is the
+    opponents' indices as floats."""
+    rows = np.random.default_rng(len(sizes)).random((sum(sizes), 3))
+    return SimpleNamespace(
+        opponents=tuple(range(1, len(sizes) + 1)),
+        spaces=[None] + [range(n) for n in sizes],
+        opponent_bests=(0,) + tuple(bests), epsilon=epsilon, _laws=None,
+        _phi_stack=rows,
+        profile_input=lambda indices: np.array(indices[1:], dtype=float))
 
 
 def sampled_profiles(rng, agent, budget):
     """The sampled expectation's profiles: one block of uniforms, inverted
     against the agent's CDF rows."""
-    _, cdfs = _opponent_laws(agent)
-    return _inverse_cdf(cdfs, rng.random((len(agent.opponents), budget)))
+    return _inverse_cdf(_opponent_laws(agent).cdfs,
+                        rng.random((len(agent.opponents), budget)))
 
 
 class TestDrawProfiles:
@@ -709,20 +714,27 @@ class TestInverseCdf:
         monkeypatch.setattr(agents, "_epsilon_greedy", counted)
         agent = model_agent([32, 16], [1, 2], epsilon=0.7)
         model = [epsilon_greedy(32, 1, 0.7), epsilon_greedy(16, 2, 0.7)]
-        probs, cdfs = _opponent_laws(agent)
+        laws = _opponent_laws(agent)
         assert built == [(32, 1), (16, 2)]
-        assert np.array_equal(probs, np.concatenate(model))
+        assert np.array_equal(laws.probs, np.concatenate(model))
+        assert np.array_equal(laws.phi_mean,
+                              np.concatenate(model) @ agent._phi_stack)
+        assert np.array_equal(laws.x_best, [1.0, 2.0])
+        assert not laws.x_best.flags.writeable
         # the same bests in a fresh row keep the laws
         agent.opponent_bests = tuple(list(agent.opponent_bests))
-        assert _opponent_laws(agent)[1] is cdfs
+        assert _opponent_laws(agent) is laws
         # a moved best rebuilds them; the own entry is not read
         agent.opponent_bests = (7, 1, 9)
         moved = [model[0], epsilon_greedy(16, 9, 0.7)]
-        probs, cdfs = _opponent_laws(agent)
+        laws = _opponent_laws(agent)
         assert built[2:] == [(32, 1), (16, 9)]
-        assert np.array_equal(probs, np.concatenate(moved))
+        assert np.array_equal(laws.probs, np.concatenate(moved))
+        assert np.array_equal(laws.phi_mean,
+                              np.concatenate(moved) @ agent._phi_stack)
+        assert np.array_equal(laws.x_best, [1.0, 9.0])
         uniforms = np.random.default_rng(3).random((2, 500))
-        assert np.array_equal(_inverse_cdf(cdfs, uniforms),
+        assert np.array_equal(_inverse_cdf(laws.cdfs, uniforms),
                               searchsorted_stack(moved, uniforms))
 
 

@@ -131,6 +131,27 @@ class TestSweepCommand:
         assert f"error: sweep {name} must not be empty" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--values", "2,2.0"], "sweep values must not repeat an entry, "
+                                "got 2.0 twice"),
+        (["--values", "2", "--algorithms", "esn,q_lteu_coupled,esn"],
+         "sweep algorithms must not repeat an entry, got 'esn' twice"),
+    ])
+    def test_repeated_entry_exits_2(self, tmp_path, capsys, flag, message):
+        code = cli.main(["sweep", "--axis", "n_users", *flag, "--runs", "1",
+                         "--out", str(tmp_path), *SMALL])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unreadable_value_names_its_flag(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--axis", "n_users", "--values", "2,a",
+                         "--runs", "1", "--out", str(tmp_path), *SMALL])
+        assert code == 2
+        assert ("error: --values takes comma-separated float values, "
+                "got 'a'") in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestCoexistenceCommand:
     def test_table_matches_the_model(self, tmp_path):
@@ -153,6 +174,21 @@ class TestCoexistenceCommand:
         rows = list(csv.reader((tmp_path / "coexistence.csv").open()))
         assert len(rows) == 2
         assert float(rows[1][1]) == desk_config().wifi_rate_req_bps
+
+
+    @pytest.mark.parametrize("flag, entry, kind", [
+        ("--rates", "a", "float"),
+        ("--wifi-users", "x", "int"),
+        ("--wifi-users", "2.5", "int"),
+    ])
+    def test_unreadable_entry_names_its_flag(self, tmp_path, capsys, flag,
+                                             entry, kind):
+        code = cli.main(["coexistence", flag, f"4,{entry}",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert (f"error: {flag} takes comma-separated {kind} values, "
+                f"got {entry!r}") in capsys.readouterr().err
+        assert not (tmp_path / "coexistence.csv").exists()
 
 
 class TestNeCheckCommand:

@@ -29,9 +29,10 @@ from lteusim.game import (
 from lteusim.harness import prepare_run
 from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import ALGORITHMS, ScenarioConfig, Topology, desk_config
-from oracles import (action_at, actions_of, best_swap, make_action, point_mass,
-                     restrict_coupled_oracle, restrict_licensed_only_oracle,
-                     settle, space_of, validate_action, validate_space_oracle)
+from oracles import (action_at, actions_of, batch_utilities_oracle, best_swap,
+                     make_action, point_mass, restrict_coupled_oracle,
+                     restrict_licensed_only_oracle, settle, space_of,
+                     validate_action, validate_space_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -739,12 +740,30 @@ class TestJointEvaluator:
 
     def test_gather_matches_each_space(self):
         spaces, caps = self.uneven_world()
+        caps.c_l_ul[:] = 3.0  # every term of an action reads its own matrix
+        caps.c_u_dl[:, 1:] = 5.0
+        caps.c_u_ul[:, 1:] = 7.0
         ev = JointEvaluator(spaces, caps)
-        tables = ev._table.reshape(4, ev.n_bs, -1, caps.n_users)
+        # (2 direction, n_bs, max |A|, n_users) per table
+        active = ev._active.reshape(2, ev.n_bs, -1, caps.n_users)
+        offer, gain = ev._table.reshape(2, 2, ev.n_bs, -1, caps.n_users)
+        discount = np.array([[DEFAULT_ETA], [1.0]])
         for n, space in enumerate(spaces):
+            lic, unl = caps.block[0, :, n], caps.block[1, :, n]
             for i, action in enumerate(actions_of(space)):
-                assert np.array_equal(tables[:, n, i], action.dense())
-            assert not tables[:, n, len(space):].any()
+                f = action.dense()
+                grant = (f[:2] > 0) | (f[2:] > 0)
+                assert np.array_equal(active[:, n, i], grant)
+                assert np.array_equal(
+                    offer[:, n, i],
+                    np.where(grant, f[:2] * lic + f[2:] * unl, -1.0))
+                assert np.array_equal(
+                    gain[:, n, i],
+                    np.log2(1.0 + f[:2] * lic + discount * f[2:] * unl))
+            # the padding past a smaller space is never an active offer
+            assert not active[:, n, len(space):].any()
+            assert (offer[:, n, len(space):] == -1.0).all()
+            assert not gain[:, n, len(space):].any()
         batch = np.array([[1, 4], [0, 0], [1, 2]])
         want = [settled_utilities(
             [action_at(s, i) for s, i in zip(spaces, row)], caps)
@@ -769,6 +788,42 @@ class TestJointEvaluator:
     def test_index_past_the_widest_space_raises(self, row):
         with pytest.raises(IndexError):
             self.uneven_evaluator().batch_utilities([row])
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_matches_the_per_batch_oracle_bitwise(self, algorithm, coupled):
+        # every gate's spaces at two seeds, their capacities and flat ones
+        # (every equal offer a tie), against the per-batch arithmetic
+        rng = np.random.default_rng(11)
+        for seed in (0, 1):
+            spaces, desk_caps = desk_world(algorithm, seed)
+            flat = flat_caps(desk_caps.n_users, desk_caps.n_bs)
+            for caps in (desk_caps, flat):
+                ev = JointEvaluator(spaces, caps, eta=0.65, coupled=coupled)
+                batch = rng.integers(0, [len(s) for s in spaces],
+                                     size=(64, len(spaces)))
+                want = batch_utilities_oracle(spaces, caps, batch, eta=0.65,
+                                              coupled=coupled)
+                assert np.array_equal(ev.batch_utilities(batch), want)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_uneven_spaces_match_the_per_batch_oracle_bitwise(self, coupled):
+        spaces, caps = self.uneven_world()
+        batch = np.array(list(itertools.product(range(2), range(5))))
+        ev = JointEvaluator(spaces, caps, coupled=coupled)
+        assert np.array_equal(
+            ev.batch_utilities(batch),
+            batch_utilities_oracle(spaces, caps, batch, coupled=coupled))
+
+    @pytest.mark.parametrize("name", ["c_l_dl", "c_l_ul", "c_u_dl", "c_u_ul"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1e-300])
+    def test_refuses_capacities_that_are_not_finite_and_nonnegative(
+            self, name, value):
+        spaces, caps = self.uneven_world()
+        getattr(caps, name)[0, 1] = value
+        with pytest.raises(ValueError, match=f"capacity matrix {name} must "
+                                             "be finite and nonnegative"):
+            JointEvaluator(spaces, caps)
 
     def test_row_width_must_match_the_players(self):
         ev = self.uneven_evaluator()

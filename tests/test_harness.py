@@ -88,6 +88,59 @@ class TestRun:
             assert len(record.association) == cfg.n_users
             assert record.total_reward == pytest.approx(sum(record.utilities))
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_records_off_matches_records_kept_bitwise(self, algorithm):
+        cfg = desk_config(max_iterations=400)
+        kept = run(cfg, algorithm, 0)
+        dropped = run(cfg, algorithm, 0, keep_records=False)
+        assert dropped.records == () and kept.records
+        assert dropped.converged_at == kept.converged_at
+        assert dropped.metrics == kept.metrics
+        for part in ("dl_bps", "ul_bps", "serving_dl", "serving_ul"):
+            assert np.array_equal(getattr(dropped.final_rates, part),
+                                  getattr(kept.final_rates, part))
+        assert dropped.decoupled_users == kept.decoupled_users
+
+    @pytest.mark.parametrize("keep_records, per_round", [(False, 1),
+                                                         (True, 2)])
+    def test_played_rates_are_built_only_for_records(self, monkeypatch,
+                                                     keep_records, per_round):
+        built, original = [], harness.compute_user_rates
+
+        def counted(settled, caps):
+            built.append(settled)
+            return original(settled, caps)
+
+        monkeypatch.setattr(harness, "compute_user_rates", counted)
+        # a window longer than the run keeps it from converging early
+        cfg = desk_config(max_iterations=6, convergence_window=10)
+        run(cfg, "q_lteu_decoupled", 0, keep_records=keep_records)
+        assert len(built) == per_round * cfg.max_iterations
+
+    @pytest.mark.parametrize("keep_records", [False, True])
+    def test_played_grants_are_checked_every_round(self, monkeypatch,
+                                                   keep_records):
+        settled_joints = []
+
+        def double_granting(spaces, joint, caps, coupled=False):
+            settled = game.resolve_conflicts(spaces, joint, caps,
+                                             coupled=coupled)
+            settled_joints.append(joint)
+            # a round settles its played joint first, then the greedy one
+            if len(settled_joints) % 2:
+                settled = settled.copy()
+                settled[0, :, 0] = 0.25  # every BS grants user 0 its DL
+            return settled
+
+        monkeypatch.setattr(harness, "resolve_conflicts", double_granting)
+        with pytest.raises(ValueError, match="^user 0 is granted a DL "
+                                             "allocation by more than one "
+                                             "BS$"):
+            run(desk_config(max_iterations=5), "q_lteu_decoupled", 0,
+                keep_records=keep_records)
+        # raised on the played joint, before the audit and the greedy joint
+        assert len(settled_joints) == 1
+
     def test_round_utilities_recompute_to_1e9(self):
         cfg = small_config(max_iterations=30, convergence_window=31)
         result = run(cfg, "esn", seed=4)
@@ -304,6 +357,21 @@ class TestSweep:
     ])
     def test_empty_sweep_rejected_by_name(self, values, algorithms, name):
         with pytest.raises(ValueError, match=f"sweep {name} must not be empty"):
+            sweep(small_config(), "n_users", values, algorithms, n_runs=1)
+
+    @pytest.mark.parametrize("values, algorithms, name, entry", [
+        ([2, 3, 2], ["esn"], "values", "2"),
+        ([2, 2.0], ["esn"], "values", "2.0"),
+        ([2], ["esn", "q_lteu_coupled", "esn"], "algorithms", "'esn'"),
+    ])
+    def test_repeated_entry_rejected_by_name(self, monkeypatch, values,
+                                             algorithms, name, entry):
+        def unreachable(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "monte_carlo", unreachable)
+        with pytest.raises(ValueError, match=f"^sweep {name} must not repeat "
+                                             f"an entry, got {entry} twice$"):
             sweep(small_config(), "n_users", values, algorithms, n_runs=1)
 
     @pytest.mark.parametrize("axis", ["n_sbs", "n_users", "n_wifi"])

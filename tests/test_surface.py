@@ -35,8 +35,8 @@ ALLOWED = {
 # stay unread in the package
 ALLOWED_UNREAD = {
     "harness.RoundRecord":
-        "per-round output of run() for callers and audits; user_rates "
-        "waits for ROADMAP item 2",
+        "per-round output of run() for callers and audits; user_rates is "
+        "built only when records are kept",
     "harness.MonteCarloResult":
         "output of monte_carlo() for callers and sweeps",
     "harness.RunInputs.topology":
