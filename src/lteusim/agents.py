@@ -158,9 +158,10 @@ class QAgent:
     """Per-action value learner of one BS.
 
     One update rule serves every Q baseline: a variant acts only through
-    the gated spaces and capacities its run hands over. The coupled
-    variant's rewards are coupled-association payoffs, because its run
-    scores every joint that way.
+    the gated spaces its run hands over (licensed-only actions hold zero
+    unlicensed fractions, so they earn nothing from the unlicensed
+    capacities). The coupled variant's rewards are coupled-association
+    payoffs, because its run scores every joint that way.
     """
 
     def __init__(self, bs, spaces, config, seed):
@@ -448,15 +449,6 @@ def algorithm_spaces(spaces, algorithm):
     if algorithm == "q_lteu_coupled":
         return tuple(restrict_coupled(s) for s in spaces)
     return tuple(spaces)
-
-
-def algorithm_capacities(caps, algorithm):
-    """Capacity set after the named algorithm's band gate."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "q_lte_decoupled":
-        return caps.without_unlicensed()
-    return caps
 
 
 def make_agents(algorithm, spaces, config, seed):

@@ -23,7 +23,7 @@ from .rates import LinkCapacitySet
 
 DEFAULT_ETA = 0.7  # unlicensed-DL utility discount
 
-# most joints (times players, in verify_mixed_ne) an exhaustive pass takes
+# most joints times players that joint_payoffs enumerates
 _ENUMERATION_CAP = 500_000
 
 
@@ -409,7 +409,7 @@ class JointEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# mixed strategies, expected utility, equilibrium check
+# mixed strategies, payoff tables, equilibrium check
 
 
 def _epsilon_greedy(size: int, best: int, epsilon: float) -> np.ndarray:
@@ -443,52 +443,10 @@ class MixedStrategy:
 @dataclass(frozen=True)
 class ExpectedUtility:
     value: float
-    # standard error of the sampled part: of the plain mean in
-    # expected_utility, of the linearization residual's mean in
+    # standard error of the linearization residual's sampled mean in
     # agents.beta_expectation; 0 under exact enumeration
     stderr: float
     exact: bool
-
-
-def expected_utility(n: int, action_i: int, strategies, caps: LinkCapacitySet,
-                     sample_budget: int | None = None, eta: float = DEFAULT_ETA,
-                     seed: int = 0) -> ExpectedUtility:
-    """Expected resolved utility of BS n playing its action ``action_i``
-    against the opponents' mixed strategies.
-
-    Enumerates the opponents' joint space exactly while it is no larger
-    than ``sample_budget`` (always, when the budget is None); otherwise
-    Monte-Carlo with ``sample_budget`` seeded draws and a standard error.
-    """
-    spaces = [s.space for s in strategies]
-    evaluator = JointEvaluator(spaces, caps, eta)
-    opponents = [m for m in range(len(strategies)) if m != n]
-    joint_size = math.prod(len(spaces[m]) for m in opponents)
-
-    if sample_budget is None or joint_size <= sample_budget:
-        total = 0.0
-        for combo in itertools.product(*(range(len(spaces[m]))
-                                         for m in opponents)):
-            weight = math.prod(strategies[m].probs[i]
-                               for m, i in zip(opponents, combo))
-            if weight == 0.0:
-                continue
-            indices = np.empty(len(strategies), dtype=int)
-            indices[n] = action_i
-            for m, i in zip(opponents, combo):
-                indices[m] = i
-            total += weight * evaluator.utility_of(n, indices)
-        return ExpectedUtility(value=total, stderr=0.0, exact=True)
-
-    rng = np.random.default_rng(seed)
-    draws = np.empty((sample_budget, len(strategies)), dtype=int)
-    draws[:, n] = action_i
-    for m in opponents:
-        probs = np.asarray(strategies[m].probs)
-        draws[:, m] = rng.choice(len(probs), size=sample_budget, p=probs)
-    values = evaluator.batch_utilities(draws)[:, n]
-    stderr = float(values.std(ddof=1) / math.sqrt(sample_budget))
-    return ExpectedUtility(value=float(values.mean()), stderr=stderr, exact=False)
 
 
 @dataclass(frozen=True)
@@ -504,35 +462,42 @@ class NeReport:
     expected_by_action: tuple[tuple[float, ...], ...]
 
 
-def verify_mixed_ne(profile, caps: LinkCapacitySet,
-                    eta: float = DEFAULT_ETA) -> NeReport:
-    """Every BS's expected utility under a mixed profile and after each
-    pure swap, by full enumeration of the joint space."""
-    spaces = [s.space for s in profile]
-    n_bs = len(spaces)
+def joint_payoffs(spaces, caps: LinkCapacitySet, eta: float):
+    """Every joint index row of ``spaces``, in lexicographic order (the
+    last BS's index varies fastest), and the (J, n_bs) resolved utilities
+    of each: the payoff table that ``verify_mixed_ne`` reads and
+    ``export_small_game`` writes. Refuses a game whose joints times players
+    exceed the enumeration cap."""
     sizes = [len(s) for s in spaces]
     joint_size = math.prod(sizes)
-    if joint_size * n_bs > _ENUMERATION_CAP:
+    if joint_size * len(sizes) > _ENUMERATION_CAP:
         raise ValueError(
             f"instance too large for exact verification: {joint_size} joints "
-            f"x {n_bs} players exceeds the cap of {_ENUMERATION_CAP}")
-
-    evaluator = JointEvaluator(spaces, caps, eta)
-    combos = np.array(list(itertools.product(*(range(k) for k in sizes))),
+            f"x {len(sizes)} players exceeds the cap of {_ENUMERATION_CAP}")
+    joints = np.array(list(itertools.product(*(range(k) for k in sizes))),
                       dtype=int)
-    payoffs = evaluator.batch_utilities(combos)  # (J, n_bs)
+    return joints, JointEvaluator(spaces, caps, eta).batch_utilities(joints)
+
+
+def verify_mixed_ne(profile, payoffs) -> NeReport:
+    """Every BS's expected utility under a mixed profile and after each
+    pure swap, from the ``joint_payoffs`` table of the profile's spaces."""
+    joints, utilities = payoffs
+    n_bs = len(profile)
+    sizes = [len(s.space) for s in profile]
+    if (joints[-1] + 1).tolist() != sizes:
+        raise ValueError("payoff table does not match the profile's spaces")
     prob_vectors = [np.asarray(s.probs) for s in profile]
     tables = []
     for n in range(n_bs):
         # weight each joint by the opponents' probabilities only, so that
         # pure actions outside the own support still get a correct entry
-        opp_weight = np.ones(len(combos))
+        opp_weight = np.ones(len(joints))
         for m in range(n_bs):
             if m != n:
-                opp_weight = opp_weight * prob_vectors[m][combos[:, m]]
-        table = np.zeros(sizes[n])
-        np.add.at(table, combos[:, n], opp_weight * payoffs[:, n])
-        tables.append(table)
+                opp_weight = opp_weight * prob_vectors[m][joints[:, m]]
+        tables.append(np.bincount(joints[:, n], opp_weight * utilities[:, n],
+                                  minlength=sizes[n]))
 
     current = [float(np.dot(prob_vectors[n], tables[n])) for n in range(n_bs)]
     return NeReport(expected_current=tuple(current),
@@ -543,23 +508,17 @@ def verify_mixed_ne(profile, caps: LinkCapacitySet,
 # small-game text export
 
 
-def export_small_game(spaces, caps: LinkCapacitySet, path,
-                      eta: float = DEFAULT_ETA) -> None:
-    """Write the resolved-payoff tensor in a plain text form readable by
+def export_small_game(payoffs, path) -> None:
+    """Write a ``joint_payoffs`` table in a plain text form readable by
     external solvers: a header, then one line per joint action holding the
     action indices and every BS's payoff."""
-    sizes = [len(s) for s in spaces]
-    if math.prod(sizes) > _ENUMERATION_CAP:
-        raise ValueError("game too large to export exhaustively")
-    evaluator = JointEvaluator(spaces, caps, eta)
-    combos = np.array(list(itertools.product(*(range(k) for k in sizes))),
-                      dtype=int)
-    payoffs = evaluator.batch_utilities(combos)
+    joints, utilities = payoffs
+    # the lexicographic order ends on every BS's last action
+    sizes = joints[-1] + 1
     lines = [f"players {len(sizes)}",
              "actions " + " ".join(str(k) for k in sizes)]
-    for combo, row in zip(combos, payoffs):
-        lines.append(" ".join(str(i) for i in combo) + " "
+    for joint, row in zip(joints, utilities):
+        lines.append(" ".join(str(i) for i in joint) + " "
                      + " ".join(format(u, ".17g") for u in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (QDiagnostics, algorithm_capacities, algorithm_spaces,
-                     finish_round, make_agents, observe_outcome, reward_joint,
+from .agents import (QDiagnostics, algorithm_spaces, finish_round,
+                     make_agents, observe_outcome, reward_joint,
                      select_and_broadcast)
 from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
                    resolved_utilities, validate_space)
@@ -77,7 +77,8 @@ class RunResult:
 @dataclass(frozen=True)
 class RunInputs:
     """Everything a run derives from (config, algorithm, seed) before the
-    first round; exposed so audits can rebuild a run's world exactly."""
+    first round; exposed so audits can rebuild a run's world exactly.
+    ``capacities`` is the same for every algorithm; ``spaces`` is gated."""
 
     topology: object
     channel: object
@@ -98,9 +99,8 @@ def prepare_run(config: ScenarioConfig, algorithm: str, seed: int) -> RunInputs:
     spaces = tuple(enumerate_actions(n, topology, config, int(parts[3 + n]))
                    for n in range(config.n_bs))
     return RunInputs(topology=topology, channel=channel, duty=duty,
-                     capacities=algorithm_capacities(caps, algorithm),
-                     spaces=algorithm_spaces(spaces, algorithm),
-                     agent_seed=int(parts[2]))
+                     capacities=caps, agent_seed=int(parts[2]),
+                     spaces=algorithm_spaces(spaces, algorithm))
 
 
 def _audit_wifi(config: ScenarioConfig, duty) -> None:
@@ -347,7 +347,8 @@ class SweepCell:
 def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
           n_runs: int = 100, base_seed: int = 0) -> list[SweepCell]:
     """Cross-product of axis values and algorithms, one Monte-Carlo cell
-    each; neither list may be empty or repeat an entry. All algorithms at
+    each; neither list may be empty or repeat an entry, and every algorithm
+    must be known before the first cell runs. All algorithms at
     one axis value share the same base seed, so their replications are
     pairwise comparable."""
     if axis not in SWEEP_AXES:
@@ -364,6 +365,9 @@ def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
             if entry in given[:i]:
                 raise ValueError(f"sweep {name} must not repeat an entry, "
                                  f"got {entry!r} twice")
+    for algorithm in algorithms:
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
     field = SWEEP_AXES[axis]
     kind = type(getattr(template, field))
     # a count axis must not truncate 12.5 to 12 and still report 12.5

@@ -51,10 +51,6 @@ class LinkCapacitySet:
         return np.array([[self.c_l_dl.T, self.c_l_ul.T],
                          [self.c_u_dl.T, self.c_u_ul.T]])
 
-    def without_unlicensed(self) -> "LinkCapacitySet":
-        zero = np.zeros_like(self.c_u_dl)
-        return LinkCapacitySet(self.c_l_dl, self.c_l_ul, zero, zero.copy())
-
 
 def _shannon(bandwidth_hz: float, signal_w, interference_w, noise_w: float):
     return bandwidth_hz * np.log1p(signal_w / (interference_w + noise_w)) / LOG2

@@ -166,6 +166,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ScenarioConfig":
+        if not isinstance(mapping, dict):
+            raise ValueError("a config must be a mapping of keys to values, "
+                             f"got {type(mapping).__name__}")
         valid = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in mapping.items():

@@ -7,16 +7,18 @@ builders to and from ``ActionSpace``. The per-action loops that
 replaced are kept here as oracles for them, and so are the per-batch
 arithmetic that ``JointEvaluator``'s per-action tables replaced and the
 plain and the control-variate Monte-Carlo estimators of the agents' beta
-expectation.
+expectation. ``expected_utility_oracle`` is the scalar loop behind
+``verify_mixed_ne``'s payoff tables.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from lteusim.game import (DEFAULT_ETA, ActionSpace, MixedStrategy, Violation,
-                          resolve_conflicts)
+                          resolve_conflicts, resolved_utilities)
 
 
 class Action(NamedTuple):
@@ -208,6 +210,30 @@ def batch_utilities_oracle(spaces, caps, index_matrix, eta=DEFAULT_ETA,
                    + discount * settled[1] * block[1])
     per_direction = gain.sum(axis=3)
     return per_direction[0] + per_direction[1]
+
+
+# expected utility oracle -----------------------------------------------------
+
+
+def expected_utility_oracle(n, action_i, profile, caps, eta=DEFAULT_ETA):
+    """Expected resolved utility of BS n playing its action ``action_i``
+    against the opponents' mixed strategies, one opponent joint at a time:
+    each joint is settled and scored on its own and weighted by the
+    opponents' probabilities."""
+    spaces = [s.space for s in profile]
+    opponents = [m for m in range(len(profile)) if m != n]
+    total = 0.0
+    for combo in itertools.product(*(range(len(spaces[m]))
+                                     for m in opponents)):
+        weight = math.prod(profile[m].probs[i]
+                           for m, i in zip(opponents, combo))
+        if weight == 0.0:
+            continue
+        joint = list(combo)
+        joint.insert(n, action_i)
+        settled = resolve_conflicts(spaces, joint, caps)
+        total += weight * float(resolved_utilities(settled, caps, eta=eta)[n])
+    return total
 
 
 # beta expectation oracles ----------------------------------------------------

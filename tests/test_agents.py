@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 from lteusim import agents, esn, game, harness
 from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
                             _best_reply, _cdf_rows, _encode_space,
-                            _inverse_cdf, _opponent_laws,
-                            algorithm_capacities, algorithm_spaces,
+                            _inverse_cdf, _opponent_laws, algorithm_spaces,
                             beta_expectation, finish_round, make_agents,
                             observe_outcome, reward_joint,
                             select_and_broadcast)
 from lteusim.game import (DEFAULT_ETA, JointEvaluator, MixedStrategy,
                           _epsilon_greedy)
-from lteusim.rates import LinkCapacitySet
+from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import desk_config
 from oracles import (action_at, actions_of, choice_stack,
                      control_variate_expectation, epsilon_greedy, make_action,
@@ -1114,15 +1113,37 @@ class TestAlgorithmGating:
                     assert has_dl == has_ul
         assert len(self.gated_spaces("q_lteu_coupled")[1]) == 3
 
-    def test_capacity_gate(self):
-        caps = flat_caps(2, 2, c=3.0, cu=5.0)
-        gated = algorithm_capacities(caps, "q_lte_decoupled")
-        assert np.array_equal(gated.c_l_dl, caps.c_l_dl)
-        assert not gated.c_u_dl.any() and not gated.c_u_ul.any()
-        for algorithm in ("esn", "q_lteu_decoupled", "q_lteu_coupled"):
-            assert algorithm_capacities(caps, algorithm) is caps
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            algorithm_capacities(caps, "dqn")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_licensed_only_spaces_ignore_unlicensed_capacities(self, seed):
+        # the spaces are the only gate: with kappa = tau = 0, every
+        # unlicensed term is an exact 0.0, so zeroing the unlicensed
+        # capacities by hand changes no bit of any joint's outcome
+        inputs = harness.prepare_run(desk_config(), "q_lte_decoupled", seed)
+        spaces, caps = inputs.spaces, inputs.capacities
+        assert caps.c_u_dl.any() and caps.c_u_ul.any()
+        zeroed = LinkCapacitySet(caps.c_l_dl, caps.c_l_ul,
+                                 np.zeros_like(caps.c_u_dl),
+                                 np.zeros_like(caps.c_u_ul))
+        full, stripped = (JointEvaluator(spaces, c) for c in (caps, zeroed))
+        # a joint's evaluation reads only its actions' rows of these
+        # tables, so equal tables cover every joint of the desk space
+        assert np.array_equal(full._active, stripped._active)
+        assert np.array_equal(full._table, stripped._table)
+        # the settle and rates path on seeded joints playing every action
+        rng = np.random.default_rng(seed)
+        joints = np.column_stack([rng.permutation(np.resize(
+            np.arange(len(space)), 128)) for space in spaces])
+        assert np.array_equal(full.batch_utilities(joints),
+                              stripped.batch_utilities(joints))
+        for joint in joints:
+            settled = game.resolve_conflicts(spaces, joint, caps)
+            assert np.array_equal(
+                settled, game.resolve_conflicts(spaces, joint, zeroed))
+            rates = compute_user_rates(settled, caps)
+            bare = compute_user_rates(settled, zeroed)
+            for field in ("dl_bps", "ul_bps", "serving_dl", "serving_ul"):
+                assert np.array_equal(getattr(rates, field),
+                                      getattr(bare, field))
 
     def test_make_agents_kinds_and_order(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lteusim import cli, wifi
+from lteusim import cli, game, harness, wifi
 from lteusim.scenario import desk_config
 
 
@@ -98,6 +98,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
 
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"),
+                                            ('"x"', "str")])
+    def test_json_config_that_is_no_object_fails(self, tmp_path, capsys,
+                                                 text, kind):
+        cfg_path = tmp_path / "x.json"
+        cfg_path.write_text(text)
+        code = cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a config must be a mapping")
+        assert err.rstrip().endswith(f"got {kind}")
+
 
 class TestSweepCommand:
     def test_sweep_csv_layout(self, tmp_path):
@@ -115,7 +128,7 @@ class TestSweepCommand:
                          "--algorithms", "dqn", "--runs", "1",
                          "--out", str(tmp_path), *SMALL])
         assert code == 2
-        assert "dqn" in capsys.readouterr().err
+        assert "error: unknown algorithm 'dqn'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, name", [
         (["--values", ""], "values"),
@@ -209,6 +222,34 @@ class TestNeCheckCommand:
             assert code == 0
         else:
             assert code == 1
+
+    def test_payoff_table_is_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = game.joint_payoffs
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(game, "joint_payoffs", counted)
+        code = cli.main(["ne-check", "--seed", "1", "--out", str(tmp_path),
+                         "--set", "max_iterations=60"])
+        assert code in (0, 1)
+        assert len(calls) == 1
+        assert (tmp_path / "small_game.txt").read_text().count("\n") > 2
+
+    def test_oversized_instance_refused_before_the_run(self, tmp_path,
+                                                        monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a learning run started")
+
+        monkeypatch.setattr(harness, "run", unreachable)
+        # 500 x 1 x 500 joints x 3 players is past the 500,000 cap
+        code = cli.main(["ne-check", "--seed", "1", "--out", str(tmp_path),
+                         "--set", "action_set_size=500"])
+        assert code == 2
+        assert "error: instance too large" in capsys.readouterr().err
+        assert not (tmp_path / "ne_report.txt").exists()
 
 
 def test_console_entry_point_importable():

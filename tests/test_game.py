@@ -16,9 +16,9 @@ from lteusim.game import (
     JointEvaluator,
     MixedStrategy,
     enumerate_actions,
-    expected_utility,
     export_small_game,
     feasible_count,
+    joint_payoffs,
     resolve_conflicts,
     resolved_utilities,
     restrict_coupled,
@@ -30,9 +30,10 @@ from lteusim.harness import prepare_run
 from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import ALGORITHMS, ScenarioConfig, Topology, desk_config
 from oracles import (action_at, actions_of, batch_utilities_oracle, best_swap,
-                     make_action, point_mass, restrict_coupled_oracle,
-                     restrict_licensed_only_oracle, settle, space_of,
-                     validate_action, validate_space_oracle)
+                     expected_utility_oracle, make_action, point_mass,
+                     restrict_coupled_oracle, restrict_licensed_only_oracle,
+                     settle, space_of, validate_action,
+                     validate_space_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -959,15 +960,22 @@ def wide_space(owner, size):
     return ActionSpace(owner=owner, covered_users=(0,), fractions=fractions)
 
 
+def ne_report(profile, caps):
+    """``verify_mixed_ne`` of a profile against its spaces' payoff table."""
+    spaces = [s.space for s in profile]
+    return verify_mixed_ne(profile, joint_payoffs(spaces, caps, DEFAULT_ETA))
+
+
 class TestExpectedUtility:
+    """Hand-computed entries of ``verify_mixed_ne``'s per-action tables."""
+
     def test_point_mass_reduces_to_plain_utility(self):
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    point_mass(sbs_space, 1)]
-        result = expected_utility(1, 1, profile, caps)
+        value = ne_report(profile, caps).expected_by_action[1][1]
         joint = [action_at(mbs_space, 0), action_at(sbs_space, 1)]
-        assert result.exact and result.stderr == 0.0
-        assert result.value == pytest.approx(
+        assert value == pytest.approx(
             float(settled_utilities(joint, caps)[1]), rel=1e-12)
 
     def test_uniform_opponent_hand_average(self):
@@ -983,9 +991,9 @@ class TestExpectedUtility:
         sbs_space = space_of([s_busy])
         profile = [MixedStrategy(space=mbs_space, probs=(0.5, 0.5)),
                    point_mass(sbs_space, 0)]
-        result = expected_utility(1, 0, profile, caps)
+        value = ne_report(profile, caps).expected_by_action[1][0]
         # macro idle: SBS keeps the user, log2(1+2); macro busy: SBS loses it
-        assert result.value == pytest.approx(0.5 * math.log2(3.0), rel=1e-12)
+        assert value == pytest.approx(0.5 * math.log2(3.0), rel=1e-12)
 
     def test_exact_matches_brute_force(self):
         topo = toy_topology([(0, 1), (0,), (1,)])
@@ -998,7 +1006,7 @@ class TestExpectedUtility:
             raw = rng.uniform(0.1, 1.0, len(space))
             profile.append(MixedStrategy(space=space,
                                          probs=tuple(raw / raw.sum())))
-        result = expected_utility(1, 2, profile, caps)
+        value = ne_report(profile, caps).expected_by_action[1][2]
         brute = 0.0
         for i0 in range(len(spaces[0])):
             for i2 in range(len(spaces[2])):
@@ -1006,33 +1014,7 @@ class TestExpectedUtility:
                          action_at(spaces[2], i2)]
                 weight = profile[0].probs[i0] * profile[2].probs[i2]
                 brute += weight * float(settled_utilities(joint, caps)[1])
-        assert result.exact
-        assert result.value == pytest.approx(brute, rel=1e-12)
-
-    def test_monte_carlo_within_three_stderr(self):
-        topo = toy_topology([(0, 1, 2), (0, 1), (1, 2)])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=9)
-        spaces = [enumerate_actions(b, topo, cfg, seed=b + 5) for b in range(3)]
-        caps = flat_caps(3, 3, 2.0, 3.0, 5.0, 7.0)
-        profile = [MixedStrategy.epsilon_greedy(s, best_index=1, epsilon=0.7)
-                   for s in spaces]
-        exact = expected_utility(0, 1, profile, caps)
-        sampled = expected_utility(0, 1, profile, caps, sample_budget=64,
-                                   seed=12)
-        assert exact.exact and not sampled.exact
-        assert sampled.stderr > 0.0
-        assert abs(sampled.value - exact.value) <= 3.0 * sampled.stderr
-
-    def test_monte_carlo_deterministic_in_seed(self):
-        topo = toy_topology([(0, 1, 2), (0, 1), (1, 2)])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=9)
-        spaces = [enumerate_actions(b, topo, cfg, seed=b + 5) for b in range(3)]
-        caps = flat_caps(3, 3, 2.0, 3.0, 5.0, 7.0)
-        profile = [MixedStrategy.epsilon_greedy(s, best_index=0, epsilon=0.5)
-                   for s in spaces]
-        first = expected_utility(0, 1, profile, caps, sample_budget=32, seed=7)
-        second = expected_utility(0, 1, profile, caps, sample_budget=32, seed=7)
-        assert first.value == second.value
+        assert value == pytest.approx(brute, rel=1e-12)
 
 
 class TestVerifyMixedNe:
@@ -1041,14 +1023,14 @@ class TestVerifyMixedNe:
         idle = make_action(0, (0,), 1, (0.0,), (0.0,))
         busy = make_action(0, (0,), 1, (1.0,), (1.0,))
         space = space_of([idle, busy])
-        report = verify_mixed_ne([point_mass(space, 1)], caps)
+        report = ne_report([point_mass(space, 1)], caps)
         assert best_swap(report) == (None, None, 0.0)
 
     def test_dominated_support_fails(self):
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    point_mass(sbs_space, 0)]  # idle, dominated
-        bs, action, gain = best_swap(verify_mixed_ne(profile, caps))
+        bs, action, gain = best_swap(ne_report(profile, caps))
         assert (bs, action) == (1, 1)
         expected_gain = math.log2(3.0) + math.log2(5.0)
         assert gain == pytest.approx(expected_gain, rel=1e-12)
@@ -1057,7 +1039,7 @@ class TestVerifyMixedNe:
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    point_mass(sbs_space, 1)]
-        report = verify_mixed_ne(profile, caps)
+        report = ne_report(profile, caps)
         assert best_swap(report) == (None, None, 0.0)
         assert report.expected_current[1] == pytest.approx(
             math.log2(3.0) + math.log2(5.0), rel=1e-12)
@@ -1066,18 +1048,61 @@ class TestVerifyMixedNe:
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    MixedStrategy(space=sbs_space, probs=(0.3, 0.7))]
-        report = verify_mixed_ne(profile, caps)
+        report = ne_report(profile, caps)
         for i in range(2):
-            direct = expected_utility(1, i, profile, caps)
             assert report.expected_by_action[1][i] == pytest.approx(
-                direct.value, rel=1e-12)
+                expected_utility_oracle(1, i, profile, caps), rel=1e-12)
+
+    def test_tables_match_the_oracle_on_three_bs(self):
+        topo = toy_topology([(0, 1, 2), (0, 1), (1, 2)])
+        cfg = ScenarioConfig(z_levels=10, action_set_size=9)
+        spaces = [enumerate_actions(b, topo, cfg, seed=b + 5) for b in range(3)]
+        caps = flat_caps(3, 3, 2.0, 3.0, 5.0, 7.0)
+        profile = [MixedStrategy.epsilon_greedy(s, best_index=1, epsilon=0.7)
+                   for s in spaces]
+        report = ne_report(profile, caps)
+        for n, space in enumerate(spaces):
+            for i in range(len(space)):
+                assert report.expected_by_action[n][i] == pytest.approx(
+                    expected_utility_oracle(n, i, profile, caps), rel=1e-12)
 
     def test_oversized_instance_rejected(self):
         # 80^3 joints x 3 players is past the 500,000 enumeration cap
         spaces = [wide_space(n, 80) for n in range(3)]
-        profile = [point_mass(space, 0) for space in spaces]
         with pytest.raises(ValueError, match="too large"):
-            verify_mixed_ne(profile, flat_caps(1, 3))
+            joint_payoffs(spaces, flat_caps(1, 3), DEFAULT_ETA)
+
+    def test_table_of_other_spaces_rejected(self):
+        caps, mbs_space, sbs_space = two_bs_game()
+        payoffs = joint_payoffs([mbs_space, sbs_space], caps, DEFAULT_ETA)
+        wider = [point_mass(mbs_space, 0), point_mass(wide_space(1, 3), 0)]
+        with pytest.raises(ValueError, match="does not match"):
+            verify_mixed_ne(wider, payoffs)
+        with pytest.raises(ValueError, match="does not match"):
+            verify_mixed_ne([point_mass(mbs_space, 0)], payoffs)
+
+
+class TestJointPayoffs:
+    def test_rows_are_lexicographic_and_match_the_oracle(self):
+        topo = toy_topology([(0, 1, 2), (0, 1), (1, 2)])
+        cfg = ScenarioConfig(z_levels=10, action_set_size=7)
+        spaces = [enumerate_actions(b, topo, cfg, seed=b) for b in range(3)]
+        caps = flat_caps(3, 3, 2.0, 3.0, 5.0, 7.0)
+        joints, utilities = joint_payoffs(spaces, caps, 0.6)
+        assert joints.tolist() == [list(j) for j in itertools.product(
+            *(range(len(s)) for s in spaces))]
+        assert np.array_equal(
+            utilities, batch_utilities_oracle(spaces, caps, joints, eta=0.6))
+
+    def test_cap_counts_joints_times_players(self):
+        # 500 x 500 joints x 2 players is exactly the 500,000 cap
+        caps = flat_caps(1, 2)
+        joints, utilities = joint_payoffs(
+            [wide_space(0, 500), wide_space(1, 500)], caps, DEFAULT_ETA)
+        assert joints.shape == (250_000, 2) and utilities.shape == (250_000, 2)
+        with pytest.raises(ValueError, match="250500 joints x 2 players"):
+            joint_payoffs([wide_space(0, 500), wide_space(1, 501)], caps,
+                          DEFAULT_ETA)
 
 
 def read_small_game(path):
@@ -1099,7 +1124,8 @@ class TestSmallGameExport:
     def test_round_trip(self, tmp_path):
         caps, mbs_space, sbs_space = two_bs_game()
         path = tmp_path / "game.txt"
-        export_small_game([mbs_space, sbs_space], caps, path)
+        export_small_game(
+            joint_payoffs([mbs_space, sbs_space], caps, DEFAULT_ETA), path)
         sizes, payoffs = read_small_game(path)
         assert sizes == [1, 2]
         for j in range(2):
@@ -1108,8 +1134,11 @@ class TestSmallGameExport:
             assert np.allclose(payoffs[0, j], expected, rtol=1e-12)
 
     def test_oversized_export_rejected(self, tmp_path):
-        # 80^3 = 512,000 joints is past the 500,000 enumeration cap
+        # 80^3 joints x 3 players is past the 500,000 enumeration cap, so
+        # no table reaches the export
         spaces = [wide_space(n, 80) for n in range(3)]
         with pytest.raises(ValueError, match="too large"):
-            export_small_game(spaces, flat_caps(1, 3), tmp_path / "g.txt")
+            export_small_game(
+                joint_payoffs(spaces, flat_caps(1, 3), DEFAULT_ETA),
+                tmp_path / "g.txt")
         assert not (tmp_path / "g.txt").exists()

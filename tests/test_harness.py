@@ -374,6 +374,14 @@ class TestSweep:
                                              f"an entry, got {entry} twice$"):
             sweep(small_config(), "n_users", values, algorithms, n_runs=1)
 
+    def test_unknown_algorithm_rejected_before_any_cell(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "monte_carlo", unreachable)
+        with pytest.raises(ValueError, match="^unknown algorithm 'dqn'$"):
+            sweep(desk_config(), "n_users", [6], ["esn", "dqn"], n_runs=2)
+
     @pytest.mark.parametrize("axis", ["n_sbs", "n_users", "n_wifi"])
     @pytest.mark.parametrize("value", [12.5, 2.000001, float("nan"),
                                        float("inf")])

@@ -239,15 +239,9 @@ class TestCapacityCache:
                 (1, 0): caps.c_u_dl, (1, 1): caps.c_u_ul}.items():
             assert np.array_equal(caps.block[band, direction], matrix.T)
         assert caps.block is caps.block  # built once
-        assert not caps.without_unlicensed().block[1].any()
-
-    def test_without_unlicensed_keeps_licensed(self, drawn):
-        cfg, ch = drawn
-        caps = build_capacities(ch, cfg, lte_fraction=0.8)
-        stripped = caps.without_unlicensed()
-        assert np.array_equal(stripped.c_l_dl, caps.c_l_dl)
-        assert np.array_equal(stripped.c_l_ul, caps.c_l_ul)
-        assert not np.any(stripped.c_u_dl) and not np.any(stripped.c_u_ul)
+        zero = np.zeros_like(caps.c_u_dl)
+        stripped = LinkCapacitySet(caps.c_l_dl, caps.c_l_ul, zero, zero)
+        assert not stripped.block[1].any()
 
     def test_shapes_and_positivity(self, drawn):
         cfg, ch = drawn

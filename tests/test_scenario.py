@@ -127,6 +127,12 @@ def test_config_unknown_key_rejected():
         ScenarioConfig.from_mapping({"bandwidth": 1.0})
 
 
+@pytest.mark.parametrize("value, kind", [([1, 2], "list"), ("x", "str")])
+def test_config_must_be_a_mapping(value, kind):
+    with pytest.raises(ValueError, match=f"must be a mapping .*, got {kind}$"):
+        ScenarioConfig.from_mapping(value)
+
+
 def test_config_integer_keys_refuse_fractions():
     with pytest.raises(ValueError):
         ScenarioConfig.from_mapping({"n_users": "2.5"})
