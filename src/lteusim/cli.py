@@ -1,5 +1,12 @@
 """Command-line front end: single runs, sweeps, coexistence tables, and
-equilibrium checks, all writing CSV/text outputs into a chosen directory."""
+equilibrium checks, all writing CSV/text outputs into a chosen directory.
+
+This module is the one writer of result tables: every CSV goes through
+``_write_csv``, which formats each cell with ``_fmt`` (floats to
+``FLOAT_FORMAT``, nine significant digits; a missing value as ``nan``).
+The config echo and the small-game export keep their formats next to
+their own code, in ``scenario`` and ``game``.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import game, harness, wifi
-from .harness import _fmt
+from .agents import QDiagnostics
 from .scenario import ALGORITHMS, ScenarioConfig, desk_config
+
+FLOAT_FORMAT = ".9g"
 
 
 def _parse_sets(pairs):
@@ -67,6 +76,84 @@ def _seed(args, config: ScenarioConfig) -> int:
     return config.rng_seed if args.seed is None else args.seed
 
 
+# CSV output ----------------------------------------------------------------
+
+
+def _fmt(value) -> str:
+    if value is None:  # a mean over no converged run
+        return "nan"
+    if isinstance(value, float):
+        return format(value, FLOAT_FORMAT)
+    return str(value)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
+def _diag_columns(diag):
+    if isinstance(diag, QDiagnostics):
+        return (diag.target, diag.q_before, float("nan"), float("nan"))
+    return (diag.e_alpha, diag.r_hat_alpha, diag.e_beta, diag.r_hat_beta)
+
+
+def write_trace_csv(result: harness.RunResult, path) -> None:
+    """Per-round, per-BS learning trace of a kept-records run."""
+    _write_csv(path, ["round", "bs", "action", "e_alpha", "r_hat_alpha",
+                      "e_beta", "r_hat_beta", "utility"],
+               ([record.t, bs, record.joint_action[bs],
+                 *(float(v) for v in _diag_columns(diag)),
+                 record.utilities[bs]]
+                for record in result.records
+                for bs, diag in enumerate(record.diagnostics)))
+
+
+def write_cdf_csv(samples, path) -> None:
+    ordered = np.sort(np.asarray(samples, dtype=float)).tolist()
+    _write_csv(path, ["rate_bps", "cdf"],
+               ((value, (i + 1) / len(ordered))
+                for i, value in enumerate(ordered)))
+
+
+def write_rates_csv(rates, path) -> None:
+    """Per-user achieved rates and serving BSs (-1 when not served)."""
+    _write_csv(path, ["user", "dl_bps", "ul_bps", "serving_dl", "serving_ul"],
+               zip(range(len(rates.dl_bps)), rates.dl_bps.tolist(),
+                   rates.ul_bps.tolist(), rates.serving_dl.tolist(),
+                   rates.serving_ul.tolist()))
+
+
+def write_sweep_csv(cells, path) -> None:
+    """One row per sweep cell: its axis value, then its replications'
+    algorithm, size, duty cycle, means with 95% intervals, and
+    convergence."""
+    rows = []
+    for cell in cells:
+        r = cell.result
+        rows.append([cell.axis, cell.value, r.algorithm, r.n_runs,
+                     r.lte_fraction, r.wifi_overloaded, r.sum_rate_mean,
+                     *r.sum_rate_ci, r.median_rate_mean, *r.median_rate_ci,
+                     r.converged_fraction, r.mean_converged_at])
+    _write_csv(path, ["axis", "value", "algorithm", "n_runs", "lte_fraction",
+                      "wifi_overloaded", "sum_rate_mean", "sum_rate_ci_lo",
+                      "sum_rate_ci_hi", "median_rate_mean",
+                      "median_rate_ci_lo", "median_rate_ci_hi",
+                      "converged_fraction", "mean_converged_at"], rows)
+
+
+def _report(out: Path, config: ScenarioConfig, name: str, lines) -> None:
+    """The closing step of a command: the config echo, the report text in
+    ``name``, and the same text on stdout."""
+    config.echo(out / "config_echo.txt")
+    text = "\n".join(lines)
+    (out / name).write_text(text + "\n")
+    print(text)
+    print(f"outputs in {out}")
+
+
 def _run_summary_lines(result) -> list[str]:
     m = result.metrics
     lines = [
@@ -90,15 +177,10 @@ def cmd_run(args) -> int:
     seed = _seed(args, config)
     out = _out_dir(args)
     result = harness.run(config, args.algorithm, seed)
-    config.echo(out / "config_echo.txt")
-    harness.write_trace_csv(result, out / "trace.csv")
-    harness.write_cdf_csv(result.metrics["rate_cdf_bps"], out / "cdf.csv")
-    lines = _run_summary_lines(result)
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    result.final_rates.write_csv(out / "rates.csv")
-    for line in lines:
-        print(line)
-    print(f"outputs in {out}")
+    write_trace_csv(result, out / "trace.csv")
+    write_cdf_csv(result.metrics["rate_cdf_bps"], out / "cdf.csv")
+    write_rates_csv(result.final_rates, out / "rates.csv")
+    _report(out, config, "summary.txt", _run_summary_lines(result))
     return 0
 
 
@@ -110,17 +192,15 @@ def cmd_sweep(args) -> int:
     algorithms = [a for a in args.algorithms.split(",") if a]
     cells = harness.sweep(config, args.axis, values, algorithms,
                           n_runs=args.runs, base_seed=seed)
-    config.echo(out / "config_echo.txt")
-    harness.write_sweep_csv(cells, out / "sweep.csv")
+    write_sweep_csv(cells, out / "sweep.csv")
     lines = [f"axis = {args.axis}", f"cells = {len(cells)}",
              f"runs_per_cell = {args.runs}"]
     for cell in cells:
-        lines.append(f"{args.axis}={_fmt(cell.value)} {cell.algorithm}: "
-                     f"sum_rate_mean={_fmt(cell.sum_rate_mean)} "
-                     f"median_rate_mean={_fmt(cell.median_rate_mean)}")
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    print(f"outputs in {out}")
+        r = cell.result
+        lines.append(f"{args.axis}={_fmt(cell.value)} {r.algorithm}: "
+                     f"sum_rate_mean={_fmt(r.sum_rate_mean)} "
+                     f"median_rate_mean={_fmt(r.median_rate_mean)}")
+    _report(out, config, "summary.txt", lines)
     return 0
 
 
@@ -130,21 +210,20 @@ def cmd_coexistence(args) -> int:
     users = _parse_list("--wifi-users", args.wifi_users, int)
     rates = (_parse_list("--rates", args.rates, float)
              if args.rates else [config.wifi_rate_req_bps])
+    # every row first: a bad entry must fail before any file is written
+    rows = []
+    for n_wifi in users:
+        params = wifi.default_params(n_wifi)
+        throughput = wifi.saturation_throughput(params)
+        for r_w in rates:
+            duty = wifi.lte_fraction(params, r_w)
+            rows.append([n_wifi, r_w, params.tau_prob, throughput,
+                         duty.lte_share, duty.wifi_overloaded])
     config.echo(out / "config_echo.txt")
     path = out / "coexistence.csv"
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n_wifi", "rate_req_bps", "tx_probability",
-                         "throughput_bps", "lte_fraction", "wifi_overloaded"])
-        for n_wifi in users:
-            params = wifi.default_params(n_wifi)
-            tau = params.tau_prob
-            throughput = wifi.saturation_throughput(params)
-            for r_w in rates:
-                duty = wifi.lte_fraction(params, r_w)
-                writer.writerow([n_wifi, _fmt(r_w), _fmt(tau),
-                                 _fmt(throughput), _fmt(duty.lte_share),
-                                 duty.wifi_overloaded])
+    _write_csv(path, ["n_wifi", "rate_req_bps", "tx_probability",
+                      "throughput_bps", "lte_fraction", "wifi_overloaded"],
+               rows)
     print(f"wrote {path}")
     return 0
 
@@ -186,10 +265,7 @@ def cmd_ne_check(args) -> int:
                      f"tolerance={_fmt(tol)} ok={ok}")
     lines.append(f"equilibrium = {all_ok}")
     game.export_small_game(payoffs, out / "small_game.txt")
-    config.echo(out / "config_echo.txt")
-    (out / "ne_report.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    print(f"outputs in {out}")
+    _report(out, config, "ne_report.txt", lines)
     return 0 if all_ok else 1
 
 

@@ -21,8 +21,6 @@ import numpy as np
 
 from .rates import LinkCapacitySet
 
-DEFAULT_ETA = 0.7  # unlicensed-DL utility discount
-
 # most joints times players that joint_payoffs enumerates
 _ENUMERATION_CAP = 500_000
 
@@ -308,7 +306,7 @@ def resolve_conflicts(spaces, joint, caps: LinkCapacitySet,
 
 
 def resolved_utilities(settled, caps: LinkCapacitySet,
-                       eta: float = DEFAULT_ETA) -> np.ndarray:
+                       eta: float) -> np.ndarray:
     """Per-BS utilities of a settled (4, n_bs, n_users) block, as
     ``resolve_conflicts`` returns it: the payoffs the game is actually
     played over."""
@@ -343,7 +341,7 @@ class JointEvaluator:
     ``resolve_conflicts``, so the reward audit compares two computations.
     """
 
-    def __init__(self, spaces, caps: LinkCapacitySet, eta: float = DEFAULT_ETA,
+    def __init__(self, spaces, caps: LinkCapacitySet, eta: float,
                  coupled: bool = False):
         for name in ("c_l_dl", "c_l_ul", "c_u_dl", "c_u_ul"):
             matrix = getattr(caps, name)

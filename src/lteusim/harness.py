@@ -1,6 +1,7 @@
 """Round-loop orchestration: builds a scenario, runs the synchronous
 learning loop over all base stations, detects convergence, and aggregates
-seeded replications into sweep tables.
+seeded replications into sweep cells. Writing results to files is the
+command line's job (``cli``); nothing here writes a table.
 
 Convergence is judged on the greedy profile (every BS playing its broadcast
 best action, conflicts resolved): realized rewards keep fluctuating forever
@@ -11,15 +12,13 @@ over a full window and the greedy association map is unchanged across it.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (QDiagnostics, algorithm_spaces, finish_round,
-                     make_agents, observe_outcome, reward_joint,
-                     select_and_broadcast)
+from .agents import (algorithm_spaces, finish_round, make_agents,
+                     observe_outcome, reward_joint, select_and_broadcast)
 from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
                    resolved_utilities, validate_space)
 from .rates import (UserRates, build_capacities, check_grants,
@@ -29,8 +28,7 @@ from .wifi import default_params, duty_cycle_for_config, saturation_throughput
 
 __all__ = [
     "RoundRecord", "RunResult", "MonteCarloResult", "SweepCell", "RunInputs",
-    "prepare_run", "run", "monte_carlo", "sweep", "write_trace_csv",
-    "write_cdf_csv", "write_sweep_csv", "SWEEP_AXES",
+    "prepare_run", "run", "monte_carlo", "sweep", "SWEEP_AXES",
 ]
 
 SWEEP_AXES = {
@@ -39,9 +37,6 @@ SWEEP_AXES = {
     "r_w": "wifi_rate_req_bps",
     "n_wifi": "wifi_users_per_wap",
 }
-
-FLOAT_FORMAT = ".9g"
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -328,20 +323,11 @@ def monte_carlo(config: ScenarioConfig, algorithm: str, n_runs: int,
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One (axis value, algorithm) cell of a sweep and its replications."""
+
     axis: str
     value: float
-    algorithm: str
-    n_runs: int
-    lte_fraction: float
-    wifi_overloaded: bool
-    sum_rate_mean: float
-    sum_rate_ci_lo: float
-    sum_rate_ci_hi: float
-    median_rate_mean: float
-    median_rate_ci_lo: float
-    median_rate_ci_hi: float
-    converged_fraction: float
-    mean_converged_at: float | None
+    result: MonteCarloResult
 
 
 def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
@@ -380,71 +366,7 @@ def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
     for value in values:
         config = template.with_overrides(**{field: kind(value)})
         for algorithm in algorithms:
-            mc = monte_carlo(config, algorithm, n_runs, base_seed)
             cells.append(SweepCell(
-                axis=axis, value=float(value), algorithm=algorithm,
-                n_runs=n_runs, lte_fraction=mc.lte_fraction,
-                wifi_overloaded=mc.wifi_overloaded,
-                sum_rate_mean=mc.sum_rate_mean,
-                sum_rate_ci_lo=mc.sum_rate_ci[0],
-                sum_rate_ci_hi=mc.sum_rate_ci[1],
-                median_rate_mean=mc.median_rate_mean,
-                median_rate_ci_lo=mc.median_rate_ci[0],
-                median_rate_ci_hi=mc.median_rate_ci[1],
-                converged_fraction=mc.converged_fraction,
-                mean_converged_at=mc.mean_converged_at))
+                axis=axis, value=float(value),
+                result=monte_carlo(config, algorithm, n_runs, base_seed)))
     return cells
-
-
-# CSV output ----------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if value is None:  # a mean over no converged run
-        return "nan"
-    if isinstance(value, float):
-        return format(value, FLOAT_FORMAT)
-    return str(value)
-
-
-def _diag_columns(diag):
-    if isinstance(diag, QDiagnostics):
-        return (diag.target, diag.q_before, float("nan"), float("nan"))
-    return (diag.e_alpha, diag.r_hat_alpha, diag.e_beta, diag.r_hat_beta)
-
-
-def write_trace_csv(result: RunResult, path) -> None:
-    """Per-round, per-BS learning trace of a kept-records run."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["round", "bs", "action", "e_alpha", "r_hat_alpha",
-                         "e_beta", "r_hat_beta", "utility"])
-        for record in result.records:
-            for bs, diag in enumerate(record.diagnostics):
-                e_a, r_a, e_b, r_b = _diag_columns(diag)
-                writer.writerow([record.t, bs, record.joint_action[bs],
-                                 _fmt(float(e_a)), _fmt(float(r_a)),
-                                 _fmt(float(e_b)), _fmt(float(r_b)),
-                                 _fmt(record.utilities[bs])])
-
-
-def write_cdf_csv(samples, path) -> None:
-    ordered = np.sort(np.asarray(samples, dtype=float))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rate_bps", "cdf"])
-        for i, value in enumerate(ordered):
-            writer.writerow([_fmt(float(value)),
-                             _fmt((i + 1) / len(ordered))])
-
-
-def write_sweep_csv(cells, path) -> None:
-    names = ["axis", "value", "algorithm", "n_runs", "lte_fraction",
-             "wifi_overloaded", "sum_rate_mean", "sum_rate_ci_lo",
-             "sum_rate_ci_hi", "median_rate_mean", "median_rate_ci_lo",
-             "median_rate_ci_hi", "converged_fraction", "mean_converged_at"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for cell in cells:
-            writer.writerow([_fmt(getattr(cell, name)) for name in names])

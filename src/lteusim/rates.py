@@ -3,15 +3,14 @@
 SINR terms depend only on the fixed transmit powers and the channel draw,
 never on the allocation fractions, so capacities are computed once per
 channel realization and cached in a LinkCapacitySet. A joint allocation
-then turns capacities into rates by plain fraction weighting.
+then turns capacities into rates by plain fraction weighting. The rates
+table a run leaves is written by ``cli``; nothing here writes a file.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -108,19 +107,6 @@ class UserRates:
         """Count of users whose DL and UL are served by different BSs."""
         both = (self.serving_dl >= 0) & (self.serving_ul >= 0)
         return int(np.sum(both & (self.serving_dl != self.serving_ul)))
-
-    def write_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["user", "dl_bps", "ul_bps", "serving_dl", "serving_ul"])
-            for i in range(len(self.dl_bps)):
-                writer.writerow([
-                    i,
-                    format(self.dl_bps[i], ".9g"),
-                    format(self.ul_bps[i], ".9g"),
-                    int(self.serving_dl[i]),
-                    int(self.serving_ul[i]),
-                ])
 
 
 def check_grants(settled, capacities: LinkCapacitySet) -> np.ndarray:

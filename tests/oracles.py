@@ -17,8 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lteusim.game import (DEFAULT_ETA, ActionSpace, MixedStrategy, Violation,
+from lteusim.game import (ActionSpace, MixedStrategy, Violation,
                           resolve_conflicts, resolved_utilities)
+from lteusim.scenario import ScenarioConfig
+
+# the unlicensed-DL utility discount the unit tests score with
+ETA = ScenarioConfig().eta
 
 
 class Action(NamedTuple):
@@ -180,7 +184,7 @@ def restrict_coupled_oracle(space: ActionSpace) -> list:
 # evaluator oracle ------------------------------------------------------------
 
 
-def batch_utilities_oracle(spaces, caps, index_matrix, eta=DEFAULT_ETA,
+def batch_utilities_oracle(spaces, caps, index_matrix, eta=ETA,
                            coupled=False):
     """``JointEvaluator.batch_utilities`` with the fraction-weighted
     capacities recomputed for every batch: gather the joints' fractions,
@@ -215,7 +219,7 @@ def batch_utilities_oracle(spaces, caps, index_matrix, eta=DEFAULT_ETA,
 # expected utility oracle -----------------------------------------------------
 
 
-def expected_utility_oracle(n, action_i, profile, caps, eta=DEFAULT_ETA):
+def expected_utility_oracle(n, action_i, profile, caps, eta=ETA):
     """Expected resolved utility of BS n playing its action ``action_i``
     against the opponents' mixed strategies, one opponent joint at a time:
     each joint is settled and scored on its own and weighted by the

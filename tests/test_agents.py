@@ -19,11 +19,10 @@ from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
                             beta_expectation, finish_round, make_agents,
                             observe_outcome, reward_joint,
                             select_and_broadcast)
-from lteusim.game import (DEFAULT_ETA, JointEvaluator, MixedStrategy,
-                          _epsilon_greedy)
+from lteusim.game import JointEvaluator, MixedStrategy, _epsilon_greedy
 from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import desk_config
-from oracles import (action_at, actions_of, choice_stack,
+from oracles import (ETA, action_at, actions_of, choice_stack,
                      control_variate_expectation, epsilon_greedy, make_action,
                      naive_predictions, opponent_laws, plain_expectation,
                      space_of)
@@ -68,7 +67,7 @@ def play_round(agent, others, caps):
     own = select_and_broadcast(agent)
     pairs = {**others, agent.bs: own}
     played, advertised = zip(*(pairs[m] for m in range(len(agent.spaces))))
-    evaluator = JointEvaluator(agent.spaces, caps, eta=DEFAULT_ETA)
+    evaluator = JointEvaluator(agent.spaces, caps, eta=ETA)
     row = reward_joint(agent, played, advertised)
     reward = evaluator.batch_utilities([row])[0, agent.bs]
     return own, finish_round(agent, played, advertised, reward)
@@ -206,7 +205,7 @@ class TestBestReply:
         assert agent.opponent_bests == (0, 0)
         own_played, own_best = select_and_broadcast(agent)
         played, advertised = (own_played, 0), (own_best, 1)
-        reward = JointEvaluator(agent.spaces, caps).utility_of(
+        reward = JointEvaluator(agent.spaces, caps, ETA).utility_of(
             0, reward_joint(agent, played, advertised))
         finish_round(agent, played, advertised, reward)
         assert agent.opponent_bests == advertised
@@ -307,7 +306,7 @@ def alpha_target(agent, joint, caps):
     played, advertised = tuple(int(i) for i in joint), (0,) * len(joint)
     row = reward_joint(agent, played, advertised)
     assert row == played
-    return JointEvaluator(agent.spaces, caps, eta=DEFAULT_ETA).utility_of(
+    return JointEvaluator(agent.spaces, caps, eta=ETA).utility_of(
         agent.bs, row)
 
 
@@ -1124,7 +1123,8 @@ class TestAlgorithmGating:
         zeroed = LinkCapacitySet(caps.c_l_dl, caps.c_l_ul,
                                  np.zeros_like(caps.c_u_dl),
                                  np.zeros_like(caps.c_u_ul))
-        full, stripped = (JointEvaluator(spaces, c) for c in (caps, zeroed))
+        full, stripped = (JointEvaluator(spaces, c, ETA)
+                          for c in (caps, zeroed))
         # a joint's evaluation reads only its actions' rows of these
         # tables, so equal tables cover every joint of the desk space
         assert np.array_equal(full._active, stripped._active)

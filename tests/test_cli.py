@@ -2,16 +2,26 @@
 
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
 from lteusim import cli, game, harness, wifi
+from lteusim.harness import run, sweep
+from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import desk_config
 
 
-SMALL = ["--set", "n_sbs=1", "--set", "n_users=3", "--set", "n_waps=0",
-         "--set", "action_set_size=4", "--set", "reservoir_units=16",
-         "--set", "max_iterations=60", "--set", "convergence_window=20"]
+SMALL_CONFIG = dict(n_sbs=1, n_users=3, n_waps=0, action_set_size=4,
+                    reservoir_units=16, max_iterations=60,
+                    convergence_window=20)
+SMALL = [arg for key, value in SMALL_CONFIG.items()
+         for arg in ("--set", f"{key}={value}")]
+
+
+def small_config(**overrides):
+    return desk_config(**{**SMALL_CONFIG, **overrides})
 
 
 class TestRunCommand:
@@ -112,6 +122,114 @@ class TestRunCommand:
         assert err.rstrip().endswith(f"got {kind}")
 
 
+class TestCsvOutput:
+    def test_trace_layout_and_values(self, tmp_path):
+        cfg = small_config(max_iterations=12, convergence_window=13)
+        result = run(cfg, "esn", seed=6)
+        path = tmp_path / "trace.csv"
+        cli.write_trace_csv(result, path)
+        rows = list(csv.reader(path.open()))
+        assert rows[0] == ["round", "bs", "action", "e_alpha", "r_hat_alpha",
+                           "e_beta", "r_hat_beta", "utility"]
+        assert len(rows) == 1 + 12 * cfg.n_bs
+        first = rows[1]
+        assert first[0] == "1" and first[1] == "0"
+        assert float(first[7]) == pytest.approx(
+            result.records[0].utilities[0], rel=1e-8)
+
+    def test_trace_for_q_runs_uses_nan_beta_columns(self, tmp_path):
+        cfg = small_config(max_iterations=5, convergence_window=6)
+        result = run(cfg, "q_lteu_decoupled", seed=6)
+        path = tmp_path / "trace.csv"
+        cli.write_trace_csv(result, path)
+        rows = list(csv.reader(path.open()))
+        assert math.isnan(float(rows[1][5]))
+        assert math.isnan(float(rows[1][6]))
+
+    def test_cdf_csv(self, tmp_path):
+        path = tmp_path / "cdf.csv"
+        cli.write_cdf_csv([5.0, 1.0, 3.0, 2.0], path)
+        rows = list(csv.reader(path.open()))
+        assert rows[0] == ["rate_bps", "cdf"]
+        values = [float(r[0]) for r in rows[1:]]
+        steps = [float(r[1]) for r in rows[1:]]
+        assert values == [1.0, 2.0, 3.0, 5.0]
+        assert steps == [0.25, 0.5, 0.75, 1.0]
+
+    def test_rates_csv_export(self, tmp_path):
+        # BS 1 serves user 0's downlink; user 1 is not served at all
+        ramp = 1e7 * np.array([[1.0, 2.0], [3.0, 4.0]])
+        caps = LinkCapacitySet(c_l_dl=ramp, c_l_ul=2.0 * ramp,
+                               c_u_dl=np.zeros((2, 2)),
+                               c_u_ul=np.zeros((2, 2)))
+        block = np.zeros((4, 2, 2))
+        block[0, 1, 0] = 1.0
+        rates = compute_user_rates(block, caps)
+        out = tmp_path / "rates.csv"
+        cli.write_rates_csv(rates, out)
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["user", "dl_bps", "ul_bps", "serving_dl",
+                           "serving_ul"]
+        assert len(rows) == 3
+        assert rows[1][0] == "0"
+        assert float(rows[1][1]) == pytest.approx(caps.c_l_dl[0, 1], rel=1e-8)
+        assert rows[1][1] == format(rates.dl_bps[0], ".9g")
+        assert rows[2][3] == "-1" and rows[2][4] == "-1"
+
+    def test_sweep_csv_round_trip(self, tmp_path):
+        cfg = small_config(n_waps=2, max_iterations=3, convergence_window=4)
+        cells = sweep(cfg, "r_w", [1e6, 2e6], ["esn"], n_runs=1)
+        path = tmp_path / "sweep.csv"
+        cli.write_sweep_csv(cells, path)
+        rows = list(csv.reader(path.open()))
+        assert len(rows) == 1 + len(cells)
+        assert rows[0][0] == "axis"
+        assert rows[1][0] == "r_w"
+        assert float(rows[1][1]) == 1e6
+        # no run converges in 3 rounds: the mean is None, written as nan
+        assert cells[0].result.mean_converged_at is None
+        assert rows[0][-1] == "mean_converged_at" and rows[1][-1] == "nan"
+
+    def test_sweep_columns_are_the_cells_results(self, tmp_path):
+        # 3e7 bps per station overloads a 4-station WAP; 3 rounds converge
+        # no run, so both cells carry a bool and a None
+        cfg = small_config(n_waps=2, max_iterations=3, convergence_window=4)
+        cells = sweep(cfg, "r_w", [1e6, 3e7], ["esn"], n_runs=2)
+        path = tmp_path / "sweep.csv"
+        cli.write_sweep_csv(cells, path)
+        rows = list(csv.reader(path.open()))
+        assert len(rows) == 1 + len(cells)
+        for cell, row in zip(cells, rows[1:]):
+            r = cell.result
+            want = {
+                "axis": cell.axis, "value": cell.value,
+                "algorithm": r.algorithm, "n_runs": r.n_runs,
+                "lte_fraction": r.lte_fraction,
+                "wifi_overloaded": r.wifi_overloaded,
+                "sum_rate_mean": r.sum_rate_mean,
+                "sum_rate_ci_lo": r.sum_rate_ci[0],
+                "sum_rate_ci_hi": r.sum_rate_ci[1],
+                "median_rate_mean": r.median_rate_mean,
+                "median_rate_ci_lo": r.median_rate_ci[0],
+                "median_rate_ci_hi": r.median_rate_ci[1],
+                "converged_fraction": r.converged_fraction,
+                "mean_converged_at": r.mean_converged_at,
+            }
+            assert rows[0] == list(want)
+            assert row == [cli._fmt(value) for value in want.values()]
+        assert [c.result.wifi_overloaded for c in cells] == [False, True]
+        assert [row[5] for row in rows[1:]] == ["False", "True"]
+        assert [c.result.mean_converged_at for c in cells] == [None, None]
+        assert [row[13] for row in rows[1:]] == ["nan", "nan"]
+
+    def test_nine_significant_digits(self, tmp_path):
+        path = tmp_path / "cdf.csv"
+        cli.write_cdf_csv([123456789.123456], path)
+        rows = list(csv.reader(path.open()))
+        assert rows[1][0] == "123456789"
+
+
 class TestSweepCommand:
     def test_sweep_csv_layout(self, tmp_path):
         code = cli.main(["sweep", "--axis", "n_users", "--values", "2,3",
@@ -201,6 +319,21 @@ class TestCoexistenceCommand:
         assert code == 2
         assert (f"error: {flag} takes comma-separated {kind} values, "
                 f"got {entry!r}") in capsys.readouterr().err
+        assert not (tmp_path / "coexistence.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rates", "1e6,-1",
+         "the WiFi rate requirement must be nonnegative"),
+        ("--wifi-users", "2,0", "n_wifi must be at least 1"),
+    ])
+    def test_bad_later_entry_writes_no_file(self, tmp_path, capsys, flag,
+                                            value, message):
+        # the first entry's rows are valid; the bad one must still leave
+        # neither the echo nor a partial table behind
+        code = cli.main(["coexistence", flag, value, "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "config_echo.txt").exists()
         assert not (tmp_path / "coexistence.csv").exists()
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lteusim.game import (
-    DEFAULT_ETA,
     ActionSpace,
     JointEvaluator,
     MixedStrategy,
@@ -29,11 +28,11 @@ from lteusim.game import (
 from lteusim.harness import prepare_run
 from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import ALGORITHMS, ScenarioConfig, Topology, desk_config
-from oracles import (action_at, actions_of, batch_utilities_oracle, best_swap,
-                     expected_utility_oracle, make_action, point_mass,
-                     restrict_coupled_oracle, restrict_licensed_only_oracle,
-                     settle, space_of, validate_action,
-                     validate_space_oracle)
+from oracles import (ETA, action_at, actions_of, batch_utilities_oracle,
+                     best_swap, expected_utility_oracle, make_action,
+                     point_mass, restrict_coupled_oracle,
+                     restrict_licensed_only_oracle, settle, space_of,
+                     validate_action, validate_space_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +45,7 @@ D, V, KAPPA, TAU = range(4)
 
 
 def sbs_utility(n: int, joint, caps: LinkCapacitySet,
-                eta: float = DEFAULT_ETA) -> float:
+                eta: float = ETA) -> float:
     """Log-sum utility of small cell n under an already-settled joint action."""
     if n == 0:
         raise ValueError("BS 0 is the macro cell; use mbs_utility")
@@ -73,7 +72,7 @@ def mbs_utility(joint, caps: LinkCapacitySet) -> float:
 
 
 def joint_utilities(joint, caps: LinkCapacitySet,
-                    eta: float = DEFAULT_ETA) -> np.ndarray:
+                    eta: float = ETA) -> np.ndarray:
     """Per-BS utility vector of a joint action taken at face value, from
     the actions' dense rows."""
     d, v, kp, tp = np.stack([a.dense() for a in joint], axis=1)
@@ -146,7 +145,7 @@ def settled_actions(joint, settled):
     return out
 
 
-def settled_utilities(joint, caps: LinkCapacitySet, eta: float = DEFAULT_ETA,
+def settled_utilities(joint, caps: LinkCapacitySet, eta: float = ETA,
                       coupled: bool = False) -> np.ndarray:
     """Resolved utilities of a joint given as one ``Action`` per BS."""
     return resolved_utilities(settle(joint, caps, coupled=coupled), caps,
@@ -737,18 +736,18 @@ class TestJointEvaluator:
         return spaces, flat_caps(1, 2)
 
     def uneven_evaluator(self):
-        return JointEvaluator(*self.uneven_world())
+        return JointEvaluator(*self.uneven_world(), ETA)
 
     def test_gather_matches_each_space(self):
         spaces, caps = self.uneven_world()
         caps.c_l_ul[:] = 3.0  # every term of an action reads its own matrix
         caps.c_u_dl[:, 1:] = 5.0
         caps.c_u_ul[:, 1:] = 7.0
-        ev = JointEvaluator(spaces, caps)
+        ev = JointEvaluator(spaces, caps, ETA)
         # (2 direction, n_bs, max |A|, n_users) per table
         active = ev._active.reshape(2, ev.n_bs, -1, caps.n_users)
         offer, gain = ev._table.reshape(2, 2, ev.n_bs, -1, caps.n_users)
-        discount = np.array([[DEFAULT_ETA], [1.0]])
+        discount = np.array([[ETA], [1.0]])
         for n, space in enumerate(spaces):
             lic, unl = caps.block[0, :, n], caps.block[1, :, n]
             for i, action in enumerate(actions_of(space)):
@@ -811,7 +810,7 @@ class TestJointEvaluator:
     def test_uneven_spaces_match_the_per_batch_oracle_bitwise(self, coupled):
         spaces, caps = self.uneven_world()
         batch = np.array(list(itertools.product(range(2), range(5))))
-        ev = JointEvaluator(spaces, caps, coupled=coupled)
+        ev = JointEvaluator(spaces, caps, ETA, coupled=coupled)
         assert np.array_equal(
             ev.batch_utilities(batch),
             batch_utilities_oracle(spaces, caps, batch, coupled=coupled))
@@ -824,7 +823,7 @@ class TestJointEvaluator:
         getattr(caps, name)[0, 1] = value
         with pytest.raises(ValueError, match=f"capacity matrix {name} must "
                                              "be finite and nonnegative"):
-            JointEvaluator(spaces, caps)
+            JointEvaluator(spaces, caps, ETA)
 
     def test_row_width_must_match_the_players(self):
         ev = self.uneven_evaluator()
@@ -963,7 +962,7 @@ def wide_space(owner, size):
 def ne_report(profile, caps):
     """``verify_mixed_ne`` of a profile against its spaces' payoff table."""
     spaces = [s.space for s in profile]
-    return verify_mixed_ne(profile, joint_payoffs(spaces, caps, DEFAULT_ETA))
+    return verify_mixed_ne(profile, joint_payoffs(spaces, caps, ETA))
 
 
 class TestExpectedUtility:
@@ -1070,11 +1069,11 @@ class TestVerifyMixedNe:
         # 80^3 joints x 3 players is past the 500,000 enumeration cap
         spaces = [wide_space(n, 80) for n in range(3)]
         with pytest.raises(ValueError, match="too large"):
-            joint_payoffs(spaces, flat_caps(1, 3), DEFAULT_ETA)
+            joint_payoffs(spaces, flat_caps(1, 3), ETA)
 
     def test_table_of_other_spaces_rejected(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        payoffs = joint_payoffs([mbs_space, sbs_space], caps, DEFAULT_ETA)
+        payoffs = joint_payoffs([mbs_space, sbs_space], caps, ETA)
         wider = [point_mass(mbs_space, 0), point_mass(wide_space(1, 3), 0)]
         with pytest.raises(ValueError, match="does not match"):
             verify_mixed_ne(wider, payoffs)
@@ -1098,11 +1097,11 @@ class TestJointPayoffs:
         # 500 x 500 joints x 2 players is exactly the 500,000 cap
         caps = flat_caps(1, 2)
         joints, utilities = joint_payoffs(
-            [wide_space(0, 500), wide_space(1, 500)], caps, DEFAULT_ETA)
+            [wide_space(0, 500), wide_space(1, 500)], caps, ETA)
         assert joints.shape == (250_000, 2) and utilities.shape == (250_000, 2)
         with pytest.raises(ValueError, match="250500 joints x 2 players"):
             joint_payoffs([wide_space(0, 500), wide_space(1, 501)], caps,
-                          DEFAULT_ETA)
+                          ETA)
 
 
 def read_small_game(path):
@@ -1125,7 +1124,7 @@ class TestSmallGameExport:
         caps, mbs_space, sbs_space = two_bs_game()
         path = tmp_path / "game.txt"
         export_small_game(
-            joint_payoffs([mbs_space, sbs_space], caps, DEFAULT_ETA), path)
+            joint_payoffs([mbs_space, sbs_space], caps, ETA), path)
         sizes, payoffs = read_small_game(path)
         assert sizes == [1, 2]
         for j in range(2):
@@ -1139,6 +1138,6 @@ class TestSmallGameExport:
         spaces = [wide_space(n, 80) for n in range(3)]
         with pytest.raises(ValueError, match="too large"):
             export_small_game(
-                joint_payoffs(spaces, flat_caps(1, 3), DEFAULT_ETA),
+                joint_payoffs(spaces, flat_caps(1, 3), ETA),
                 tmp_path / "g.txt")
         assert not (tmp_path / "g.txt").exists()

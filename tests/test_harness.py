@@ -1,16 +1,12 @@
 """Round-loop, replication, and sweep behavior."""
 
-import csv
-import math
-
 import numpy as np
 import pytest
 
 import lteusim
 from lteusim import agents, cli, game, harness
 from lteusim.harness import (MonteCarloResult, RunResult, monte_carlo,
-                             prepare_run, run, sweep, write_cdf_csv,
-                             write_sweep_csv, write_trace_csv)
+                             prepare_run, run, sweep)
 from lteusim.scenario import ALGORITHMS, desk_config
 from oracles import make_action, space_of
 
@@ -397,7 +393,7 @@ class TestSweep:
         direct = monte_carlo(cfg.with_overrides(n_users=3),
                              "q_lteu_decoupled", n_runs=1)
         assert cells[0].value == 3.0
-        assert cells[0].sum_rate_mean == direct.sum_rate_mean
+        assert cells[0].result.sum_rate_mean == direct.sum_rate_mean
 
     def test_non_integral_count_exits_2_from_the_cli(self, tmp_path, capsys):
         code = cli.main(["sweep", "--axis", "n_users", "--values", "12.5",
@@ -410,14 +406,14 @@ class TestSweep:
     def test_wifi_demand_sweep_monotone_duty_cycle(self):
         cfg = small_config(n_waps=2, max_iterations=4, convergence_window=5)
         cells = sweep(cfg, "r_w", [1e6, 3e6, 6e6, 9e6], ["esn"], n_runs=1)
-        fractions = [c.lte_fraction for c in cells]
+        fractions = [c.result.lte_fraction for c in cells]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
         assert fractions[0] > fractions[-1]
 
     def test_wifi_load_sweep_monotone_duty_cycle(self):
         cfg = small_config(n_waps=2, max_iterations=4, convergence_window=5)
         cells = sweep(cfg, "n_wifi", [2, 4, 8], ["esn"], n_runs=1)
-        fractions = [c.lte_fraction for c in cells]
+        fractions = [c.result.lte_fraction for c in cells]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
 
     def test_cell_matches_direct_monte_carlo(self):
@@ -427,71 +423,23 @@ class TestSweep:
         direct = monte_carlo(cfg.with_overrides(n_users=4),
                              "q_lteu_decoupled", n_runs=2, base_seed=3)
         assert len(cells) == 1
-        assert cells[0].sum_rate_mean == direct.sum_rate_mean
-        assert cells[0].median_rate_mean == direct.median_rate_mean
+        cell = cells[0].result
+        assert cell.sum_rate_mean == direct.sum_rate_mean
+        assert cell.median_rate_mean == direct.median_rate_mean
+        # the per-run values reach the cell, run by run
+        assert cell.run_sum_rates == direct.run_sum_rates
+        assert cell.run_median_rates == direct.run_median_rates
+        assert cell.run_converged_at == direct.run_converged_at
+        assert cell.run_decoupled_users == direct.run_decoupled_users
+        assert len(cell.run_sum_rates) == 2
 
     def test_cross_product_layout(self):
         cfg = small_config(max_iterations=3, convergence_window=4)
         cells = sweep(cfg, "n_users", [2, 4],
                       ["esn", "q_lteu_decoupled"], n_runs=1)
-        assert [(c.value, c.algorithm) for c in cells] == [
+        assert [(c.value, c.result.algorithm) for c in cells] == [
             (2.0, "esn"), (2.0, "q_lteu_decoupled"),
             (4.0, "esn"), (4.0, "q_lteu_decoupled")]
-
-
-class TestCsvOutput:
-    def test_trace_layout_and_values(self, tmp_path):
-        cfg = small_config(max_iterations=12, convergence_window=13)
-        result = run(cfg, "esn", seed=6)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(result, path)
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["round", "bs", "action", "e_alpha", "r_hat_alpha",
-                           "e_beta", "r_hat_beta", "utility"]
-        assert len(rows) == 1 + 12 * cfg.n_bs
-        first = rows[1]
-        assert first[0] == "1" and first[1] == "0"
-        assert float(first[7]) == pytest.approx(
-            result.records[0].utilities[0], rel=1e-8)
-
-    def test_trace_for_q_runs_uses_nan_beta_columns(self, tmp_path):
-        cfg = small_config(max_iterations=5, convergence_window=6)
-        result = run(cfg, "q_lteu_decoupled", seed=6)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(result, path)
-        rows = list(csv.reader(path.open()))
-        assert math.isnan(float(rows[1][5]))
-        assert math.isnan(float(rows[1][6]))
-
-    def test_cdf_csv(self, tmp_path):
-        path = tmp_path / "cdf.csv"
-        write_cdf_csv([5.0, 1.0, 3.0, 2.0], path)
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["rate_bps", "cdf"]
-        values = [float(r[0]) for r in rows[1:]]
-        steps = [float(r[1]) for r in rows[1:]]
-        assert values == [1.0, 2.0, 3.0, 5.0]
-        assert steps == [0.25, 0.5, 0.75, 1.0]
-
-    def test_sweep_csv_round_trip(self, tmp_path):
-        cfg = small_config(n_waps=2, max_iterations=3, convergence_window=4)
-        cells = sweep(cfg, "r_w", [1e6, 2e6], ["esn"], n_runs=1)
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(cells, path)
-        rows = list(csv.reader(path.open()))
-        assert len(rows) == 1 + len(cells)
-        assert rows[0][0] == "axis"
-        assert rows[1][0] == "r_w"
-        assert float(rows[1][1]) == 1e6
-        # no run converges in 3 rounds: the mean is None, written as nan
-        assert cells[0].mean_converged_at is None
-        assert rows[0][-1] == "mean_converged_at" and rows[1][-1] == "nan"
-
-    def test_nine_significant_digits(self, tmp_path):
-        path = tmp_path / "cdf.csv"
-        write_cdf_csv([123456789.123456], path)
-        rows = list(csv.reader(path.open()))
-        assert rows[1][0] == "123456789"
 
 
 def test_harness_settles_with_the_one_resolver():

@@ -5,7 +5,6 @@ The per-link capacity functions below are scalar oracles of the vectorized
 the interferers.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -359,19 +358,3 @@ class TestUserRates:
             bumped = block.copy()
             bumped[entry] += rng.uniform(0.05, 0.4)
             assert compute_user_rates(bumped, caps).total_bps.sum() > base
-
-    def test_csv_export(self, tmp_path):
-        caps = grid_caps(2, 2)
-        block = zero_block(2, 2)
-        block[D, 1, 0] = 1.0
-        rates = compute_user_rates(block, caps)
-        out = tmp_path / "rates.csv"
-        rates.write_csv(out)
-        with out.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["user", "dl_bps", "ul_bps", "serving_dl", "serving_ul"]
-        assert len(rows) == 3
-        assert rows[1][0] == "0"
-        assert float(rows[1][1]) == pytest.approx(caps.c_l_dl[0, 1], rel=1e-8)
-        assert rows[1][1] == format(rates.dl_bps[0], ".9g")
-        assert rows[2][3] == "-1" and rows[2][4] == "-1"
