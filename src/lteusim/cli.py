@@ -65,6 +65,8 @@ def _build_config(args, defaults=None) -> ScenarioConfig:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created just before the first write, once the
+    command's inputs have passed, so a refused command leaves none."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -175,8 +177,8 @@ def _run_summary_lines(result) -> list[str]:
 def cmd_run(args) -> int:
     config = _build_config(args)
     seed = _seed(args, config)
-    out = _out_dir(args)
     result = harness.run(config, args.algorithm, seed)
+    out = _out_dir(args)
     write_trace_csv(result, out / "trace.csv")
     write_cdf_csv(result.metrics["rate_cdf_bps"], out / "cdf.csv")
     write_rates_csv(result.final_rates, out / "rates.csv")
@@ -187,11 +189,11 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = _build_config(args)
     seed = _seed(args, config)
-    out = _out_dir(args)
     values = _parse_list("--values", args.values, float)
     algorithms = [a for a in args.algorithms.split(",") if a]
     cells = harness.sweep(config, args.axis, values, algorithms,
                           n_runs=args.runs, base_seed=seed)
+    out = _out_dir(args)
     write_sweep_csv(cells, out / "sweep.csv")
     lines = [f"axis = {args.axis}", f"cells = {len(cells)}",
              f"runs_per_cell = {args.runs}"]
@@ -206,7 +208,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_coexistence(args) -> int:
     config = _build_config(args)
-    out = _out_dir(args)
     users = _parse_list("--wifi-users", args.wifi_users, int)
     rates = (_parse_list("--rates", args.rates, float)
              if args.rates else [config.wifi_rate_req_bps])
@@ -219,6 +220,7 @@ def cmd_coexistence(args) -> int:
             duty = wifi.lte_fraction(params, r_w)
             rows.append([n_wifi, r_w, params.tau_prob, throughput,
                          duty.lte_share, duty.wifi_overloaded])
+    out = _out_dir(args)
     config.echo(out / "config_echo.txt")
     path = out / "coexistence.csv"
     _write_csv(path, ["n_wifi", "rate_req_bps", "tx_probability",
@@ -237,7 +239,6 @@ def cmd_ne_check(args) -> int:
     # defaults keep the joint space small enough for exact enumeration
     config = _build_config(args, defaults=NE_CHECK_DEFAULTS)
     seed = _seed(args, config)
-    out = _out_dir(args)
     # the payoff table does not depend on the run: refuse a big game first
     inputs = harness.prepare_run(config, "esn", seed)
     payoffs = game.joint_payoffs(inputs.spaces, inputs.capacities, config.eta)
@@ -264,6 +265,7 @@ def cmd_ne_check(args) -> int:
         lines.append(f"bs{n}: best_swap_gain={_fmt(gain)} "
                      f"tolerance={_fmt(tol)} ok={ok}")
     lines.append(f"equilibrium = {all_ok}")
+    out = _out_dir(args)
     game.export_small_game(payoffs, out / "small_game.txt")
     _report(out, config, "ne_report.txt", lines)
     return 0 if all_ok else 1

@@ -283,6 +283,14 @@ class TestSweepCommand:
                 "got 'a'") in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_rejected_sweep_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--axis", "n_users", "--values", "12.5",
+                         "--runs", "1", "--out", str(out), *SMALL])
+        assert code == 2
+        assert "takes whole numbers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCoexistenceCommand:
     def test_table_matches_the_model(self, tmp_path):
@@ -329,12 +337,12 @@ class TestCoexistenceCommand:
     def test_bad_later_entry_writes_no_file(self, tmp_path, capsys, flag,
                                             value, message):
         # the first entry's rows are valid; the bad one must still leave
-        # neither the echo nor a partial table behind
-        code = cli.main(["coexistence", flag, value, "--out", str(tmp_path)])
+        # no output directory, so neither the echo nor a partial table
+        out = tmp_path / "out"
+        code = cli.main(["coexistence", flag, value, "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "config_echo.txt").exists()
-        assert not (tmp_path / "coexistence.csv").exists()
+        assert not out.exists()
 
 
 class TestNeCheckCommand:
@@ -378,11 +386,12 @@ class TestNeCheckCommand:
 
         monkeypatch.setattr(harness, "run", unreachable)
         # 500 x 1 x 500 joints x 3 players is past the 500,000 cap
-        code = cli.main(["ne-check", "--seed", "1", "--out", str(tmp_path),
+        out = tmp_path / "out"
+        code = cli.main(["ne-check", "--seed", "1", "--out", str(out),
                          "--set", "action_set_size=500"])
         assert code == 2
         assert "error: instance too large" in capsys.readouterr().err
-        assert not (tmp_path / "ne_report.txt").exists()
+        assert not out.exists()
 
 
 def test_console_entry_point_importable():

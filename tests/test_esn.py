@@ -7,8 +7,10 @@ import pytest
 import scipy.sparse
 
 from lteusim.esn import (
+    _DENSE_UNITS,
     Readout,
     Reservoir,
+    _spectral_radius,
     init,
     peek_state,
     readout_all,
@@ -17,33 +19,70 @@ from lteusim.esn import (
 )
 
 
+def dense_w(reservoir):
+    """The recurrent matrix as an array, whichever representation it has."""
+    w = reservoir.w
+    return w.toarray() if scipy.sparse.issparse(w) else w
+
+
+def max_modulus(w):
+    return np.abs(np.linalg.eigvals(w)).max()
+
+
 class TestInit:
     def test_spectral_radius_near_target(self):
-        # 30 takes the dense route, 200 and 1000 the sparse one; 1000 is
-        # the ScenarioConfig() size. At seed 9 there, ARPACK's default
-        # 20-vector basis settles on a near-dominant eigenvalue (0.911)
+        # 30 takes the dense route (up to _DENSE_UNITS = 150 units), 200 and
+        # 1000 the sparse one; 1000 is the ScenarioConfig() size. At seed 9
+        # there, ARPACK's default 20-vector basis settles on a near-dominant
+        # eigenvalue (0.911)
         cases = [(30, 0), (200, 0)] + [(1000, seed) for seed in (0, 1, 9)]
         for n_units, seed in cases:
             reservoir, _ = init(n_units, input_dim=4, n_actions=8,
                                 density=0.1, target_radius=0.9, seed=seed)
-            radius = np.abs(np.linalg.eigvals(reservoir.w.toarray())).max()
+            radius = max_modulus(dense_w(reservoir))
             assert 0.89 <= radius <= 0.91, (n_units, seed, radius)
+
+    def test_dense_radius_is_exact(self):
+        # the dense route's eigvals radius is the one the matrix has
+        for seed in range(20):
+            reservoir, _ = init(100, input_dim=4, n_actions=8, density=0.1,
+                                target_radius=0.9, seed=seed)
+            radius = max_modulus(reservoir.w)
+            assert radius == pytest.approx(0.9, rel=1e-12, abs=0), seed
+            assert radius < 1.0
+
+    def test_routes_agree_at_the_crossover(self):
+        rng = np.random.default_rng(7)
+        dense = rng.uniform(-1.0, 1.0, size=(_DENSE_UNITS, _DENSE_UNITS))
+        dense *= rng.random(dense.shape) < 0.1
+        by_eigvals = _spectral_radius(dense)
+        by_arpack = _spectral_radius(scipy.sparse.csr_matrix(dense))
+        assert by_arpack == pytest.approx(by_eigvals, rel=1e-12, abs=0)
+
+    def test_size_picks_the_representation(self):
+        small, _ = init(_DENSE_UNITS, 2, 3, seed=0)
+        large, _ = init(_DENSE_UNITS + 1, 2, 3, seed=0)
+        assert isinstance(small.w, np.ndarray)
+        assert scipy.sparse.issparse(large.w)
 
     def test_full_density_has_no_structural_zeros(self):
         reservoir, _ = init(40, 2, 3, density=1.0, seed=1)
-        assert reservoir.w.nnz == 40 * 40
+        assert np.count_nonzero(dense_w(reservoir)) == 40 * 40
 
     def test_density_is_respected(self):
-        reservoir, _ = init(200, 2, 3, density=0.1, seed=2)
-        assert reservoir.w.nnz / 200 ** 2 == pytest.approx(0.1, abs=0.02)
+        for n_units in (100, 200):  # dense, then CSR
+            reservoir, _ = init(n_units, 2, 3, density=0.1, seed=2)
+            share = np.count_nonzero(dense_w(reservoir)) / n_units ** 2
+            assert share == pytest.approx(0.1, abs=0.02), n_units
 
     def test_deterministic_in_seed(self):
-        for n_units in (60, 1000):  # both on the ARPACK route
+        # 60 units take the dense eigvals route, 1000 the CSR ARPACK one
+        for n_units in (60, 1000):
             a_res, a_ro = init(n_units, 3, 5, seed=11)
             b_res, b_ro = init(n_units, 3, 5, seed=11)
             c_res, _ = init(n_units, 3, 5, seed=12)
             assert np.array_equal(a_res.w_in, b_res.w_in)
-            assert np.array_equal(a_res.w.toarray(), b_res.w.toarray())
+            assert np.array_equal(dense_w(a_res), dense_w(b_res))
             assert np.array_equal(a_ro.w_out, b_ro.w_out)
             assert not np.array_equal(a_res.w_in, c_res.w_in)
 

@@ -82,7 +82,7 @@ def learner_sum(result):
 def test_esn_learner_floats_sampled():
     # every beta expectation of this run is sampled
     result = run(desk_config(max_iterations=100), "esn", 0)
-    assert learner_sum(result) == 75003.95869562491
+    assert learner_sum(result) == 75003.95869562493
 
 
 def test_esn_learner_floats_exact():
