@@ -65,8 +65,8 @@ def _build_config(args, defaults=None) -> ScenarioConfig:
 
 
 def _out_dir(args) -> Path:
-    """The output directory, created just before the first write, once the
-    command's inputs have passed, so a refused command leaves none."""
+    """The output directory, created just before the first write, so a
+    refused command leaves none (``main`` refuses a blocked path first)."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -325,6 +325,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = Path(args.out)  # an unusable path is refused before any work
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise ValueError(f"--out {out} is blocked by an existing file")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

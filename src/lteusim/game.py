@@ -29,15 +29,6 @@ _ENUMERATION_CAP = 500_000
 # actions and action spaces
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First failed feasibility constraint of an action."""
-
-    constraint: str  # quantization | licensed_dl_budget | licensed_ul_budget
-    #                | unlicensed_budget
-    detail: str
-
-
 def _first_occurrences(fractions) -> list[int]:
     """Index of each distinct action's first occurrence, in order; actions
     are keyed on their bytes."""
@@ -55,7 +46,8 @@ class ActionSpace:
     ``fractions[i]``, whose rows ``[d, v, kappa, tau]`` hold the licensed
     DL/UL and unlicensed DL/UL fraction of every user. An action is zero
     off ``covered_users``, and in the unlicensed rows of the macro cell
-    (BS 0), which has no unlicensed radio.
+    (BS 0), which has no unlicensed radio. The budgets are checked where
+    actions are made, in ``enumerate_actions``, and nowhere else.
     """
 
     owner: int
@@ -87,43 +79,6 @@ class ActionSpace:
         return self.fractions.shape[2]
 
 
-def validate_space(space: ActionSpace, z_levels: int):
-    """None when every action is feasible, otherwise ``(i, violation)``:
-    the first infeasible action and its first violated constraint.
-
-    Constraints are checked in order: every fraction an i/z_levels level in
-    [0, 1] (the first offender named, reading d, v, kappa, tau by covered
-    user), then the licensed DL, licensed UL and shared unlicensed budgets.
-    """
-    f = space.fractions[:, :, list(space.covered_users)]  # (|A|, 4, k)
-    scaled = f * z_levels
-    with np.errstate(invalid="ignore"):  # inf - inf: out of range anyway
-        off_grid = (~((f >= 0.0) & (f <= 1.0))
-                    | (np.abs(scaled - np.round(scaled)) > 1e-9))
-    # per row, the covered users added left to right, as sum() adds them
-    sums = np.zeros(f.shape[:2])
-    for j in range(f.shape[2]):
-        sums += f[:, :, j]
-    unlicensed = sums[:, 2] + sums[:, 3]
-    failed = np.stack([off_grid.any(axis=(1, 2)), sums[:, 0] > 1.0 + 1e-9,
-                       sums[:, 1] > 1.0 + 1e-9, unlicensed > 1.0 + 1e-9],
-                      axis=1)
-    bad = np.flatnonzero(failed.any(axis=1))
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    first = int(failed[i].argmax())
-    if first == 0:
-        value = float(f[i][off_grid[i]][0])
-        return i, Violation("quantization",
-                            f"{value!r} is not an i/{z_levels} level")
-    name, label, total = (
-        ("licensed_dl_budget", "sum(d)", sums[i, 0]),
-        ("licensed_ul_budget", "sum(v)", sums[i, 1]),
-        ("unlicensed_budget", "sum(kappa)+sum(tau)", unlicensed[i]))[first - 1]
-    return i, Violation(name, f"{label} = {float(total)!r}")
-
-
 def feasible_count(n_covered: int, z_levels: int, unlicensed: bool) -> int:
     """Size of the full feasible grid for one BS."""
     licensed = math.comb(n_covered + z_levels, n_covered) ** 2
@@ -144,8 +99,6 @@ def _grid_vectors(k: int, z: int):
 
 def _sample_grid_vector(rng, k: int, z: int):
     """Uniform draw from the sum<=z grid via a stars-and-bars bijection."""
-    if k == 0:
-        return ()
     bars = np.sort(rng.choice(z + k, size=k, replace=False))
     return tuple(int(gap) - 1 for gap in np.diff(bars, prepend=-1))
 
@@ -195,7 +148,9 @@ def enumerate_actions(bs: int, topology, config, seed: int) -> ActionSpace:
     otherwise the space holds the all-zero action, an even split across
     the covered users, one "whole band to user j" action per covered
     user, and uniform draws from the grid up to the cap, deduplicated,
-    in a seed-deterministic order.
+    in a seed-deterministic order. Feasibility is checked here, once and
+    exactly, on the integer grid counts before they become i/z fractions;
+    an infeasible action raises ``RuntimeError``.
     """
     users = topology.covered_users[bs]
     z = config.z_levels
@@ -210,8 +165,19 @@ def enumerate_actions(bs: int, topology, config, seed: int) -> ActionSpace:
         units = [d + v + s for d in licensed for v in licensed for s in shared]
     else:
         units = _sampled_units(k, z, unlicensed, config.action_set_size, seed)
+    counts = np.array(units, dtype=int).reshape(len(units), 4, k)
+    d, v, kappa, tau = counts.sum(axis=2).T
+    # exact in grid units: no negative count, and each budget at most z
+    bad = np.argwhere(np.column_stack([(counts < 0).any(axis=(1, 2)), d > z,
+                                       v > z, kappa + tau > z]))
+    if bad.size:
+        i, j = bad[0]
+        rule = ("every count >= 0", "sum(d) <= z", "sum(v) <= z",
+                "sum(kappa)+sum(tau) <= z")[j]
+        raise RuntimeError(f"infeasible action {i} in BS {bs} space: "
+                           f"{rule} fails at z = {z}")
     fractions = np.zeros((len(units), 4, topology.n_users))
-    fractions[:, :, list(users)] = np.reshape(units, (len(units), 4, k)) / z
+    fractions[:, :, list(users)] = counts / z
     return ActionSpace(owner=bs, covered_users=users, fractions=fractions)
 
 
@@ -221,7 +187,8 @@ def _distinct(space: ActionSpace, fractions) -> ActionSpace:
 
 
 def restrict_licensed_only(space: ActionSpace) -> ActionSpace:
-    """Project every action to the licensed bands (kappa = tau = 0)."""
+    """Project every action to the licensed bands (kappa = tau = 0); zeroing
+    fractions keeps a feasible action feasible."""
     fractions = space.fractions.copy()
     fractions[:, 2:] = 0.0
     return _distinct(space, fractions)
@@ -229,7 +196,8 @@ def restrict_licensed_only(space: ActionSpace) -> ActionSpace:
 
 def restrict_coupled(space: ActionSpace) -> ActionSpace:
     """Force single-BS association: a user granted only one direction loses
-    that grant, so every surviving grant pairs DL and UL at the same BS."""
+    that grant, so every surviving grant pairs DL and UL at the same BS.
+    Zeroing fractions keeps a feasible action feasible."""
     f = space.fractions
     has_dl = (f[:, 0] > 0) | (f[:, 2] > 0)
     has_ul = (f[:, 1] > 0) | (f[:, 3] > 0)

@@ -20,7 +20,7 @@ import numpy as np
 from .agents import (algorithm_spaces, finish_round, make_agents,
                      observe_outcome, reward_joint, select_and_broadcast)
 from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
-                   resolved_utilities, validate_space)
+                   resolved_utilities)
 from .rates import (UserRates, build_capacities, check_grants,
                     compute_user_rates)
 from .scenario import ALGORITHMS, ScenarioConfig, draw_channel, generate_topology
@@ -111,16 +111,6 @@ def _audit_wifi(config: ScenarioConfig, duty) -> None:
                            f"{per_station} < {config.wifi_rate_req_bps}")
 
 
-def _audit_spaces(spaces, z_levels: int) -> None:
-    for space in spaces:
-        found = validate_space(space, z_levels)
-        if found is not None:
-            i, violation = found
-            raise RuntimeError(
-                f"infeasible action {i} in BS {space.owner} space: "
-                f"{violation.constraint} ({violation.detail})")
-
-
 def _empty_rates(n_users: int) -> UserRates:
     return UserRates(dl_bps=np.zeros(n_users), ul_bps=np.zeros(n_users),
                      serving_dl=np.full(n_users, -1, dtype=int),
@@ -159,7 +149,6 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
     inputs = prepare_run(config, algorithm, seed)
     caps, spaces = inputs.capacities, inputs.spaces
     _audit_wifi(config, inputs.duty)
-    _audit_spaces(spaces, config.z_levels)
     team = make_agents(algorithm, spaces, config, inputs.agent_seed)
     # the coupled baseline is scored under classic single-BS association
     coupled = algorithm == "q_lteu_coupled"

@@ -2,8 +2,10 @@
 ``lteusim.game``.
 
 ``Action`` is a plain view of one action as per-covered-user tuples, with
-builders to and from ``ActionSpace``. The per-action loops that
-``validate_space``, ``restrict_coupled`` and ``restrict_licensed_only``
+builders to and from ``ActionSpace``. ``validate_space_oracle`` checks a
+space's fractions against the feasibility rules, per action and in
+floats, independently of the integer check in ``enumerate_actions``. The
+per-action loops that ``restrict_coupled`` and ``restrict_licensed_only``
 replaced are kept here as oracles for them, and so are the per-batch
 arithmetic that ``JointEvaluator``'s per-action tables replaced and the
 plain and the control-variate Monte-Carlo estimators of the agents' beta
@@ -17,12 +19,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lteusim.game import (ActionSpace, MixedStrategy, Violation,
-                          resolve_conflicts, resolved_utilities)
+from lteusim.game import (ActionSpace, MixedStrategy, resolve_conflicts,
+                          resolved_utilities)
 from lteusim.scenario import ScenarioConfig
 
 # the unlicensed-DL utility discount the unit tests score with
 ETA = ScenarioConfig().eta
+
+
+class Violation(NamedTuple):
+    """First failed feasibility constraint of an action."""
+
+    constraint: str  # quantization | licensed_dl_budget | licensed_ul_budget
+    #                | unlicensed_budget
+    detail: str
 
 
 class Action(NamedTuple):

@@ -394,5 +394,32 @@ class TestNeCheckCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["sweep", "--axis", "n_users", "--values", "4", "--runs", "1"],
+    ["ne-check"],
+    ["coexistence"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under_file"])
+def test_out_blocked_by_a_file_fails_before_any_work(tmp_path, monkeypatch,
+                                                     capsys, argv, nested):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for module, name in ((harness, "run"), (harness, "sweep"),
+                         (harness, "prepare_run"),
+                         (wifi, "saturation_throughput")):
+        monkeypatch.setattr(module, name, unreachable)
+    blocker = tmp_path / "afile"
+    blocker.write_bytes(b"keep me\n")
+    out = blocker / "sub" if nested else blocker
+    code = cli.main([*argv, "--out", str(out)])
+    assert code == 2
+    assert (f"error: --out {out} is blocked by an existing file"
+            in capsys.readouterr().err)
+    assert blocker.read_bytes() == b"keep me\n"
+    assert sorted(tmp_path.iterdir()) == [blocker]
+
+
 def test_console_entry_point_importable():
     assert callable(cli.main)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lteusim import game
 from lteusim.game import (
     ActionSpace,
     JointEvaluator,
@@ -22,7 +23,6 @@ from lteusim.game import (
     resolved_utilities,
     restrict_coupled,
     restrict_licensed_only,
-    validate_space,
     verify_mixed_ne,
 )
 from lteusim.harness import prepare_run
@@ -244,12 +244,15 @@ class TestActionConstruction:
 
 
 def validate_one(action, z_levels):
-    """validate_space's verdict on a space of ``action`` alone."""
-    found = validate_space(space_of([action]), z_levels)
+    """The oracle's verdict on a space of ``action`` alone."""
+    found = validate_space_oracle(space_of([action]), z_levels)
     return None if found is None else found[1]
 
 
 class TestValidateAction:
+    """The per-action oracle that the enumerated spaces are checked against
+    (TestFeasibleByConstruction) rejects what it must."""
+
     def test_feasible_boundary(self):
         a = make_action(1, (0,), 1, d=(1.0,), v=(1.0,), kappa=(0.5,), tau=(0.5,))
         assert validate_one(a, z_levels=10) is None
@@ -286,7 +289,7 @@ class TestValidateAction:
                            tau=(0.4,))
         off = make_action(1, (0,), 1, d=(0.15,), v=(0.0,), kappa=(0.0,),
                           tau=(0.0,))
-        i, violation = validate_space(space_of([ok, over, off]), 10)
+        i, violation = validate_space_oracle(space_of([ok, over, off]), 10)
         assert i == 1 and violation.constraint == "unlicensed_budget"
         assert violation == validate_action(over, 10)
 
@@ -316,7 +319,7 @@ class TestEnumerateActions:
         cfg = ScenarioConfig(z_levels=2, action_set_size=100)
         space = enumerate_actions(1, topo, cfg, seed=3)
         assert len(space) == 54
-        assert validate_space(space, 2) is None
+        assert validate_space_oracle(space, 2) is None
         # d slowest, then v, then the unlicensed pair
         assert [a.key for a in actions_of(space)[:4]] == [
             ((0.0,), (0.0,), (0.0,), (0.0,)), ((0.0,), (0.0,), (0.0,), (0.5,)),
@@ -340,7 +343,7 @@ class TestEnumerateActions:
         first_seed = action_at(space, 2)
         assert first_seed.d == (1.0, 0.0) and first_seed.v == (1.0, 0.0)
         assert first_seed.kappa == (0.5, 0.0) and first_seed.tau == (0.5, 0.0)
-        assert validate_space(space, 10) is None
+        assert validate_space_oracle(space, 10) is None
         assert len({a.key for a in actions_of(space)}) == 16
 
     def test_sampling_deterministic_in_seed(self):
@@ -364,6 +367,86 @@ class TestEnumerateActions:
         b = make_action(0, (0,), 1, d=(0.0,), v=(0.0,))
         with pytest.raises(ValueError, match="duplicate"):
             space_of([a, b])
+
+
+def _feasibility_cases():
+    """(z, k, bs, cap, seed) over z in {2, 4, 10}, 0-3 covered users and
+    the macro cell and a small cell: the full grid wherever it has at most
+    3000 actions, and a sampled space of up to 24 actions, below the
+    grid's size, at three seeds."""
+    cases = []
+    for z, k, bs in itertools.product((2, 4, 10), range(4), (0, 1)):
+        count = feasible_count(k, z, unlicensed=bs != 0)
+        if count <= 3000:
+            cases.append((z, k, bs, count, 0))
+        if count > 1:
+            cases += [(z, k, bs, min(count - 1, 24), seed)
+                      for seed in range(3)]
+    return cases
+
+
+def _space_with_units(monkeypatch, bad_actions):
+    """Small cell 1's sampled space at z = 10 over users 0 and 1, with the unit
+    generator returning the idle action and then ``bad_actions``."""
+    monkeypatch.setattr(game, "_sampled_units",
+                        lambda *args: [(0,) * 8, *bad_actions])
+    topo = toy_topology([(0, 1), (0, 1)])
+    return enumerate_actions(1, topo, ScenarioConfig(z_levels=10,
+                                                      action_set_size=4), 0)
+
+
+class TestFeasibleByConstruction:
+    """Feasibility is checked once, in grid units, in enumerate_actions;
+    every space it builds passes the per-action float oracle, and so do
+    its projections, which only zero fractions."""
+
+    @pytest.mark.parametrize("z,k,bs,cap,seed", _feasibility_cases())
+    def test_enumerated_spaces_pass_the_oracle(self, z, k, bs, cap, seed):
+        # BS bs covers users 0..k-1; the other BS also covers user k
+        covered = [tuple(range(k)), tuple(range(k + 1))]
+        topo = toy_topology(covered if bs == 0 else covered[::-1])
+        space = enumerate_actions(bs, topo, ScenarioConfig(
+            z_levels=z, action_set_size=cap), seed)
+        # both branches fill the cap; the full grid's cap is its size
+        assert len(space) == cap
+        assert space.covered_users == tuple(range(k))
+        assert validate_space_oracle(space, z) is None
+        for project in (restrict_coupled, restrict_licensed_only):
+            assert validate_space_oracle(project(space), z) is None
+
+    @pytest.mark.parametrize("action,rule", [
+        ((0, 0, 0, 0, 0, 0, -1, 0), r"every count >= 0"),
+        ((6, 5, 0, 0, 0, 0, 0, 0), r"sum\(d\) <= z"),
+        ((0, 0, 10, 1, 0, 0, 0, 0), r"sum\(v\) <= z"),
+        ((0, 0, 0, 0, 3, 3, 3, 2), r"sum\(kappa\)\+sum\(tau\) <= z"),
+        # the first failed rule is named
+        ((-1, 12, 0, 0, 0, 0, 0, 0), r"every count >= 0"),
+    ])
+    def test_infeasible_sampled_action_is_named(self, monkeypatch, action,
+                                                rule):
+        with pytest.raises(RuntimeError, match=(
+                rf"^infeasible action 1 in BS 1 space: {rule} fails at "
+                r"z = 10$")):
+            _space_with_units(monkeypatch, [action])
+
+    def test_first_infeasible_action_is_named(self, monkeypatch):
+        fine = (5, 5, 5, 5, 2, 3, 2, 3)
+        over = (0, 0, 0, 0, 3, 3, 3, 2)
+        with pytest.raises(RuntimeError, match=r"action 2 in BS 1 space: "
+                                               r"sum\(kappa\)"):
+            _space_with_units(monkeypatch, [fine, over, (11, 0) + (0,) * 6])
+        assert len(_space_with_units(monkeypatch, [fine])) == 2
+
+    def test_infeasible_grid_action_is_named(self, monkeypatch):
+        # the full-grid branch: a licensed vector over budget at the macro
+        monkeypatch.setattr(game, "_grid_vectors",
+                            lambda k, z: [(0,) * k, (z + 1,) * k])
+        topo = toy_topology([(0,), (0,)])
+        with pytest.raises(RuntimeError, match=r"^infeasible action 1 in BS 0 "
+                                               r"space: sum\(v\) <= z fails "
+                                               r"at z = 2$"):
+            enumerate_actions(0, topo, ScenarioConfig(z_levels=2,
+                                                      action_set_size=100), 0)
 
 
 class TestRestrictions:
@@ -396,13 +479,6 @@ class TestRestrictions:
 
 def grid_levels(z):
     return st.integers(0, z).map(lambda i: i / z)
-
-
-# off-grid, out-of-range and non-finite values beside grid ones; x + 0.0
-# turns -0.0 into 0.0
-ODD_VALUES = st.one_of(grid_levels(2), grid_levels(10),
-                       st.floats(-0.5, 1.5).map(lambda x: x + 0.0),
-                       st.sampled_from([math.nan, math.inf, 0.15]))
 
 
 @st.composite
@@ -438,12 +514,6 @@ class TestSpaceOracles:
                 == restrict_coupled_oracle(space))
         assert (actions_of(restrict_licensed_only(space))
                 == restrict_licensed_only_oracle(space))
-
-    @settings(max_examples=300, deadline=None)
-    @given(spaces_of(ODD_VALUES), st.sampled_from([2, 4, 10]))
-    def test_validation_matches_the_per_action_loop(self, space, z_levels):
-        assert (validate_space(space, z_levels)
-                == validate_space_oracle(space, z_levels))
 
     def test_projections_drop_the_duplicates_they_create(self):
         dl_only = make_action(1, (0,), 1, (0.5,), (0.0,), (0.0,), (0.0,))

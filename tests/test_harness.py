@@ -8,7 +8,6 @@ from lteusim import agents, cli, game, harness
 from lteusim.harness import (MonteCarloResult, RunResult, monte_carlo,
                              prepare_run, run, sweep)
 from lteusim.scenario import ALGORITHMS, desk_config
-from oracles import make_action, space_of
 
 
 def toy_config(**overrides):
@@ -450,14 +449,18 @@ def test_harness_settles_with_the_one_resolver():
     assert not hasattr(lteusim, "resolve_conflicts")
 
 
-def test_space_audit_names_the_first_infeasible_action():
-    fine = make_action(1, (0,), 1, (0.5,), (0.5,), (0.0,), (0.0,))
-    over = make_action(1, (0,), 1, (0.5,), (0.5,), (0.6,), (0.5,))
-    harness._audit_spaces([space_of([fine])], z_levels=10)
-    with pytest.raises(RuntimeError, match=r"infeasible action 1 in BS 1 "
-                                           r"space: unlicensed_budget "
-                                           r"\(sum\(kappa\)\+sum\(tau\) = 1\.1\)"):
-        harness._audit_spaces([space_of([fine, over])], z_levels=10)
+def test_infeasible_action_stops_the_run_before_any_learner(monkeypatch):
+    # the small cell's sampled space gets one action over its DL budget
+    monkeypatch.setattr(game, "_sampled_units", lambda k, z, *rest: [
+        (0,) * (4 * k), (z + 1,) + (0,) * (4 * k - 1)])
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a learner was built")
+
+    monkeypatch.setattr(harness, "make_agents", unreachable)
+    with pytest.raises(RuntimeError, match=r"^infeasible action 1 in BS \d "
+                                           r"space: sum\(d\) <= z fails"):
+        run(small_config(), "esn", seed=0)
 
 
 def test_run_result_is_frozen():

@@ -7,10 +7,11 @@ and every ``ScenarioConfig`` field must be read somewhere besides its
 validation. Every public dataclass field and every public ``self.X =``
 attribute of a class must be read somewhere in the package: an attribute
 load of that name, or a string constant equal to it (``getattr`` and the
-CSV column lists read fields by name). Writes do not count. The check
-goes by name, so a read of another object's attribute of the same name
-hides an unread one. Scalar oracles and other test helpers belong in
-``tests/``.
+CSV column lists read fields by name). Writes do not count, and neither
+do attribute loads on an imported module (``np.``, ``sys.``, ``esn.``).
+The check goes by name, so a read of another object's attribute of the
+same name hides an unread one. Scalar oracles and other test helpers
+belong in ``tests/``.
 """
 
 import ast
@@ -50,6 +51,9 @@ ALLOWED_UNREAD = {
         "part of it",
     "game.ExpectedUtility.exact":
         "bench/tracer.py counts the exact branch of beta_expectation",
+    "game.ExpectedUtility.stderr":
+        "test_agents.py's three-standard-error checks of beta_expectation "
+        "read it",
     "scenario.Topology.wap_positions":
         "ROADMAP item 1 removes it with its RNG draw and the golden re-pin",
 }
@@ -91,12 +95,38 @@ def _used_outside(name, node):
     return PACKAGE_NAMES[name] > _names(node)[name]
 
 
-# every attribute load and every str constant in the package: the reads
-READS = Counter(
-    node.attr if isinstance(node, ast.Attribute) else node.value
-    for tree in TREES.values() for node in ast.walk(tree)
-    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
-    or (isinstance(node, ast.Constant) and isinstance(node.value, str)))
+def _modules(tree):
+    """Names ``tree`` binds to modules: ``import x`` (as ``x``, or its
+    alias) and ``from . import x``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _on_module(node, modules):
+    """Whether ``node`` is a module name or a dotted path from one."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in modules
+
+
+def _reads(tree):
+    modules = _modules(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and not _on_module(node.value, modules)):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+# every attribute load on an object other than an imported module, and
+# every str constant in the package: the reads
+READS = Counter(name for tree in TREES.values() for name in _reads(tree))
 
 
 def _is_dataclass(cls):
