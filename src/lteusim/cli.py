@@ -52,15 +52,14 @@ def _parse_list(flag, text, kind):
 def _build_config(args, defaults=None) -> ScenarioConfig:
     if args.config:
         base = ScenarioConfig.from_file(args.config)
-    elif defaults:
-        base = desk_config(**defaults)
     else:
-        base = desk_config()
-    overrides = _parse_sets(args.set)
-    if not overrides:
-        return base
+        base = desk_config(**(defaults or {}))
     mapping = base.to_mapping()
-    mapping.update(overrides)
+    mapping.update(_parse_sets(args.set))
+    if args.seed is not None:  # after --set, so --seed wins
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+        mapping["rng_seed"] = args.seed
     return ScenarioConfig.from_mapping(mapping)
 
 
@@ -70,12 +69,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _seed(args, config: ScenarioConfig) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    return config.rng_seed if args.seed is None else args.seed
 
 
 # CSV output ----------------------------------------------------------------
@@ -176,8 +169,7 @@ def _run_summary_lines(result) -> list[str]:
 
 def cmd_run(args) -> int:
     config = _build_config(args)
-    seed = _seed(args, config)
-    result = harness.run(config, args.algorithm, seed)
+    result = harness.run(config, args.algorithm)
     out = _out_dir(args)
     write_trace_csv(result, out / "trace.csv")
     write_cdf_csv(result.metrics["rate_cdf_bps"], out / "cdf.csv")
@@ -188,11 +180,10 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _build_config(args)
-    seed = _seed(args, config)
     values = _parse_list("--values", args.values, float)
     algorithms = [a for a in args.algorithms.split(",") if a]
     cells = harness.sweep(config, args.axis, values, algorithms,
-                          n_runs=args.runs, base_seed=seed)
+                          n_runs=args.runs)
     out = _out_dir(args)
     write_sweep_csv(cells, out / "sweep.csv")
     lines = [f"axis = {args.axis}", f"cells = {len(cells)}",
@@ -238,11 +229,10 @@ NE_CHECK_DEFAULTS = dict(n_sbs=2, n_users=4, action_set_size=5,
 def cmd_ne_check(args) -> int:
     # defaults keep the joint space small enough for exact enumeration
     config = _build_config(args, defaults=NE_CHECK_DEFAULTS)
-    seed = _seed(args, config)
     # the payoff table does not depend on the run: refuse a big game first
-    inputs = harness.prepare_run(config, "esn", seed)
+    inputs = harness.prepare_run(config, "esn", config.rng_seed)
     payoffs = game.joint_payoffs(inputs.spaces, inputs.capacities, config.eta)
-    result = harness.run(config, "esn", seed)
+    result = harness.run(config, "esn")
     if not result.records:
         raise ValueError("ne-check needs at least one round; "
                          "raise max_iterations")
@@ -250,7 +240,7 @@ def cmd_ne_check(args) -> int:
     profile = [game.MixedStrategy.epsilon_greedy(space, best[n], config.epsilon)
                for n, space in enumerate(inputs.spaces)]
     probe = game.verify_mixed_ne(profile, payoffs)
-    lines = [f"seed = {seed}", f"converged_at = {result.converged_at}",
+    lines = [f"seed = {result.seed}", f"converged_at = {result.converged_at}",
              f"epsilon = {_fmt(config.epsilon)}"]
     all_ok = True
     for n, table in enumerate(probe.expected_by_action):
@@ -275,7 +265,8 @@ def _add_common(sub):
     sub.add_argument("--config", help="config file (JSON or key = value)")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one config field (repeatable)")
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=None,
+                     help="sets rng_seed (overrides --config and --set)")
     sub.add_argument("--out", default="lteusim_out",
                      help="output directory (created if missing)")
 

@@ -71,12 +71,10 @@ class RunResult:
 
 @dataclass(frozen=True)
 class RunInputs:
-    """Everything a run derives from (config, algorithm, seed) before the
-    first round; exposed so audits can rebuild a run's world exactly.
+    """What a run reads of its world, derived from (config, algorithm,
+    seed) before the first round; exposed so audits can rebuild it exactly.
     ``capacities`` is the same for every algorithm; ``spaces`` is gated."""
 
-    topology: object
-    channel: object
     duty: object
     capacities: object
     spaces: tuple
@@ -93,8 +91,7 @@ def prepare_run(config: ScenarioConfig, algorithm: str, seed: int) -> RunInputs:
     caps = build_capacities(channel, config, duty.lte_share)
     spaces = tuple(enumerate_actions(n, topology, config, int(parts[3 + n]))
                    for n in range(config.n_bs))
-    return RunInputs(topology=topology, channel=channel, duty=duty,
-                     capacities=caps, agent_seed=int(parts[2]),
+    return RunInputs(duty=duty, capacities=caps, agent_seed=int(parts[2]),
                      spaces=algorithm_spaces(spaces, algorithm))
 
 
@@ -137,6 +134,7 @@ def _evaluator_rows(team, current, best) -> list:
 def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         keep_records: bool = True) -> RunResult:
     """One full learning run; deterministic in (config, algorithm, seed).
+    An omitted ``seed`` is ``config.rng_seed``.
 
     ``keep_records=False`` drops the per-round records (Monte-Carlo
     replications only need the end-state metrics), and with them the played
@@ -243,10 +241,8 @@ class MonteCarloResult:
     n_runs: int
     base_seed: int
     sum_rate_mean: float
-    sum_rate_median: float
     sum_rate_ci: tuple[float, float]
     median_rate_mean: float
-    median_rate_median: float
     median_rate_ci: tuple[float, float]
     pooled_cdf_bps: tuple
     converged_fraction: float
@@ -270,11 +266,14 @@ def _bootstrap_ci(values, rng, n_resamples=1000):
 
 
 def monte_carlo(config: ScenarioConfig, algorithm: str, n_runs: int,
-                base_seed: int = 0) -> MonteCarloResult:
+                base_seed: int | None = None) -> MonteCarloResult:
     """Independent seeded replications with 95% bootstrap intervals on the
-    mean sum-rate and mean median-user-rate, plus the pooled rate CDF."""
+    mean sum-rate and mean median-user-rate, plus the pooled rate CDF.
+    An omitted ``base_seed`` is ``config.rng_seed``."""
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
+    if base_seed is None:
+        base_seed = config.rng_seed
     if base_seed < 0:
         raise ValueError(f"base_seed must be nonnegative, got {base_seed}")
     seeds = np.random.SeedSequence(int(base_seed)).generate_state(n_runs)
@@ -291,10 +290,8 @@ def monte_carlo(config: ScenarioConfig, algorithm: str, n_runs: int,
     return MonteCarloResult(
         algorithm=algorithm, n_runs=n_runs, base_seed=int(base_seed),
         sum_rate_mean=float(sum_rates.mean()),
-        sum_rate_median=float(np.median(sum_rates)),
         sum_rate_ci=_bootstrap_ci(sum_rates, rng),
         median_rate_mean=float(med_rates.mean()),
-        median_rate_median=float(np.median(med_rates)),
         median_rate_ci=_bootstrap_ci(med_rates, rng),
         pooled_cdf_bps=tuple(float(v) for v in pooled),
         converged_fraction=len(done) / n_runs,
@@ -320,12 +317,12 @@ class SweepCell:
 
 
 def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
-          n_runs: int = 100, base_seed: int = 0) -> list[SweepCell]:
+          n_runs: int = 100, base_seed: int | None = None) -> list[SweepCell]:
     """Cross-product of axis values and algorithms, one Monte-Carlo cell
     each; neither list may be empty or repeat an entry, and every algorithm
-    must be known before the first cell runs. All algorithms at
-    one axis value share the same base seed, so their replications are
-    pairwise comparable."""
+    must be known before the first cell runs. Every cell shares the same
+    base seed, an omitted one being ``template.rng_seed``, so the
+    algorithms' replications at one axis value are pairwise comparable."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; "
                          f"choose from {sorted(SWEEP_AXES)}")

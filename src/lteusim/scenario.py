@@ -1,8 +1,10 @@
 """Scenario configuration, topology generation, and the fading channel model.
 
 Everything downstream (capacities, utilities, learning) is a deterministic
-function of a ScenarioConfig plus integer seeds, so a run can be reproduced
-from its echoed config alone.
+function of a ScenarioConfig, an algorithm and a seed. A command's seed is
+the config's ``rng_seed`` (the CLI's ``--seed`` sets it), so a command
+rerun with ``--config`` at its echoed config, and its other flags (a run
+names its algorithm in ``summary.txt``), writes the same files.
 """
 
 from __future__ import annotations
@@ -221,7 +223,10 @@ def _coerce(key: str, value, annotation):
     if "int" in ann:
         if not f.is_integer():
             raise ValueError(f"config key {key!r} expects an integer, got {value!r}")
-        return int(f)
+        try:  # digits read exactly; float() rounds a seed past 2**53
+            return int(value)
+        except ValueError:  # "1e3"
+            return int(f)
     return f
 
 

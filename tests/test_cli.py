@@ -394,6 +394,48 @@ class TestNeCheckCommand:
         assert not out.exists()
 
 
+def _files(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestSeedRule:
+    """``--seed`` sets the config's ``rng_seed``, so the echo holds the
+    seed every command used."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--algorithm", "q_lteu_decoupled", *SMALL],
+        ["sweep", "--axis", "n_users", "--values", "2,3",
+         "--algorithms", "esn,q_lteu_decoupled", "--runs", "2", *SMALL],
+        ["ne-check", "--set", "max_iterations=60"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_command_reproduces_from_its_echo(self, tmp_path, argv, seed):
+        first, again = tmp_path / "first", tmp_path / "again"
+        code = cli.main([*argv, "--seed", str(seed), "--out", str(first)])
+        assert code in (0, 1)  # ne-check's 1 is a "not an equilibrium"
+        echo = first / "config_echo.txt"
+        assert f"rng_seed = {seed}\n" in echo.read_text()
+        assert cli.main([*argv, "--config", str(echo),
+                         "--out", str(again)]) == code
+        assert _files(again) == _files(first)
+
+    def test_seed_flag_wins_over_set(self, tmp_path):
+        code = cli.main(["run", "--out", str(tmp_path), *SMALL,
+                         "--set", "rng_seed=3", "--seed", "4"])
+        assert code == 0
+        assert "rng_seed = 4\n" in (tmp_path / "config_echo.txt").read_text()
+        assert "seed = 4\n" in (tmp_path / "summary.txt").read_text()
+
+    def test_seed_past_float_precision_is_exact(self, tmp_path):
+        seed = 2**53 + 1  # float(seed) rounds to 2**53
+        code = cli.main(["run", "--out", str(tmp_path), *SMALL,
+                         "--set", "max_iterations=2", "--seed", str(seed)])
+        assert code == 0
+        echo = (tmp_path / "config_echo.txt").read_text()
+        assert f"rng_seed = {seed}\n" in echo
+        assert f"seed = {seed}\n" in (tmp_path / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["sweep", "--axis", "n_users", "--values", "4", "--runs", "1"],

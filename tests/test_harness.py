@@ -311,6 +311,12 @@ class TestMonteCarlo:
         # no run converges in 150 rounds
         assert first.mean_converged_at is None
 
+    def test_omitted_base_seed_is_the_config_seed(self):
+        cfg = small_config()
+        default = monte_carlo(cfg.with_overrides(rng_seed=5), "esn", 2)
+        assert default == monte_carlo(cfg, "esn", 2, base_seed=5)
+        assert default != monte_carlo(cfg, "esn", 2, base_seed=0)
+
     def test_ci_brackets_the_mean(self):
         mc = monte_carlo(small_config(), "esn", n_runs=4, base_seed=1)
         lo, hi = mc.sum_rate_ci
@@ -431,6 +437,13 @@ class TestSweep:
         assert cell.run_converged_at == direct.run_converged_at
         assert cell.run_decoupled_users == direct.run_decoupled_users
         assert len(cell.run_sum_rates) == 2
+
+    def test_omitted_base_seed_is_the_config_seed(self):
+        cfg = small_config()
+        axis = ("n_users", [2, 3], ["esn", "q_lteu_decoupled"])
+        default = sweep(cfg.with_overrides(rng_seed=5), *axis, n_runs=2)
+        assert default == sweep(cfg, *axis, n_runs=2, base_seed=5)
+        assert default != sweep(cfg, *axis, n_runs=2, base_seed=0)
 
     def test_cross_product_layout(self):
         cfg = small_config(max_iterations=3, convergence_window=4)
