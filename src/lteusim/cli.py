@@ -202,14 +202,16 @@ def cmd_coexistence(args) -> int:
     users = _parse_list("--wifi-users", args.wifi_users, int)
     rates = (_parse_list("--rates", args.rates, float)
              if args.rates else [config.wifi_rate_req_bps])
+    harness.check_entries("--wifi-users", users)
+    harness.check_entries("--rates", rates)
     # every row first: a bad entry must fail before any file is written
     rows = []
     for n_wifi in users:
-        params = wifi.default_params(n_wifi)
-        throughput = wifi.saturation_throughput(params)
+        tau = wifi.tx_probability(n_wifi)
+        throughput = wifi.throughput_at(tau, n_wifi)
         for r_w in rates:
-            duty = wifi.lte_fraction(params, r_w)
-            rows.append([n_wifi, r_w, params.tau_prob, throughput,
+            duty = wifi.lte_fraction(n_wifi, r_w)
+            rows.append([n_wifi, r_w, tau, throughput,
                          duty.lte_share, duty.wifi_overloaded])
     out = _out_dir(args)
     config.echo(out / "config_echo.txt")

@@ -24,7 +24,7 @@ from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
 from .rates import (UserRates, build_capacities, check_grants,
                     compute_user_rates)
 from .scenario import ALGORITHMS, ScenarioConfig, draw_channel, generate_topology
-from .wifi import default_params, duty_cycle_for_config, saturation_throughput
+from .wifi import duty_cycle_for_config, saturation_throughput
 
 __all__ = [
     "RoundRecord", "RunResult", "MonteCarloResult", "SweepCell", "RunInputs",
@@ -100,8 +100,7 @@ def _audit_wifi(config: ScenarioConfig, duty) -> None:
     # an overloaded WAP is flagged on the result instead (L is already 0).
     if config.n_waps == 0 or duty.wifi_overloaded:
         return
-    params = default_params(config.wifi_users_per_wap)
-    throughput = saturation_throughput(params)
+    throughput = saturation_throughput(config.wifi_users_per_wap)
     per_station = throughput * (1.0 - duty.lte_share) / config.wifi_users_per_wap
     if per_station < config.wifi_rate_req_bps * (1.0 - 1e-12):
         raise RuntimeError("WiFi guarantee audit failed: "
@@ -316,6 +315,18 @@ class SweepCell:
     result: MonteCarloResult
 
 
+def check_entries(name: str, entries) -> None:
+    """Refuse an empty list, which would write a header-only table, and a
+    repeated entry, which would compute the same rows again; each message
+    begins with ``name``."""
+    if not entries:
+        raise ValueError(f"{name} must not be empty")
+    for i, entry in enumerate(entries):
+        if entry in entries[:i]:
+            raise ValueError(f"{name} must not repeat an entry, "
+                             f"got {entry!r} twice")
+
+
 def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
           n_runs: int = 100, base_seed: int | None = None) -> list[SweepCell]:
     """Cross-product of axis values and algorithms, one Monte-Carlo cell
@@ -328,15 +339,8 @@ def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
                          f"choose from {sorted(SWEEP_AXES)}")
     algorithms = ALGORITHMS if algorithms is None else list(algorithms)
     values = list(values)
-    # an empty axis or algorithm list would write a header-only table, and
-    # a repeated entry would run the same cells again
     for name, given in (("values", values), ("algorithms", algorithms)):
-        if not given:
-            raise ValueError(f"sweep {name} must not be empty")
-        for i, entry in enumerate(given):
-            if entry in given[:i]:
-                raise ValueError(f"sweep {name} must not repeat an entry, "
-                                 f"got {entry!r} twice")
+        check_entries(f"sweep {name}", given)
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")

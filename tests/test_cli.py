@@ -302,8 +302,7 @@ class TestCoexistenceCommand:
                           "throughput_bps", "lte_fraction",
                           "wifi_overloaded"]
         assert len(rows) == 5
-        params = wifi.default_params(2)
-        want = wifi.lte_fraction(params, 2e6).lte_share
+        want = wifi.lte_fraction(2, 2e6).lte_share
         assert float(rows[1][4]) == pytest.approx(want, rel=1e-8)
 
     def test_default_rate_comes_from_config(self, tmp_path):
@@ -328,6 +327,42 @@ class TestCoexistenceCommand:
         assert (f"error: {flag} takes comma-separated {kind} values, "
                 f"got {entry!r}") in capsys.readouterr().err
         assert not (tmp_path / "coexistence.csv").exists()
+
+    def test_empty_rates_flag_means_the_config_demand(self, tmp_path):
+        code = cli.main(["coexistence", "--wifi-users", "4", "--rates", "",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        rows = list(csv.reader((tmp_path / "coexistence.csv").open()))
+        assert [float(row[1]) for row in rows[1:]] == [
+            desk_config().wifi_rate_req_bps]
+
+    @pytest.mark.parametrize("rates", ["nan", "inf", "1e6,nan"])
+    def test_non_finite_rate_writes_no_file(self, tmp_path, capsys, rates):
+        # NaN would read as no demand and inf as an overload; both are
+        # refused like a negative demand
+        out = tmp_path / "out"
+        code = cli.main(["coexistence", "--rates", rates, "--out", str(out)])
+        assert code == 2
+        assert ("the WiFi rate requirement must be nonnegative and finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--wifi-users", ","], "--wifi-users must not be empty"),
+        (["--wifi-users", ""], "--wifi-users must not be empty"),
+        (["--rates", ","], "--rates must not be empty"),
+        (["--wifi-users", "2,2"],
+         "--wifi-users must not repeat an entry, got 2 twice"),
+        (["--rates", "1e6,1000000"],
+         "--rates must not repeat an entry, got 1000000.0 twice"),
+    ])
+    def test_empty_or_repeated_list_writes_no_file(self, tmp_path, capsys,
+                                                   argv, message):
+        out = tmp_path / "out"
+        code = cli.main(["coexistence", *argv, "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--rates", "1e6,-1",

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from lteusim import agents
+from lteusim import agents, wifi
 from lteusim.harness import run
 from lteusim.scenario import desk_config
 
@@ -90,3 +90,20 @@ def test_esn_learner_floats_exact():
     # terms may move the last bits
     result = run(desk_config(action_set_size=2, max_iterations=300), "esn", 0)
     assert learner_sum(result) == pytest.approx(62351.098233667224, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_wifi, want", [
+    (1, (0.11764705882352941, 47545030.62997165, 0.9158692307692308)),
+    (2, (0.10462063228186973, 53203419.6224685, 0.8496337254866697)),
+    (4, (0.08396141339520584, 55865256.058605246, 0.7135965870591328)),
+    (8, (0.059719034218896704, 56633578.28069518, 0.4349641860629542)),
+])
+def test_wifi_floats(n_wifi, want):
+    # tau, the saturation throughput and the LTE-U share at a 4 Mbps demand
+    assert (wifi.tx_probability(n_wifi), wifi.saturation_throughput(n_wifi),
+            wifi.lte_fraction(n_wifi, 4e6).lte_share) == want
+
+
+def test_desk_duty_cycle():
+    split = wifi.duty_cycle_for_config(desk_config())
+    assert split.lte_share == 0.7135965870591328
