@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import esn
 from .game import (ExpectedUtility, _epsilon_greedy, restrict_coupled,
@@ -132,17 +131,17 @@ class EsnAgent:
         # them stacked, opponent after opponent, as one (sum |A_m|, units)
         # table, and the encodings as one block-diagonal (sum |A_m|,
         # alpha_dim) matrix; a profile is one row index per opponent
-        phi, off = [], 0
-        for m in self.opponents:
-            width = self._enc[m].shape[1]
-            phi.append(self._enc[m] @ self.res_alpha.w_in[:, off:off + width].T)
-            off += width
         sizes = [len(self.spaces[m]) for m in self.opponents]
         starts = np.cumsum([0] + sizes, dtype=np.intp)
-        self._phi_stack = np.concatenate(
-            phi or [np.zeros((0, config.reservoir_units))])
-        self._enc_stack = scipy.linalg.block_diag(
-            *[self._enc[m] for m in self.opponents])
+        self._phi_stack = np.zeros((starts[-1], config.reservoir_units))
+        self._enc_stack = np.zeros((starts[-1], alpha_dim))
+        off = 0
+        for m, start, stop in zip(self.opponents, starts, starts[1:]):
+            width = self._enc[m].shape[1]
+            self._phi_stack[start:stop] = (
+                self._enc[m] @ self.res_alpha.w_in[:, off:off + width].T)
+            self._enc_stack[start:stop, off:off + width] = self._enc[m]
+            off += width
         self._row_starts = starts[:-1, None]
 
         self.x_beta = np.ones(beta_dim) * self._beta_scale  # request state

@@ -4,6 +4,8 @@ The reservoir is a fixed random matrix, masked to a density and rescaled to
 a spectral radius below one. Up to ``_DENSE_UNITS`` units it is kept as a
 dense array, above that as a CSR matrix. Only the readout learns, one row
 per action, by stochastic gradient on the squared prediction error.
+scipy is imported only on the sparse route, by the first reservoir above
+``_DENSE_UNITS`` units; a dense run never loads it.
 
 Each readout trains at one constant rate, set by the owner after ``init``
 (the agents use ``config.lambda_alpha`` and ``config.lambda_beta``). Input
@@ -17,10 +19,12 @@ stability bound of 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 class Reservoir:
@@ -87,7 +91,9 @@ class Readout:
 # Up to this size a reservoir stays dense: eigvals beats ARPACK on the radius
 # and one BLAS gemv beats scipy.sparse on ``w @ state``. Medians at density
 # 0.1, one BLAS thread: 150 units 13.5 vs 17.1 ms and 5.7 vs 8.3 us; at 175
-# units eigvals already loses, 19.5 vs 18.7 ms.
+# units eigvals already loses, 19.5 vs 18.7 ms. scipy is imported only above
+# this size, which keeps ~30 MB of peak RSS and ~0.3 s of import off every
+# dense run.
 _DENSE_UNITS = 150
 
 
@@ -102,6 +108,7 @@ def _spectral_radius(w: np.ndarray | scipy.sparse.csr_matrix) -> float:
     """
     if isinstance(w, np.ndarray):
         return float(np.abs(np.linalg.eigvals(w)).max())
+    import scipy.sparse.linalg
     n = w.shape[0]
     try:
         values = scipy.sparse.linalg.eigs(w, k=1, which="LM", ncv=40,
@@ -134,7 +141,10 @@ def init(n_units: int, input_dim: int, n_actions: int, density: float = 0.1,
         dense = rng.uniform(-1.0, 1.0, size=(n_units, n_units))
         if density < 1.0:
             dense *= rng.random((n_units, n_units)) < density
-        w = dense if n_units <= _DENSE_UNITS else scipy.sparse.csr_matrix(dense)
+        w = dense
+        if n_units > _DENSE_UNITS:
+            import scipy.sparse
+            w = scipy.sparse.csr_matrix(dense)
         radius = _spectral_radius(w)
         if radius < 1e-12:
             continue  # pathological draw, derive a fresh seed

@@ -153,14 +153,17 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
     n_bs = len(spaces)
 
     records = []
-    window = deque(maxlen=config.convergence_window)
     converged_at = None
     final_rates = None
     per_bs_utility = np.zeros(config.n_bs)
     # the stability test is vacuous until every agent has earned at least
-    # one reward sample per action, so arm it only after full coverage
-    visits = [np.zeros(len(space), dtype=int) for space in spaces]
+    # one reward sample per action, so arm it only after full coverage;
+    # the greedy totals are kept from the arming round on
+    unplayed = [set(range(len(space))) for space in spaces]
     armed = False
+    totals = deque(maxlen=config.convergence_window)
+    # rounds in a row, this one included, with the same greedy association
+    held, last_association = 0, None
 
     for t in range(1, config.max_iterations + 1):
         # the broadcast: the played row and the advertised-best row
@@ -192,33 +195,34 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         greedy_rates = compute_user_rates(greedy, caps)
         association = tuple(zip(greedy_rates.serving_dl.tolist(),
                                 greedy_rates.serving_ul.tolist()))
+        greedy_total = float(greedy_utilities.sum())
 
         if keep_records:
             records.append(RoundRecord(
                 t=t, joint_action=current,
                 utilities=tuple(float(u) for u in utilities),
                 total_reward=float(utilities.sum()),
-                greedy_action=best, greedy_total=float(greedy_utilities.sum()),
+                greedy_action=best, greedy_total=greedy_total,
                 association=association, user_rates=user_rates,
                 diagnostics=diags))
 
         final_rates = greedy_rates
         per_bs_utility = greedy_utilities
-        for n, action_i in enumerate(current):
-            visits[n][action_i] += 1
-        if not armed and all((v > 0).all() for v in visits):
-            armed = True
-            window.clear()  # stability gathered before coverage is void
-        window.append((float(greedy_utilities.sum()), association))
-        if armed and len(window) == window.maxlen:
-            totals = [w[0] for w in window]
-            mean = sum(totals) / len(totals)
-            stable_reward = (max(totals) - min(totals)
-                             <= config.convergence_tol * max(1.0, abs(mean)))
-            stable_map = all(w[1] == window[0][1] for w in window)
-            if stable_reward and stable_map:
-                converged_at = t
-                break
+        held = held + 1 if association == last_association else 1
+        last_association = association
+        if not armed:
+            for left, action_i in zip(unplayed, current):
+                left.discard(action_i)
+            armed = not any(unplayed)
+        if armed:
+            totals.append(greedy_total)
+            full = len(totals) == totals.maxlen
+            if full and held >= config.convergence_window:
+                mean = sum(totals) / len(totals)
+                if (max(totals) - min(totals)
+                        <= config.convergence_tol * max(1.0, abs(mean))):
+                    converged_at = t
+                    break
 
     if final_rates is None:  # max_iterations == 0
         final_rates = _empty_rates(config.n_users)

@@ -10,7 +10,8 @@ replaced are kept here as oracles for them, and so are the per-batch
 arithmetic that ``JointEvaluator``'s per-action tables replaced and the
 plain and the control-variate Monte-Carlo estimators of the agents' beta
 expectation. ``expected_utility_oracle`` is the scalar loop behind
-``verify_mixed_ne``'s payoff tables.
+``verify_mixed_ne``'s payoff tables. ``converged_at_oracle`` is the window
+rule that ``harness.run``'s running counts replaced.
 """
 
 import itertools
@@ -346,3 +347,34 @@ def control_variate_expectation(agent, action_i, rng, budget):
                         + v @ x + b)
     value = w @ t_bar + v @ x_bar + b + residual.mean()
     return float(value), float(residual.std(ddof=1) / math.sqrt(budget))
+
+
+# convergence oracle ----------------------------------------------------------
+
+
+def converged_at_oracle(records, sizes, window, tol):
+    """The round at which ``harness.run`` stops, or None, by the window rule
+    read off the run's records: from the round at which every BS has played
+    each of its ``sizes`` actions once (the window is cleared there), keep
+    the last ``window`` rounds' ``(greedy_total, association)`` pairs. The
+    run stops at the first round where the window is full, its totals lie
+    within ``tol * max(1, |mean|)`` of each other and every association
+    equals the first."""
+    visits = [np.zeros(size, dtype=int) for size in sizes]
+    armed = False
+    pairs = []
+    for record in records:
+        for n, action_i in enumerate(record.joint_action):
+            visits[n][action_i] += 1
+        if not armed and all((v > 0).all() for v in visits):
+            armed = True
+            pairs = []
+        pairs = (pairs + [(record.greedy_total, record.association)])[-window:]
+        if armed and len(pairs) == window:
+            totals = [total for total, _ in pairs]
+            mean = sum(totals) / len(totals)
+            stable_reward = (max(totals) - min(totals)
+                             <= tol * max(1.0, abs(mean)))
+            if stable_reward and all(a == pairs[0][1] for _, a in pairs):
+                return record.t
+    return None

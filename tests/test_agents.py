@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.stats
 from hypothesis import given, settings
@@ -581,6 +582,16 @@ class TestBetaTarget:
                                esn.peek_state(agent.res_alpha, empty), empty)[1]
         assert got.exact and got.value == pytest.approx(want, rel=1e-12)
 
+    def test_no_opponents_value_is_the_block_diag_one(self):
+        # with no opponent the encoding table is (0, 0); scipy's empty
+        # block_diag() is (1, 0) and must give the same value bit for bit
+        agent = EsnAgent(0, [macro_two_action_space()], tiny_config(), seed=6)
+        assert agent._enc_stack.shape == (0, 0)
+        got = [beta_expectation(agent, a) for a in range(2)]
+        agent._enc_stack = scipy.linalg.block_diag()
+        assert agent._enc_stack.shape == (1, 0)
+        assert got == [beta_expectation(agent, a) for a in range(2)]
+
 
 def model_agent(sizes, bests, epsilon):
     """What ``_opponent_laws`` reads of an agent: BS 0 and one opponent per
@@ -940,6 +951,22 @@ def test_opponent_encoding_is_the_per_action_blocks(seed):
         got = _encode_space(space)
         assert got.shape == (len(space), 4 * len(space.covered_users))
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10])
+def test_stacked_tables_are_the_per_opponent_blocks(seed):
+    # the encodings block-diagonal, opponent after opponent, and each
+    # opponent's input projection at its rows; seed 10 has an opponent with
+    # no covered user, so a zero-width block
+    _, team = desk_team(seed)
+    for agent in team:
+        encodings = [agent._enc[m] for m in agent.opponents]
+        assert np.array_equal(agent._enc_stack,
+                              scipy.linalg.block_diag(*encodings))
+        offsets = np.cumsum([0] + [e.shape[1] for e in encodings])
+        phi = [e @ agent.res_alpha.w_in[:, start:stop].T
+               for e, start, stop in zip(encodings, offsets, offsets[1:])]
+        assert np.array_equal(agent._phi_stack, np.concatenate(phi))
 
 
 class TestAssociationInput:

@@ -1,6 +1,12 @@
 """Reservoir construction, state dynamics, readout training."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +344,60 @@ class TestEchoStateProperty:
             update_state(reservoir_b, x)
         gap_end = np.linalg.norm(reservoir_a.state - reservoir_b.state)
         assert gap_end < 1e-6 < gap_start
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code):
+    """What ``code`` prints as JSON, run in a new interpreter that imports
+    lteusim from this checkout; the test process has scipy loaded already."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    return json.loads(done.stdout)
+
+
+class TestScipyImport:
+    def test_dense_runs_load_no_scipy(self):
+        # the command line and a desk run of every algorithm, all dense
+        loaded = fresh_python("""
+            import json, sys
+            import lteusim.cli
+            from lteusim import harness, scenario
+            for algorithm in scenario.ALGORITHMS:
+                harness.run(scenario.desk_config(max_iterations=5),
+                            algorithm, 0)
+            print(json.dumps(sorted(m for m in sys.modules
+                                    if m.split(".")[0] == "scipy")))
+            """)
+        assert loaded == []
+
+    def test_sparse_run_loads_scipy_sparse(self):
+        # one unit past _DENSE_UNITS: run() builds CSR reservoirs, and
+        # imports scipy.sparse for them only then
+        got = fresh_python("""
+            import json, sys
+            from lteusim import esn, harness, scenario
+            teams = []
+            make_agents = harness.make_agents
+            def recording(*args):
+                teams.append(make_agents(*args))
+                return teams[-1]
+            harness.make_agents = recording
+            before = "scipy.sparse" in sys.modules
+            config = scenario.desk_config(
+                reservoir_units=esn._DENSE_UNITS + 1, max_iterations=3)
+            result = harness.run(config, "esn", 0)
+            after = "scipy.sparse" in sys.modules
+            import scipy.sparse
+            print(json.dumps({
+                "before": before, "after": after,
+                "rounds": len(result.records),
+                "csr": [scipy.sparse.isspmatrix_csr(r.w) for agent in teams[0]
+                        for r in (agent.res_alpha, agent.res_beta)]}))
+            """)
+        assert (got["before"], got["after"]) == (False, True)
+        assert got["rounds"] == 3
+        assert len(got["csr"]) == 10 and all(got["csr"])

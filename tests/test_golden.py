@@ -7,7 +7,9 @@ values here and says why in CHANGES.md.
 The values were recorded with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS) on
 x86-64. Another BLAS or numpy build may round the reservoir products
 differently in the last bits, which can flip a near-tied action and move
-a whole run.
+a whole run. No run pinned here loads scipy: the ESN runs' reservoirs are
+dense, at most ``esn._DENSE_UNITS`` units, so only numpy's build bears on
+these values.
 """
 
 import math

@@ -8,6 +8,7 @@ from lteusim import agents, cli, game, harness
 from lteusim.harness import (MonteCarloResult, RunResult, monte_carlo,
                              prepare_run, run, sweep)
 from lteusim.scenario import ALGORITHMS, desk_config
+from oracles import converged_at_oracle
 
 
 def toy_config(**overrides):
@@ -196,6 +197,21 @@ class TestRun:
         result = run(cfg, "esn", seed=1, keep_records=False)
         assert result.converged_at is not None
         assert result.decoupled_users > 0
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("overrides", [{}, {"convergence_window": 3}])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_converged_at_is_the_window_rule(self, algorithm, seed,
+                                             overrides):
+        # the running counts stop where the full window of records would
+        config = desk_config(**overrides)
+        result = run(config, algorithm, seed)
+        sizes = [len(s) for s in prepare_run(config, algorithm, seed).spaces]
+        assert result.converged_at == converged_at_oracle(
+            result.records, sizes, config.convergence_window,
+            config.convergence_tol)
 
 
 class TestBatchedRound:
