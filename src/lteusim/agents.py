@@ -12,7 +12,8 @@ variants. Both follow the same synchronous round protocol:
      resolved utility of the ``reward_joint`` index row, evaluated by the
      caller), adopt the advertised row as the opponent model, compute the
      remaining targets with the pre-update readouts, apply one readout-row
-     (or Q-entry) update, then commit reservoir states.
+     (or Q-entry) update, then commit reservoir states. Both kinds return
+     one ``StepDiagnostics``: the predictions and targets of the update.
   3. ``observe_outcome``: absorb the played joint's settled fraction block
      (the array ``game.resolve_conflicts`` returns); the agent's own
      association bits, read off its rows of that block, become the next
@@ -34,23 +35,23 @@ from typing import NamedTuple
 import numpy as np
 
 from . import esn
-from .game import (ExpectedUtility, _epsilon_greedy, restrict_coupled,
+from .game import (ExpectedUtility, epsilon_greedy, restrict_coupled,
                    restrict_licensed_only)
 from .scenario import ALGORITHMS
 
 
 @dataclass(frozen=True)
 class StepDiagnostics:
+    """What one ``finish_round`` learned: a prediction from before the
+    update and its target. The reservoir agent fills both readouts' pairs.
+    A Q baseline reports its entry before the update as ``r_hat_alpha`` and
+    its update target as ``e_alpha``; it has no beta readout, so that pair
+    stays NaN. These are the four learning columns of ``trace.csv``."""
+
     r_hat_alpha: float
     e_alpha: float
-    r_hat_beta: float
-    e_beta: float
-
-
-@dataclass(frozen=True)
-class QDiagnostics:
-    q_before: float
-    target: float
+    r_hat_beta: float = math.nan
+    e_beta: float = math.nan
 
 
 def _check_spaces(bs, spaces):
@@ -293,7 +294,7 @@ def _opponent_laws(agent) -> _OpponentLaws:
     advertised bests stay."""
     bests = tuple(agent.opponent_bests[m] for m in agent.opponents)
     if agent._laws is None or agent._laws.bests != bests:
-        laws = [_epsilon_greedy(len(agent.spaces[m]), best, agent.epsilon)
+        laws = [epsilon_greedy(len(agent.spaces[m]), best, agent.epsilon)
                 for m, best in zip(agent.opponents, bests)]
         probs = np.concatenate([np.zeros(0), *laws])
         x_best = agent.profile_input(agent.opponent_bests)
@@ -399,7 +400,7 @@ def _q_finish(agent, action, target):
     q_before = float(agent.q_table[action])
     agent.q_table[action] = (1.0 - agent.lambda_q) * q_before \
         + agent.lambda_q * target
-    return QDiagnostics(q_before=q_before, target=target)
+    return StepDiagnostics(r_hat_alpha=q_before, e_alpha=target)
 
 
 def finish_round(agent, played, advertised, reward):

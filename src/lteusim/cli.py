@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import game, harness, wifi
-from .agents import QDiagnostics
 from .scenario import ALGORITHMS, ScenarioConfig, desk_config
 
 FLOAT_FORMAT = ".9g"
@@ -89,18 +88,12 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
-def _diag_columns(diag):
-    if isinstance(diag, QDiagnostics):
-        return (diag.target, diag.q_before, float("nan"), float("nan"))
-    return (diag.e_alpha, diag.r_hat_alpha, diag.e_beta, diag.r_hat_beta)
-
-
 def write_trace_csv(result: harness.RunResult, path) -> None:
     """Per-round, per-BS learning trace of a kept-records run."""
     _write_csv(path, ["round", "bs", "action", "e_alpha", "r_hat_alpha",
                       "e_beta", "r_hat_beta", "utility"],
-               ([record.t, bs, record.joint_action[bs],
-                 *(float(v) for v in _diag_columns(diag)),
+               ([record.t, bs, record.joint_action[bs], diag.e_alpha,
+                 diag.r_hat_alpha, diag.e_beta, diag.r_hat_beta,
                  record.utilities[bs]]
                 for record in result.records
                 for bs, diag in enumerate(record.diagnostics)))
@@ -239,7 +232,7 @@ def cmd_ne_check(args) -> int:
         raise ValueError("ne-check needs at least one round; "
                          "raise max_iterations")
     best = result.records[-1].greedy_action
-    profile = [game.MixedStrategy.epsilon_greedy(space, best[n], config.epsilon)
+    profile = [game.epsilon_greedy(len(space), best[n], config.epsilon)
                for n, space in enumerate(inputs.spaces)]
     probe = game.verify_mixed_ne(profile, payoffs)
     lines = [f"seed = {result.seed}", f"converged_at = {result.converged_at}",

@@ -8,7 +8,9 @@ row with one entry per BS. Utilities are proportional-fair style sums of
 log2(1 + allocated rate). Two BSs may both try to serve a user; the
 conflict is resolved per user and direction in favor of the better offer,
 and every game-theoretic quantity here (expected utility, equilibrium
-checks) is defined on the conflict-resolved outcome.
+checks) is defined on the conflict-resolved outcome. A mixed strategy is a
+probability vector over one BS's action indices (``epsilon_greedy`` makes
+the ones the learners play).
 """
 
 from __future__ import annotations
@@ -378,32 +380,12 @@ class JointEvaluator:
 # mixed strategies, payoff tables, equilibrium check
 
 
-def _epsilon_greedy(size: int, best: int, epsilon: float) -> np.ndarray:
-    """epsilon/size on each of ``size`` actions, plus 1 - epsilon on best."""
+def epsilon_greedy(size: int, best: int, epsilon: float) -> np.ndarray:
+    """The epsilon-greedy law over ``size`` actions: epsilon/size on each,
+    plus 1 - epsilon on ``best``. A mixed strategy is such a vector."""
     probs = np.full(size, epsilon / size)
     probs[best] += 1.0 - epsilon
     return probs
-
-
-@dataclass(frozen=True)
-class MixedStrategy:
-    """Probability vector over one BS's action space."""
-
-    space: ActionSpace
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if len(probs) != len(self.space):
-            raise ValueError("strategy length must match the action space")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
-        object.__setattr__(self, "probs", tuple(float(p) for p in probs))
-
-    @classmethod
-    def epsilon_greedy(cls, space: ActionSpace, best_index: int,
-                       epsilon: float) -> "MixedStrategy":
-        return cls(space, _epsilon_greedy(len(space), best_index, epsilon))
 
 
 @dataclass(frozen=True)
@@ -446,14 +428,17 @@ def joint_payoffs(spaces, caps: LinkCapacitySet, eta: float):
 
 
 def verify_mixed_ne(profile, payoffs) -> NeReport:
-    """Every BS's expected utility under a mixed profile and after each
-    pure swap, from the ``joint_payoffs`` table of the profile's spaces."""
+    """Every BS's expected utility under a mixed profile, one probability
+    vector per BS, and after each pure swap, from the ``joint_payoffs``
+    table of the spaces the vectors range over."""
     joints, utilities = payoffs
     n_bs = len(profile)
-    sizes = [len(s.space) for s in profile]
+    prob_vectors = [np.asarray(p, dtype=float) for p in profile]
+    sizes = [len(p) for p in prob_vectors]
     if (joints[-1] + 1).tolist() != sizes:
         raise ValueError("payoff table does not match the profile's spaces")
-    prob_vectors = [np.asarray(s.probs) for s in profile]
+    if any((p < 0).any() or abs(p.sum() - 1.0) > 1e-12 for p in prob_vectors):
+        raise ValueError("probabilities must be nonnegative and sum to 1")
     tables = []
     for n in range(n_bs):
         # weight each joint by the opponents' probabilities only, so that

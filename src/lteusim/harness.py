@@ -24,7 +24,7 @@ from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
 from .rates import (UserRates, build_capacities, check_grants,
                     compute_user_rates)
 from .scenario import ALGORITHMS, ScenarioConfig, draw_channel, generate_topology
-from .wifi import duty_cycle_for_config, saturation_throughput
+from .wifi import duty_cycle_for_config
 
 __all__ = [
     "RoundRecord", "RunResult", "MonteCarloResult", "SweepCell", "RunInputs",
@@ -95,18 +95,6 @@ def prepare_run(config: ScenarioConfig, algorithm: str, seed: int) -> RunInputs:
                      spaces=algorithm_spaces(spaces, algorithm))
 
 
-def _audit_wifi(config: ScenarioConfig, duty) -> None:
-    # Every non-overloaded run must leave WiFi at least its demanded rate;
-    # an overloaded WAP is flagged on the result instead (L is already 0).
-    if config.n_waps == 0 or duty.wifi_overloaded:
-        return
-    throughput = saturation_throughput(config.wifi_users_per_wap)
-    per_station = throughput * (1.0 - duty.lte_share) / config.wifi_users_per_wap
-    if per_station < config.wifi_rate_req_bps * (1.0 - 1e-12):
-        raise RuntimeError("WiFi guarantee audit failed: "
-                           f"{per_station} < {config.wifi_rate_req_bps}")
-
-
 def _empty_rates(n_users: int) -> UserRates:
     return UserRates(dl_bps=np.zeros(n_users), ul_bps=np.zeros(n_users),
                      serving_dl=np.full(n_users, -1, dtype=int),
@@ -145,7 +133,6 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         raise ValueError(f"seed must be nonnegative, got {seed}")
     inputs = prepare_run(config, algorithm, seed)
     caps, spaces = inputs.capacities, inputs.spaces
-    _audit_wifi(config, inputs.duty)
     team = make_agents(algorithm, spaces, config, inputs.agent_seed)
     # the coupled baseline is scored under classic single-BS association
     coupled = algorithm == "q_lteu_coupled"

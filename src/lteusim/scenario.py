@@ -27,6 +27,8 @@ MIN_LINK_DISTANCE_M = 1.0
 
 ALGORITHMS = ("esn", "q_lteu_decoupled", "q_lte_decoupled", "q_lteu_coupled")
 
+_BOOLS = (bool, np.bool_)
+
 
 def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -84,11 +86,16 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if not np.isfinite(np.asarray(value, dtype=float)).all():
                 raise ValueError(f"{f.name} must be finite")
+            # bool is a number to Python, but True is no count or rate
             if f.type == "int":
-                # bool is an int to Python, but True is no count or seed
-                if isinstance(value, bool) or not float(value).is_integer():
+                if isinstance(value, _BOOLS) or not float(value).is_integer():
                     raise ValueError(f"{f.name} must be an integer")
                 object.__setattr__(self, f.name, int(value))
+            elif f.type == "float":
+                if isinstance(value, _BOOLS):
+                    raise ValueError(f"{f.name} must be a number, not a bool")
+                # an int would echo as one but read back as a float
+                object.__setattr__(self, f.name, float(value))
         positive = (
             "macro_radius_m", "wifi_users_per_wap", "sbs_coverage_m",
             "f_l_dl_hz", "f_l_ul_hz", "f_u_hz", "action_set_size",
@@ -123,6 +130,8 @@ class ScenarioConfig:
             coeffs = tuple(getattr(self, name))
             if len(coeffs) != 2:
                 raise ValueError(f"{name} needs (intercept, slope)")
+            if any(isinstance(c, _BOOLS) for c in coeffs):
+                raise ValueError(f"{name} must hold numbers, not bools")
             if coeffs[1] < 0:
                 raise ValueError(f"{name} slope must be nonnegative")
             object.__setattr__(self, name, (float(coeffs[0]), float(coeffs[1])))

@@ -5,7 +5,9 @@ A WAP's saturation throughput follows the RTS/CTS analysis of G. Bianchi,
 function" (IEEE JSAC, 2000): each station transmits in a slot with
 probability tau, the fixed point between the backoff law and the collision
 probability. LTE-U gets the largest airtime share that leaves each WiFi
-user its required rate. Timing and frame sizes are the fixed 802.11n-style
+user its required rate; ``lte_fraction`` checks that guarantee where it
+computes the share, allowing WiFi a shortfall of one unit in the last
+place of its airtime. Timing and frame sizes are the fixed 802.11n-style
 constants below, which no caller varies, so every quantity here is a
 function of the station count ``n_wifi``.
 """
@@ -99,7 +101,10 @@ def lte_fraction(n_wifi: int, r_w: float) -> DutyCycle:
 
     With aggregate WiFi throughput R, the WiFi side keeps (1 - L) of the
     airtime and splits it over N_w users, so L = 1 - N_w r_w / R clamped
-    to [0, 1].
+    to [0, 1]. Unless WiFi is overloaded, the share is checked to leave
+    (1 - L) R >= N_w r_w, short by at most R * 2**-52: rounding L to a
+    float may cost WiFi up to one unit in its last place, which a demand
+    far below R cannot absorb (``RuntimeError`` past that).
     """
     if not (math.isfinite(r_w) and r_w >= 0.0):
         raise ValueError("the WiFi rate requirement must be nonnegative and "
@@ -108,7 +113,11 @@ def lte_fraction(n_wifi: int, r_w: float) -> DutyCycle:
     demand = n_wifi * r_w
     if demand > capacity:
         return DutyCycle(lte_share=0.0, wifi_overloaded=True)
-    return DutyCycle(lte_share=min(1.0, 1.0 - demand / capacity))
+    share = min(1.0, 1.0 - demand / capacity)
+    if capacity * (1.0 - share) < demand - capacity * 2.0**-52:
+        raise RuntimeError("WiFi guarantee failed: LTE-U share "
+                           f"{share!r} leaves less than {demand!r} bps")
+    return DutyCycle(lte_share=share)
 
 
 def duty_cycle_for_config(config) -> DutyCycle:

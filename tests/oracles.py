@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from lteusim.game import (ActionSpace, MixedStrategy, resolve_conflicts,
-                          resolved_utilities)
+from lteusim.game import ActionSpace, resolve_conflicts, resolved_utilities
 from lteusim.scenario import ScenarioConfig
 
 # the unlicensed-DL utility discount the unit tests score with
@@ -98,10 +97,11 @@ def settle(joint, caps, coupled: bool = False) -> np.ndarray:
                              caps, coupled=coupled)
 
 
-def point_mass(space: ActionSpace, index: int) -> MixedStrategy:
-    probs = [0.0] * len(space)
+def point_mass(space: ActionSpace, index: int) -> np.ndarray:
+    """The pure strategy ``index`` of ``space`` as a probability vector."""
+    probs = np.zeros(len(space))
     probs[index] = 1.0
-    return MixedStrategy(space=space, probs=tuple(probs))
+    return probs
 
 
 def best_swap(report):
@@ -230,17 +230,17 @@ def batch_utilities_oracle(spaces, caps, index_matrix, eta=ETA,
 # expected utility oracle -----------------------------------------------------
 
 
-def expected_utility_oracle(n, action_i, profile, caps, eta=ETA):
+def expected_utility_oracle(n, action_i, spaces, profile, caps, eta=ETA):
     """Expected resolved utility of BS n playing its action ``action_i``
-    against the opponents' mixed strategies, one opponent joint at a time:
-    each joint is settled and scored on its own and weighted by the
-    opponents' probabilities."""
-    spaces = [s.space for s in profile]
+    against the opponents' mixed strategies, ``profile[m]`` a probability
+    vector over ``spaces[m]``, one opponent joint at a time: each joint is
+    settled and scored on its own and weighted by the opponents'
+    probabilities."""
     opponents = [m for m in range(len(profile)) if m != n]
     total = 0.0
     for combo in itertools.product(*(range(len(spaces[m]))
                                      for m in opponents)):
-        weight = math.prod(profile[m].probs[i]
+        weight = math.prod(profile[m][i]
                            for m, i in zip(opponents, combo))
         if weight == 0.0:
             continue

@@ -20,7 +20,7 @@ from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
                             beta_expectation, finish_round, make_agents,
                             observe_outcome, reward_joint,
                             select_and_broadcast)
-from lteusim.game import JointEvaluator, MixedStrategy, _epsilon_greedy
+from lteusim.game import JointEvaluator
 from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import desk_config
 from oracles import (ETA, action_at, actions_of, choice_stack,
@@ -225,33 +225,29 @@ class TestBestReply:
 
 class TestOpponentModel:
     """Opponent m plays the epsilon-greedy law peaked at its advertised
-    best; ``game._epsilon_greedy`` is that law for the agents' expectation
-    and for ``MixedStrategy``."""
+    best; ``game.epsilon_greedy`` is that law for the agents' expectation
+    and for ``cli.cmd_ne_check``'s mixed profile."""
 
     def test_two_action_values(self):
-        probs = _epsilon_greedy(2, 0, 0.7)
+        probs = game.epsilon_greedy(2, 0, 0.7)
         assert isinstance(probs, np.ndarray)
         assert probs.tolist() == pytest.approx([0.65, 0.35], abs=1e-12)
 
     def test_greedy_limit_is_point_mass(self):
-        assert _epsilon_greedy(2, 1, 0.0).tolist() == [0.0, 1.0]
+        assert game.epsilon_greedy(2, 1, 0.0).tolist() == [0.0, 1.0]
 
     def test_probabilities_sum_to_one(self):
         for n_actions, epsilon in [(2, 0.3), (5, 0.7), (9, 0.95)]:
-            probs = _epsilon_greedy(n_actions, n_actions - 1, epsilon)
+            probs = game.epsilon_greedy(n_actions, n_actions - 1, epsilon)
             assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
-    def test_same_floats_as_mixed_strategy(self):
+    def test_same_floats_as_the_plain_formula(self):
         for n_actions, epsilon, best in [(2, 0.3, 1), (5, 0.7, 0), (9, 0.95, 4),
                                          (32, 0.1, 31), (7, 1.0, 3)]:
-            rows = [((i / 10.0,), (0.0,), None, None) for i in range(n_actions)]
-            space = single_user_space(0, rows)
             # the plain formula in Python floats
             want = [epsilon / n_actions] * n_actions
             want[best] += 1.0 - epsilon
-            assert _epsilon_greedy(n_actions, best, epsilon).tolist() == want
-            got = MixedStrategy.epsilon_greedy(space, best, epsilon).probs
-            assert list(got) == want
+            assert game.epsilon_greedy(n_actions, best, epsilon).tolist() == want
 
     def test_model_is_the_advertised_row(self):
         # the exact expectation weighs each opponent action by the law
@@ -414,7 +410,7 @@ class TestRewardJoint:
         agent = QAgent(1, spaces, tiny_config(), seed=3)
         action, _ = select_and_broadcast(agent)
         diag = finish_round(agent, (0, 0), (0, 0), 2.5)
-        assert diag.target == 2.5
+        assert diag.e_alpha == 2.5
         assert agent.q_table[action] == pytest.approx(0.06 * 2.5, rel=1e-12)
 
     def test_capacities_are_not_a_reward(self):
@@ -718,9 +714,9 @@ class TestInverseCdf:
 
         def counted(size, best, epsilon):
             built.append((size, best))
-            return game._epsilon_greedy(size, best, epsilon)
+            return game.epsilon_greedy(size, best, epsilon)
 
-        monkeypatch.setattr(agents, "_epsilon_greedy", counted)
+        monkeypatch.setattr(agents, "epsilon_greedy", counted)
         agent = model_agent([32, 16], [1, 2], epsilon=0.7)
         model = [epsilon_greedy(32, 1, 0.7), epsilon_greedy(16, 2, 0.7)]
         laws = _opponent_laws(agent)
@@ -1049,8 +1045,10 @@ class TestQAgent:
         agent, caps = self.unit_reward_agent()
         own, diag = play_round(agent, {}, caps)
         assert own == (0, 0)
-        assert diag.q_before == 0.0
-        assert diag.target == pytest.approx(1.0, rel=1e-12)
+        assert diag.r_hat_alpha == 0.0
+        assert diag.e_alpha == pytest.approx(1.0, rel=1e-12)
+        # a Q baseline has no beta readout
+        assert math.isnan(diag.r_hat_beta) and math.isnan(diag.e_beta)
         assert agent.q_table[0] == pytest.approx(0.06, rel=1e-12)
 
     def test_rate_one_jumps_to_target(self):
@@ -1058,7 +1056,7 @@ class TestQAgent:
         agent.lambda_q = 1.0
         agent.q_table[0] = 0.37
         _, diag = play_round(agent, {}, caps)
-        assert agent.q_table[0] == diag.target
+        assert agent.q_table[0] == diag.e_alpha
 
     def test_geometric_convergence_to_constant_target(self):
         agent, caps = self.unit_reward_agent()
@@ -1090,7 +1088,7 @@ class TestQAgent:
         agent.q_table[:] = [0.0, 1.0]
         (taken, _), diag = play_round(agent, {0: (0, 1)}, caps)
         assert taken == 1
-        assert diag.target == 0.0
+        assert diag.e_alpha == 0.0
         against_current = game.resolved_utilities(
             game.resolve_conflicts([macro, sbs], [0, 1], caps),
             caps, eta=0.7)[1]

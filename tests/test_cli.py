@@ -241,6 +241,18 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert rows[1][0] == "n_users"
 
+    def test_tiny_wifi_demand_writes_its_table(self, tmp_path):
+        # r_w = 10 bps leaves WiFi a hair under its demand after rounding,
+        # within the one-ulp guarantee
+        code = cli.main(["sweep", "--axis", "r_w", "--values", "10,4e6",
+                         "--algorithms", "q_lteu_decoupled", "--runs", "1",
+                         "--set", "max_iterations=5",
+                         "--set", "wifi_users_per_wap=2",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+        assert [row["value"] for row in rows] == ["10", "4000000"]
+
     def test_unknown_algorithm_rejected(self, tmp_path, capsys):
         code = cli.main(["sweep", "--axis", "n_users", "--values", "2",
                          "--algorithms", "dqn", "--runs", "1",

@@ -14,8 +14,8 @@ from lteusim import game
 from lteusim.game import (
     ActionSpace,
     JointEvaluator,
-    MixedStrategy,
     enumerate_actions,
+    epsilon_greedy,
     export_small_game,
     feasible_count,
     joint_payoffs,
@@ -981,32 +981,15 @@ class TestSettleOracle:
             (0.0,), (0.0,), (0.0,), (0.0,))
 
 
-class TestMixedStrategy:
-    @pytest.fixture
-    def space(self):
-        topo = toy_topology([(0,), (0,)])
-        return enumerate_actions(0, topo, ScenarioConfig(z_levels=2,
-                                                         action_set_size=100),
-                                 seed=0)
-
-    def test_validation(self, space):
-        with pytest.raises(ValueError):
-            MixedStrategy(space=space, probs=(0.5,) * 9)
-        with pytest.raises(ValueError):
-            MixedStrategy(space=space, probs=(-0.1, 1.1) + (0.0,) * 7)
-
-    def test_epsilon_greedy_split(self, space):
-        strat = MixedStrategy.epsilon_greedy(space, best_index=2, epsilon=0.7)
+class TestEpsilonGreedy:
+    def test_split(self):
+        probs = epsilon_greedy(9, 2, 0.7)
         share = 0.7 / 9
-        assert strat.probs[2] == pytest.approx(0.3 + share, rel=1e-12)
-        assert strat.probs[0] == pytest.approx(share, rel=1e-12)
+        assert probs[2] == pytest.approx(0.3 + share, rel=1e-12)
+        assert probs[0] == pytest.approx(share, rel=1e-12)
 
-    def test_epsilon_greedy_two_actions(self):
-        a = make_action(0, (0,), 1, (0.0,), (0.0,))
-        b = make_action(0, (0,), 1, (1.0,), (0.0,))
-        tiny = space_of([a, b])
-        strat = MixedStrategy.epsilon_greedy(tiny, best_index=0, epsilon=0.7)
-        assert strat.probs == (0.65, 0.35)
+    def test_two_actions(self):
+        assert epsilon_greedy(2, 0, 0.7).tolist() == [0.65, 0.35]
 
 
 def two_bs_game(c1=2.0, c2=4.0):
@@ -1029,9 +1012,9 @@ def wide_space(owner, size):
     return ActionSpace(owner=owner, covered_users=(0,), fractions=fractions)
 
 
-def ne_report(profile, caps):
-    """``verify_mixed_ne`` of a profile against its spaces' payoff table."""
-    spaces = [s.space for s in profile]
+def ne_report(spaces, profile, caps):
+    """``verify_mixed_ne`` of a profile, one probability vector per space,
+    against the spaces' payoff table."""
     return verify_mixed_ne(profile, joint_payoffs(spaces, caps, ETA))
 
 
@@ -1042,7 +1025,8 @@ class TestExpectedUtility:
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    point_mass(sbs_space, 1)]
-        value = ne_report(profile, caps).expected_by_action[1][1]
+        value = ne_report([mbs_space, sbs_space], profile,
+                          caps).expected_by_action[1][1]
         joint = [action_at(mbs_space, 0), action_at(sbs_space, 1)]
         assert value == pytest.approx(
             float(settled_utilities(joint, caps)[1]), rel=1e-12)
@@ -1058,9 +1042,9 @@ class TestExpectedUtility:
         mbs_space = space_of([m_idle, m_busy])
         s_busy = make_action(1, (0,), 1, (1.0,), (0.0,), (0.0,), (0.0,))
         sbs_space = space_of([s_busy])
-        profile = [MixedStrategy(space=mbs_space, probs=(0.5, 0.5)),
-                   point_mass(sbs_space, 0)]
-        value = ne_report(profile, caps).expected_by_action[1][0]
+        profile = [np.array([0.5, 0.5]), point_mass(sbs_space, 0)]
+        value = ne_report([mbs_space, sbs_space], profile,
+                          caps).expected_by_action[1][0]
         # macro idle: SBS keeps the user, log2(1+2); macro busy: SBS loses it
         assert value == pytest.approx(0.5 * math.log2(3.0), rel=1e-12)
 
@@ -1073,15 +1057,14 @@ class TestExpectedUtility:
         profile = []
         for space in spaces:
             raw = rng.uniform(0.1, 1.0, len(space))
-            profile.append(MixedStrategy(space=space,
-                                         probs=tuple(raw / raw.sum())))
-        value = ne_report(profile, caps).expected_by_action[1][2]
+            profile.append(raw / raw.sum())
+        value = ne_report(spaces, profile, caps).expected_by_action[1][2]
         brute = 0.0
         for i0 in range(len(spaces[0])):
             for i2 in range(len(spaces[2])):
                 joint = [action_at(spaces[0], i0), action_at(spaces[1], 2),
                          action_at(spaces[2], i2)]
-                weight = profile[0].probs[i0] * profile[2].probs[i2]
+                weight = profile[0][i0] * profile[2][i2]
                 brute += weight * float(settled_utilities(joint, caps)[1])
         assert value == pytest.approx(brute, rel=1e-12)
 
@@ -1092,14 +1075,15 @@ class TestVerifyMixedNe:
         idle = make_action(0, (0,), 1, (0.0,), (0.0,))
         busy = make_action(0, (0,), 1, (1.0,), (1.0,))
         space = space_of([idle, busy])
-        report = ne_report([point_mass(space, 1)], caps)
+        report = ne_report([space], [point_mass(space, 1)], caps)
         assert best_swap(report) == (None, None, 0.0)
 
     def test_dominated_support_fails(self):
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    point_mass(sbs_space, 0)]  # idle, dominated
-        bs, action, gain = best_swap(ne_report(profile, caps))
+        bs, action, gain = best_swap(ne_report([mbs_space, sbs_space],
+                                               profile, caps))
         assert (bs, action) == (1, 1)
         expected_gain = math.log2(3.0) + math.log2(5.0)
         assert gain == pytest.approx(expected_gain, rel=1e-12)
@@ -1108,32 +1092,33 @@ class TestVerifyMixedNe:
         caps, mbs_space, sbs_space = two_bs_game()
         profile = [point_mass(mbs_space, 0),
                    point_mass(sbs_space, 1)]
-        report = ne_report(profile, caps)
+        report = ne_report([mbs_space, sbs_space], profile, caps)
         assert best_swap(report) == (None, None, 0.0)
         assert report.expected_current[1] == pytest.approx(
             math.log2(3.0) + math.log2(5.0), rel=1e-12)
 
     def test_tables_match_expected_utility(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        profile = [point_mass(mbs_space, 0),
-                   MixedStrategy(space=sbs_space, probs=(0.3, 0.7))]
-        report = ne_report(profile, caps)
+        spaces = [mbs_space, sbs_space]
+        profile = [point_mass(mbs_space, 0), np.array([0.3, 0.7])]
+        report = ne_report(spaces, profile, caps)
         for i in range(2):
             assert report.expected_by_action[1][i] == pytest.approx(
-                expected_utility_oracle(1, i, profile, caps), rel=1e-12)
+                expected_utility_oracle(1, i, spaces, profile, caps),
+                rel=1e-12)
 
     def test_tables_match_the_oracle_on_three_bs(self):
         topo = toy_topology([(0, 1, 2), (0, 1), (1, 2)])
         cfg = ScenarioConfig(z_levels=10, action_set_size=9)
         spaces = [enumerate_actions(b, topo, cfg, seed=b + 5) for b in range(3)]
         caps = flat_caps(3, 3, 2.0, 3.0, 5.0, 7.0)
-        profile = [MixedStrategy.epsilon_greedy(s, best_index=1, epsilon=0.7)
-                   for s in spaces]
-        report = ne_report(profile, caps)
+        profile = [epsilon_greedy(len(s), 1, 0.7) for s in spaces]
+        report = ne_report(spaces, profile, caps)
         for n, space in enumerate(spaces):
             for i in range(len(space)):
                 assert report.expected_by_action[n][i] == pytest.approx(
-                    expected_utility_oracle(n, i, profile, caps), rel=1e-12)
+                    expected_utility_oracle(n, i, spaces, profile, caps),
+                    rel=1e-12)
 
     def test_oversized_instance_rejected(self):
         # 80^3 joints x 3 players is past the 500,000 enumeration cap
@@ -1149,6 +1134,28 @@ class TestVerifyMixedNe:
             verify_mixed_ne(wider, payoffs)
         with pytest.raises(ValueError, match="does not match"):
             verify_mixed_ne([point_mass(mbs_space, 0)], payoffs)
+
+    @pytest.mark.parametrize("sbs_probs, message", [
+        pytest.param([1.0], "does not match", id="short"),
+        pytest.param([0.5, 0.5, 0.0], "does not match", id="long"),
+        pytest.param([-0.1, 1.1], "nonnegative", id="negative"),
+        pytest.param([0.5, 0.6], "sum to 1", id="sum_1.1"),
+        pytest.param([0.3, 0.7 + 1e-11], "sum to 1", id="sum_1+1e-11"),
+    ])
+    def test_refuses_a_vector_that_is_no_strategy(self, sbs_probs, message):
+        caps, mbs_space, sbs_space = two_bs_game()
+        payoffs = joint_payoffs([mbs_space, sbs_space], caps, ETA)
+        with pytest.raises(ValueError, match=message):
+            verify_mixed_ne([np.array([1.0]), np.array(sbs_probs)], payoffs)
+
+    def test_sum_within_the_tolerance_is_a_strategy(self):
+        caps, mbs_space, sbs_space = two_bs_game()
+        payoffs = joint_payoffs([mbs_space, sbs_space], caps, ETA)
+        profile = [np.array([1.0]), np.array([0.3, 0.7 + 1e-13])]
+        report = verify_mixed_ne(profile, payoffs)
+        assert report.expected_current[1] == pytest.approx(
+            0.3 * report.expected_by_action[1][0]
+            + (0.7 + 1e-13) * report.expected_by_action[1][1], rel=1e-12)
 
 
 class TestJointPayoffs:

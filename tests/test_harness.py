@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lteusim
-from lteusim import agents, cli, game, harness
+from lteusim import agents, cli, game, harness, wifi
 from lteusim.harness import (MonteCarloResult, RunResult, monte_carlo,
                              prepare_run, run, sweep)
 from lteusim.scenario import ALGORITHMS, desk_config
@@ -46,6 +46,28 @@ class TestRun:
         assert result.converged_at is None
         assert result.metrics["sum_rate_bps"] == 0.0
         assert np.all(result.final_rates.serving_dl == -1)
+
+    @pytest.mark.parametrize("n_wifi, r_w", [(1, 1), (2, 10), (100, 10)])
+    def test_tiny_wifi_demand_runs(self, n_wifi, r_w):
+        # N_w r_w far below the WAP's throughput: computing L = 1 - N_w r_w
+        # / R cancels the demand's digits, short of it by under one ulp
+        cfg = desk_config(wifi_users_per_wap=n_wifi, wifi_rate_req_bps=r_w,
+                          max_iterations=0)
+        result = run(cfg, "q_lteu_decoupled", 0)
+        assert 0.99 < result.lte_fraction < 1.0
+        assert not result.wifi_overloaded
+
+    def test_wifi_fixed_point_is_solved_once(self, monkeypatch):
+        solved = []
+        solve = wifi.tx_probability
+
+        def counted(n_wifi):
+            solved.append(n_wifi)
+            return solve(n_wifi)
+
+        monkeypatch.setattr(wifi, "tx_probability", counted)
+        run(desk_config(max_iterations=0), "q_lteu_decoupled", 0)
+        assert solved == [4]
 
     def test_deterministic_in_config_seed_algorithm(self):
         # 16 units take the dense eigenvalue route, 60 the ARPACK one
@@ -294,7 +316,7 @@ class TestBatchedRound:
                     continue
                 row = tuple(record.joint_action[n] if m == n else best
                             for m, best in enumerate(record.greedy_action))
-                assert diag.target == evaluator.utility_of(n, row)
+                assert diag.e_alpha == evaluator.utility_of(n, row)
 
 
 class TestMonteCarlo:

@@ -98,11 +98,17 @@ def test_config_accepts_learning_rate_bounds():
 
 
 def test_config_text_file_round_trip(tmp_path):
-    cfg = desk_config(n_sbs=3, wifi_rate_req_bps=2e6, rng_seed=7)
-    echo = tmp_path / "config_echo.txt"
-    cfg.echo(echo)
-    again = ScenarioConfig.from_file(echo)
-    assert again == cfg
+    # an int literal in a float field is kept, and echoed, as a float, so
+    # the echo of the read-back config is the same file
+    for cfg in (desk_config(n_sbs=3, wifi_rate_req_bps=2e6, rng_seed=7),
+                desk_config(f_u_hz=20_000_000, eta=1, wifi_rate_req_bps=1,
+                            pathloss_licensed=(15, 37))):
+        echo = tmp_path / "config_echo.txt"
+        cfg.echo(echo)
+        again = ScenarioConfig.from_file(echo)
+        assert again == cfg
+        again.echo(tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == echo.read_bytes()
 
 
 def test_config_json_file(tmp_path):
@@ -152,6 +158,23 @@ def test_integer_fields_refuse_fractions_when_built_directly(field, value):
                   lambda: ScenarioConfig(**{field: value})):
         with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
             build()
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
+                if f.type == "float"]
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, True) for name in FLOAT_FIELDS),
+    pytest.param("eta", np.True_, id="eta-np.True_"),
+    pytest.param("pathloss_licensed", (True, 37.5), id="pathloss_licensed"),
+    pytest.param("pathloss_unlicensed", (15.3, False),
+                 id="pathloss_unlicensed"),
+])
+def test_float_fields_refuse_bools(name, value):
+    # True is no rate; its echo "True" would not read back
+    with pytest.raises(ValueError, match=f"^{name} must .*bool"):
+        desk_config(**{name: value})
 
 
 def test_every_integer_field_checked_and_kept_an_int():

@@ -199,12 +199,18 @@ class TestLteFraction:
                            f"be nonnegative and finite, got {r_w!r}"):
             lte_fraction(4, r_w)
 
-    @pytest.mark.parametrize("r_w", [1e5, 1e6, 4e6, 1.2e7])
+    @pytest.mark.parametrize("r_w", [1, 10, 1e3, 1e5, 1e6, 4e6, 1.2e7])
     def test_wifi_rate_guarantee(self, r_w):
-        split = lte_fraction(4, r_w)
-        if not split.wifi_overloaded:
-            per_user = saturation_throughput(4) * (1 - split.lte_share) / 4
-            assert per_user >= r_w * (1 - 1e-9)
+        # in exact arithmetic: WiFi's airtime (1 - L) R covers the demand
+        # N_w r_w, short by at most one unit in the last place of R; a
+        # demand far below R loses its digits to the rounding of L
+        for n_wifi in (1, 2, 4, 5, 7, 16, 59, 100, 200, 500):
+            split = lte_fraction(n_wifi, r_w)
+            if split.wifi_overloaded:
+                continue
+            capacity = Fraction(saturation_throughput(n_wifi))
+            airtime = capacity * (1 - Fraction(split.lte_share))
+            assert airtime >= n_wifi * Fraction(r_w) - capacity / 2**52
 
     def test_nonincreasing_in_stations_and_demand(self):
         shares = [lte_fraction(n, 4e6).lte_share
