@@ -203,7 +203,7 @@ def cmd_coexistence(args) -> int:
         tau = wifi.tx_probability(n_wifi)
         throughput = wifi.throughput_at(tau, n_wifi)
         for r_w in rates:
-            duty = wifi.lte_fraction(n_wifi, r_w)
+            duty = wifi.lte_fraction(n_wifi, r_w, throughput)
             rows.append([n_wifi, r_w, tau, throughput,
                          duty.lte_share, duty.wifi_overloaded])
     out = _out_dir(args)

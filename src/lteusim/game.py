@@ -100,9 +100,14 @@ def _grid_vectors(k: int, z: int):
 
 
 def _sample_grid_vector(rng, k: int, z: int):
-    """Uniform draw from the sum<=z grid via a stars-and-bars bijection."""
-    bars = np.sort(rng.choice(z + k, size=k, replace=False))
-    return tuple(int(gap) - 1 for gap in np.diff(bars, prepend=-1))
+    """Uniform draw from the sum<=z grid via a stars-and-bars bijection: k
+    bars among z + k slots, each entry the gap before its bar.
+
+    Exactly one ``Generator.choice`` call per vector, with these arguments:
+    every action set is a function of the bits it draws, so a change to
+    the call moves every action set and every golden value."""
+    bars = sorted(rng.choice(z + k, size=k, replace=False).tolist())
+    return tuple(hi - lo - 1 for lo, hi in zip([-1] + bars, bars))
 
 
 def _even_units(k: int, z: int):

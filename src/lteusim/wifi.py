@@ -94,10 +94,12 @@ class DutyCycle:
     wifi_overloaded: bool = False
 
 
-def lte_fraction(n_wifi: int, r_w: float) -> DutyCycle:
+def lte_fraction(n_wifi: int, r_w: float, capacity: float) -> DutyCycle:
     """Largest LTE-U airtime share leaving each of ``n_wifi`` WiFi users at
-    least ``r_w`` bps. The demand ``r_w`` must be finite and nonnegative;
-    any other value is refused.
+    least ``r_w`` bps. ``capacity`` is the domain's aggregate throughput
+    ``saturation_throughput(n_wifi)``, which the caller solves once per
+    station count. The demand ``r_w`` must be finite and nonnegative; any
+    other value is refused.
 
     With aggregate WiFi throughput R, the WiFi side keeps (1 - L) of the
     airtime and splits it over N_w users, so L = 1 - N_w r_w / R clamped
@@ -109,7 +111,6 @@ def lte_fraction(n_wifi: int, r_w: float) -> DutyCycle:
     if not (math.isfinite(r_w) and r_w >= 0.0):
         raise ValueError("the WiFi rate requirement must be nonnegative and "
                          f"finite, got {r_w!r}")
-    capacity = saturation_throughput(n_wifi)
     demand = n_wifi * r_w
     if demand > capacity:
         return DutyCycle(lte_share=0.0, wifi_overloaded=True)
@@ -127,4 +128,6 @@ def duty_cycle_for_config(config) -> DutyCycle:
     requirement, so one split stands for all of them."""
     if config.n_waps == 0:
         return DutyCycle(lte_share=1.0)
-    return lte_fraction(config.wifi_users_per_wap, config.wifi_rate_req_bps)
+    n_wifi = config.wifi_users_per_wap
+    return lte_fraction(n_wifi, config.wifi_rate_req_bps,
+                        saturation_throughput(n_wifi))

@@ -4,7 +4,9 @@
 ``Action`` is a plain view of one action as per-covered-user tuples, with
 builders to and from ``ActionSpace``. ``validate_space_oracle`` checks a
 space's fractions against the feasibility rules, per action and in
-floats, independently of the integer check in ``enumerate_actions``. The
+floats, independently of the integer check in ``enumerate_actions``.
+``sample_grid_vector_oracle`` is the numpy form of the stars-and-bars draw
+that ``game._sample_grid_vector`` computes in plain integers. The
 per-action loops that ``restrict_coupled`` and ``restrict_licensed_only``
 replaced are kept here as oracles for them, and so are the per-batch
 arithmetic that ``JointEvaluator``'s per-action tables replaced and the
@@ -150,6 +152,13 @@ def validate_space_oracle(space: ActionSpace, z_levels: int):
         if violation is not None:
             return i, violation
     return None
+
+
+def sample_grid_vector_oracle(rng, k: int, z: int):
+    """The stars-and-bars draw with ``np.sort`` and ``np.diff``: the same
+    one ``Generator.choice`` call, so the same bits and the same vector."""
+    bars = np.sort(rng.choice(z + k, size=k, replace=False))
+    return tuple(int(gap) - 1 for gap in np.diff(bars, prepend=-1))
 
 
 def _dedupe(actions) -> list:

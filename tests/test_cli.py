@@ -314,7 +314,8 @@ class TestCoexistenceCommand:
                           "throughput_bps", "lte_fraction",
                           "wifi_overloaded"]
         assert len(rows) == 5
-        want = wifi.lte_fraction(2, 2e6).lte_share
+        want = wifi.lte_fraction(2, 2e6,
+                                 wifi.saturation_throughput(2)).lte_share
         assert float(rows[1][4]) == pytest.approx(want, rel=1e-8)
 
     def test_default_rate_comes_from_config(self, tmp_path):
@@ -325,6 +326,23 @@ class TestCoexistenceCommand:
         assert len(rows) == 2
         assert float(rows[1][1]) == desk_config().wifi_rate_req_bps
 
+    def test_fixed_point_is_solved_once_per_station_count(self, tmp_path,
+                                                           monkeypatch):
+        solved = []
+        solve = wifi.tx_probability
+
+        def counted(n_wifi):
+            solved.append(n_wifi)
+            return solve(n_wifi)
+
+        monkeypatch.setattr(wifi, "tx_probability", counted)
+        code = cli.main(["coexistence", "--wifi-users", "1,2,3,4,8,20",
+                         "--rates", "0,1e6,4e6,1.2e7,3e7",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert solved == [1, 2, 3, 4, 8, 20]
+        rows = list(csv.reader((tmp_path / "coexistence.csv").open()))
+        assert len(rows) == 1 + 6 * 5
 
     @pytest.mark.parametrize("flag, entry, kind", [
         ("--rates", "a", "float"),
@@ -497,7 +515,7 @@ def test_out_blocked_by_a_file_fails_before_any_work(tmp_path, monkeypatch,
 
     for module, name in ((harness, "run"), (harness, "sweep"),
                          (harness, "prepare_run"),
-                         (wifi, "saturation_throughput")):
+                         (wifi, "tx_probability")):
         monkeypatch.setattr(module, name, unreachable)
     blocker = tmp_path / "afile"
     blocker.write_bytes(b"keep me\n")

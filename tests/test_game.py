@@ -31,8 +31,8 @@ from lteusim.scenario import ALGORITHMS, ScenarioConfig, Topology, desk_config
 from oracles import (ETA, action_at, actions_of, batch_utilities_oracle,
                      best_swap, expected_utility_oracle, make_action,
                      point_mass, restrict_coupled_oracle,
-                     restrict_licensed_only_oracle, settle, space_of,
-                     validate_action, validate_space_oracle)
+                     restrict_licensed_only_oracle, sample_grid_vector_oracle,
+                     settle, space_of, validate_action, validate_space_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +361,30 @@ class TestEnumerateActions:
         assert len(space) == 1
         assert space.covered_users == ()
         assert space.fractions.shape == (1, 4, 1) and not space.fractions.any()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12, 24])
+    @pytest.mark.parametrize("z", [2, 5, 10, 40])
+    def test_grid_draw_matches_the_numpy_form(self, k, z):
+        # twin generators: the same vector and the same bits consumed by
+        # every draw, so every later draw of a space stays where it was
+        ours = np.random.default_rng(k * 100 + z)
+        theirs = np.random.default_rng(k * 100 + z)
+        for _ in range(200):
+            vector = game._sample_grid_vector(ours, k, z)
+            assert vector == sample_grid_vector_oracle(theirs, k, z)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert len(vector) == k and min(vector) >= 0 and sum(vector) <= z
+
+    @pytest.mark.parametrize("k", [2, 4, 12])
+    @pytest.mark.parametrize("unlicensed", [False, True])
+    def test_sampled_units_match_the_numpy_draw(self, monkeypatch, k,
+                                                unlicensed):
+        shipped = [game._sampled_units(k, 10, unlicensed, 32, seed)
+                   for seed in range(10)]
+        monkeypatch.setattr(game, "_sample_grid_vector",
+                            sample_grid_vector_oracle)
+        assert shipped == [game._sampled_units(k, 10, unlicensed, 32, seed)
+                           for seed in range(10)]
 
     def test_duplicates_rejected_by_space(self):
         a = make_action(0, (0,), 1, d=(0.0,), v=(0.0,))

@@ -1,4 +1,5 @@
-"""Golden outputs: full runs at fixed seeds, pinned bit for bit.
+"""Golden outputs: full runs at fixed seeds, and the action spaces their
+set-up draws, pinned bit for bit.
 
 A change that is meant to leave results alone (a refactor or a speedup)
 must keep these exact. A change that moves them on purpose updates the
@@ -12,13 +13,14 @@ dense, at most ``esn._DENSE_UNITS`` units, so only numpy's build bears on
 these values.
 """
 
+import hashlib
 import math
 
 import pytest
 
 from lteusim import agents, wifi
-from lteusim.harness import run
-from lteusim.scenario import desk_config
+from lteusim.harness import prepare_run, run
+from lteusim.scenario import ALGORITHMS, ScenarioConfig, desk_config
 
 
 def fingerprint(result):
@@ -102,10 +104,51 @@ def test_esn_learner_floats_exact():
 ])
 def test_wifi_floats(n_wifi, want):
     # tau, the saturation throughput and the LTE-U share at a 4 Mbps demand
-    assert (wifi.tx_probability(n_wifi), wifi.saturation_throughput(n_wifi),
-            wifi.lte_fraction(n_wifi, 4e6).lte_share) == want
+    capacity = wifi.saturation_throughput(n_wifi)
+    assert (wifi.tx_probability(n_wifi), capacity,
+            wifi.lte_fraction(n_wifi, 4e6, capacity).lte_share) == want
 
 
 def test_desk_duty_cycle():
     split = wifi.duty_cycle_for_config(desk_config())
     assert split.lte_share == 0.7135965870591328
+
+
+def spaces_digest(config, seed):
+    """SHA-256 over the covered users and the fraction bytes of every
+    space of every algorithm's ``prepare_run`` at one seed."""
+    h = hashlib.sha256()
+    for algorithm in ALGORITHMS:
+        for space in prepare_run(config, algorithm, seed).spaces:
+            h.update(repr(space.covered_users).encode())
+            h.update(space.fractions.tobytes())
+    return h.hexdigest()
+
+
+SPACES = [
+    ("desk", 0,
+     "24263140c759f2b7efdfb5d3b04df4cb519f9dd5d77fec906e2c460197d3efdd"),
+    ("desk", 1,
+     "547da5de6c2212692eaaf6ce0d45a1d88684050185d423977668f81c8b3300d2"),
+    ("desk", 2,
+     "81b8ae496bf90a879fdcdfd219413e6ed9d9b95d13656293ba608c573e96fa7d"),
+    ("desk", 3,
+     "8581c58eb555157919cbaeb5205d8c95a69e324020ab1005730e7ee7e62891a8"),
+    ("desk", 4,
+     "5c4d2f5912ca4286b223ae2637766248c8c74b2028ed1a9e3abc39cc70d24787"),
+    ("reference", 0,
+     "893b7f8766afb9de49a73497a8dd9e309c4a9751e7de221101042defdb141655"),
+    ("reference", 1,
+     "e4fab27b8c8a231719e02bd78ee7de57701fa3036298960577ec86ee23d5cba5"),
+    ("reference", 2,
+     "5f47dd8e885d8f3cf0577482f3ee327baca50e99305897a711700a41556f2225"),
+]
+
+
+@pytest.mark.parametrize("name, seed, want", SPACES,
+                         ids=[f"{name}-{seed}" for name, seed, _ in SPACES])
+def test_action_spaces(name, seed, want):
+    # every set-up draw: a change to the sampler's bits or to the grid
+    # moves one of these
+    config = desk_config() if name == "desk" else ScenarioConfig()
+    assert spaces_digest(config, seed) == want

@@ -105,7 +105,8 @@ class TestTxProbability:
 
     @pytest.mark.parametrize("quantity", [
         tx_probability, saturation_throughput,
-        lambda n_wifi: lte_fraction(n_wifi, 1e6),
+        lambda n_wifi: lte_fraction(n_wifi, 1e6,
+                                    saturation_throughput(n_wifi)),
     ], ids=["tx_probability", "saturation_throughput", "lte_fraction"])
     def test_rejects_no_stations(self, quantity):
         with pytest.raises(ValueError, match="n_wifi must be at least 1"):
@@ -171,33 +172,38 @@ class TestSaturationThroughput:
         assert throughput_at(tau, n_wifi) > 0.0
 
 
+def share(n_wifi, r_w):
+    """The LTE-U split of one domain, its capacity solved here."""
+    return lte_fraction(n_wifi, r_w, saturation_throughput(n_wifi))
+
+
 class TestLteFraction:
     def test_no_wifi_demand(self):
-        assert lte_fraction(4, 0.0).lte_share == 1.0
+        assert share(4, 0.0).lte_share == 1.0
 
     def test_boundary_and_midpoint(self):
         capacity = saturation_throughput(4)
-        at_cap = lte_fraction(4, capacity / 4)
+        at_cap = lte_fraction(4, capacity / 4, capacity)
         assert at_cap.lte_share == pytest.approx(0.0, abs=1e-12)
         assert not at_cap.wifi_overloaded
-        half = lte_fraction(4, capacity / 8)
+        half = lte_fraction(4, capacity / 8, capacity)
         assert half.lte_share == pytest.approx(0.5, rel=1e-12)
 
     def test_overload_flag(self):
-        overloaded = lte_fraction(4, saturation_throughput(4))
+        overloaded = share(4, saturation_throughput(4))
         assert overloaded.lte_share == 0.0
         assert overloaded.wifi_overloaded
 
     def test_negative_requirement_rejected(self):
         with pytest.raises(ValueError):
-            lte_fraction(4, -1.0)
+            share(4, -1.0)
 
     @pytest.mark.parametrize("r_w", [math.nan, math.inf])
     def test_non_finite_requirement_rejected(self, r_w):
         # NaN would read as no demand and inf as an overload
         with pytest.raises(ValueError, match="the WiFi rate requirement must "
                            f"be nonnegative and finite, got {r_w!r}"):
-            lte_fraction(4, r_w)
+            share(4, r_w)
 
     @pytest.mark.parametrize("r_w", [1, 10, 1e3, 1e5, 1e6, 4e6, 1.2e7])
     def test_wifi_rate_guarantee(self, r_w):
@@ -205,7 +211,7 @@ class TestLteFraction:
         # N_w r_w, short by at most one unit in the last place of R; a
         # demand far below R loses its digits to the rounding of L
         for n_wifi in (1, 2, 4, 5, 7, 16, 59, 100, 200, 500):
-            split = lte_fraction(n_wifi, r_w)
+            split = share(n_wifi, r_w)
             if split.wifi_overloaded:
                 continue
             capacity = Fraction(saturation_throughput(n_wifi))
@@ -213,10 +219,9 @@ class TestLteFraction:
             assert airtime >= n_wifi * Fraction(r_w) - capacity / 2**52
 
     def test_nonincreasing_in_stations_and_demand(self):
-        shares = [lte_fraction(n, 4e6).lte_share
-                  for n in range(1, 13)]
+        shares = [share(n, 4e6).lte_share for n in range(1, 13)]
         assert all(a >= b for a, b in zip(shares, shares[1:]))
-        by_demand = [lte_fraction(4, r).lte_share
+        by_demand = [share(4, r).lte_share
                      for r in (0.0, 1e6, 4e6, 8e6, 1.4e7, 5e7)]
         assert all(a >= b for a, b in zip(by_demand, by_demand[1:]))
 
@@ -225,7 +230,7 @@ class TestScenarioDutyCycle:
     def test_matches_single_domain(self):
         cfg = ScenarioConfig()
         split = duty_cycle_for_config(cfg)
-        direct = lte_fraction(cfg.wifi_users_per_wap, cfg.wifi_rate_req_bps)
+        direct = share(cfg.wifi_users_per_wap, cfg.wifi_rate_req_bps)
         assert split.lte_share == direct.lte_share
 
     def test_no_waps_means_full_airtime(self):
