@@ -98,8 +98,8 @@ def lte_fraction(n_wifi: int, r_w: float, capacity: float) -> DutyCycle:
     """Largest LTE-U airtime share leaving each of ``n_wifi`` WiFi users at
     least ``r_w`` bps. ``capacity`` is the domain's aggregate throughput
     ``saturation_throughput(n_wifi)``, which the caller solves once per
-    station count. The demand ``r_w`` must be finite and nonnegative; any
-    other value is refused.
+    station count. The demand ``r_w`` must be finite and nonnegative and
+    ``n_wifi`` at least 1; any other value is refused.
 
     With aggregate WiFi throughput R, the WiFi side keeps (1 - L) of the
     airtime and splits it over N_w users, so L = 1 - N_w r_w / R clamped
@@ -111,6 +111,8 @@ def lte_fraction(n_wifi: int, r_w: float, capacity: float) -> DutyCycle:
     if not (math.isfinite(r_w) and r_w >= 0.0):
         raise ValueError("the WiFi rate requirement must be nonnegative and "
                          f"finite, got {r_w!r}")
+    if n_wifi < 1:
+        raise ValueError("n_wifi must be at least 1")
     demand = n_wifi * r_w
     if demand > capacity:
         return DutyCycle(lte_share=0.0, wifi_overloaded=True)

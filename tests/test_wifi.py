@@ -105,8 +105,7 @@ class TestTxProbability:
 
     @pytest.mark.parametrize("quantity", [
         tx_probability, saturation_throughput,
-        lambda n_wifi: lte_fraction(n_wifi, 1e6,
-                                    saturation_throughput(n_wifi)),
+        lambda n_wifi: lte_fraction(n_wifi, 1e6, saturation_throughput(1)),
     ], ids=["tx_probability", "saturation_throughput", "lte_fraction"])
     def test_rejects_no_stations(self, quantity):
         with pytest.raises(ValueError, match="n_wifi must be at least 1"):
