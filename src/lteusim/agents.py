@@ -117,14 +117,12 @@ class EsnAgent:
         self.res_alpha, self.ro_alpha = esn.init(
             config.reservoir_units, alpha_dim, n_actions,
             density=config.reservoir_density,
-            target_radius=config.reservoir_radius, seed=int(streams[1]),
-            input_scale=config.reservoir_input_scale)
+            target_radius=config.reservoir_radius, seed=int(streams[1]))
         self.ro_alpha.rate = config.lambda_alpha
         self.res_beta, self.ro_beta = esn.init(
             config.reservoir_units, beta_dim, n_actions,
             density=config.reservoir_density,
-            target_radius=config.reservoir_radius, seed=int(streams[2]),
-            input_scale=config.reservoir_input_scale)
+            target_radius=config.reservoir_radius, seed=int(streams[2]))
         self.ro_beta.rate = config.lambda_beta
 
         # per-action input projections; profile encodings in the expectation

@@ -8,12 +8,11 @@ scipy is imported only on the sparse route, by the first reservoir above
 ``_DENSE_UNITS`` units; a dense run never loads it.
 
 Each readout trains at one constant rate, set by the owner after ``init``
-(the agents use ``config.lambda_alpha`` and ``config.lambda_beta``). Input
-weights are scaled by ``input_scale`` (default 1.0; the agents pass
-``config.reservoir_input_scale``). Nothing here keeps the gradient step
-contractive: at ``ScenarioConfig()`` defaults the 1000-unit states
-saturate, and the step lambda_alpha * ||z||^2 is about 3.3, above the LMS
-stability bound of 2.
+(the agents use ``config.lambda_alpha`` and ``config.lambda_beta``). The
+input weights are the raw Uniform(-1, 1) draw, unscaled. Nothing here keeps
+the gradient step contractive: at ``ScenarioConfig()`` defaults the
+1000-unit states saturate, and the step lambda_alpha * ||z||^2 is about
+3.3, above the LMS stability bound of 2.
 """
 
 from __future__ import annotations
@@ -121,14 +120,14 @@ def _spectral_radius(w: np.ndarray | scipy.sparse.csr_matrix) -> float:
 
 
 def init(n_units: int, input_dim: int, n_actions: int, density: float = 0.1,
-         target_radius: float = 0.9, seed: int = 0,
-         input_scale: float = 1.0) -> tuple[Reservoir, Readout]:
+         target_radius: float = 0.9,
+         seed: int = 0) -> tuple[Reservoir, Readout]:
     """Fresh reservoir/readout pair, deterministic in ``seed``.
 
     All weights start Uniform(-1, 1); the recurrent matrix is sparsified to
-    ``density`` and rescaled to ``target_radius``; the input weights are
-    scaled by ``input_scale``. A degenerate draw (radius numerically zero) is
-    retried with a derived seed. The readout's rate starts at 0.
+    ``density`` and rescaled to ``target_radius``. A degenerate draw (radius
+    numerically zero) is retried with a derived seed. The readout's rate
+    starts at 0.
     """
     if not 0.0 < target_radius < 1.0:
         raise ValueError("target_radius must lie in (0, 1)")
@@ -137,7 +136,7 @@ def init(n_units: int, input_dim: int, n_actions: int, density: float = 0.1,
 
     for attempt in range(8):
         rng = np.random.default_rng([seed, attempt])
-        w_in = rng.uniform(-1.0, 1.0, size=(n_units, input_dim)) * input_scale
+        w_in = rng.uniform(-1.0, 1.0, size=(n_units, input_dim))
         dense = rng.uniform(-1.0, 1.0, size=(n_units, n_units))
         if density < 1.0:
             dense *= rng.random((n_units, n_units)) < density

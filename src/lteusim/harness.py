@@ -88,7 +88,7 @@ def prepare_run(config: ScenarioConfig, algorithm: str, seed: int) -> RunInputs:
     topology = generate_topology(config, int(parts[0]))
     channel = draw_channel(topology, config, int(parts[1]))
     duty = duty_cycle_for_config(config)
-    caps = build_capacities(channel, config, duty.lte_share)
+    caps = build_capacities(channel, duty.lte_share)
     spaces = tuple(enumerate_actions(n, topology, config, int(parts[3 + n]))
                    for n in range(config.n_bs))
     return RunInputs(duty=duty, capacities=caps, agent_seed=int(parts[2]),

@@ -5,6 +5,9 @@ never on the allocation fractions, so capacities are computed once per
 channel realization and cached in a LinkCapacitySet. A joint allocation
 then turns capacities into rates by plain fraction weighting. The rates
 table a run leaves is written by ``cli``; nothing here writes a file.
+
+The transmit powers, noise power and bandwidths are the constants below:
+the radio of the reference operating point, which no config sets.
 """
 
 from __future__ import annotations
@@ -14,9 +17,25 @@ from functools import cached_property
 
 import numpy as np
 
-from .scenario import LICENSED, UNLICENSED, ChannelRealization, ScenarioConfig
+from .scenario import LICENSED, UNLICENSED, ChannelRealization
 
 LOG2 = np.log(2.0)
+
+
+def dbm_to_watt(dbm: float) -> float:
+    return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+# transmit powers of the macro cell, a small cell and a user, and the
+# receiver noise power
+P_MBS_W = dbm_to_watt(43.0)
+P_SBS_W = dbm_to_watt(30.0)
+P_USER_W = dbm_to_watt(20.0)
+NOISE_W = dbm_to_watt(-95.0)
+# licensed DL and UL carriers, and the unlicensed channel
+F_L_DL_HZ = 10e6
+F_L_UL_HZ = 10e6
+F_U_HZ = 20e6
 
 
 @dataclass(frozen=True)
@@ -55,34 +74,34 @@ def _shannon(bandwidth_hz: float, signal_w, interference_w, noise_w: float):
     return bandwidth_hz * np.log1p(signal_w / (interference_w + noise_w)) / LOG2
 
 
-def build_capacities(channel: ChannelRealization, config: ScenarioConfig,
+def build_capacities(channel: ChannelRealization,
                      lte_fraction: float) -> LinkCapacitySet:
     """Vectorized capacity matrices for every (user, BS) pair."""
-    n_users, n_bs = channel.gain.shape[:2]
-    noise = config.noise_power_w
-    powers = np.array([config.bs_power_w(j) for j in range(n_bs)])
+    n_bs = channel.gain.shape[1]
+    powers = np.full(n_bs, P_SBS_W)
+    powers[0] = P_MBS_W
 
     # licensed DL: all BSs interfere
     rx = channel.gain[:, :, LICENSED] * powers[None, :]
     interf_dl = rx.sum(axis=1, keepdims=True) - rx
-    c_l_dl = _shannon(config.f_l_dl_hz, rx, interf_dl, noise)
+    c_l_dl = _shannon(F_L_DL_HZ, rx, interf_dl, NOISE_W)
 
     # licensed UL: all other users interfere at the serving BS
-    rx_ul = channel.gain[:, :, LICENSED] * config.user_power_w
+    rx_ul = channel.gain[:, :, LICENSED] * P_USER_W
     interf_ul = rx_ul.sum(axis=0, keepdims=True) - rx_ul
-    c_l_ul = _shannon(config.f_l_ul_hz, rx_ul, interf_ul, noise)
+    c_l_ul = _shannon(F_L_UL_HZ, rx_ul, interf_ul, NOISE_W)
 
     # unlicensed DL: small cells only, other SBSs interfere
     rx_u = channel.gain[:, :, UNLICENSED] * powers[None, :]
     rx_u[:, 0] = 0.0
     interf_u = rx_u[:, 1:].sum(axis=1, keepdims=True) - rx_u
-    c_u_dl = lte_fraction * _shannon(config.f_u_hz, rx_u, np.maximum(interf_u, 0.0), noise)
+    c_u_dl = lte_fraction * _shannon(F_U_HZ, rx_u, np.maximum(interf_u, 0.0), NOISE_W)
     c_u_dl[:, 0] = 0.0
 
     # unlicensed UL: other users interfere at the serving SBS
-    rx_uu = channel.gain[:, :, UNLICENSED] * config.user_power_w
+    rx_uu = channel.gain[:, :, UNLICENSED] * P_USER_W
     interf_uu = rx_uu.sum(axis=0, keepdims=True) - rx_uu
-    c_u_ul = lte_fraction * _shannon(config.f_u_hz, rx_uu, interf_uu, noise)
+    c_u_ul = lte_fraction * _shannon(F_U_HZ, rx_uu, interf_uu, NOISE_W)
     c_u_ul[:, 0] = 0.0
 
     return LinkCapacitySet(c_l_dl=c_l_dl, c_l_ul=c_l_ul, c_u_dl=c_u_dl,

@@ -5,6 +5,11 @@ function of a ScenarioConfig, an algorithm and a seed. A command's seed is
 the config's ``rng_seed`` (the CLI's ``--seed`` sets it), so a command
 rerun with ``--config`` at its echoed config, and its other flags (a run
 names its algorithm in ``summary.txt``), writes the same files.
+
+The radio environment is fixed at the reference operating point: the
+macro-cell radius and the two path-loss laws are constants here, the
+transmit powers, noise power and bandwidths constants in ``rates``. A
+config sets the game, its load and the learners, not the radio.
 """
 
 from __future__ import annotations
@@ -25,40 +30,34 @@ UNLICENSED = 1
 # path-loss law is undefined at d=0; clamp below this
 MIN_LINK_DISTANCE_M = 1.0
 
+# users, small cells and WAPs are dropped in a disc of this radius
+MACRO_RADIUS_M = 500.0
+# (A, B) of PL_dB = A + B log10(d_m) per band
+PATHLOSS_LICENSED = (15.3, 37.5)
+PATHLOSS_UNLICENSED = (15.3, 50.0)
+
 ALGORITHMS = ("esn", "q_lteu_decoupled", "q_lte_decoupled", "q_lteu_coupled")
 
 _BOOLS = (bool, np.bool_)
 
 
-def dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """All physical, protocol, and learning parameters plus seeding controls.
+    """Network size, WiFi load, game, learning and seeding parameters.
 
     Defaults are the reference operating point of the simulator; use
-    ``desk_config`` for the smaller setup the tests and demos run at.
+    ``desk_config`` for the smaller setup the tests and demos run at. The
+    radio environment of that operating point is not configurable: the
+    macro radius and path-loss laws are constants of this module, the
+    powers, noise and bandwidths constants of ``rates``.
     """
 
     # geometry
-    macro_radius_m: float = 500.0
     n_sbs: int = 4
     n_waps: int = 2
     n_users: int = 12
     wifi_users_per_wap: int = 4
     sbs_coverage_m: float = 100.0
-    # radio
-    p_mbs_dbm: float = 43.0
-    p_sbs_dbm: float = 30.0
-    p_user_dbm: float = 20.0
-    noise_power_dbm: float = -95.0
-    f_l_dl_hz: float = 10e6
-    f_l_ul_hz: float = 10e6
-    f_u_hz: float = 20e6
-    pathloss_licensed: tuple[float, float] = (15.3, 37.5)  # A + B log10(d_m) dB
-    pathloss_unlicensed: tuple[float, float] = (15.3, 50.0)
     # allocation grid and utility shaping
     z_levels: int = 10
     eta: float = 0.7
@@ -73,7 +72,6 @@ class ScenarioConfig:
     reservoir_units: int = 1000
     reservoir_density: float = 0.1
     reservoir_radius: float = 0.9
-    reservoir_input_scale: float = 1.0
     expectation_budget: int = 128
     # harness
     max_iterations: int = 2000
@@ -96,12 +94,9 @@ class ScenarioConfig:
                     raise ValueError(f"{f.name} must be a number, not a bool")
                 # an int would echo as one but read back as a float
                 object.__setattr__(self, f.name, float(value))
-        positive = (
-            "macro_radius_m", "wifi_users_per_wap", "sbs_coverage_m",
-            "f_l_dl_hz", "f_l_ul_hz", "f_u_hz", "action_set_size",
-            "reservoir_units", "reservoir_input_scale", "expectation_budget",
-            "convergence_window",
-        )
+        positive = ("wifi_users_per_wap", "sbs_coverage_m", "action_set_size",
+                    "reservoir_units", "expectation_budget",
+                    "convergence_window")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -126,15 +121,6 @@ class ScenarioConfig:
             raise ValueError("reservoir_radius must lie in (0, 1)")
         if not 0.0 <= self.lambda_q <= 1.0:
             raise ValueError("lambda_q must lie in [0, 1]")
-        for name in ("pathloss_licensed", "pathloss_unlicensed"):
-            coeffs = tuple(getattr(self, name))
-            if len(coeffs) != 2:
-                raise ValueError(f"{name} needs (intercept, slope)")
-            if any(isinstance(c, _BOOLS) for c in coeffs):
-                raise ValueError(f"{name} must hold numbers, not bools")
-            if coeffs[1] < 0:
-                raise ValueError(f"{name} slope must be nonnegative")
-            object.__setattr__(self, name, (float(coeffs[0]), float(coeffs[1])))
 
     # derived quantities -------------------------------------------------
 
@@ -143,36 +129,18 @@ class ScenarioConfig:
         """Total base stations; index 0 is the macro cell, 1..n_sbs the small cells."""
         return self.n_sbs + 1
 
-    @property
-    def noise_power_w(self) -> float:
-        return dbm_to_watt(self.noise_power_dbm)
-
-    def bs_power_w(self, bs: int) -> float:
-        return dbm_to_watt(self.p_mbs_dbm if bs == 0 else self.p_sbs_dbm)
-
-    @property
-    def user_power_w(self) -> float:
-        return dbm_to_watt(self.p_user_dbm)
-
     # construction and serialization ------------------------------------
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)
 
     def to_mapping(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return dataclasses.asdict(self)
 
     def echo(self, path) -> None:
         """Write the effective configuration as sorted key=value lines."""
-        lines = []
-        for key, value in sorted(self.to_mapping().items()):
-            if isinstance(value, list):
-                value = ", ".join(repr(v) for v in value)
-            lines.append(f"{key} = {value}")
+        lines = [f"{key} = {value}"
+                 for key, value in sorted(self.to_mapping().items())]
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -218,18 +186,10 @@ def _number(key: str, value) -> float:
 
 
 def _coerce(key: str, value, annotation):
-    """``value`` as the field's type; a value of the wrong shape is a
-    ValueError that names ``key``."""
-    ann = str(annotation)
-    if "tuple" in ann:
-        if isinstance(value, str):
-            value = [p for p in value.replace(",", " ").split() if p]
-        elif not isinstance(value, (list, tuple)):
-            raise ValueError(f"config key {key!r} expects a sequence, "
-                             f"got {value!r}")
-        return tuple(_number(key, p) for p in value)
+    """``value`` as the field's type, an int or a float; a value that is no
+    such number is a ValueError that names ``key``."""
     f = _number(key, value)
-    if "int" in ann:
+    if "int" in str(annotation):
         if not f.is_integer():
             raise ValueError(f"config key {key!r} expects an integer, got {value!r}")
         try:  # digits read exactly; float() rounds a seed past 2**53
@@ -320,9 +280,9 @@ def _uniform_disc(rng: np.random.Generator, n: int, radius: float) -> np.ndarray
 def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
     """Drop SBSs, WAPs, and users uniformly in the macro disc; derive coverage."""
     rng = np.random.default_rng(seed)
-    sbs = _uniform_disc(rng, config.n_sbs, config.macro_radius_m)
-    wap = _uniform_disc(rng, config.n_waps, config.macro_radius_m)
-    users = _uniform_disc(rng, config.n_users, config.macro_radius_m)
+    sbs = _uniform_disc(rng, config.n_sbs, MACRO_RADIUS_M)
+    wap = _uniform_disc(rng, config.n_waps, MACRO_RADIUS_M)
+    users = _uniform_disc(rng, config.n_users, MACRO_RADIUS_M)
 
     covered = [tuple(range(config.n_users))]
     for j in range(config.n_sbs):
@@ -346,8 +306,9 @@ def draw_channel(
     """Sample one channel realization, held fixed for a whole learning run.
 
     gain = 10^(-PL_dB/10) * g with g ~ Exponential(mean 1), drawn
-    independently per link and band; PL_dB = A + B log10(d), with the
-    user-BS distance d clamped below at MIN_LINK_DISTANCE_M.
+    independently per link and band; PL_dB = A + B log10(d) with the
+    band's PATHLOSS_LICENSED or PATHLOSS_UNLICENSED pair, the user-BS
+    distance d clamped below at MIN_LINK_DISTANCE_M.
     """
     rng = np.random.default_rng(seed)
     users = topology.user_positions
@@ -357,8 +318,8 @@ def draw_channel(
 
     logd = np.log10(dist)
     pl = np.empty((topology.n_users, topology.n_bs, 2))
-    a_l, b_l = config.pathloss_licensed
-    a_u, b_u = config.pathloss_unlicensed
+    a_l, b_l = PATHLOSS_LICENSED
+    a_u, b_u = PATHLOSS_UNLICENSED
     pl[:, :, LICENSED] = a_l + b_l * logd
     pl[:, :, UNLICENSED] = a_u + b_u * logd
 

@@ -68,14 +68,18 @@ class TestRunCommand:
         assert code == 2
         assert "key=value" in capsys.readouterr().err
 
-    def test_unknown_config_key_fails(self, tmp_path, capsys):
-        code = cli.main(["run", "--out", str(tmp_path),
-                         "--set", "warp_drive=1"])
+    # f_u_hz names a fixed radio constant, which no config sets
+    @pytest.mark.parametrize("pair", ["warp_drive=1", "f_u_hz=2e7"])
+    def test_unknown_config_key_fails(self, tmp_path, capsys, pair):
+        out = tmp_path / "out"
+        code = cli.main(["run", "--out", str(out), "--set", pair])
         assert code == 2
-        assert "warp_drive" in capsys.readouterr().err
+        key = pair.split("=")[0]
+        assert f"error: unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("pair", ["wifi_rate_req_bps=nan", "f_u_hz=inf",
-                                      "p_sbs_dbm=nan", "sbs_coverage_m=nan"])
+    @pytest.mark.parametrize("pair", ["wifi_rate_req_bps=nan",
+                                      "sbs_coverage_m=nan"])
     def test_non_finite_set_value_fails(self, tmp_path, capsys, pair):
         code = cli.main(["run", "--out", str(tmp_path), "--set", pair,
                          "--set", "max_iterations=5"])
@@ -96,7 +100,7 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("text,key", [
-        ('{"pathloss_licensed": 5}', "pathloss_licensed"),
+        ('{"epsilon": [0.5]}', "epsilon"),
         ('{"n_sbs": true}', "n_sbs"),
     ])
     def test_malformed_json_value_fails(self, tmp_path, capsys, text, key):

@@ -92,15 +92,6 @@ class TestInit:
             assert np.array_equal(a_ro.w_out, b_ro.w_out)
             assert not np.array_equal(a_res.w_in, c_res.w_in)
 
-    def test_input_scaling_default(self):
-        # the default is the unit scale every run passes: raw Uniform(-1, 1)
-        reservoir, _ = init(100, 6, 4, seed=3)
-        unit, _ = init(100, 6, 4, seed=3, input_scale=1.0)
-        assert np.array_equal(reservoir.w_in, unit.w_in)
-        assert np.abs(reservoir.w_in).max() > 0.5
-        scaled, _ = init(100, 6, 4, seed=3, input_scale=0.25)
-        assert np.array_equal(scaled.w_in, 0.25 * unit.w_in)
-
     def test_fresh_state_and_readout_shape(self):
         reservoir, ro = init(50, 4, 7, seed=4)
         assert not reservoir.state.any()
@@ -135,7 +126,8 @@ class TestStateUpdate:
 
     def test_state_bounded_by_tanh(self):
         # at unit input scale these inputs would round tanh to exactly 1.0
-        reservoir, _ = init(80, 3, 2, seed=5, input_scale=1.0 / math.sqrt(80))
+        reservoir, _ = init(80, 3, 2, seed=5)
+        reservoir.w_in *= 1.0 / math.sqrt(80)
         state = update_state(reservoir, [50.0, -50.0, 30.0])
         assert np.all(np.abs(state) < 1.0)
 

@@ -11,6 +11,13 @@ import numpy as np
 import pytest
 
 from lteusim.rates import (
+    F_L_DL_HZ,
+    F_L_UL_HZ,
+    F_U_HZ,
+    NOISE_W,
+    P_MBS_W,
+    P_SBS_W,
+    P_USER_W,
     LinkCapacitySet,
     build_capacities,
     compute_user_rates,
@@ -41,18 +48,21 @@ def shannon(bandwidth_hz, signal_w, interference_w, noise_w):
         signal_w / (interference_w + noise_w)) / math.log(2.0)
 
 
-def licensed_dl_capacity(user, bs, channel, config):
+def bs_power_w(bs):
+    return P_MBS_W if bs == 0 else P_SBS_W
+
+
+def licensed_dl_capacity(user, bs, channel):
     """Downlink capacity on the licensed band; every other BS interferes at
     its full transmit power (macro or small-cell level)."""
-    received = [config.bs_power_w(j) * channel.gain[user, j, LICENSED]
+    received = [bs_power_w(j) * channel.gain[user, j, LICENSED]
                 for j in range(channel.gain.shape[1])]
     signal = received[bs]
     interference = sum(received) - signal
-    return shannon(config.f_l_dl_hz, signal, interference,
-                   config.noise_power_w)
+    return shannon(F_L_DL_HZ, signal, interference, NOISE_W)
 
 
-def licensed_ul_capacity(user, bs, channel, config, active_users=None):
+def licensed_ul_capacity(user, bs, channel, active_users=None):
     """Uplink capacity on the licensed band.
 
     ``active_users`` is the set of transmitting users (the user itself must
@@ -65,14 +75,12 @@ def licensed_ul_capacity(user, bs, channel, config, active_users=None):
     if user not in active:
         raise ValueError("user must be in active_users")
     h_to_bs = channel.gain[:, bs, LICENSED]
-    signal = config.user_power_w * h_to_bs[user]
-    interference = config.user_power_w * sum(h_to_bs[k] for k in active
-                                             if k != user)
-    return shannon(config.f_l_ul_hz, signal, interference,
-                   config.noise_power_w)
+    signal = P_USER_W * h_to_bs[user]
+    interference = P_USER_W * sum(h_to_bs[k] for k in active if k != user)
+    return shannon(F_L_UL_HZ, signal, interference, NOISE_W)
 
 
-def unlicensed_capacities(user, sbs, channel, config, lte_fraction,
+def unlicensed_capacities(user, sbs, channel, lte_fraction,
                           active_users=None):
     """(DL, UL) capacities on the unlicensed band for one small cell.
 
@@ -90,113 +98,98 @@ def unlicensed_capacities(user, sbs, channel, config, lte_fraction,
         raise ValueError("user must be in active_users")
 
     h_dl = channel.gain[user, :, UNLICENSED]
-    p_sbs = config.bs_power_w(sbs)
-    signal = p_sbs * h_dl[sbs]
-    interference = p_sbs * sum(h_dl[k] for k in range(1, n_bs) if k != sbs)
-    dl = lte_fraction * shannon(config.f_u_hz, signal, interference,
-                                config.noise_power_w)
+    signal = P_SBS_W * h_dl[sbs]
+    interference = P_SBS_W * sum(h_dl[k] for k in range(1, n_bs) if k != sbs)
+    dl = lte_fraction * shannon(F_U_HZ, signal, interference, NOISE_W)
 
     h_ul = channel.gain[:, sbs, UNLICENSED]
-    signal_u = config.user_power_w * h_ul[user]
-    interference_u = config.user_power_w * sum(h_ul[k] for k in active
-                                               if k != user)
-    ul = lte_fraction * shannon(config.f_u_hz, signal_u, interference_u,
-                                config.noise_power_w)
+    signal_u = P_USER_W * h_ul[user]
+    interference_u = P_USER_W * sum(h_ul[k] for k in active if k != user)
+    ul = lte_fraction * shannon(F_U_HZ, signal_u, interference_u, NOISE_W)
     return dl, ul
 
 
-@pytest.fixture
-def config():
-    return ScenarioConfig()
-
-
 class TestLicensedCapacities:
-    def test_sbs_at_unit_sinr_gives_bandwidth(self, config):
+    def test_sbs_at_unit_sinr_gives_bandwidth(self):
         """Received power equal to noise power: c = F * log2(2) = 10 Mbps."""
-        noise = config.noise_power_w
-        ch = make_channel(1, 2, {(0, 1, LICENSED): noise / config.bs_power_w(1)})
-        c = licensed_dl_capacity(0, 1, ch, config)
+        ch = make_channel(1, 2, {(0, 1, LICENSED): NOISE_W / P_SBS_W})
+        c = licensed_dl_capacity(0, 1, ch)
         assert c == pytest.approx(10e6, rel=1e-12)
 
-    def test_vanishing_gain_vanishing_rate(self, config):
+    def test_vanishing_gain_vanishing_rate(self):
         ch = make_channel(1, 2, {})
-        assert licensed_dl_capacity(0, 1, ch, config) < 1e-200
+        assert licensed_dl_capacity(0, 1, ch) < 1e-200
 
-    def test_equal_power_interferer_costs_one_bit(self, config):
+    def test_equal_power_interferer_costs_one_bit(self):
         # same received power from the serving and the interfering BS,
         # noise negligible: log2(1 + 1) = 1 bit/s/Hz
         ch = make_channel(1, 2, {
-            (0, 0, LICENSED): 1e-3 / config.bs_power_w(0),
-            (0, 1, LICENSED): 1e-3 / config.bs_power_w(1),
+            (0, 0, LICENSED): 1e-3 / P_MBS_W,
+            (0, 1, LICENSED): 1e-3 / P_SBS_W,
         })
-        c = licensed_dl_capacity(0, 1, ch, config)
-        assert c == pytest.approx(config.f_l_dl_hz, rel=1e-8)
+        c = licensed_dl_capacity(0, 1, ch)
+        assert c == pytest.approx(F_L_DL_HZ, rel=1e-8)
 
-    def test_ul_alone_at_sinr_three(self, config):
+    def test_ul_alone_at_sinr_three(self):
         """P_u h / noise = 3 with no co-channel users: F * log2(4) = 20 Mbps."""
-        noise = config.noise_power_w
-        ch = make_channel(3, 2, {(0, 1, LICENSED): 3.0 * noise / config.user_power_w})
-        c = licensed_ul_capacity(0, 1, ch, config, active_users={0})
+        ch = make_channel(3, 2, {(0, 1, LICENSED): 3.0 * NOISE_W / P_USER_W})
+        c = licensed_ul_capacity(0, 1, ch, active_users={0})
         assert c == pytest.approx(20e6, rel=1e-12)
 
-    def test_ul_default_counts_every_user(self, config):
-        noise = config.noise_power_w
+    def test_ul_default_counts_every_user(self):
         ch = make_channel(3, 2, {
-            (0, 1, LICENSED): 3.0 * noise / config.user_power_w,
-            (1, 1, LICENSED): 3.0 * noise / config.user_power_w,
-            (2, 1, LICENSED): 3.0 * noise / config.user_power_w,
+            (0, 1, LICENSED): 3.0 * NOISE_W / P_USER_W,
+            (1, 1, LICENSED): 3.0 * NOISE_W / P_USER_W,
+            (2, 1, LICENSED): 3.0 * NOISE_W / P_USER_W,
         })
-        alone = licensed_ul_capacity(0, 1, ch, config, active_users={0})
-        crowded = licensed_ul_capacity(0, 1, ch, config)
+        alone = licensed_ul_capacity(0, 1, ch, active_users={0})
+        crowded = licensed_ul_capacity(0, 1, ch)
         # SINR drops from 3 to 3/7, strictly worse
         assert crowded < alone
         assert crowded == pytest.approx(
-            config.f_l_ul_hz * np.log2(1 + 3.0 / 7.0), rel=1e-9)
+            F_L_UL_HZ * np.log2(1 + 3.0 / 7.0), rel=1e-9)
 
-    def test_ul_requires_membership(self, config):
+    def test_ul_requires_membership(self):
         ch = make_channel(2, 2, {(0, 1, LICENSED): 1e-10})
         with pytest.raises(ValueError):
-            licensed_ul_capacity(0, 1, ch, config, active_users={1})
+            licensed_ul_capacity(0, 1, ch, active_users={1})
 
 
 class TestUnlicensedCapacities:
-    def test_duty_cycle_scales_linearly(self, config):
-        noise = config.noise_power_w
-        ch = make_channel(1, 2, {(0, 1, UNLICENSED): noise / config.bs_power_w(1)})
-        full_dl, full_ul = unlicensed_capacities(0, 1, ch, config, 1.0,
+    def test_duty_cycle_scales_linearly(self):
+        ch = make_channel(1, 2, {(0, 1, UNLICENSED): NOISE_W / P_SBS_W})
+        full_dl, full_ul = unlicensed_capacities(0, 1, ch, 1.0,
                                                  active_users={0})
-        half_dl, half_ul = unlicensed_capacities(0, 1, ch, config, 0.5,
+        half_dl, half_ul = unlicensed_capacities(0, 1, ch, 0.5,
                                                  active_users={0})
-        none_dl, none_ul = unlicensed_capacities(0, 1, ch, config, 0.0,
+        none_dl, none_ul = unlicensed_capacities(0, 1, ch, 0.0,
                                                  active_users={0})
         assert full_dl == pytest.approx(20e6, rel=1e-12)
         assert half_dl == pytest.approx(full_dl / 2, rel=1e-15)
         assert half_ul == pytest.approx(full_ul / 2, rel=1e-15)
         assert none_dl == 0.0 and none_ul == 0.0
 
-    def test_macro_has_no_unlicensed_radio(self, config):
+    def test_macro_has_no_unlicensed_radio(self):
         ch = make_channel(1, 2, {})
         with pytest.raises(ValueError):
-            unlicensed_capacities(0, 0, ch, config, 1.0)
+            unlicensed_capacities(0, 0, ch, 1.0)
 
-    def test_dl_interference_from_other_sbs_only(self, config):
+    def test_dl_interference_from_other_sbs_only(self):
         # strong macro licensed-band style gain must not leak into the
         # unlicensed DL denominator
-        noise = config.noise_power_w
-        p = config.bs_power_w(1)
         with_macro = make_channel(1, 3, {
             (0, 0, UNLICENSED): 1.0,
-            (0, 1, UNLICENSED): noise / p,
+            (0, 1, UNLICENSED): NOISE_W / P_SBS_W,
         })
-        c, _ = unlicensed_capacities(0, 1, with_macro, config, 1.0,
+        c, _ = unlicensed_capacities(0, 1, with_macro, 1.0,
                                      active_users={0})
         assert c == pytest.approx(20e6, rel=1e-12)
         # an actual second SBS at equal received power halves the SINR term
         with_sbs = make_channel(1, 3, {
-            (0, 1, UNLICENSED): noise / p,
-            (0, 2, UNLICENSED): noise / p,
+            (0, 1, UNLICENSED): NOISE_W / P_SBS_W,
+            (0, 2, UNLICENSED): NOISE_W / P_SBS_W,
         })
-        c2, _ = unlicensed_capacities(0, 1, with_sbs, config, 1.0,
+        c2, _ = unlicensed_capacities(0, 1, with_sbs, 1.0,
                                       active_users={0})
         assert c2 == pytest.approx(20e6 * np.log2(1.5), rel=1e-9)
 
@@ -211,27 +204,27 @@ class TestCapacityCache:
 
     def test_matches_scalar_routes(self, drawn):
         cfg, ch = drawn
-        caps = build_capacities(ch, cfg, lte_fraction=0.37)
+        caps = build_capacities(ch, lte_fraction=0.37)
         for i in range(cfg.n_users):
             for j in range(cfg.n_bs):
                 assert caps.c_l_dl[i, j] == pytest.approx(
-                    licensed_dl_capacity(i, j, ch, cfg), rel=1e-9)
+                    licensed_dl_capacity(i, j, ch), rel=1e-9)
                 assert caps.c_l_ul[i, j] == pytest.approx(
-                    licensed_ul_capacity(i, j, ch, cfg), rel=1e-9)
+                    licensed_ul_capacity(i, j, ch), rel=1e-9)
                 if j > 0:
-                    dl, ul = unlicensed_capacities(i, j, ch, cfg, 0.37)
+                    dl, ul = unlicensed_capacities(i, j, ch, 0.37)
                     assert caps.c_u_dl[i, j] == pytest.approx(dl, rel=1e-9)
                     assert caps.c_u_ul[i, j] == pytest.approx(ul, rel=1e-9)
 
     def test_macro_unlicensed_column_zero(self, drawn):
         cfg, ch = drawn
-        caps = build_capacities(ch, cfg, lte_fraction=1.0)
+        caps = build_capacities(ch, lte_fraction=1.0)
         assert np.all(caps.c_u_dl[:, 0] == 0.0)
         assert np.all(caps.c_u_ul[:, 0] == 0.0)
 
     def test_block_is_band_by_direction_transposed(self, drawn):
         cfg, ch = drawn
-        caps = build_capacities(ch, cfg, lte_fraction=0.8)
+        caps = build_capacities(ch, lte_fraction=0.8)
         assert caps.block.shape == (2, 2, cfg.n_bs, cfg.n_users)
         for (band, direction), matrix in {
                 (0, 0): caps.c_l_dl, (0, 1): caps.c_l_ul,
@@ -244,7 +237,7 @@ class TestCapacityCache:
 
     def test_shapes_and_positivity(self, drawn):
         cfg, ch = drawn
-        caps = build_capacities(ch, cfg, lte_fraction=0.5)
+        caps = build_capacities(ch, lte_fraction=0.5)
         assert caps.c_l_dl.shape == (cfg.n_users, cfg.n_bs)
         assert np.all(caps.c_l_dl > 0) and np.all(caps.c_l_ul > 0)
         assert np.all(caps.c_u_dl[:, 1:] > 0) and np.all(caps.c_u_ul[:, 1:] > 0)

@@ -8,9 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lteusim.rates import (
+    F_L_DL_HZ,
+    F_L_UL_HZ,
+    F_U_HZ,
+    NOISE_W,
+    P_MBS_W,
+    P_SBS_W,
+    P_USER_W,
+)
 from lteusim.scenario import (
     LICENSED,
+    MACRO_RADIUS_M,
     MIN_LINK_DISTANCE_M,
+    PATHLOSS_LICENSED,
+    PATHLOSS_UNLICENSED,
     UNLICENSED,
     ChannelRealization,
     ScenarioConfig,
@@ -23,20 +35,23 @@ from lteusim.scenario import (
 
 def test_config_defaults_are_reference_point():
     cfg = ScenarioConfig()
-    assert cfg.p_mbs_dbm == 43.0
-    assert cfg.p_sbs_dbm == 30.0
-    assert cfg.p_user_dbm == 20.0
-    assert cfg.f_l_dl_hz == cfg.f_l_ul_hz == 10e6
-    assert cfg.f_u_hz == 20e6
+    assert F_L_DL_HZ == F_L_UL_HZ == 10e6
+    assert F_U_HZ == 20e6
     assert cfg.sbs_coverage_m == 100.0
     assert cfg.z_levels == 10
     assert cfg.eta == 0.7
     assert cfg.epsilon == 0.7
     assert (cfg.lambda_alpha, cfg.lambda_beta, cfg.lambda_q) == (0.08, 0.06, 0.06)
     assert cfg.reservoir_units == 1000
-    assert cfg.pathloss_licensed == (15.3, 37.5)
-    assert cfg.pathloss_unlicensed == (15.3, 50.0)
-    assert cfg.macro_radius_m == 500.0
+    assert PATHLOSS_LICENSED == (15.3, 37.5)
+    assert PATHLOSS_UNLICENSED == (15.3, 50.0)
+    assert MACRO_RADIUS_M == 500.0
+
+
+def test_config_fields_are_numbers():
+    # _coerce and echo handle one int or float per key
+    types = {f.type for f in dataclasses.fields(ScenarioConfig)}
+    assert types == {"int", "float"}
 
 
 @pytest.mark.parametrize(
@@ -47,7 +62,7 @@ def test_config_defaults_are_reference_point():
         ("epsilon", 1.0),
         ("eta", 1.5),
         ("n_users", -1),
-        ("f_u_hz", 0.0),
+        ("sbs_coverage_m", 0.0),
         ("reservoir_radius", 1.0),
         ("reservoir_density", 0.0),
         ("lambda_alpha", -0.1),
@@ -60,11 +75,6 @@ def test_config_defaults_are_reference_point():
         ("wifi_rate_req_bps", math.nan),
         ("wifi_rate_req_bps", -1.0),
         ("sbs_coverage_m", math.nan),
-        ("f_u_hz", math.inf),
-        ("p_sbs_dbm", math.nan),
-        ("pathloss_licensed", (math.nan, 37.5)),
-        ("pathloss_unlicensed", (15.3, math.inf)),
-        ("pathloss_licensed", (-math.inf, 37.5)),
         ("rng_seed", -1),
     ],
 )
@@ -83,7 +93,7 @@ def test_negative_wifi_demand_rejected_without_waps():
 def test_every_float_field_must_be_finite():
     floats = [f.name for f in dataclasses.fields(ScenarioConfig)
               if f.type == "float"]
-    assert "wifi_rate_req_bps" in floats and "p_sbs_dbm" in floats
+    assert "wifi_rate_req_bps" in floats and "sbs_coverage_m" in floats
     for name in floats:
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -101,8 +111,7 @@ def test_config_text_file_round_trip(tmp_path):
     # an int literal in a float field is kept, and echoed, as a float, so
     # the echo of the read-back config is the same file
     for cfg in (desk_config(n_sbs=3, wifi_rate_req_bps=2e6, rng_seed=7),
-                desk_config(f_u_hz=20_000_000, eta=1, wifi_rate_req_bps=1,
-                            pathloss_licensed=(15, 37))):
+                desk_config(eta=1, wifi_rate_req_bps=1)):
         echo = tmp_path / "config_echo.txt"
         cfg.echo(echo)
         again = ScenarioConfig.from_file(echo)
@@ -113,11 +122,10 @@ def test_config_text_file_round_trip(tmp_path):
 
 def test_config_json_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"n_sbs": 2, "epsilon": 0.5, "pathloss_licensed": [10.0, 20.0]}')
+    path.write_text('{"n_sbs": 2, "epsilon": 0.5}')
     cfg = ScenarioConfig.from_file(path)
     assert cfg.n_sbs == 2
     assert cfg.epsilon == 0.5
-    assert cfg.pathloss_licensed == (10.0, 20.0)
 
 
 def test_config_text_file_comments_and_overrides(tmp_path):
@@ -128,9 +136,26 @@ def test_config_text_file_comments_and_overrides(tmp_path):
     assert cfg.with_overrides(n_users=9).n_users == 9
 
 
-def test_config_unknown_key_rejected():
-    with pytest.raises(ValueError, match="unknown config key"):
-        ScenarioConfig.from_mapping({"bandwidth": 1.0})
+# keys of the fixed radio constants and of the unit input scale: an older
+# config echo names them, and is refused, not silently half-applied
+REMOVED_KEYS = ("macro_radius_m", "p_mbs_dbm", "p_sbs_dbm", "p_user_dbm",
+                "noise_power_dbm", "f_l_dl_hz", "f_l_ul_hz", "f_u_hz",
+                "pathloss_licensed", "pathloss_unlicensed",
+                "reservoir_input_scale")
+
+
+@pytest.mark.parametrize("key", ["bandwidth", *REMOVED_KEYS])
+def test_config_unknown_key_rejected(key):
+    with pytest.raises(ValueError, match=f"^unknown config key {key!r}$"):
+        ScenarioConfig.from_mapping({key: 1.0})
+
+
+def test_echo_with_a_removed_key_is_refused(tmp_path):
+    path = tmp_path / "config_echo.txt"
+    desk_config().echo(path)
+    path.write_text(path.read_text() + "pathloss_licensed = 15.3, 37.5\n")
+    with pytest.raises(ValueError, match="unknown config key 'pathloss_licensed'"):
+        ScenarioConfig.from_file(path)
 
 
 @pytest.mark.parametrize("value, kind", [([1, 2], "list"), ("x", "str")])
@@ -167,9 +192,6 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
 @pytest.mark.parametrize("name, value", [
     *((name, True) for name in FLOAT_FIELDS),
     pytest.param("eta", np.True_, id="eta-np.True_"),
-    pytest.param("pathloss_licensed", (True, 37.5), id="pathloss_licensed"),
-    pytest.param("pathloss_unlicensed", (15.3, False),
-                 id="pathloss_unlicensed"),
 ])
 def test_float_fields_refuse_bools(name, value):
     # True is no rate; its echo "True" would not read back
@@ -194,9 +216,6 @@ def test_every_integer_field_checked_and_kept_an_int():
 @pytest.mark.parametrize(
     "key,value",
     [
-        ("pathloss_licensed", 5),       # a scalar where a pair belongs
-        ("pathloss_licensed", {"a": 1}),
-        ("pathloss_licensed", [1.0, [2.0]]),
         ("n_sbs", True),                # json true would load as 1
         ("epsilon", [0.5]),
         ("epsilon", None),
@@ -210,10 +229,10 @@ def test_config_malformed_values_name_the_key(key, value):
 
 
 def test_dbm_conversion():
-    cfg = ScenarioConfig()
-    assert cfg.bs_power_w(0) == pytest.approx(10.0 ** 1.3)      # 43 dBm ~ 19.95 W
-    assert cfg.bs_power_w(1) == pytest.approx(1.0)              # 30 dBm = 1 W
-    assert cfg.user_power_w == pytest.approx(0.1)               # 20 dBm = 100 mW
+    assert P_MBS_W == 10.0 ** 1.3      # 43 dBm ~ 19.95 W
+    assert P_SBS_W == 1.0              # 30 dBm = 1 W
+    assert P_USER_W == 0.1             # 20 dBm = 100 mW
+    assert NOISE_W == 10.0 ** -12.5    # -95 dBm
 
 
 # topology ---------------------------------------------------------------
@@ -248,7 +267,7 @@ def test_coverage_matches_distances(seed):
             d = np.linalg.norm(topo.user_positions[i] - topo.sbs_positions[j])
             assert (i in users) == (d <= cfg.sbs_coverage_m)
     for i in range(cfg.n_users):
-        assert np.linalg.norm(topo.user_positions[i]) <= cfg.macro_radius_m + 1e-9
+        assert np.linalg.norm(topo.user_positions[i]) <= MACRO_RADIUS_M + 1e-9
 
 
 def test_coverage_monotone_in_radius():
@@ -263,26 +282,23 @@ def test_coverage_monotone_in_radius():
 # path loss --------------------------------------------------------------
 
 
-def path_loss_db(distance_m, band, config):
+def path_loss_db(distance_m, band):
     """Scalar oracle of the path loss ``draw_channel`` applies: A + B
     log10(d) for the band's coefficient pair, d clamped to 1 m."""
     d = max(float(distance_m), MIN_LINK_DISTANCE_M)
-    a, b = (config.pathloss_licensed if band == LICENSED
-            else config.pathloss_unlicensed)
+    a, b = PATHLOSS_LICENSED if band == LICENSED else PATHLOSS_UNLICENSED
     return a + b * math.log10(d)
 
 
 def test_path_loss_reference_points():
-    cfg = ScenarioConfig()
-    assert path_loss_db(1.0, LICENSED, cfg) == pytest.approx(15.3, abs=1e-12)
-    assert path_loss_db(100.0, LICENSED, cfg) == pytest.approx(90.3, abs=1e-9)
-    assert path_loss_db(100.0, UNLICENSED, cfg) == pytest.approx(115.3, abs=1e-9)
+    assert path_loss_db(1.0, LICENSED) == pytest.approx(15.3, abs=1e-12)
+    assert path_loss_db(100.0, LICENSED) == pytest.approx(90.3, abs=1e-9)
+    assert path_loss_db(100.0, UNLICENSED) == pytest.approx(115.3, abs=1e-9)
 
 
 def test_path_loss_clamps_below_one_meter():
-    cfg = ScenarioConfig()
-    assert path_loss_db(0.0, LICENSED, cfg) == path_loss_db(1.0, LICENSED, cfg)
-    assert path_loss_db(0.5, UNLICENSED, cfg) == path_loss_db(1.0, UNLICENSED, cfg)
+    assert path_loss_db(0.0, LICENSED) == path_loss_db(1.0, LICENSED)
+    assert path_loss_db(0.5, UNLICENSED) == path_loss_db(1.0, UNLICENSED)
 
 
 @given(
@@ -291,16 +307,15 @@ def test_path_loss_clamps_below_one_meter():
 )
 @settings(max_examples=200, deadline=None)
 def test_path_loss_monotone_in_distance(d1, d2):
-    cfg = ScenarioConfig()
     lo, hi = sorted([d1, d2])
     for band in (LICENSED, UNLICENSED):
-        assert path_loss_db(lo, band, cfg) <= path_loss_db(hi, band, cfg) + 1e-12
+        assert path_loss_db(lo, band) <= path_loss_db(hi, band) + 1e-12
 
 
 # channel ----------------------------------------------------------------
 
 
-def replay_channel(topo, cfg, seed):
+def replay_channel(topo, seed):
     """``(path_gain, fading)`` of ``draw_channel(topo, cfg, seed)``: the
     linear path-loss gains over the clamped user-BS distances, recomputed
     from the topology, and the seed's one exponential draw."""
@@ -308,8 +323,8 @@ def replay_channel(topo, cfg, seed):
         topo.user_positions[:, None, :] - topo.bs_positions()[None, :, :],
         axis=2)
     logd = np.log10(np.maximum(dist, MIN_LINK_DISTANCE_M))
-    pl = np.stack([a + b * logd for a, b in (cfg.pathloss_licensed,
-                                             cfg.pathloss_unlicensed)],
+    pl = np.stack([a + b * logd for a, b in (PATHLOSS_LICENSED,
+                                             PATHLOSS_UNLICENSED)],
                   axis=2)
     fading = np.random.default_rng(seed).exponential(
         1.0, (topo.n_users, topo.n_bs, 2))
@@ -321,14 +336,14 @@ def test_gain_replays_path_loss_times_fading(topo_seed, seed):
     cfg = desk_config()
     topo = generate_topology(cfg, seed=topo_seed)
     chan = draw_channel(topo, cfg, seed=seed)
-    path_gain, fading = replay_channel(topo, cfg, seed)
+    path_gain, fading = replay_channel(topo, seed)
     assert np.array_equal(chan.gain, path_gain * fading)
     # the replay's path loss is the scalar law
     for i in (0, cfg.n_users - 1):
         for j in (0, cfg.n_bs - 1):
             d = np.linalg.norm(topo.user_positions[i] - topo.bs_positions()[j])
             for band in (LICENSED, UNLICENSED):
-                expected = 10.0 ** (-path_loss_db(d, band, cfg) / 10.0)
+                expected = 10.0 ** (-path_loss_db(d, band) / 10.0)
                 assert path_gain[i, j, band] == pytest.approx(expected,
                                                               rel=1e-12)
 
@@ -344,7 +359,7 @@ def test_identical_positions_identical_gains():
     )
     cfg = ScenarioConfig(n_sbs=1, n_users=3, n_waps=1)
     chan = draw_channel(topo, cfg, seed=0)
-    path_gain, fading = replay_channel(topo, cfg, seed=0)
+    path_gain, fading = replay_channel(topo, seed=0)
     assert np.array_equal(chan.gain, path_gain * fading)
     assert np.array_equal(path_gain[0], path_gain[1])
 
@@ -365,7 +380,7 @@ def test_fading_empirical_mean_near_one():
     cfg = ScenarioConfig(n_sbs=99, n_users=500, n_waps=1)
     topo = generate_topology(cfg, seed=0)
     faded = draw_channel(topo, cfg, seed=123)
-    path_gain, _ = replay_channel(topo, cfg, seed=123)
+    path_gain, _ = replay_channel(topo, seed=123)
     ratio = faded.gain / path_gain
     assert ratio.size == 100_000
     assert 0.99 <= ratio.mean() <= 1.01
