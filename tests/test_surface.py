@@ -3,6 +3,7 @@ reach.
 
 A public module-level function or class, and a public method of any
 class, must be named somewhere in the package besides its own definition,
+a public module-level constant must be loaded somewhere in the package,
 and every ``ScenarioConfig`` field must be read somewhere besides its
 validation. Every public dataclass field and every public ``self.X =``
 attribute of a class must be read somewhere in the package: an attribute
@@ -101,6 +102,21 @@ METHODS = [(module, cls.name, node) for module, tree in TREES.items()
            and not node.name.startswith("_")]
 CHECKED_METHODS = [(module, cls, node) for module, cls, node in METHODS
                    if f"{module}.{cls}.{node.name}" not in ALLOWED_METHODS]
+# "module.NAME" for every module-level assignment without a leading _
+CONSTANTS = [f"{module}.{target.id}" for module, tree in TREES.items()
+             for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign)
+                            else [node.target])
+             if isinstance(target, ast.Name)
+             and not target.id.startswith("_")]
+# loads of a name, bare (``P_SBS_W``) or from a module (``rates.P_SBS_W``);
+# the assignment that defines a constant is a store and does not count
+LOADS = Counter(
+    node.id if isinstance(node, ast.Name) else node.attr
+    for tree in TREES.values() for node in ast.walk(tree)
+    if isinstance(node, (ast.Name, ast.Attribute))
+    and isinstance(node.ctx, ast.Load))
 
 
 def _used_outside(name, node):
@@ -214,6 +230,13 @@ def test_method_allowlist_is_current(entry):
 def test_public_attribute_is_read_in_the_package(attribute):
     assert not _unread(attribute), (
         f"nothing in src/lteusim reads {attribute}; delete it")
+
+
+@pytest.mark.parametrize("constant", CONSTANTS)
+def test_public_constant_is_read_in_the_package(constant):
+    assert LOADS[constant.rsplit(".", 1)[1]] > 0, (
+        f"nothing in src/lteusim reads {constant}; move it to tests/ or "
+        "delete it")
 
 
 @pytest.mark.parametrize("entry", sorted(ALLOWED_UNREAD))
