@@ -99,14 +99,30 @@ def _grid_vectors(k: int, z: int):
             yield (head,) + tail
 
 
-def _sample_grid_vector(rng, k: int, z: int):
-    """Uniform draw from the sum<=z grid via a stars-and-bars bijection: k
-    bars among z + k slots, each entry the gap before its bar.
+def _choice_bounds(w: int, z: int) -> list[int]:
+    """Exclusive upper bounds of the bounded draws that
+    ``Generator.choice(z + w, size=w, replace=False)`` makes, in order:
+    Floyd's sampler (Bentley & Floyd, "A sample of brilliance", CACM
+    30(9), 1987) draws on 0..j for j = z, ..., z + w - 1, then a
+    Fisher-Yates shuffle draws on 0..i for i = w - 1, ..., 1.
 
-    Exactly one ``Generator.choice`` call per vector, with these arguments:
-    every action set is a function of the bits it draws, so a change to
-    the call moves every action set and every golden value."""
-    bars = sorted(rng.choice(z + k, size=k, replace=False).tolist())
+    numpy takes Floyd's path unless the population passes 10,000 and the
+    sample a fiftieth of it, which needs z_levels near 10,000 and some
+    hundred covered users; past that bound these draws still make
+    uniform vectors, but not ``choice``'s."""
+    return [*range(z + 1, z + w + 1), *range(w, 1, -1)]
+
+
+def _floyd_vector(draws, z: int):
+    """Uniform vector of the sum<=z grid from Floyd's ``w = len(draws)``
+    draws (``draws[i]`` on 0..z + i): each adds itself to the bars, or
+    z + i when it is already one. The vector is the stars-and-bars
+    bijection of the w bars among z + w slots: each entry is the gap
+    before its bar."""
+    bars = set()
+    for j, val in enumerate(draws, z):
+        bars.add(j if val in bars else val)
+    bars = sorted(bars)
     return tuple(hi - lo - 1 for lo, hi in zip([-1] + bars, bars))
 
 
@@ -119,7 +135,18 @@ def _even_units(k: int, z: int):
 def _sampled_units(k: int, z: int, unlicensed: bool, cap: int, seed: int):
     """Up to ``cap`` distinct actions in grid units: the all-zero action, an
     even split, one "whole band to user j" action per covered user, then
-    seeded uniform grid draws."""
+    seeded uniform grid draws.
+
+    A drawn action is a licensed DL and a licensed UL vector of width k
+    and, in a small cell, one shared unlicensed vector of width 2k, each
+    from the draws of ``Generator.choice(z + w, size=w, replace=False)``
+    (``_choice_bounds``). One ``Generator.integers`` call draws a batch of
+    actions, and its bounded draws equal ``choice``'s (Floyd's, then the
+    shuffle's) bit for bit. Every action set is a function of these
+    draws, so a change to the bounds or their order moves every action
+    set and every golden value. A batch holds the actions still missing,
+    which a one-action-at-a-time loop would draw too; after 1000 * cap
+    drawn actions the sampling gives up."""
     rng = np.random.default_rng(seed)
     idle = (0,) * (2 * k)
     even = tuple(_even_units(k, z))
@@ -135,16 +162,25 @@ def _sampled_units(k: int, z: int, unlicensed: bool, cap: int, seed: int):
     for units in seeds:
         if len(kept) < cap:
             kept.setdefault(units)
+    # one action's bounds: each vector's Floyd and shuffle draws
+    bounds, spans = [], []
+    for w in (k, k, 2 * k) if unlicensed else (k, k):
+        spans.append((len(bounds), len(bounds) + w))
+        bounds += _choice_bounds(w, z)
     attempts = 0
     while len(kept) < cap:
-        attempts += 1
-        if attempts > 1000 * cap:
+        # each drawn action adds at most one to kept, so a one-at-a-time
+        # loop would draw at least these m: the same bits in the same order
+        m = min(cap - len(kept), 1000 * cap - attempts)
+        if not m:
             raise RuntimeError("action sampling failed to find enough "
                                "distinct feasible actions")
-        d = _sample_grid_vector(rng, k, z)
-        v = _sample_grid_vector(rng, k, z)
-        kept.setdefault(d + v + (_sample_grid_vector(rng, 2 * k, z)
-                                 if unlicensed else idle))
+        attempts += m
+        draws = rng.integers(0, np.tile(bounds, m)).tolist()
+        for row in range(0, len(draws), len(bounds)):
+            units = sum((_floyd_vector(draws[row + lo:row + hi], z)
+                         for lo, hi in spans), ())
+            kept.setdefault(units if unlicensed else units + idle)
     return list(kept)
 
 

@@ -86,7 +86,7 @@ def prepare_run(config: ScenarioConfig, algorithm: str, seed: int) -> RunInputs:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     parts = np.random.SeedSequence(int(seed)).generate_state(3 + config.n_bs)
     topology = generate_topology(config, int(parts[0]))
-    channel = draw_channel(topology, config, int(parts[1]))
+    channel = draw_channel(topology, int(parts[1]))
     duty = duty_cycle_for_config(config)
     caps = build_capacities(channel, duty.lte_share)
     spaces = tuple(enumerate_actions(n, topology, config, int(parts[3 + n]))

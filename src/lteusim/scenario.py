@@ -298,11 +298,7 @@ def generate_topology(config: ScenarioConfig, seed: int) -> Topology:
     )
 
 
-def draw_channel(
-    topology: Topology,
-    config: ScenarioConfig,
-    seed: int,
-) -> ChannelRealization:
+def draw_channel(topology: Topology, seed: int) -> ChannelRealization:
     """Sample one channel realization, held fixed for a whole learning run.
 
     gain = 10^(-PL_dB/10) * g with g ~ Exponential(mean 1), drawn

@@ -5,10 +5,12 @@
 builders to and from ``ActionSpace``. ``validate_space_oracle`` checks a
 space's fractions against the feasibility rules, per action and in
 floats, independently of the integer check in ``enumerate_actions``.
-``sample_grid_vector_oracle`` is the numpy form of the stars-and-bars draw
-that ``game._sample_grid_vector`` computes in plain integers. The
-per-action loops that ``restrict_coupled`` and ``restrict_licensed_only``
-replaced are kept here as oracles for them, and so are the per-batch
+``sample_grid_vector_oracle`` is the stars-and-bars draw as one
+``Generator.choice`` call per vector, and ``sampled_units_oracle`` is the
+one-action-at-a-time loop over it that ``game._sampled_units`` replaced
+with batches of bounded draws, bit for bit. The per-action loops that
+``restrict_coupled`` and ``restrict_licensed_only`` replaced are kept
+here as oracles for them, and so are the per-batch
 arithmetic that ``JointEvaluator``'s per-action tables replaced and the
 plain and the control-variate Monte-Carlo estimators of the agents' beta
 expectation. ``expected_utility_oracle`` is the scalar loop behind
@@ -22,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from lteusim import game
 from lteusim.game import ActionSpace, resolve_conflicts, resolved_utilities
 from lteusim.scenario import ScenarioConfig
 
@@ -155,10 +158,44 @@ def validate_space_oracle(space: ActionSpace, z_levels: int):
 
 
 def sample_grid_vector_oracle(rng, k: int, z: int):
-    """The stars-and-bars draw with ``np.sort`` and ``np.diff``: the same
-    one ``Generator.choice`` call, so the same bits and the same vector."""
+    """The stars-and-bars draw with ``np.sort`` and ``np.diff``: k bars
+    among z + k slots from one ``Generator.choice`` call, each entry the
+    gap before its bar."""
     bars = np.sort(rng.choice(z + k, size=k, replace=False))
     return tuple(int(gap) - 1 for gap in np.diff(bars, prepend=-1))
+
+
+def sampled_units_oracle(k: int, z: int, unlicensed: bool, cap: int,
+                         seed: int):
+    """``game._sampled_units`` as a loop of one action per attempt, each
+    vector from its own ``sample_grid_vector_oracle`` call. Returns the
+    units and the generator's state after the last draw."""
+    rng = np.random.default_rng(seed)
+    idle = (0,) * (2 * k)
+    even = tuple(game._even_units(k, z))
+    both = tuple(game._even_units(2 * k, z)) if unlicensed else idle
+    seeds = [(0,) * (4 * k), even + even + both]
+    one_hot = lambda pos, units: tuple(units if i == pos else 0
+                                       for i in range(k))
+    for pos in range(k):
+        band = (one_hot(pos, z // 2) + one_hot(pos, z - z // 2) if unlicensed
+                else idle)
+        seeds.append(one_hot(pos, z) + one_hot(pos, z) + band)
+    kept = {}
+    for units in seeds:
+        if len(kept) < cap:
+            kept.setdefault(units)
+    attempts = 0
+    while len(kept) < cap:
+        attempts += 1
+        if attempts > 1000 * cap:
+            raise RuntimeError("action sampling failed to find enough "
+                               "distinct feasible actions")
+        d = sample_grid_vector_oracle(rng, k, z)
+        v = sample_grid_vector_oracle(rng, k, z)
+        kept.setdefault(d + v + (sample_grid_vector_oracle(rng, 2 * k, z)
+                                 if unlicensed else idle))
+    return list(kept), rng.bit_generator.state
 
 
 def _dedupe(actions) -> list:

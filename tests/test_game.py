@@ -32,7 +32,8 @@ from oracles import (ETA, action_at, actions_of, batch_utilities_oracle,
                      best_swap, expected_utility_oracle, make_action,
                      point_mass, restrict_coupled_oracle,
                      restrict_licensed_only_oracle, sample_grid_vector_oracle,
-                     settle, space_of, validate_action, validate_space_oracle)
+                     sampled_units_oracle, settle, space_of, validate_action,
+                     validate_space_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +295,48 @@ class TestValidateAction:
         assert violation == validate_action(over, 10)
 
 
+def _sampler_cases():
+    """(k, z, unlicensed, cap) with cap in {2, 16, 32} and the grid's
+    size less one, each below the grid's size and at most 400; the coarse
+    grids make the batched sampler draw again after duplicates."""
+    cases = []
+    for k, z, unlicensed in itertools.product((1, 2, 3, 4, 12), (2, 5, 10),
+                                              (False, True)):
+        grid = feasible_count(k, z, unlicensed)
+        caps = {2, 16, 32, grid - 1}
+        cases += [(k, z, unlicensed, cap) for cap in sorted(caps)
+                  if cap < grid and cap <= 400]
+    return cases
+
+
+class _LoggedGenerator:
+    """A ``Generator`` that appends ``(method, size)`` to a log for each
+    ``choice`` and ``integers`` call, ``size`` being the bounds' count."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def choice(self, *args, **kwargs):
+        self._calls.append(("choice", 1))
+        return self._rng.choice(*args, **kwargs)
+
+    def integers(self, low, high=None, *args, **kwargs):
+        self._calls.append(("integers", np.size(high)))
+        return self._rng.integers(low, high, *args, **kwargs)
+
+
+def _spy_generators(monkeypatch, calls):
+    """Make ``np.random.default_rng`` log into ``calls``; returns the
+    list of the generators it makes, in order."""
+    made, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: (
+        made.append(_LoggedGenerator(make(seed), calls)) or made[-1]))
+    return made
+
+
 class TestEnumerateActions:
     @pytest.mark.parametrize("k,z,unlicensed,count", [
         (1, 2, False, 9), (1, 2, True, 54),
@@ -365,26 +408,68 @@ class TestEnumerateActions:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12, 24])
     @pytest.mark.parametrize("z", [2, 5, 10, 40])
     def test_grid_draw_matches_the_numpy_form(self, k, z):
-        # twin generators: the same vector and the same bits consumed by
-        # every draw, so every later draw of a space stays where it was
+        # twin generators: the bounded draws are choice's, the same vector
+        # and the same bits consumed, so every later draw stays where it was
         ours = np.random.default_rng(k * 100 + z)
         theirs = np.random.default_rng(k * 100 + z)
         for _ in range(200):
-            vector = game._sample_grid_vector(ours, k, z)
+            draws = ours.integers(0, game._choice_bounds(k, z)).tolist()
+            vector = game._floyd_vector(draws[:k], z)
             assert vector == sample_grid_vector_oracle(theirs, k, z)
             assert ours.bit_generator.state == theirs.bit_generator.state
             assert len(vector) == k and min(vector) >= 0 and sum(vector) <= z
 
-    @pytest.mark.parametrize("k", [2, 4, 12])
-    @pytest.mark.parametrize("unlicensed", [False, True])
-    def test_sampled_units_match_the_numpy_draw(self, monkeypatch, k,
-                                                unlicensed):
-        shipped = [game._sampled_units(k, 10, unlicensed, 32, seed)
-                   for seed in range(10)]
-        monkeypatch.setattr(game, "_sample_grid_vector",
-                            sample_grid_vector_oracle)
-        assert shipped == [game._sampled_units(k, 10, unlicensed, 32, seed)
-                           for seed in range(10)]
+    @pytest.mark.parametrize("k,z,unlicensed,cap", _sampler_cases())
+    def test_sampled_units_match_the_numpy_draw(self, monkeypatch, k, z,
+                                                unlicensed, cap):
+        made = _spy_generators(monkeypatch, [])
+        for seed in range(5):
+            units = game._sampled_units(k, z, unlicensed, cap, seed)
+            assert (units, made[-1].bit_generator.state) == \
+                sampled_units_oracle(k, z, unlicensed, cap, seed)
+
+    def test_sampling_gives_up_after_1000_draws_per_action(self,
+                                                           monkeypatch):
+        # a 9-action grid cannot hold 10 distinct actions
+        made = _spy_generators(monkeypatch, [])
+        for sampler in (game._sampled_units, sampled_units_oracle):
+            with pytest.raises(RuntimeError, match="^action sampling failed "
+                               "to find enough distinct feasible actions$"):
+                sampler(1, 2, False, 10, 0)
+        ours, theirs = made
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_desk_set_up_draws_one_batch_per_sampled_space(self,
+                                                           monkeypatch):
+        calls, spaces = [], []
+        _spy_generators(monkeypatch, calls)
+        sampler = game._sampled_units
+
+        def logged(k, z, unlicensed, cap, seed):
+            start = len(calls)
+            units = sampler(k, z, unlicensed, cap, seed)
+            spaces.append(((k, z, unlicensed, cap, seed), calls[start:]))
+            return units
+
+        monkeypatch.setattr(game, "_sampled_units", logged)
+        for seed in range(5):
+            prepare_run(desk_config(), "esn", seed)
+        assert spaces and not [c for c in calls if c[0] == "choice"]
+        single = 0
+        for (k, z, unlicensed, cap, seed), own in spaces:
+            width = sum(len(game._choice_bounds(w, z)) for w in
+                        ((k, k, 2 * k) if unlicensed else (k, k)))
+            batches = [size // width for _, size in own]
+            assert own
+            # the one-at-a-time loop's attempts, from its choice calls
+            start = len(calls)
+            sampled_units_oracle(k, z, unlicensed, cap, seed)
+            attempts = len(calls[start:]) // (3 if unlicensed else 2)
+            assert sum(batches) == attempts
+            # a second batch only when the first drew a duplicate
+            assert (len(batches) == 1) == (batches[0] == attempts)
+            single += len(batches) == 1
+        assert single > len(spaces) // 2
 
     def test_duplicates_rejected_by_space(self):
         a = make_action(0, (0,), 1, d=(0.0,), v=(0.0,))

@@ -199,7 +199,7 @@ class TestCapacityCache:
     def drawn(self):
         cfg = ScenarioConfig(n_sbs=3, n_users=5, rng_seed=7)
         topo = generate_topology(cfg, seed=7)
-        ch = draw_channel(topo, cfg, seed=11)
+        ch = draw_channel(topo, seed=11)
         return cfg, ch
 
     def test_matches_scalar_routes(self, drawn):

@@ -316,7 +316,7 @@ def test_path_loss_monotone_in_distance(d1, d2):
 
 
 def replay_channel(topo, seed):
-    """``(path_gain, fading)`` of ``draw_channel(topo, cfg, seed)``: the
+    """``(path_gain, fading)`` of ``draw_channel(topo, seed)``: the
     linear path-loss gains over the clamped user-BS distances, recomputed
     from the topology, and the seed's one exponential draw."""
     dist = np.linalg.norm(
@@ -335,7 +335,7 @@ def replay_channel(topo, seed):
 def test_gain_replays_path_loss_times_fading(topo_seed, seed):
     cfg = desk_config()
     topo = generate_topology(cfg, seed=topo_seed)
-    chan = draw_channel(topo, cfg, seed=seed)
+    chan = draw_channel(topo, seed=seed)
     path_gain, fading = replay_channel(topo, seed)
     assert np.array_equal(chan.gain, path_gain * fading)
     # the replay's path loss is the scalar law
@@ -357,8 +357,7 @@ def test_identical_positions_identical_gains():
         user_positions=pos,
         covered_users=((0, 1, 2), (0, 1)),
     )
-    cfg = ScenarioConfig(n_sbs=1, n_users=3, n_waps=1)
-    chan = draw_channel(topo, cfg, seed=0)
+    chan = draw_channel(topo, seed=0)
     path_gain, fading = replay_channel(topo, seed=0)
     assert np.array_equal(chan.gain, path_gain * fading)
     assert np.array_equal(path_gain[0], path_gain[1])
@@ -367,9 +366,9 @@ def test_identical_positions_identical_gains():
 def test_channel_determinism_and_positivity():
     cfg = desk_config()
     topo = generate_topology(cfg, seed=1)
-    a = draw_channel(topo, cfg, seed=42)
-    b = draw_channel(topo, cfg, seed=42)
-    c = draw_channel(topo, cfg, seed=43)
+    a = draw_channel(topo, seed=42)
+    b = draw_channel(topo, seed=42)
+    c = draw_channel(topo, seed=43)
     assert np.array_equal(a.gain, b.gain)
     assert not np.array_equal(a.gain, c.gain)
     assert np.all(a.gain > 0) and np.all(np.isfinite(a.gain))
@@ -379,7 +378,7 @@ def test_fading_empirical_mean_near_one():
     # 10^5 draws of the unit-mean exponential fading factor
     cfg = ScenarioConfig(n_sbs=99, n_users=500, n_waps=1)
     topo = generate_topology(cfg, seed=0)
-    faded = draw_channel(topo, cfg, seed=123)
+    faded = draw_channel(topo, seed=123)
     path_gain, _ = replay_channel(topo, seed=123)
     ratio = faded.gain / path_gain
     assert ratio.size == 100_000
