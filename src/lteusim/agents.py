@@ -24,6 +24,14 @@ batched evaluator call), so an agent never scores a joint action itself.
 Actions are indices into each BS's ``game.ActionSpace``; the reservoir
 agent feeds an opponent's action to alpha as that action's fractions over
 the opponent's covered users.
+
+Each invariant is checked once, where its value enters: ``make_agents``
+checks that the spaces are in owner order, once per team, and
+``finish_round`` that both broadcast rows hold one entry per BS, before
+anything is learned. ``reward_joint`` builds its row unchecked, and
+``JointEvaluator.batch_utilities`` refuses a row of the wrong width. The
+settled block that ``observe_outcome`` reads has passed
+``rates.check_grants``' shape check earlier in the same round.
 """
 
 from __future__ import annotations
@@ -54,16 +62,6 @@ class StepDiagnostics:
     e_beta: float = math.nan
 
 
-def _check_spaces(bs, spaces):
-    spaces = tuple(spaces)
-    if not 0 <= bs < len(spaces):
-        raise ValueError("bs index outside the player list")
-    for n, space in enumerate(spaces):
-        if space.owner != n:
-            raise ValueError("spaces must be listed in owner order")
-    return spaces
-
-
 def _encode_space(space):
     """(|A|, 4K) matrix of [d | v | kappa | tau] blocks over covered users."""
     covered = list(space.covered_users)
@@ -84,7 +82,7 @@ class EsnAgent:
     """
 
     def __init__(self, bs, spaces, config, seed):
-        self.spaces = _check_spaces(bs, spaces)
+        self.spaces = tuple(spaces)
         self.bs = int(bs)
         self.action_space = self.spaces[self.bs]
         self.epsilon = float(config.epsilon)
@@ -110,7 +108,6 @@ class EsnAgent:
         self._beta_scale = 1.0 / math.sqrt(beta_dim) if beta_dim else 1.0
         # observe_outcome reads this BS's row of each round's settled
         # (4, n_bs, n_users) block at the covered users' columns
-        self._settled_shape = (4, len(self.spaces), self.action_space.n_users)
         self._covered = np.array(self.action_space.covered_users, dtype=np.intp)
 
         n_actions = len(self.action_space)
@@ -163,7 +160,7 @@ class QAgent:
     """
 
     def __init__(self, bs, spaces, config, seed):
-        self.spaces = _check_spaces(bs, spaces)
+        self.spaces = tuple(spaces)
         self.bs = int(bs)
         self.action_space = self.spaces[self.bs]
         self.epsilon = float(config.epsilon)
@@ -250,7 +247,6 @@ def reward_joint(agent, played, advertised) -> tuple[int, ...]:
     """
     if agent._pending is None:
         raise RuntimeError("select_and_broadcast must run before reward_joint")
-    _check_rows(agent, played, advertised)
     joint = list(advertised if isinstance(agent, QAgent) else played)
     joint[agent.bs] = agent._pending[0]
     return tuple(joint)
@@ -405,8 +401,9 @@ def finish_round(agent, played, advertised, reward):
     """Phase two of a round. ``reward`` is the agent's resolved utility on
     its ``reward_joint`` row: the reservoir agent's alpha target, the Q
     baselines' update target. ``played`` and ``advertised`` are the round's
-    broadcast rows, one entry per BS; the reservoir agent feeds the played
-    row to alpha and keeps the advertised row as its opponent model."""
+    broadcast rows, one entry per BS (any other length is refused before
+    anything is learned); the reservoir agent feeds the played row to alpha
+    and keeps the advertised row as its opponent model."""
     if agent._pending is None:
         raise RuntimeError("select_and_broadcast must run before finish_round")
     _check_rows(agent, played, advertised)
@@ -427,8 +424,6 @@ def observe_outcome(agent, settled):
     state."""
     if not isinstance(agent, EsnAgent):
         return
-    if settled.shape != agent._settled_shape:
-        raise ValueError(f"settled block must have shape {agent._settled_shape}")
     # (2 band, 2 direction, k): [[d, v], [kappa, tau]] of the own rows
     own = settled[:, agent.bs].take(agent._covered, axis=1).reshape(2, 2, -1)
     served = (own[0] > 0) | (own[1] > 0)
@@ -450,9 +445,12 @@ def algorithm_spaces(spaces, algorithm):
 
 
 def make_agents(algorithm, spaces, config, seed):
-    """One agent per BS over already-gated spaces."""
+    """One agent per BS over already-gated spaces, listed in owner order;
+    agent n plays ``spaces[n]``."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "esn":
-        return [EsnAgent(n, spaces, config, seed) for n in range(len(spaces))]
-    return [QAgent(n, spaces, config, seed) for n in range(len(spaces))]
+    spaces = tuple(spaces)
+    if any(space.owner != n for n, space in enumerate(spaces)):
+        raise ValueError("spaces must be listed in owner order")
+    kind = EsnAgent if algorithm == "esn" else QAgent
+    return [kind(n, spaces, config, seed) for n in range(len(spaces))]

@@ -7,6 +7,10 @@ per action, by stochastic gradient on the squared prediction error.
 scipy is imported only on the sparse route, by the first reservoir above
 ``_DENSE_UNITS`` units; a dense run never loads it.
 
+No function here re-checks a vector's width: the product ``w_in @ x`` or
+``w_out @ z`` raises numpy's ``ValueError`` on a length mismatch, before
+any state is committed or any weight moves.
+
 Each readout trains at one constant rate, set by the owner after ``init``
 (the agents use ``config.lambda_alpha`` and ``config.lambda_beta``). The
 input weights are the raw Uniform(-1, 1) draw, unscaled. Nothing here keeps
@@ -68,10 +72,6 @@ class Reservoir:
             drive.flags.writeable = False
             self._drive = drive
         return self._drive
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_in.shape[1]
 
 
 @dataclass
@@ -159,17 +159,8 @@ def init(n_units: int, input_dim: int, n_actions: int, density: float = 0.1,
 # state dynamics -----------------------------------------------------------
 
 
-def _check_input(r: Reservoir, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (r.input_dim,):
-        raise ValueError(f"input of length {x.shape} does not match "
-                         f"input_dim {r.input_dim}")
-    return x
-
-
 def peek_state(r: Reservoir, x) -> np.ndarray:
     """Next state tanh(W mu + W_in x) without committing it."""
-    x = _check_input(r, x)
     return np.tanh(r.drive + r.w_in @ x)
 
 
@@ -185,23 +176,20 @@ def update_state(r: Reservoir, x) -> np.ndarray:
 _ONE = np.ones(1)
 
 
-def _features(ro: Readout, mu, x) -> np.ndarray:
-    """The readout's input z = [mu; x; 1], checked against its width."""
-    z = np.concatenate([mu, x, _ONE])
-    if z.shape[0] != ro.w_out.shape[1]:
-        raise ValueError("feature length does not match the readout width")
-    return z
+def _features(mu, x) -> np.ndarray:
+    """The readout's input z = [mu; x; 1]."""
+    return np.concatenate([mu, x, _ONE])
 
 
 def readout_all(ro: Readout, mu, x) -> np.ndarray:
     """Predicted rewards of every action at once."""
-    return ro.w_out @ _features(ro, mu, x)
+    return ro.w_out @ _features(mu, x)
 
 
 def train_step(ro: Readout, mu, x, action_i: int, e: float) -> float:
     """One LMS step on the taken action's row: row += rate (e - r_hat) z.
     Returns r_hat, the row's prediction from before the update."""
-    z = _features(ro, mu, x)
+    z = _features(mu, x)
     prediction = float(ro.w_out[action_i] @ z)
     ro.w_out[action_i] += ro.rate * (e - prediction) * z
     return prediction

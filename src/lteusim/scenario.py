@@ -38,8 +38,6 @@ PATHLOSS_UNLICENSED = (15.3, 50.0)
 
 ALGORITHMS = ("esn", "q_lteu_decoupled", "q_lte_decoupled", "q_lteu_coupled")
 
-_BOOLS = (bool, np.bool_)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -50,6 +48,11 @@ class ScenarioConfig:
     radio environment of that operating point is not configurable: the
     macro radius and path-loss laws are constants of this module, the
     powers, noise and bandwidths constants of ``rates``.
+
+    Every value is checked here, however the config is built: each field
+    holds a finite real number that is not a bool, a whole one for an
+    ``int`` field, stored as the field's type, and within the field's
+    range. ``from_mapping`` only reads a text value as a number.
     """
 
     # geometry
@@ -82,18 +85,24 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not np.isfinite(np.asarray(value, dtype=float)).all():
-                raise ValueError(f"{f.name} must be finite")
             # bool is a number to Python, but True is no count or rate
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
             if f.type == "int":
-                if isinstance(value, _BOOLS) or not float(value).is_integer():
-                    raise ValueError(f"{f.name} must be an integer")
-                object.__setattr__(self, f.name, int(value))
-            elif f.type == "float":
-                if isinstance(value, _BOOLS):
-                    raise ValueError(f"{f.name} must be a number, not a bool")
+                if not float(value).is_integer():
+                    raise ValueError(f"{f.name} must be an integer, "
+                                     f"got {value!r}")
+                value = int(value)
+            else:
                 # an int would echo as one but read back as a float
-                object.__setattr__(self, f.name, float(value))
+                value = float(value)
+            object.__setattr__(self, f.name, value)
         positive = ("wifi_users_per_wap", "sbs_coverage_m", "action_set_size",
                     "reservoir_units", "expectation_budget",
                     "convergence_window")
@@ -148,12 +157,12 @@ class ScenarioConfig:
         if not isinstance(mapping, dict):
             raise ValueError("a config must be a mapping of keys to values, "
                              f"got {type(mapping).__name__}")
-        valid = {f.name: f for f in dataclasses.fields(cls)}
+        valid = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in mapping.items():
             if key not in valid:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(key, value, valid[key].type)
+            kwargs[key] = _number(value) if isinstance(value, str) else value
         return cls(**kwargs)
 
     @classmethod
@@ -175,28 +184,16 @@ class ScenarioConfig:
         return cls.from_mapping(mapping)
 
 
-def _number(key: str, value) -> float:
-    # bool is an int to Python, but true is no count or rate
-    if not isinstance(value, bool) and isinstance(value, (numbers.Real, str)):
+def _number(text: str):
+    """``text`` as an int when its digits read as one (``float`` would round
+    a seed past 2**53), else as a float; text that reads as neither is
+    returned as it is, for ``ScenarioConfig`` to refuse."""
+    for kind in (int, float):
         try:
-            return float(value)
+            return kind(text)
         except ValueError:
             pass
-    raise ValueError(f"config key {key!r} expects a number, got {value!r}")
-
-
-def _coerce(key: str, value, annotation):
-    """``value`` as the field's type, an int or a float; a value that is no
-    such number is a ValueError that names ``key``."""
-    f = _number(key, value)
-    if "int" in str(annotation):
-        if not f.is_integer():
-            raise ValueError(f"config key {key!r} expects an integer, got {value!r}")
-        try:  # digits read exactly; float() rounds a seed past 2**53
-            return int(value)
-        except ValueError:  # "1e3"
-            return int(f)
-    return f
+    return text
 
 
 def desk_config(**overrides) -> ScenarioConfig:

@@ -21,7 +21,7 @@ from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
                             observe_outcome, reward_joint,
                             select_and_broadcast)
 from lteusim.game import JointEvaluator
-from lteusim.rates import LinkCapacitySet, compute_user_rates
+from lteusim.rates import LinkCapacitySet, check_grants, compute_user_rates
 from lteusim.scenario import desk_config
 from oracles import (ETA, action_at, actions_of, choice_stack,
                      control_variate_expectation, epsilon_greedy, make_action,
@@ -385,17 +385,28 @@ class TestRewardJoint:
     @pytest.mark.parametrize("kind", [EsnAgent, QAgent])
     def test_missing_or_duplicate_broadcast_raises(self, kind):
         # a row short of an entry misses a broadcast, a longer one carries
-        # a surplus; either raises before anything is learned
+        # a surplus; finish_round refuses either before anything is learned
         agent, own, played, advertised = self.three_bs(kind)
         state = (agent.opponent_bests if kind is EsnAgent
                  else agent.q_table.copy())
+        evaluator = JointEvaluator(agent.spaces, flat_caps(1, 3), eta=ETA)
         bad_rows = [played[:2], played + (0,), (), played[:1]]
         for bad in bad_rows:
             for rows in [(bad, advertised), (played, bad)]:
                 with pytest.raises(ValueError, match="3 entries, one per BS"):
-                    reward_joint(agent, *rows)
-                with pytest.raises(ValueError, match="3 entries, one per BS"):
                     finish_round(agent, *rows, 1.0)
+            # reward_joint builds its row from the row the agent reads
+            # unchecked: a row too short to hold the agent's own entry
+            # cannot take it, and the evaluator refuses any other wrong width
+            rows = (bad, advertised) if kind is EsnAgent else (played, bad)
+            if len(bad) <= agent.bs:
+                with pytest.raises(IndexError):
+                    reward_joint(agent, *rows)
+            else:
+                row = reward_joint(agent, *rows)
+                assert len(row) == len(bad)
+                with pytest.raises(ValueError, match="must have 3 indices"):
+                    evaluator.batch_utilities([row])
         # nothing was learned, and the pending action still finishes
         if kind is EsnAgent:
             assert agent.opponent_bests == state
@@ -1021,13 +1032,13 @@ class TestAssociationInput:
     @pytest.mark.parametrize("shape", [(4, 4, 12), (4, 5, 11), (4, 5, 13),
                                        (2, 2, 5, 12), (240,), (4, 12, 5)])
     def test_wrongly_shaped_block_raises(self, shape):
+        # observe_outcome reads its block unchecked: the round's grant
+        # check, which runs on the same block before any agent observes
+        # it, refuses a wrong shape
         inputs, team = desk_team(0)
         assert inputs.capacities.n_users == 12 and len(team) == 5
-        agent = team[2]
-        before = agent.x_beta.copy()
         with pytest.raises(ValueError, match="shape"):
-            observe_outcome(agent, np.ones(shape))
-        assert np.array_equal(agent.x_beta, before)
+            check_grants(np.ones(shape), inputs.capacities)
 
 
 # Q baselines ---------------------------------------------------------------
@@ -1180,3 +1191,16 @@ class TestAlgorithmGating:
         assert all(isinstance(a, QAgent) for a in team)
         with pytest.raises(ValueError, match="unknown algorithm"):
             make_agents("dqn", spaces, config, seed=1)
+
+    @pytest.mark.parametrize("algorithm", ["esn", "q_lteu_decoupled"])
+    def test_make_agents_refuses_spaces_out_of_owner_order(self, algorithm):
+        # agent n plays spaces[n], so a swapped pair would have each BS
+        # learn the other's actions
+        spaces = [macro_two_action_space(), sbs_idle_busy_space(1),
+                  sbs_idle_busy_space(2)]
+        for bad in ([spaces[1], spaces[0], spaces[2]],
+                    [spaces[0], spaces[2], spaces[1]], spaces[1:]):
+            with pytest.raises(ValueError, match="owner order"):
+                make_agents(algorithm, bad, tiny_config(), seed=1)
+        team = make_agents(algorithm, iter(spaces), tiny_config(), seed=1)
+        assert [a.action_space.owner for a in team] == [0, 1, 2]

@@ -6,18 +6,33 @@ must keep these exact. A change that moves them on purpose updates the
 values here and says why in CHANGES.md.
 
 The values were recorded with numpy 2.4.6 and scipy 1.17.1 (OpenBLAS) on
-x86-64. Another BLAS or numpy build may round the reservoir products
-differently in the last bits, which can flip a near-tied action and move
-a whole run. No run pinned here loads scipy: the ESN runs' reservoirs are
-dense, at most ``esn._DENSE_UNITS`` units, so only numpy's build bears on
-these values.
+an x86-64 CPU with AVX-512. numpy picks its ``log2``, ``log1p``, ``log10``
+and ``**`` loops at run time by the CPU's SIMD level, and those loops
+round differently in the last bit: ``log10`` and ``**`` make the channel
+gains, ``log1p`` the capacities and ``log2`` the utilities. With numpy's
+AVX-512 loops disabled, the sum and median rates of
+``test_esn_desk_runs[2-300-want2]`` move by one ulp, while the reservoir
+products (``tanh`` and ``@``) keep their bits; OpenBLAS picks its own
+kernels by CPU, which that does not vary. So the float pins here are
+exact for one numpy build at one SIMD level. The played and advertised
+rows and ``converged_at`` are checked across numpy's levels by
+``test_esn_desk_run_rows_do_not_depend_on_avx512``; a one-ulp change can
+still flip a near-tied action on some other run. No run pinned here loads
+scipy: the ESN runs' reservoirs are dense, at most ``esn._DENSE_UNITS``
+units.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lteusim
 from lteusim import agents, wifi
 from lteusim.harness import prepare_run, run
 from lteusim.scenario import ALGORITHMS, ScenarioConfig, desk_config
@@ -38,6 +53,52 @@ def test_esn_desk_runs(seed, max_iterations, want):
         "max_iterations": max_iterations}
     result = run(desk_config(**overrides), "esn", seed)
     assert fingerprint(result) == want
+
+
+def rows_digest(result):
+    """``converged_at`` and a SHA-256 of every round's played and
+    advertised rows."""
+    h = hashlib.sha256()
+    for record in result.records:
+        h.update(repr((record.joint_action, record.greedy_action)).encode())
+    return [result.converged_at, h.hexdigest()]
+
+
+# run in a fresh interpreter, which reads NPY_DISABLE_CPU_FEATURES when it
+# imports numpy
+_ROWS_SCRIPT = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from lteusim.harness import run
+from lteusim.scenario import desk_config
+from test_golden import rows_digest
+result = run(desk_config(max_iterations=300), "esn", 2)
+json.dump({"rows": rows_digest(result),
+           "enabled": [t for t in sys.argv[1:] if __cpu_features__[t]]},
+          sys.stdout)
+"""
+
+
+def test_esn_desk_run_rows_do_not_depend_on_avx512():
+    # numpy's AVX-512 loops disabled: the run's float outputs may move in
+    # the last bit, but not one action. On a CPU without AVX-512 nothing
+    # is disabled and both runs are the same
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    targets = [t for t in __cpu_dispatch__
+               if (t == "X86_V4" or t.startswith("AVX512_"))
+               and __cpu_features__.get(t)]
+    paths = [Path(lteusim.__file__).parents[1], Path(__file__).parent,
+             *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join(map(str, paths)))
+    child = subprocess.run([sys.executable, "-c", _ROWS_SCRIPT, *targets],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["enabled"] == []
+    native = run(desk_config(max_iterations=300), "esn", 2)
+    assert report["rows"] == rows_digest(native)
 
 
 def test_q_lteu_decoupled_desk_run():

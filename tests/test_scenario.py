@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_config_defaults_are_reference_point():
 
 
 def test_config_fields_are_numbers():
-    # _coerce and echo handle one int or float per key
+    # __post_init__ and echo handle one int or float per key
     types = {f.type for f in dataclasses.fields(ScenarioConfig)}
     assert types == {"int", "float"}
 
@@ -178,10 +179,12 @@ def test_config_integer_keys_refuse_fractions():
     ("n_sbs", True),
 ])
 def test_integer_fields_refuse_fractions_when_built_directly(field, value):
+    kind = "a number" if isinstance(value, bool) else "an integer"
     for build in (lambda: desk_config(**{field: value}),
                   lambda: ScenarioConfig().with_overrides(**{field: value}),
                   lambda: ScenarioConfig(**{field: value})):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be {kind}, got {value}$"):
             build()
 
 
@@ -195,7 +198,8 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
 ])
 def test_float_fields_refuse_bools(name, value):
     # True is no rate; its echo "True" would not read back
-    with pytest.raises(ValueError, match=f"^{name} must .*bool"):
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got "
+                                         f"{re.escape(repr(value))}$"):
         desk_config(**{name: value})
 
 
@@ -224,8 +228,38 @@ def test_every_integer_field_checked_and_kept_an_int():
     ],
 )
 def test_config_malformed_values_name_the_key(key, value):
-    with pytest.raises(ValueError, match=repr(key)):
+    with pytest.raises(ValueError,
+                       match=f"^{key} must be (a number|finite), got "):
         ScenarioConfig.from_mapping({key: value})
+
+
+def test_text_is_read_as_a_number_only_from_a_mapping():
+    # from_mapping reads text (a --set value, a config file line) as a
+    # number; a config built in code must be given numbers
+    with pytest.raises(ValueError, match="^n_users must be a number, got '12'$"):
+        ScenarioConfig(n_users="12")
+    with pytest.raises(ValueError, match="^eta must be a number, got '0.5'$"):
+        desk_config(eta="0.5")
+    # 23 seed digits, which float() would round, read exactly
+    seed = "12345678901234567890123"
+    assert float(seed) != int(seed)
+    cfg = ScenarioConfig.from_mapping({"n_users": "12", "eta": "1",
+                                       "action_set_size": "1e1",
+                                       "rng_seed": seed})
+    assert (cfg.n_users, cfg.eta, cfg.action_set_size) == (12, 1.0, 10)
+    assert type(cfg.eta) is float and type(cfg.action_set_size) is int
+    assert cfg.rng_seed == int(seed)
+
+
+@pytest.mark.parametrize("key", ["eta", "rng_seed"])
+def test_number_past_the_float_range_is_refused(key):
+    # an int that no float holds is no finite value, for a float field
+    # and a count alike; the text path reads it as an int first
+    digits = "9" * 400
+    for build in (lambda: ScenarioConfig.from_mapping({key: digits}),
+                  lambda: ScenarioConfig(**{key: int(digits)})):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got 9"):
+            build()
 
 
 def test_dbm_conversion():
