@@ -113,12 +113,10 @@ class EsnAgent:
         n_actions = len(self.action_space)
         self.res_alpha, self.ro_alpha = esn.init(
             config.reservoir_units, alpha_dim, n_actions,
-            density=config.reservoir_density,
             target_radius=config.reservoir_radius, seed=int(streams[1]))
         self.ro_alpha.rate = config.lambda_alpha
         self.res_beta, self.ro_beta = esn.init(
             config.reservoir_units, beta_dim, n_actions,
-            density=config.reservoir_density,
             target_radius=config.reservoir_radius, seed=int(streams[2]))
         self.ro_beta.rate = config.lambda_beta
 

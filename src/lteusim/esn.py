@@ -1,11 +1,15 @@
 """Echo-state network core: reservoir, linear readout, LMS training.
 
-The reservoir is a fixed random matrix, masked to a density and rescaled to
-a spectral radius below one. Up to ``_DENSE_UNITS`` units it is kept as a
-dense array, above that as a CSR matrix. Only the readout learns, one row
-per action, by stochastic gradient on the squared prediction error.
-scipy is imported only on the sparse route, by the first reservoir above
-``_DENSE_UNITS`` units; a dense run never loads it.
+The reservoir is the simple cycle reservoir of Rodan & Tino ("Minimum
+complexity echo state network", IEEE TNN 22(1), 2011): unit i feeds unit
+i+1 and the last unit feeds the first, every link with the same weight, the
+target radius r. The recurrent matrix r*P (P a cyclic shift) has spectral
+radius and largest singular value both equal to r, so no eigenvalue is
+computed, and a largest singular value below one is Jaeger's sufficient
+condition for the echo state property (GMD Report 148, 2001). The matrix
+is never stored: the recurrent term is the state shifted by one unit and
+scaled by r, O(n_units) per step. Only the readout learns, one row per
+action, by stochastic gradient on the squared prediction error.
 
 No function here re-checks a vector's width: the product ``w_in @ x`` or
 ``w_out @ z`` raises numpy's ``ValueError`` on a length mismatch, before
@@ -22,37 +26,37 @@ the gradient step contractive: at ``ScenarioConfig()`` defaults the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 
 class Reservoir:
     """Fixed recurrent part of one ESN plus its evolving state.
+
+    The recurrent matrix is ``radius * P``, where ``(P @ s)[i] = s[i - 1]``
+    and ``s[-1]`` is the last unit: a cycle of ``n_units`` links of weight
+    ``radius``. It is held as that scalar, never as an array.
 
     ``state`` is the committed activation vector, in [-1, 1]^n_units:
     float tanh rounds to exactly +-1.0 once a pre-activation passes about
     19. Assigning it stores a read-only copy, so a committed state cannot
     change behind the cache below.
 
-    ``drive`` is the recurrent term ``w @ state`` of the next step. It is
-    computed once per committed state, on first use, and every peek from
-    that state (``peek_state``, the agents' profile expectation) reads the
-    same floats. Assigning ``state`` drops it; ``w`` is fixed once the
-    reservoir is built.
+    ``drive`` is the recurrent term ``radius * P @ state`` of the next
+    step, equal bit for bit to the dense product, whose rows each hold one
+    nonzero. It is computed once per committed state, on first use, and
+    every peek from that state (``peek_state``, the agents' profile
+    expectation) reads the same floats. Assigning ``state`` drops it.
     """
 
-    def __init__(self, w_in: np.ndarray,
-                 w: np.ndarray | scipy.sparse.csr_matrix,
-                 state: np.ndarray, n_units: int):
+    def __init__(self, w_in: np.ndarray, radius: float, state: np.ndarray):
         self.w_in = w_in      # (n_units, input_dim)
-        # (n_units, n_units), spectral radius < 1; dense up to _DENSE_UNITS
-        self.w = w
+        self.radius = radius  # the cycle's link weight, in (0, 1)
+        self.n_units = w_in.shape[0]
+        # unit i reads unit i - 1; a take() on this fixed index is several
+        # times cheaper per step than np.roll, and cheaper than the gemv
+        self._shift = np.roll(np.arange(self.n_units), 1)
         self.state = state
-        self.n_units = n_units
 
     @property
     def state(self) -> np.ndarray:
@@ -68,7 +72,7 @@ class Reservoir:
     @property
     def drive(self) -> np.ndarray:
         if self._drive is None:
-            drive = self.w @ self._state
+            drive = self.radius * self._state.take(self._shift)
             drive.flags.writeable = False
             self._drive = drive
         return self._drive
@@ -87,73 +91,26 @@ class Readout:
 # construction -------------------------------------------------------------
 
 
-# Up to this size a reservoir stays dense: eigvals beats ARPACK on the radius
-# and one BLAS gemv beats scipy.sparse on ``w @ state``. Medians at density
-# 0.1, one BLAS thread: 150 units 13.5 vs 17.1 ms and 5.7 vs 8.3 us; at 175
-# units eigvals already loses, 19.5 vs 18.7 ms. scipy is imported only above
-# this size, which keeps ~30 MB of peak RSS and ~0.3 s of import off every
-# dense run.
-_DENSE_UNITS = 150
-
-
-def _spectral_radius(w: np.ndarray | scipy.sparse.csr_matrix) -> float:
-    """Largest eigenvalue modulus of ``w``; its type picks the route.
-
-    A dense array (``init`` keeps ``_DENSE_UNITS`` or fewer units dense, the
-    size where it is faster) gets the exact ``np.linalg.eigvals``. A CSR
-    matrix gets ARPACK, which starts from a fixed vector, so ``init`` stays
-    deterministic in its seed; ``ncv`` is widened from the default 20 so that
-    ``eigs`` settles on the dominant modulus rather than a near-dominant one.
-    """
-    if isinstance(w, np.ndarray):
-        return float(np.abs(np.linalg.eigvals(w)).max())
-    import scipy.sparse.linalg
-    n = w.shape[0]
-    try:
-        values = scipy.sparse.linalg.eigs(w, k=1, which="LM", ncv=40,
-                                          v0=np.ones(n),
-                                          return_eigenvectors=False,
-                                          maxiter=5000)
-        return float(np.abs(values[0]))
-    except scipy.sparse.linalg.ArpackNoConvergence:
-        return _spectral_radius(w.toarray())
-
-
-def init(n_units: int, input_dim: int, n_actions: int, density: float = 0.1,
+def init(n_units: int, input_dim: int, n_actions: int,
          target_radius: float = 0.9,
          seed: int = 0) -> tuple[Reservoir, Readout]:
-    """Fresh reservoir/readout pair, deterministic in ``seed``.
+    """Fresh cycle reservoir and readout, deterministic in ``seed``.
 
-    All weights start Uniform(-1, 1); the recurrent matrix is sparsified to
-    ``density`` and rescaled to ``target_radius``. A degenerate draw (radius
-    numerically zero) is retried with a derived seed. The readout's rate
-    starts at 0.
+    The input and readout weights are drawn Uniform(-1, 1); the cycle's
+    links all weigh ``target_radius``. The readout's rate starts at 0.
     """
     if not 0.0 < target_radius < 1.0:
         raise ValueError("target_radius must lie in (0, 1)")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must lie in (0, 1]")
-
-    for attempt in range(8):
-        rng = np.random.default_rng([seed, attempt])
-        w_in = rng.uniform(-1.0, 1.0, size=(n_units, input_dim))
-        dense = rng.uniform(-1.0, 1.0, size=(n_units, n_units))
-        if density < 1.0:
-            dense *= rng.random((n_units, n_units)) < density
-        w = dense
-        if n_units > _DENSE_UNITS:
-            import scipy.sparse
-            w = scipy.sparse.csr_matrix(dense)
-        radius = _spectral_radius(w)
-        if radius < 1e-12:
-            continue  # pathological draw, derive a fresh seed
-        w = w * (target_radius / radius)
-        w_out = rng.uniform(-1.0, 1.0,
-                            size=(n_actions, n_units + input_dim + 1))
-        reservoir = Reservoir(w_in=w_in, w=w, state=np.zeros(n_units),
-                              n_units=n_units)
-        return reservoir, Readout(w_out=w_out, rate=0.0)
-    raise RuntimeError("could not draw a reservoir with a usable spectral radius")
+    rng = np.random.default_rng([seed, 0])
+    # w_in is this stream's first draw, as it was for the random sparse
+    # reservoir the cycle replaced: the two reservoirs' runs share their
+    # input weights, so a paired comparison of them varies the recurrent
+    # matrix and the readout's starting draw only
+    w_in = rng.uniform(-1.0, 1.0, size=(n_units, input_dim))
+    w_out = rng.uniform(-1.0, 1.0, size=(n_actions, n_units + input_dim + 1))
+    reservoir = Reservoir(w_in=w_in, radius=target_radius,
+                          state=np.zeros(n_units))
+    return reservoir, Readout(w_out=w_out, rate=0.0)
 
 
 # state dynamics -----------------------------------------------------------

@@ -73,7 +73,6 @@ class ScenarioConfig:
     lambda_beta: float = 0.06
     lambda_q: float = 0.06
     reservoir_units: int = 1000
-    reservoir_density: float = 0.1
     reservoir_radius: float = 0.9
     expectation_budget: int = 128
     # harness
@@ -124,8 +123,6 @@ class ScenarioConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
-        if not 0.0 < self.reservoir_density <= 1.0:
-            raise ValueError("reservoir_density must lie in (0, 1]")
         if not 0.0 < self.reservoir_radius < 1.0:
             raise ValueError("reservoir_radius must lie in (0, 1)")
         if not 0.0 <= self.lambda_q <= 1.0:
@@ -200,9 +197,10 @@ def desk_config(**overrides) -> ScenarioConfig:
     """Reduced operating point for tests and demos: a handful of cells and
     users, a 100-unit reservoir, capped action sets. Fully overridable.
 
-    The short reservoir memory is deliberate: the reward depends only on
-    the current round's joint action, and a long memory just buries it
-    under stale inputs (readout misfit roughly triples at radius 0.9).
+    The short reservoir memory follows the game: the reward depends only
+    on the current round's joint action, not on earlier rounds. No fit
+    advantage is measured for it: over seeds 0-9 and 300 rounds, alpha's
+    mean |e - r_hat| was 30.4 at radius 0.3 and 25.7 at radius 0.9.
     The wide small-cell coverage keeps most users inside two or more
     cells, so association choices, not geometry, decide the outcome.
 

@@ -16,6 +16,8 @@ plain and the control-variate Monte-Carlo estimators of the agents' beta
 expectation. ``expected_utility_oracle`` is the scalar loop behind
 ``verify_mixed_ne``'s payoff tables. ``converged_at_oracle`` is the window
 rule that ``harness.run``'s running counts replaced.
+``recurrent_matrix`` is the dense matrix that an ``esn.Reservoir``'s
+shifted drive stands for.
 """
 
 import itertools
@@ -340,6 +342,12 @@ def alpha_input(blocks):
     return x / math.sqrt(x.size)
 
 
+def recurrent_matrix(reservoir):
+    """The cycle reservoir's (n_units, n_units) recurrent matrix: ``radius``
+    at row i, column i - 1, the last column for row 0."""
+    return reservoir.radius * np.roll(np.eye(reservoir.n_units), 1, axis=0)
+
+
 def naive_predictions(agent, profiles, action_i):
     """Alpha's prediction for ``action_i`` against each opponent profile, a
     column of ``profiles`` (one row of action indices per opponent), by the
@@ -350,7 +358,8 @@ def naive_predictions(agent, profiles, action_i):
               for m in agent.opponents]
     x = np.hstack([t[row] for t, row in zip(tables, np.asarray(profiles))])
     x /= math.sqrt(x.shape[1])
-    mu = np.tanh(reservoir.w @ reservoir.state + x @ reservoir.w_in.T)
+    mu = np.tanh(recurrent_matrix(reservoir) @ reservoir.state
+                 + x @ reservoir.w_in.T)
     z = np.hstack([mu, x, np.ones((len(x), 1))])
     return z @ agent.ro_alpha.w_out[action_i]
 
@@ -381,7 +390,8 @@ def control_variate_expectation(agent, action_i, rng, budget):
     row = agent.ro_alpha.w_out[action_i]
     n = reservoir.n_units
     w, v, b = row[:n], row[n:-1], row[-1]
-    t_bar = np.tanh(reservoir.w @ reservoir.state + reservoir.w_in @ x_bar)
+    t_bar = np.tanh(recurrent_matrix(reservoir) @ reservoir.state
+                    + reservoir.w_in @ x_bar)
     slope = w * (1.0 - t_bar ** 2)
 
     profiles = choice_stack(rng, laws, budget)

@@ -8,7 +8,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -802,20 +801,19 @@ class TestAgentStep:
         agent = EsnAgent(0, [space], tiny_config(reservoir_units=2), seed=0)
         agent.epsilon = 0.0
 
-        w_alpha = np.array([[0.5, -0.25], [0.1, 0.3]])
+        # a 2-unit cycle: each unit feeds the other at the radius
+        w_alpha = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
         state_alpha = np.array([0.2, -0.1])
         w_out_alpha = np.array([[0.3, -0.2, 0.04], [0.05, 0.1, -0.02]])
-        agent.res_alpha = esn.Reservoir(w_in=np.zeros((2, 0)),
-                                        w=scipy.sparse.csr_matrix(w_alpha),
-                                        state=state_alpha.copy(), n_units=2)
+        agent.res_alpha = esn.Reservoir(w_in=np.zeros((2, 0)), radius=0.5,
+                                        state=state_alpha.copy())
         agent.ro_alpha = esn.Readout(w_out=w_out_alpha.copy(),
                                      rate=0.08)
-        w_beta = np.array([[0.1, 0.05], [-0.2, 0.25]])
+        w_beta = 0.25 * np.array([[0.0, 1.0], [1.0, 0.0]])
         w_in_beta = np.array([[0.2, -0.1], [0.05, 0.15]])
         state_beta = np.array([0.4, 0.1])
-        agent.res_beta = esn.Reservoir(w_in=w_in_beta,
-                                       w=scipy.sparse.csr_matrix(w_beta),
-                                       state=state_beta.copy(), n_units=2)
+        agent.res_beta = esn.Reservoir(w_in=w_in_beta, radius=0.25,
+                                       state=state_beta.copy())
         agent.ro_beta = esn.Readout(w_out=np.zeros((2, 5)),
                                     rate=0.06)
 

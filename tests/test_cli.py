@@ -68,14 +68,28 @@ class TestRunCommand:
         assert code == 2
         assert "key=value" in capsys.readouterr().err
 
-    # f_u_hz names a fixed radio constant, which no config sets
-    @pytest.mark.parametrize("pair", ["warp_drive=1", "f_u_hz=2e7"])
+    # f_u_hz names a fixed radio constant, which no config sets;
+    # reservoir_density a field of the random reservoirs the cycle replaced
+    @pytest.mark.parametrize("pair", ["warp_drive=1", "f_u_hz=2e7",
+                                      "reservoir_density=0.1"])
     def test_unknown_config_key_fails(self, tmp_path, capsys, pair):
         out = tmp_path / "out"
         code = cli.main(["run", "--out", str(out), "--set", pair])
         assert code == 2
         key = pair.split("=")[0]
         assert f"error: unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echo_naming_a_removed_key_fails(self, tmp_path, capsys):
+        # an echo written before the key left the config
+        echo = tmp_path / "config_echo.txt"
+        desk_config().echo(echo)
+        echo.write_text(echo.read_text() + "reservoir_density = 0.1\n")
+        out = tmp_path / "out"
+        code = cli.main(["run", "--config", str(echo), "--out", str(out)])
+        assert code == 2
+        assert ("error: unknown config key 'reservoir_density'"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("pair", ["wifi_rate_req_bps=nan",

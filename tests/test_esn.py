@@ -10,25 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from lteusim.esn import (
-    _DENSE_UNITS,
     Readout,
     Reservoir,
-    _spectral_radius,
     init,
     peek_state,
     readout_all,
     train_step,
     update_state,
 )
-
-
-def dense_w(reservoir):
-    """The recurrent matrix as an array, whichever representation it has."""
-    w = reservoir.w
-    return w.toarray() if scipy.sparse.issparse(w) else w
+from oracles import recurrent_matrix
 
 
 def max_modulus(w):
@@ -37,60 +29,59 @@ def max_modulus(w):
 
 class TestInit:
     def test_spectral_radius_near_target(self):
-        # 30 takes the dense route (up to _DENSE_UNITS = 150 units), 200 and
-        # 1000 the sparse one; 1000 is the ScenarioConfig() size. At seed 9
-        # there, ARPACK's default 20-vector basis settles on a near-dominant
-        # eigenvalue (0.911)
-        cases = [(30, 0), (200, 0)] + [(1000, seed) for seed in (0, 1, 9)]
-        for n_units, seed in cases:
+        # every eigenvalue of the cycle r*P lies on the circle of radius r,
+        # at every size and seed
+        for n_units, seed in [(2, 0), (30, 0), (200, 0), (200, 9)]:
             reservoir, _ = init(n_units, input_dim=4, n_actions=8,
-                                density=0.1, target_radius=0.9, seed=seed)
-            radius = max_modulus(dense_w(reservoir))
-            assert 0.89 <= radius <= 0.91, (n_units, seed, radius)
+                                target_radius=0.9, seed=seed)
+            moduli = np.abs(np.linalg.eigvals(recurrent_matrix(reservoir)))
+            assert moduli == pytest.approx(np.full(n_units, 0.9), rel=1e-12,
+                                           abs=0), (n_units, seed)
 
     def test_dense_radius_is_exact(self):
-        # the dense route's eigvals radius is the one the matrix has
-        for seed in range(20):
-            reservoir, _ = init(100, input_dim=4, n_actions=8, density=0.1,
-                                target_radius=0.9, seed=seed)
-            radius = max_modulus(reservoir.w)
-            assert radius == pytest.approx(0.9, rel=1e-12, abs=0), seed
-            assert radius < 1.0
-
-    def test_routes_agree_at_the_crossover(self):
-        rng = np.random.default_rng(7)
-        dense = rng.uniform(-1.0, 1.0, size=(_DENSE_UNITS, _DENSE_UNITS))
-        dense *= rng.random(dense.shape) < 0.1
-        by_eigvals = _spectral_radius(dense)
-        by_arpack = _spectral_radius(scipy.sparse.csr_matrix(dense))
-        assert by_arpack == pytest.approx(by_eigvals, rel=1e-12, abs=0)
-
-    def test_size_picks_the_representation(self):
-        small, _ = init(_DENSE_UNITS, 2, 3, seed=0)
-        large, _ = init(_DENSE_UNITS + 1, 2, 3, seed=0)
-        assert isinstance(small.w, np.ndarray)
-        assert scipy.sparse.issparse(large.w)
-
-    def test_full_density_has_no_structural_zeros(self):
-        reservoir, _ = init(40, 2, 3, density=1.0, seed=1)
-        assert np.count_nonzero(dense_w(reservoir)) == 40 * 40
-
-    def test_density_is_respected(self):
-        for n_units in (100, 200):  # dense, then CSR
-            reservoir, _ = init(n_units, 2, 3, density=0.1, seed=2)
-            share = np.count_nonzero(dense_w(reservoir)) / n_units ** 2
-            assert share == pytest.approx(0.1, abs=0.02), n_units
+        # the radius and the largest singular value both equal the target,
+        # so the largest singular value is below 1: Jaeger's sufficient
+        # condition for the echo state property holds
+        cases = [(100, r) for r in (0.05, 0.3, 0.9, 0.99)] + [(1000, 0.9)]
+        for n_units, radius in cases:
+            reservoir, _ = init(n_units, input_dim=4, n_actions=8,
+                                target_radius=radius, seed=3)
+            w = recurrent_matrix(reservoir)
+            singular = np.linalg.svd(w, compute_uv=False).max()
+            assert singular == pytest.approx(radius, rel=1e-12, abs=0)
+            assert singular < 1.0
+            if n_units == 100:  # eigvals takes seconds at 1000 units
+                assert max_modulus(w) == pytest.approx(radius, rel=1e-12,
+                                                       abs=0)
 
     def test_deterministic_in_seed(self):
-        # 60 units take the dense eigvals route, 1000 the CSR ARPACK one
         for n_units in (60, 1000):
             a_res, a_ro = init(n_units, 3, 5, seed=11)
             b_res, b_ro = init(n_units, 3, 5, seed=11)
             c_res, _ = init(n_units, 3, 5, seed=12)
             assert np.array_equal(a_res.w_in, b_res.w_in)
-            assert np.array_equal(dense_w(a_res), dense_w(b_res))
+            assert a_res.radius == b_res.radius == 0.9
             assert np.array_equal(a_ro.w_out, b_ro.w_out)
             assert not np.array_equal(a_res.w_in, c_res.w_in)
+
+    def test_input_weights_are_the_streams_first_draw(self):
+        # the same w_in as the random sparse reservoir drew before the cycle
+        # replaced it: the first Uniform(-1, 1) draw of default_rng([seed, 0])
+        for n_units, input_dim, seed in [(60, 3, 11), (100, 20, 0)]:
+            reservoir, _ = init(n_units, input_dim, 5, seed=seed)
+            want = np.random.default_rng([seed, 0]).uniform(
+                -1.0, 1.0, size=(n_units, input_dim))
+            assert np.array_equal(reservoir.w_in, want)
+
+    def test_holds_no_square_array(self):
+        # the ScenarioConfig() size: O(n_units) beside the input weights
+        reservoir, _ = init(1000, 3, 5, seed=0)
+        reservoir.state = np.full(1000, 0.5)
+        reservoir.drive  # fills the cache
+        shapes = [v.shape for v in vars(reservoir).values()
+                  if hasattr(v, "shape")]
+        assert shapes and all(math.prod(shape) <= 1000 * 3
+                              for shape in shapes)
 
     def test_fresh_state_and_readout_shape(self):
         reservoir, ro = init(50, 4, 7, seed=4)
@@ -99,7 +90,7 @@ class TestInit:
 
     @pytest.mark.parametrize("kwargs", [
         dict(target_radius=0.0), dict(target_radius=1.0),
-        dict(density=0.0), dict(density=1.5),
+        dict(target_radius=-0.5), dict(target_radius=math.nan),
     ])
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -107,9 +98,8 @@ class TestInit:
 
 
 def hand_reservoir():
-    w = scipy.sparse.csr_matrix(np.array([[0.5, -0.25], [0.1, 0.3]]))
-    return Reservoir(w_in=np.array([[1.0], [-2.0]]), w=w,
-                     state=np.array([0.2, -0.1]), n_units=2)
+    return Reservoir(w_in=np.array([[1.0], [-2.0]]), radius=0.5,
+                     state=np.array([0.2, -0.1]))
 
 
 class TestStateUpdate:
@@ -118,11 +108,11 @@ class TestStateUpdate:
         assert not update_state(reservoir, [0.0, 0.0]).any()
 
     def test_two_unit_hand_values(self):
-        # pre-activations: 0.5*0.2 + 0.25*0.1 + 1 = 1.125
-        #                  0.1*0.2 - 0.3*0.1 - 2 = -2.01
+        # each unit reads the other at radius 0.5; pre-activations:
+        # 0.5*(-0.1) + 1 = 0.95 and 0.5*0.2 - 2 = -1.9
         state = update_state(hand_reservoir(), [1.0])
-        assert state[0] == pytest.approx(0.80930107020178101, abs=1e-12)
-        assert state[1] == pytest.approx(-0.96472731932055463, abs=1e-12)
+        assert state[0] == pytest.approx(0.73978305127400430, abs=1e-12)
+        assert state[1] == pytest.approx(-0.95623745812773905, abs=1e-12)
 
     def test_state_bounded_by_tanh(self):
         # at unit input scale these inputs would round tanh to exactly 1.0
@@ -158,7 +148,8 @@ class TestDriveCache:
     def fresh_peek(self, reservoir, x):
         # the uncached expression, recomputed from scratch
         x = np.asarray(x, dtype=float)
-        return np.tanh(reservoir.w @ reservoir.state + reservoir.w_in @ x)
+        return np.tanh(recurrent_matrix(reservoir) @ reservoir.state
+                       + reservoir.w_in @ x)
 
     def test_peek_after_reassignment_reads_the_new_state(self):
         reservoir, _ = init(40, 3, 2, seed=2)
@@ -170,7 +161,20 @@ class TestDriveCache:
             assert np.array_equal(peek_state(reservoir, x),
                                   self.fresh_peek(reservoir, x))
             assert np.array_equal(reservoir.drive,
-                                  reservoir.w @ reservoir.state)
+                                  recurrent_matrix(reservoir)
+                                  @ reservoir.state)
+
+    def test_drive_is_the_dense_product_bit_for_bit(self):
+        # each row of r*P holds one nonzero, so the dense gemv adds only
+        # zeros to radius * state[i - 1]
+        rng = np.random.default_rng(3)
+        for n_units in (100, 1000):
+            reservoir, _ = init(n_units, 2, 2, target_radius=0.3, seed=1)
+            w = recurrent_matrix(reservoir)
+            for _ in range(20):
+                reservoir.state = rng.uniform(-1.0, 1.0, n_units)
+                want = w @ reservoir.state
+                assert reservoir.drive.tobytes() == want.tobytes()
 
     def test_commit_refreshes_the_drive(self):
         reservoir, _ = init(40, 3, 2, seed=2)
@@ -353,7 +357,7 @@ def fresh_python(code):
 
 class TestScipyImport:
     def test_dense_runs_load_no_scipy(self):
-        # the command line and a desk run of every algorithm, all dense
+        # the command line and a desk run of every algorithm
         loaded = fresh_python("""
             import json, sys
             import lteusim.cli
@@ -366,30 +370,17 @@ class TestScipyImport:
             """)
         assert loaded == []
 
-    def test_sparse_run_loads_scipy_sparse(self):
-        # one unit past _DENSE_UNITS: run() builds CSR reservoirs, and
-        # imports scipy.sparse for them only then
+    def test_reference_size_run_loads_no_scipy(self):
+        # ScenarioConfig()'s 1000-unit reservoirs hold no matrix and need
+        # no radius, so no size loads scipy
         got = fresh_python("""
             import json, sys
-            from lteusim import esn, harness, scenario
-            teams = []
-            make_agents = harness.make_agents
-            def recording(*args):
-                teams.append(make_agents(*args))
-                return teams[-1]
-            harness.make_agents = recording
-            before = "scipy.sparse" in sys.modules
-            config = scenario.desk_config(
-                reservoir_units=esn._DENSE_UNITS + 1, max_iterations=3)
+            from lteusim import harness, scenario
+            config = scenario.ScenarioConfig(max_iterations=3)
             result = harness.run(config, "esn", 0)
-            after = "scipy.sparse" in sys.modules
-            import scipy.sparse
             print(json.dumps({
-                "before": before, "after": after,
                 "rounds": len(result.records),
-                "csr": [scipy.sparse.isspmatrix_csr(r.w) for agent in teams[0]
-                        for r in (agent.res_alpha, agent.res_beta)]}))
+                "scipy": sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")}))
             """)
-        assert (got["before"], got["after"]) == (False, True)
-        assert got["rounds"] == 3
-        assert len(got["csr"]) == 10 and all(got["csr"])
+        assert got == {"rounds": 3, "scipy": []}

@@ -70,7 +70,6 @@ class TestRun:
         assert solved == [4]
 
     def test_deterministic_in_config_seed_algorithm(self):
-        # 16 units take the dense eigenvalue route, 60 the ARPACK one
         for cfg in (small_config(), small_config(reservoir_units=60)):
             a = run(cfg, "esn", seed=11)
             b = run(cfg, "esn", seed=11)

@@ -65,7 +65,6 @@ def test_config_fields_are_numbers():
         ("n_users", -1),
         ("sbs_coverage_m", 0.0),
         ("reservoir_radius", 1.0),
-        ("reservoir_density", 0.0),
         ("lambda_alpha", -0.1),
         ("lambda_beta", -1e-9),
         ("lambda_alpha", math.nan),
@@ -137,12 +136,13 @@ def test_config_text_file_comments_and_overrides(tmp_path):
     assert cfg.with_overrides(n_users=9).n_users == 9
 
 
-# keys of the fixed radio constants and of the unit input scale: an older
-# config echo names them, and is refused, not silently half-applied
+# keys of the fixed radio constants, the unit input scale and the random
+# reservoir's density: an older config echo names them, and is refused, not
+# silently half-applied
 REMOVED_KEYS = ("macro_radius_m", "p_mbs_dbm", "p_sbs_dbm", "p_user_dbm",
                 "noise_power_dbm", "f_l_dl_hz", "f_l_ul_hz", "f_u_hz",
                 "pathloss_licensed", "pathloss_unlicensed",
-                "reservoir_input_scale")
+                "reservoir_input_scale", "reservoir_density")
 
 
 @pytest.mark.parametrize("key", ["bandwidth", *REMOVED_KEYS])
