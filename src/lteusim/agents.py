@@ -173,8 +173,10 @@ class QAgent:
 
 
 def _scores(agent):
+    # a Q agent's scores are its live table: _q_finish reads only the
+    # pending action, never these scores
     if isinstance(agent, QAgent):
-        return np.array(agent.q_table)
+        return agent.q_table
     return esn.readout_all(agent.ro_beta, agent.res_beta.state, agent.x_beta)
 
 

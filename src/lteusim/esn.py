@@ -8,7 +8,9 @@ radius and largest singular value both equal to r, so no eigenvalue is
 computed, and a largest singular value below one is Jaeger's sufficient
 condition for the echo state property (GMD Report 148, 2001). The matrix
 is never stored: the recurrent term is the state shifted by one unit and
-scaled by r, O(n_units) per step. Only the readout learns, one row per
+scaled by r, O(n_units) per step, computed afresh at each read. A
+reservoir is plain data, its input weights, r and its state, and each
+commit replaces the state array. Only the readout learns, one row per
 action, by stochastic gradient on the squared prediction error.
 
 No function here re-checks a vector's width: the product ``w_in @ x`` or
@@ -19,8 +21,9 @@ Each readout trains at one constant rate, set by the owner after ``init``
 (the agents use ``config.lambda_alpha`` and ``config.lambda_beta``). The
 input weights are the raw Uniform(-1, 1) draw, unscaled. Nothing here keeps
 the gradient step contractive: at ``ScenarioConfig()`` defaults the
-1000-unit states saturate, and the step lambda_alpha * ||z||^2 is about
-3.3, above the LMS stability bound of 2.
+1000-unit states saturate, and over the first 100 rounds of seeds 0 and 1
+alpha's step lambda_alpha * ||z||^2 has a median of 5.2 and 4.6 and a
+maximum of 16.2 and 17.7, above the LMS stability bound of 2.
 """
 
 from __future__ import annotations
@@ -39,43 +42,26 @@ class Reservoir:
 
     ``state`` is the committed activation vector, in [-1, 1]^n_units:
     float tanh rounds to exactly +-1.0 once a pre-activation passes about
-    19. Assigning it stores a read-only copy, so a committed state cannot
-    change behind the cache below.
+    19. It is a plain float array, held by reference: a commit assigns the
+    fresh ``tanh`` output, and nothing writes into it in place.
 
     ``drive`` is the recurrent term ``radius * P @ state`` of the next
-    step, equal bit for bit to the dense product, whose rows each hold one
-    nonzero. It is computed once per committed state, on first use, and
-    every peek from that state (``peek_state``, the agents' profile
-    expectation) reads the same floats. Assigning ``state`` drops it.
+    step, computed from ``state`` on each read and equal bit for bit to
+    the dense product, whose rows each hold one nonzero.
     """
 
     def __init__(self, w_in: np.ndarray, radius: float, state: np.ndarray):
         self.w_in = w_in      # (n_units, input_dim)
         self.radius = radius  # the cycle's link weight, in (0, 1)
         self.n_units = w_in.shape[0]
+        self.state = state
         # unit i reads unit i - 1; a take() on this fixed index is several
         # times cheaper per step than np.roll, and cheaper than the gemv
         self._shift = np.roll(np.arange(self.n_units), 1)
-        self.state = state
-
-    @property
-    def state(self) -> np.ndarray:
-        return self._state
-
-    @state.setter
-    def state(self, value) -> None:
-        state = np.array(value, dtype=float)
-        state.flags.writeable = False
-        self._state = state
-        self._drive = None
 
     @property
     def drive(self) -> np.ndarray:
-        if self._drive is None:
-            drive = self.radius * self._state.take(self._shift)
-            drive.flags.writeable = False
-            self._drive = drive
-        return self._drive
+        return self.radius * self.state.take(self._shift)
 
 
 @dataclass

@@ -77,7 +77,7 @@ class TestInit:
         # the ScenarioConfig() size: O(n_units) beside the input weights
         reservoir, _ = init(1000, 3, 5, seed=0)
         reservoir.state = np.full(1000, 0.5)
-        reservoir.drive  # fills the cache
+        reservoir.drive  # a read of the recurrent term stores nothing
         shapes = [v.shape for v in vars(reservoir).values()
                   if hasattr(v, "shape")]
         assert shapes and all(math.prod(shape) <= 1000 * 3
@@ -143,10 +143,9 @@ class TestStateUpdate:
         assert np.array_equal(peeked, committed)
 
 
-
-class TestDriveCache:
+class TestDrive:
     def fresh_peek(self, reservoir, x):
-        # the uncached expression, recomputed from scratch
+        # the dense expression, recomputed from scratch
         x = np.asarray(x, dtype=float)
         return np.tanh(recurrent_matrix(reservoir) @ reservoir.state
                        + reservoir.w_in @ x)
@@ -156,7 +155,7 @@ class TestDriveCache:
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 3)
         for _ in range(3):
-            peek_state(reservoir, x)  # fills the cache for the old state
+            peek_state(reservoir, x)  # reads the old state
             reservoir.state = rng.uniform(-0.9, 0.9, 40)
             assert np.array_equal(peek_state(reservoir, x),
                                   self.fresh_peek(reservoir, x))
@@ -185,24 +184,6 @@ class TestDriveCache:
         assert np.array_equal(peek_state(reservoir, x),
                               self.fresh_peek(reservoir, x))
 
-    def test_committed_state_and_drive_are_read_only(self):
-        reservoir = hand_reservoir()
-        with pytest.raises(ValueError, match="read-only"):
-            reservoir.state[0] = 0.5
-        with pytest.raises(ValueError, match="read-only"):
-            reservoir.state += 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            reservoir.drive[1] = 0.0
-        assert np.array_equal(reservoir.state, [0.2, -0.1])
-
-    def test_assignment_copies(self):
-        source = np.array([0.2, -0.1])
-        reservoir = hand_reservoir()
-        reservoir.state = source
-        source[0] = 0.9  # the caller's array stays writable and apart
-        assert np.array_equal(reservoir.state, [0.2, -0.1])
-        assert np.array_equal(peek_state(reservoir, [1.0]),
-                              self.fresh_peek(reservoir, [1.0]))
 
 def readout(ro, mu, x, action_i):
     """One action's prediction w_out[action_i] @ [mu; x; 1], as the LMS
