@@ -43,9 +43,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import esn
-from .game import (ExpectedUtility, epsilon_greedy, restrict_coupled,
-                   restrict_licensed_only)
+from .game import (EPSILON, ExpectedUtility, epsilon_greedy,
+                   restrict_coupled, restrict_licensed_only)
 from .scenario import ALGORITHMS
+
+# the rates of beta's readout and the Q tables; alpha's is lambda_alpha
+LAMBDA_BETA = 0.06
+LAMBDA_Q = 0.06
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class EsnAgent:
         self.spaces = tuple(spaces)
         self.bs = int(bs)
         self.action_space = self.spaces[self.bs]
-        self.epsilon = float(config.epsilon)
+        self.epsilon = EPSILON
         self.expectation_budget = int(config.expectation_budget)
         self.opponents = tuple(m for m in range(len(self.spaces)) if m != self.bs)
         # the opponent model: the last advertised row (own entry unread)
@@ -102,7 +106,7 @@ class EsnAgent:
         blocks = [_encode_space(self.spaces[m]) for m in self.opponents]
         alpha_dim = int(sum(b.shape[1] for b in blocks))
         scale = 1.0 / math.sqrt(alpha_dim) if alpha_dim else 1.0
-        self._enc = {m: b * scale for m, b in zip(self.opponents, blocks)}
+        blocks = [b * scale for b in blocks]
 
         beta_dim = 2 * len(self.action_space.covered_users)
         self._beta_scale = 1.0 / math.sqrt(beta_dim) if beta_dim else 1.0
@@ -118,33 +122,33 @@ class EsnAgent:
         self.res_beta, self.ro_beta = esn.init(
             config.reservoir_units, beta_dim, n_actions,
             target_radius=config.reservoir_radius, seed=int(streams[2]))
-        self.ro_beta.rate = config.lambda_beta
+        self.ro_beta.rate = LAMBDA_BETA
 
         # per-action input projections; profile encodings in the expectation
         # then reduce to row gathers instead of matrix products. It reads
         # them stacked, opponent after opponent, as one (sum |A_m|, units)
         # table, and the encodings as one block-diagonal (sum |A_m|,
         # alpha_dim) matrix; a profile is one row index per opponent
-        sizes = [len(self.spaces[m]) for m in self.opponents]
-        starts = np.cumsum([0] + sizes, dtype=np.intp)
+        starts = np.cumsum([0] + [len(b) for b in blocks], dtype=np.intp)
         self._phi_stack = np.zeros((starts[-1], config.reservoir_units))
         self._enc_stack = np.zeros((starts[-1], alpha_dim))
         off = 0
-        for m, start, stop in zip(self.opponents, starts, starts[1:]):
-            width = self._enc[m].shape[1]
+        for block, start, stop in zip(blocks, starts, starts[1:]):
+            width = block.shape[1]
             self._phi_stack[start:stop] = (
-                self._enc[m] @ self.res_alpha.w_in[:, off:off + width].T)
-            self._enc_stack[start:stop, off:off + width] = self._enc[m]
+                block @ self.res_alpha.w_in[:, off:off + width].T)
+            self._enc_stack[start:stop, off:off + width] = block
             off += width
         self._row_starts = starts[:-1, None]
 
         self.x_beta = np.ones(beta_dim) * self._beta_scale  # request state
 
     def profile_input(self, indices):
-        """Alpha input vector for one opponent profile, an index row."""
-        if not self.opponents:
-            return np.zeros(0)
-        return np.concatenate([self._enc[m][indices[m]] for m in self.opponents])
+        """Alpha input vector for one opponent profile, an index row; the
+        opponents' rows of ``_enc_stack`` sum exactly, in disjoint columns."""
+        picks = np.array([indices[m] for m in self.opponents], dtype=np.intp)
+        return self._enc_stack.take(picks + self._row_starts[:, 0],
+                                    axis=0).sum(axis=0)
 
 
 class QAgent:
@@ -161,8 +165,8 @@ class QAgent:
         self.spaces = tuple(spaces)
         self.bs = int(bs)
         self.action_space = self.spaces[self.bs]
-        self.epsilon = float(config.epsilon)
-        self.lambda_q = float(config.lambda_q)
+        self.epsilon = EPSILON
+        self.lambda_q = LAMBDA_Q
         self.q_table = np.zeros(len(self.action_space))
         self._pending = None
         streams = np.random.SeedSequence([int(seed), self.bs]).generate_state(1)

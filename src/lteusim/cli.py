@@ -226,17 +226,17 @@ def cmd_ne_check(args) -> int:
     config = _build_config(args, defaults=NE_CHECK_DEFAULTS)
     # the payoff table does not depend on the run: refuse a big game first
     inputs = harness.prepare_run(config, "esn", config.rng_seed)
-    payoffs = game.joint_payoffs(inputs.spaces, inputs.capacities, config.eta)
+    payoffs = game.joint_payoffs(inputs.spaces, inputs.capacities)
     result = harness.run(config, "esn")
     if not result.records:
         raise ValueError("ne-check needs at least one round; "
                          "raise max_iterations")
     best = result.records[-1].greedy_action
-    profile = [game.epsilon_greedy(len(space), best[n], config.epsilon)
+    profile = [game.epsilon_greedy(len(space), best[n], game.EPSILON)
                for n, space in enumerate(inputs.spaces)]
     probe = game.verify_mixed_ne(profile, payoffs)
     lines = [f"seed = {result.seed}", f"converged_at = {result.converged_at}",
-             f"epsilon = {_fmt(config.epsilon)}"]
+             f"epsilon = {_fmt(game.EPSILON)}"]
     all_ok = True
     for n, table in enumerate(probe.expected_by_action):
         table = np.asarray(table)
@@ -244,7 +244,7 @@ def cmd_ne_check(args) -> int:
         gain = float(table.max() - current)
         # exploration keeps (1 - epsilon) weight off the best reply, so a
         # matching slack is the tightest certificate this profile can earn
-        tol = config.epsilon * float(table.max() - table.mean()) + 1e-6
+        tol = game.EPSILON * float(table.max() - table.mean()) + 1e-6
         ok = gain <= tol
         all_ok = all_ok and ok
         lines.append(f"bs{n}: best_swap_gain={_fmt(gain)} "

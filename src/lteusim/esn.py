@@ -18,7 +18,7 @@ No function here re-checks a vector's width: the product ``w_in @ x`` or
 any state is committed or any weight moves.
 
 Each readout trains at one constant rate, set by the owner after ``init``
-(the agents use ``config.lambda_alpha`` and ``config.lambda_beta``). The
+(the agents use ``config.lambda_alpha`` and ``agents.LAMBDA_BETA``). The
 input weights are the raw Uniform(-1, 1) draw, unscaled. Nothing here keeps
 the gradient step contractive: at ``ScenarioConfig()`` defaults the
 1000-unit states saturate, and over the first 100 rounds of seeds 0 and 1

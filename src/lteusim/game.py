@@ -26,6 +26,12 @@ from .rates import LinkCapacitySet
 # most joints times players that joint_payoffs enumerates
 _ENUMERATION_CAP = 500_000
 
+# fractions are multiples of 1/Z_LEVELS, a utility discounts the unlicensed
+# DL rate by ETA, and the learners explore with the EPSILON-greedy law
+Z_LEVELS = 10
+ETA = 0.7
+EPSILON = 0.7
+
 
 # ---------------------------------------------------------------------------
 # actions and action spaces
@@ -107,7 +113,7 @@ def _choice_bounds(w: int, z: int) -> list[int]:
     Fisher-Yates shuffle draws on 0..i for i = w - 1, ..., 1.
 
     numpy takes Floyd's path unless the population passes 10,000 and the
-    sample a fiftieth of it, which needs z_levels near 10,000 and some
+    sample a fiftieth of it, which needs Z_LEVELS near 10,000 and some
     hundred covered users; past that bound these draws still make
     uniform vectors, but not ``choice``'s."""
     return [*range(z + 1, z + w + 1), *range(w, 1, -1)]
@@ -196,7 +202,7 @@ def enumerate_actions(bs: int, topology, config, seed: int) -> ActionSpace:
     an infeasible action raises ``RuntimeError``.
     """
     users = topology.covered_users[bs]
-    z = config.z_levels
+    z = Z_LEVELS
     unlicensed = bs != 0
     k = len(users)
 
@@ -316,15 +322,14 @@ def resolve_conflicts(spaces, joint, caps: LinkCapacitySet,
     return settled
 
 
-def resolved_utilities(settled, caps: LinkCapacitySet,
-                       eta: float) -> np.ndarray:
+def resolved_utilities(settled, caps: LinkCapacitySet) -> np.ndarray:
     """Per-BS utilities of a settled (4, n_bs, n_users) block, as
     ``resolve_conflicts`` returns it: the payoffs the game is actually
-    played over."""
+    played over, the unlicensed DL rate discounted by ``ETA``."""
     if settled.shape != (4, caps.n_bs, caps.n_users):
         raise ValueError("settled block shape does not match the capacity set")
     frac = settled.reshape(2, 2, caps.n_bs, caps.n_users)
-    discount = np.array([eta, 1.0])[:, None, None]
+    discount = np.array([ETA, 1.0])[:, None, None]
     # per direction: log2(1 + licensed rate + discounted unlicensed rate)
     gain = np.log2(1.0 + frac[0] * caps.block[0]
                    + discount * frac[1] * caps.block[1])
@@ -341,7 +346,7 @@ class JointEvaluator:
     Per direction ``[DL, UL]`` and user, an action has an active-grant
     mask, an offer (licensed plus raw unlicensed fraction-weighted
     capacity, -1.0 where the grant is inactive), and the gain it earns if
-    it keeps the grant, ``log2(1 + d * c_l + (eta * kappa) * c_u)`` (the
+    it keeps the grant, ``log2(1 + d * c_l + (ETA * kappa) * c_u)`` (the
     uplink undiscounted). Evaluating a batch of S joints is then a gather,
     one argmax over the offers, and the sum of the kept gains.
 
@@ -352,8 +357,7 @@ class JointEvaluator:
     ``resolve_conflicts``, so the reward audit compares two computations.
     """
 
-    def __init__(self, spaces, caps: LinkCapacitySet, eta: float,
-                 coupled: bool = False):
+    def __init__(self, spaces, caps: LinkCapacitySet, coupled: bool = False):
         for name in ("c_l_dl", "c_l_ul", "c_u_dl", "c_u_ul"):
             matrix = getattr(caps, name)
             if not (np.isfinite(matrix).all() and (matrix >= 0.0).all()):
@@ -375,7 +379,7 @@ class JointEvaluator:
         product = frac * caps_block
         offer = np.where(active, product[0] + product[1], -1.0)
         # per direction [DL, UL]: only unlicensed DL is discounted
-        discount = np.array([eta, 1.0])[:, None, None, None]
+        discount = np.array([ETA, 1.0])[:, None, None, None]
         gain = np.log2(1.0 + frac[0] * caps_block[0]
                        + discount * frac[1] * caps_block[1])
         rows = (2, self.n_bs * width, n_users)
@@ -451,7 +455,7 @@ class NeReport:
     expected_by_action: tuple[tuple[float, ...], ...]
 
 
-def joint_payoffs(spaces, caps: LinkCapacitySet, eta: float):
+def joint_payoffs(spaces, caps: LinkCapacitySet):
     """Every joint index row of ``spaces``, in lexicographic order (the
     last BS's index varies fastest), and the (J, n_bs) resolved utilities
     of each: the payoff table that ``verify_mixed_ne`` reads and
@@ -465,7 +469,7 @@ def joint_payoffs(spaces, caps: LinkCapacitySet, eta: float):
             f"x {len(sizes)} players exceeds the cap of {_ENUMERATION_CAP}")
     joints = np.array(list(itertools.product(*(range(k) for k in sizes))),
                       dtype=int)
-    return joints, JointEvaluator(spaces, caps, eta).batch_utilities(joints)
+    return joints, JointEvaluator(spaces, caps).batch_utilities(joints)
 
 
 def verify_mixed_ne(profile, payoffs) -> NeReport:

@@ -38,6 +38,8 @@ SWEEP_AXES = {
     "n_wifi": "wifi_users_per_wap",
 }
 
+CONVERGENCE_TOL = 1e-3  # greedy-total range bound, times max(1, |mean|)
+
 @dataclass(frozen=True)
 class RoundRecord:
     """One synchronous round: its broadcast (the played row ``joint_action``
@@ -136,7 +138,7 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
     team = make_agents(algorithm, spaces, config, inputs.agent_seed)
     # the coupled baseline is scored under classic single-BS association
     coupled = algorithm == "q_lteu_coupled"
-    evaluator = JointEvaluator(spaces, caps, eta=config.eta, coupled=coupled)
+    evaluator = JointEvaluator(spaces, caps, coupled=coupled)
     n_bs = len(spaces)
 
     records = []
@@ -169,7 +171,7 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
             user_rates = compute_user_rates(settled, caps)
         else:
             check_grants(settled, caps)
-        audit = resolved_utilities(settled, caps, eta=config.eta)
+        audit = resolved_utilities(settled, caps)
         # np.allclose(rtol=1e-9, atol=1e-9) written out, without its
         # overhead; unlike allclose, equal infinities fail
         if not (np.abs(utilities - audit) <= 1e-9 + 1e-9 * np.abs(audit)).all():
@@ -207,7 +209,7 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
             if full and held >= config.convergence_window:
                 mean = sum(totals) / len(totals)
                 if (max(totals) - min(totals)
-                        <= config.convergence_tol * max(1.0, abs(mean))):
+                        <= CONVERGENCE_TOL * max(1.0, abs(mean))):
                     converged_at = t
                     break
 

@@ -8,8 +8,11 @@ names its algorithm in ``summary.txt``), writes the same files.
 
 The radio environment is fixed at the reference operating point: the
 macro-cell radius and the two path-loss laws are constants here, the
-transmit powers, noise power and bandwidths constants in ``rates``. A
-config sets the game, its load and the learners, not the radio.
+transmit powers, noise power and bandwidths constants in ``rates``. So are
+the game's grid, unlicensed-DL discount and exploration rate
+(``game.Z_LEVELS``, ``ETA``, ``EPSILON``), the beta and Q learning rates
+(``agents.LAMBDA_BETA``, ``LAMBDA_Q``) and ``harness.CONVERGENCE_TOL``. A
+config holds what callers vary: the network, its load, the learners, the run.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ class ScenarioConfig:
     """Network size, WiFi load, game, learning and seeding parameters.
 
     Defaults are the reference operating point of the simulator; use
-    ``desk_config`` for the smaller setup the tests and demos run at. The
-    radio environment of that operating point is not configurable: the
-    macro radius and path-loss laws are constants of this module, the
-    powers, noise and bandwidths constants of ``rates``.
+    ``desk_config`` for the smaller setup the tests and demos run at. What
+    no caller varies is a module constant, not a field: the radio's in this
+    module and ``rates``, the grid, discount and exploration rate in
+    ``game``, the beta and Q learning rates in ``agents`` and the
+    convergence tolerance in ``harness``.
 
     Every value is checked here, however the config is built: each field
     holds a finite real number that is not a bool, a whole one for an
@@ -61,24 +65,18 @@ class ScenarioConfig:
     n_users: int = 12
     wifi_users_per_wap: int = 4
     sbs_coverage_m: float = 100.0
-    # allocation grid and utility shaping
-    z_levels: int = 10
-    eta: float = 0.7
+    # game
     action_set_size: int = 16
     # WiFi demand
     wifi_rate_req_bps: float = 4e6
     # learning
-    epsilon: float = 0.7
     lambda_alpha: float = 0.08
-    lambda_beta: float = 0.06
-    lambda_q: float = 0.06
     reservoir_units: int = 1000
     reservoir_radius: float = 0.9
     expectation_budget: int = 128
     # harness
     max_iterations: int = 2000
     convergence_window: int = 50
-    convergence_tol: float = 1e-3
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -109,24 +107,15 @@ class ScenarioConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         nonnegative = ("n_sbs", "n_waps", "n_users", "max_iterations",
-                       "lambda_alpha", "lambda_beta", "convergence_tol",
-                       "wifi_rate_req_bps", "rng_seed")
+                       "lambda_alpha", "wifi_rate_req_bps", "rng_seed")
         for name in nonnegative:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.z_levels < 2:
-            raise ValueError("z_levels must be at least 2")
         if self.expectation_budget < 2:
             # one sampled profile has no standard error
             raise ValueError("expectation_budget must be at least 2")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
         if not 0.0 < self.reservoir_radius < 1.0:
             raise ValueError("reservoir_radius must lie in (0, 1)")
-        if not 0.0 <= self.lambda_q <= 1.0:
-            raise ValueError("lambda_q must lie in [0, 1]")
 
     # derived quantities -------------------------------------------------
 

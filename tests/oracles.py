@@ -28,10 +28,9 @@ import numpy as np
 
 from lteusim import game
 from lteusim.game import ActionSpace, resolve_conflicts, resolved_utilities
-from lteusim.scenario import ScenarioConfig
 
 # the unlicensed-DL utility discount the unit tests score with
-ETA = ScenarioConfig().eta
+ETA = game.ETA
 
 
 class Violation(NamedTuple):
@@ -243,8 +242,7 @@ def restrict_coupled_oracle(space: ActionSpace) -> list:
 # evaluator oracle ------------------------------------------------------------
 
 
-def batch_utilities_oracle(spaces, caps, index_matrix, eta=ETA,
-                           coupled=False):
+def batch_utilities_oracle(spaces, caps, index_matrix, coupled=False):
     """``JointEvaluator.batch_utilities`` with the fraction-weighted
     capacities recomputed for every batch: gather the joints' fractions,
     weight them by the capacities, settle, and take the log-sum of the
@@ -268,7 +266,7 @@ def batch_utilities_oracle(spaces, caps, index_matrix, eta=ETA,
     else:
         keep = active & (bs == pick)
     settled = np.where(keep, frac, 0.0)
-    discount = np.array([eta, 1.0])[:, None, None, None]
+    discount = np.array([ETA, 1.0])[:, None, None, None]
     gain = np.log2(1.0 + settled[0] * block[0]
                    + discount * settled[1] * block[1])
     per_direction = gain.sum(axis=3)
@@ -278,7 +276,7 @@ def batch_utilities_oracle(spaces, caps, index_matrix, eta=ETA,
 # expected utility oracle -----------------------------------------------------
 
 
-def expected_utility_oracle(n, action_i, spaces, profile, caps, eta=ETA):
+def expected_utility_oracle(n, action_i, spaces, profile, caps):
     """Expected resolved utility of BS n playing its action ``action_i``
     against the opponents' mixed strategies, ``profile[m]`` a probability
     vector over ``spaces[m]``, one opponent joint at a time: each joint is
@@ -295,7 +293,7 @@ def expected_utility_oracle(n, action_i, spaces, profile, caps, eta=ETA):
         joint = list(combo)
         joint.insert(n, action_i)
         settled = resolve_conflicts(spaces, joint, caps)
-        total += weight * float(resolved_utilities(settled, caps, eta=eta)[n])
+        total += weight * float(resolved_utilities(settled, caps)[n])
     return total
 
 

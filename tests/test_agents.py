@@ -22,7 +22,7 @@ from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
 from lteusim.game import JointEvaluator
 from lteusim.rates import LinkCapacitySet, check_grants, compute_user_rates
 from lteusim.scenario import desk_config
-from oracles import (ETA, action_at, actions_of, choice_stack,
+from oracles import (action_at, actions_of, choice_stack,
                      control_variate_expectation, epsilon_greedy, make_action,
                      naive_predictions, opponent_laws, plain_expectation,
                      space_of)
@@ -67,7 +67,7 @@ def play_round(agent, others, caps):
     own = select_and_broadcast(agent)
     pairs = {**others, agent.bs: own}
     played, advertised = zip(*(pairs[m] for m in range(len(agent.spaces))))
-    evaluator = JointEvaluator(agent.spaces, caps, eta=ETA)
+    evaluator = JointEvaluator(agent.spaces, caps)
     row = reward_joint(agent, played, advertised)
     reward = evaluator.batch_utilities([row])[0, agent.bs]
     return own, finish_round(agent, played, advertised, reward)
@@ -79,7 +79,7 @@ def desk_team_after(config, seed, rounds):
     inputs = harness.prepare_run(config, "esn", seed)
     spaces, caps = inputs.spaces, inputs.capacities
     team = make_agents("esn", spaces, config, inputs.agent_seed)
-    evaluator = JointEvaluator(spaces, caps, eta=config.eta)
+    evaluator = JointEvaluator(spaces, caps)
     for _ in range(rounds):
         played, advertised = zip(*[select_and_broadcast(a) for a in team])
         rows = [reward_joint(a, played, advertised) for a in team]
@@ -205,7 +205,7 @@ class TestBestReply:
         assert agent.opponent_bests == (0, 0)
         own_played, own_best = select_and_broadcast(agent)
         played, advertised = (own_played, 0), (own_best, 1)
-        reward = JointEvaluator(agent.spaces, caps, ETA).utility_of(
+        reward = JointEvaluator(agent.spaces, caps).utility_of(
             0, reward_joint(agent, played, advertised))
         finish_round(agent, played, advertised, reward)
         assert agent.opponent_bests == advertised
@@ -302,8 +302,7 @@ def alpha_target(agent, joint, caps):
     played, advertised = tuple(int(i) for i in joint), (0,) * len(joint)
     row = reward_joint(agent, played, advertised)
     assert row == played
-    return JointEvaluator(agent.spaces, caps, eta=ETA).utility_of(
-        agent.bs, row)
+    return JointEvaluator(agent.spaces, caps).utility_of(agent.bs, row)
 
 
 class TestAlphaTarget:
@@ -344,8 +343,7 @@ class TestAlphaTarget:
         for _ in range(10):
             joint = [rng.integers(3), rng.integers(3)]
             want = game.resolved_utilities(
-                game.resolve_conflicts([macro, sbs], joint, caps), caps,
-                eta=config.eta)[1]
+                game.resolve_conflicts([macro, sbs], joint, caps), caps)[1]
             got = alpha_target(agent, joint, caps)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -388,7 +386,7 @@ class TestRewardJoint:
         agent, own, played, advertised = self.three_bs(kind)
         state = (agent.opponent_bests if kind is EsnAgent
                  else agent.q_table.copy())
-        evaluator = JointEvaluator(agent.spaces, flat_caps(1, 3), eta=ETA)
+        evaluator = JointEvaluator(agent.spaces, flat_caps(1, 3))
         bad_rows = [played[:2], played + (0,), (), played[:1]]
         for bad in bad_rows:
             for rows in [(bad, advertised), (played, bad)]:
@@ -766,8 +764,8 @@ class TestAgentStep:
         return agent, caps, others
 
     def test_frozen_rates_leave_readouts_unchanged(self):
-        agent, caps, others = self.step_fixture(lambda_alpha=0.0,
-                                                lambda_beta=0.0)
+        agent, caps, others = self.step_fixture(lambda_alpha=0.0)
+        agent.ro_beta.rate = 0.0
         before_alpha = agent.ro_alpha.w_out.copy()
         before_beta = agent.ro_beta.w_out.copy()
         (played, best), diag = play_round(agent, others, caps)
@@ -965,10 +963,17 @@ def test_stacked_tables_are_the_per_opponent_blocks(seed):
     # no covered user, so a zero-width block
     _, team = desk_team(seed)
     for agent in team:
-        encodings = [agent._enc[m] for m in agent.opponents]
+        spaces = [agent.spaces[m] for m in agent.opponents]
+        rows = np.cumsum([0] + [len(space) for space in spaces])
+        offsets = np.cumsum([0] + [4 * len(space.covered_users)
+                                   for space in spaces])
+        encodings = [agent._enc_stack[r0:r1, c0:c1] for r0, r1, c0, c1
+                     in zip(rows, rows[1:], offsets, offsets[1:])]
+        scale = 1.0 / math.sqrt(offsets[-1]) if offsets[-1] else 1.0
+        for space, block in zip(spaces, encodings):
+            assert np.array_equal(block, _encode_space(space) * scale)
         assert np.array_equal(agent._enc_stack,
                               scipy.linalg.block_diag(*encodings))
-        offsets = np.cumsum([0] + [e.shape[1] for e in encodings])
         phi = [e @ agent.res_alpha.w_in[:, start:stop].T
                for e, start, stop in zip(encodings, offsets, offsets[1:])]
         assert np.array_equal(agent._phi_stack, np.concatenate(phi))
@@ -1099,8 +1104,7 @@ class TestQAgent:
         assert taken == 1
         assert diag.e_alpha == 0.0
         against_current = game.resolved_utilities(
-            game.resolve_conflicts([macro, sbs], [0, 1], caps),
-            caps, eta=0.7)[1]
+            game.resolve_conflicts([macro, sbs], [0, 1], caps), caps)[1]
         assert against_current > 0.0  # the discriminating alternative
         assert agent.q_table[taken] == pytest.approx(0.94, rel=1e-12)
 
@@ -1157,8 +1161,7 @@ class TestAlgorithmGating:
         zeroed = LinkCapacitySet(caps.c_l_dl, caps.c_l_ul,
                                  np.zeros_like(caps.c_u_dl),
                                  np.zeros_like(caps.c_u_ul))
-        full, stripped = (JointEvaluator(spaces, c, ETA)
-                          for c in (caps, zeroed))
+        full, stripped = (JointEvaluator(spaces, c) for c in (caps, zeroed))
         # a joint's evaluation reads only its actions' rows of these
         # tables, so equal tables cover every joint of the desk space
         assert np.array_equal(full._active, stripped._active)

@@ -69,9 +69,13 @@ class TestRunCommand:
         assert "key=value" in capsys.readouterr().err
 
     # f_u_hz names a fixed radio constant, which no config sets;
-    # reservoir_density a field of the random reservoirs the cycle replaced
+    # reservoir_density a field of the random reservoirs the cycle replaced;
+    # the last six fixed game and learning constants
     @pytest.mark.parametrize("pair", ["warp_drive=1", "f_u_hz=2e7",
-                                      "reservoir_density=0.1"])
+                                      "reservoir_density=0.1", "z_levels=2",
+                                      "eta=0.5", "epsilon=0.5",
+                                      "lambda_beta=0.1", "lambda_q=0.1",
+                                      "convergence_tol=0.01"])
     def test_unknown_config_key_fails(self, tmp_path, capsys, pair):
         out = tmp_path / "out"
         code = cli.main(["run", "--out", str(out), "--set", pair])
@@ -114,7 +118,7 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("text,key", [
-        ('{"epsilon": [0.5]}', "epsilon"),
+        ('{"lambda_alpha": [0.5]}', "lambda_alpha"),
         ('{"n_sbs": true}', "n_sbs"),
     ])
     def test_malformed_json_value_fails(self, tmp_path, capsys, text, key):

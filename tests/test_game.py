@@ -72,18 +72,17 @@ def mbs_utility(joint, caps: LinkCapacitySet) -> float:
     return total
 
 
-def joint_utilities(joint, caps: LinkCapacitySet,
-                    eta: float = ETA) -> np.ndarray:
+def joint_utilities(joint, caps: LinkCapacitySet) -> np.ndarray:
     """Per-BS utility vector of a joint action taken at face value, from
     the actions' dense rows."""
     d, v, kp, tp = np.stack([a.dense() for a in joint], axis=1)
-    dl = np.log2(1.0 + d * caps.c_l_dl.T + eta * kp * caps.c_u_dl.T)
+    dl = np.log2(1.0 + d * caps.c_l_dl.T + ETA * kp * caps.c_u_dl.T)
     ul = np.log2(1.0 + v * caps.c_l_ul.T + tp * caps.c_u_ul.T)
     return dl.sum(axis=1) + ul.sum(axis=1)
 
 
-def scalar_utilities(joint, caps: LinkCapacitySet, eta: float) -> list:
-    return [mbs_utility(joint, caps)] + [sbs_utility(n, joint, caps, eta)
+def scalar_utilities(joint, caps: LinkCapacitySet) -> list:
+    return [mbs_utility(joint, caps)] + [sbs_utility(n, joint, caps)
                                          for n in range(1, len(joint))]
 
 
@@ -146,11 +145,10 @@ def settled_actions(joint, settled):
     return out
 
 
-def settled_utilities(joint, caps: LinkCapacitySet, eta: float = ETA,
+def settled_utilities(joint, caps: LinkCapacitySet,
                       coupled: bool = False) -> np.ndarray:
     """Resolved utilities of a joint given as one ``Action`` per BS."""
-    return resolved_utilities(settle(joint, caps, coupled=coupled), caps,
-                              eta=eta)
+    return resolved_utilities(settle(joint, caps, coupled=coupled), caps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,9 +210,10 @@ class TestActionConstruction:
         assert not space.fractions.any()
         assert fractions.flags.writeable
 
-    def test_macro_action_has_no_unlicensed_part(self):
+    def test_macro_action_has_no_unlicensed_part(self, monkeypatch):
+        monkeypatch.setattr(game, "Z_LEVELS", 2)
         topo = toy_topology([(0, 1), (0,)])
-        space = enumerate_actions(0, topo, ScenarioConfig(z_levels=2), seed=0)
+        space = enumerate_actions(0, topo, ScenarioConfig(), seed=0)
         assert not space.fractions[:, 2:].any()
         assert all(a.kappa is None and a.tau is None for a in actions_of(space))
 
@@ -347,9 +346,10 @@ class TestEnumerateActions:
     def test_feasible_grid_sizes(self, k, z, unlicensed, count):
         assert feasible_count(k, z, unlicensed) == count
 
-    def test_exhaustive_macro_space(self):
+    def test_exhaustive_macro_space(self, monkeypatch):
+        monkeypatch.setattr(game, "Z_LEVELS", 2)
         topo = toy_topology([(0,), (0,)])
-        cfg = ScenarioConfig(z_levels=2, action_set_size=100)
+        cfg = ScenarioConfig(action_set_size=100)
         space = enumerate_actions(0, topo, cfg, seed=3)
         assert len(space) == 9
         pairs = {(a.d[0], a.v[0]) for a in actions_of(space)}
@@ -357,9 +357,10 @@ class TestEnumerateActions:
         assert pairs == set(itertools.product(levels, levels))
         assert all(a.kappa is None for a in actions_of(space))
 
-    def test_exhaustive_sbs_space(self):
+    def test_exhaustive_sbs_space(self, monkeypatch):
+        monkeypatch.setattr(game, "Z_LEVELS", 2)
         topo = toy_topology([(0,), (0,)])
-        cfg = ScenarioConfig(z_levels=2, action_set_size=100)
+        cfg = ScenarioConfig(action_set_size=100)
         space = enumerate_actions(1, topo, cfg, seed=3)
         assert len(space) == 54
         assert validate_space_oracle(space, 2) is None
@@ -373,7 +374,7 @@ class TestEnumerateActions:
 
     def test_sampled_space_layout(self):
         topo = toy_topology([(0, 1), (0, 1)])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=16)
+        cfg = ScenarioConfig(action_set_size=16)
         space = enumerate_actions(1, topo, cfg, seed=9)
         assert len(space) == 16
         zero = action_at(space, 0)
@@ -391,7 +392,7 @@ class TestEnumerateActions:
 
     def test_sampling_deterministic_in_seed(self):
         topo = toy_topology([(0, 1), (0, 1)])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=16)
+        cfg = ScenarioConfig(action_set_size=16)
         keys = lambda seed: [a.key for a in
                              actions_of(enumerate_actions(1, topo, cfg, seed))]
         assert keys(4) == keys(4)
@@ -399,7 +400,7 @@ class TestEnumerateActions:
 
     def test_uncovered_bs_gets_the_empty_action(self):
         topo = toy_topology([(0,), ()])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=16)
+        cfg = ScenarioConfig(action_set_size=16)
         space = enumerate_actions(1, topo, cfg, seed=0)
         assert len(space) == 1
         assert space.covered_users == ()
@@ -500,8 +501,7 @@ def _space_with_units(monkeypatch, bad_actions):
     monkeypatch.setattr(game, "_sampled_units",
                         lambda *args: [(0,) * 8, *bad_actions])
     topo = toy_topology([(0, 1), (0, 1)])
-    return enumerate_actions(1, topo, ScenarioConfig(z_levels=10,
-                                                      action_set_size=4), 0)
+    return enumerate_actions(1, topo, ScenarioConfig(action_set_size=4), 0)
 
 
 class TestFeasibleByConstruction:
@@ -510,12 +510,14 @@ class TestFeasibleByConstruction:
     its projections, which only zero fractions."""
 
     @pytest.mark.parametrize("z,k,bs,cap,seed", _feasibility_cases())
-    def test_enumerated_spaces_pass_the_oracle(self, z, k, bs, cap, seed):
+    def test_enumerated_spaces_pass_the_oracle(self, monkeypatch, z, k, bs,
+                                               cap, seed):
+        monkeypatch.setattr(game, "Z_LEVELS", z)
         # BS bs covers users 0..k-1; the other BS also covers user k
         covered = [tuple(range(k)), tuple(range(k + 1))]
         topo = toy_topology(covered if bs == 0 else covered[::-1])
         space = enumerate_actions(bs, topo, ScenarioConfig(
-            z_levels=z, action_set_size=cap), seed)
+            action_set_size=cap), seed)
         # both branches fill the cap; the full grid's cap is its size
         assert len(space) == cap
         assert space.covered_users == tuple(range(k))
@@ -550,19 +552,19 @@ class TestFeasibleByConstruction:
         # the full-grid branch: a licensed vector over budget at the macro
         monkeypatch.setattr(game, "_grid_vectors",
                             lambda k, z: [(0,) * k, (z + 1,) * k])
+        monkeypatch.setattr(game, "Z_LEVELS", 2)
         topo = toy_topology([(0,), (0,)])
         with pytest.raises(RuntimeError, match=r"^infeasible action 1 in BS 0 "
                                                r"space: sum\(v\) <= z fails "
                                                r"at z = 2$"):
-            enumerate_actions(0, topo, ScenarioConfig(z_levels=2,
-                                                      action_set_size=100), 0)
+            enumerate_actions(0, topo, ScenarioConfig(action_set_size=100), 0)
 
 
 class TestRestrictions:
     @pytest.fixture
     def sampled_space(self):
         topo = toy_topology([(0, 1), (0, 1)])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=24)
+        cfg = ScenarioConfig(action_set_size=24)
         return enumerate_actions(1, topo, cfg, seed=21)
 
     def test_licensed_only_strips_unlicensed(self, sampled_space):
@@ -725,7 +727,7 @@ class TestUtilities:
 
     def test_nonnegative_for_sampled_actions(self):
         topo = toy_topology([(0, 1), (0,), (1,)])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=12)
+        cfg = ScenarioConfig(action_set_size=12)
         rng = np.random.default_rng(0)
         caps = flat_caps(2, 3, *(rng.uniform(0.1, 20.0, size=4)))
         spaces = [enumerate_actions(b, topo, cfg, seed=b) for b in range(3)]
@@ -790,9 +792,8 @@ class TestConflictResolution:
     def test_resolved_utilities_match_two_step_route(self):
         joint, caps = self.overlapping_joint(0.8, 0.9)
         settled = settle(joint, caps)
-        direct = resolved_utilities(settled, caps, eta=0.6)
-        two_step = joint_utilities(settled_actions(joint, settled), caps,
-                                   eta=0.6)
+        direct = resolved_utilities(settled, caps)
+        two_step = joint_utilities(settled_actions(joint, settled), caps)
         assert np.allclose(direct, two_step, rtol=1e-12)
 
     def test_unlicensed_offer_counts_raw_capacity(self):
@@ -845,7 +846,7 @@ class TestCoupledResolution:
 
     def test_never_leaves_decoupled_users(self):
         topo = toy_topology([(0, 1), (0, 1, 2), (2,)])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=12)
+        cfg = ScenarioConfig(action_set_size=12)
         rng = np.random.default_rng(3)
         caps = flat_caps(3, 3, *(rng.uniform(0.5, 9.0, size=4)))
         spaces = [enumerate_actions(b, topo, cfg, seed=b + 5) for b in range(3)]
@@ -858,18 +859,18 @@ class TestCoupledResolution:
     def test_coupled_utilities_match_two_step_route(self):
         joint, caps = self.split_offers()
         settled = settle(joint, caps, coupled=True)
-        direct = resolved_utilities(settled, caps, eta=0.6)
-        two_step = joint_utilities(settled_actions(joint, settled), caps,
-                                   eta=0.6)
+        direct = resolved_utilities(settled, caps)
+        two_step = joint_utilities(settled_actions(joint, settled), caps)
         assert np.allclose(direct, two_step, rtol=1e-12)
         # and it differs from the per-direction settlement
-        assert not np.allclose(direct, settled_utilities(joint, caps, eta=0.6))
+        assert not np.allclose(direct, settled_utilities(joint, caps))
 
 
 class TestJointEvaluator:
-    def test_matches_object_route(self):
+    def test_matches_object_route(self, monkeypatch):
+        monkeypatch.setattr(game, "Z_LEVELS", 2)
         topo = toy_topology([(0, 1), (0, 1), (1,)])
-        cfg = ScenarioConfig(z_levels=2, action_set_size=40)
+        cfg = ScenarioConfig(action_set_size=40)
         spaces = [enumerate_actions(b, topo, cfg, seed=b + 1) for b in range(3)]
         rng = np.random.default_rng(17)
         caps = flat_caps(2, 3, 1.3, 2.9, 4.1, 0.7)
@@ -877,17 +878,18 @@ class TestJointEvaluator:
         caps.c_l_ul[:] = rng.uniform(0.5, 9.0, caps.c_l_ul.shape)
         caps.c_u_dl[:, 1:] = rng.uniform(0.5, 9.0, (2, 2))
         caps.c_u_ul[:, 1:] = rng.uniform(0.5, 9.0, (2, 2))
-        ev = JointEvaluator(spaces, caps, eta=0.7)
+        ev = JointEvaluator(spaces, caps)
         batch = rng.integers(0, [len(s) for s in spaces], size=(20, 3))
         fast = ev.batch_utilities(batch)
         for row, indices in zip(fast, batch):
             slow = resolved_utilities(resolve_conflicts(spaces, indices, caps),
-                                      caps, eta=0.7)
+                                      caps)
             assert np.allclose(row, slow, rtol=1e-12, atol=1e-12)
 
-    def test_coupled_matches_object_route(self):
+    def test_coupled_matches_object_route(self, monkeypatch):
+        monkeypatch.setattr(game, "Z_LEVELS", 4)
         topo = toy_topology([(0, 1), (0, 1, 2), (1, 2)])
-        cfg = ScenarioConfig(z_levels=4, action_set_size=30)
+        cfg = ScenarioConfig(action_set_size=30)
         spaces = [enumerate_actions(b, topo, cfg, seed=b + 9) for b in range(3)]
         rng = np.random.default_rng(23)
         caps = flat_caps(3, 3)
@@ -895,34 +897,35 @@ class TestJointEvaluator:
         caps.c_l_ul[:] = rng.uniform(0.5, 9.0, caps.c_l_ul.shape)
         caps.c_u_dl[:, 1:] = rng.uniform(0.5, 9.0, (3, 2))
         caps.c_u_ul[:, 1:] = rng.uniform(0.5, 9.0, (3, 2))
-        ev = JointEvaluator(spaces, caps, eta=0.7, coupled=True)
+        ev = JointEvaluator(spaces, caps, coupled=True)
         batch = rng.integers(0, [len(s) for s in spaces], size=(20, 3))
         fast = ev.batch_utilities(batch)
         for row, indices in zip(fast, batch):
             slow = resolved_utilities(
-                resolve_conflicts(spaces, indices, caps, coupled=True), caps,
-                eta=0.7)
+                resolve_conflicts(spaces, indices, caps, coupled=True), caps)
             assert np.allclose(row, slow, rtol=1e-12, atol=1e-12)
 
     def uneven_world(self):
         # BS 0 has 2 actions, BS 1 has 5: BS 0's rows 2..4 are zero padding
         topo = toy_topology([(0,), (0,)])
-        cfg = ScenarioConfig(z_levels=2, action_set_size=5)
+        cfg = ScenarioConfig(action_set_size=5)
         macro = space_of([make_action(0, (0,), 1, (d,), (d,))
                           for d in (0.0, 1.0)])
-        spaces = [macro, enumerate_actions(1, topo, cfg, seed=3)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game, "Z_LEVELS", 2)
+            spaces = [macro, enumerate_actions(1, topo, cfg, seed=3)]
         assert [len(s) for s in spaces] == [2, 5]
         return spaces, flat_caps(1, 2)
 
     def uneven_evaluator(self):
-        return JointEvaluator(*self.uneven_world(), ETA)
+        return JointEvaluator(*self.uneven_world())
 
     def test_gather_matches_each_space(self):
         spaces, caps = self.uneven_world()
         caps.c_l_ul[:] = 3.0  # every term of an action reads its own matrix
         caps.c_u_dl[:, 1:] = 5.0
         caps.c_u_ul[:, 1:] = 7.0
-        ev = JointEvaluator(spaces, caps, ETA)
+        ev = JointEvaluator(spaces, caps)
         # (2 direction, n_bs, max |A|, n_users) per table
         active = ev._active.reshape(2, ev.n_bs, -1, caps.n_users)
         offer, gain = ev._table.reshape(2, 2, ev.n_bs, -1, caps.n_users)
@@ -978,10 +981,10 @@ class TestJointEvaluator:
             spaces, desk_caps = desk_world(algorithm, seed)
             flat = flat_caps(desk_caps.n_users, desk_caps.n_bs)
             for caps in (desk_caps, flat):
-                ev = JointEvaluator(spaces, caps, eta=0.65, coupled=coupled)
+                ev = JointEvaluator(spaces, caps, coupled=coupled)
                 batch = rng.integers(0, [len(s) for s in spaces],
                                      size=(64, len(spaces)))
-                want = batch_utilities_oracle(spaces, caps, batch, eta=0.65,
+                want = batch_utilities_oracle(spaces, caps, batch,
                                               coupled=coupled)
                 assert np.array_equal(ev.batch_utilities(batch), want)
 
@@ -989,7 +992,7 @@ class TestJointEvaluator:
     def test_uneven_spaces_match_the_per_batch_oracle_bitwise(self, coupled):
         spaces, caps = self.uneven_world()
         batch = np.array(list(itertools.product(range(2), range(5))))
-        ev = JointEvaluator(spaces, caps, ETA, coupled=coupled)
+        ev = JointEvaluator(spaces, caps, coupled=coupled)
         assert np.array_equal(
             ev.batch_utilities(batch),
             batch_utilities_oracle(spaces, caps, batch, coupled=coupled))
@@ -1002,7 +1005,7 @@ class TestJointEvaluator:
         getattr(caps, name)[0, 1] = value
         with pytest.raises(ValueError, match=f"capacity matrix {name} must "
                                              "be finite and nonnegative"):
-            JointEvaluator(spaces, caps, ETA)
+            JointEvaluator(spaces, caps)
 
     def test_row_width_must_match_the_players(self):
         ev = self.uneven_evaluator()
@@ -1017,16 +1020,15 @@ class TestSettleOracle:
     @given(desk_joints())
     def test_settling_matches_the_per_user_reference(self, case):
         spaces, caps, indices, coupled = case
-        eta = desk_config().eta
         joint = [action_at(s, i) for s, i in zip(spaces, indices)]
         want = settle_oracle(joint, caps, coupled)
         settled = resolve_conflicts(spaces, indices, caps, coupled=coupled)
         resolved = settled_actions(joint, settled)
         assert [a.key for a in resolved] == want
-        oracle = scalar_utilities(resolved, caps, eta)
-        np.testing.assert_allclose(resolved_utilities(settled, caps, eta=eta),
+        oracle = scalar_utilities(resolved, caps)
+        np.testing.assert_allclose(resolved_utilities(settled, caps),
                                    oracle, rtol=1e-12, atol=0.0)
-        ev = JointEvaluator(spaces, caps, eta=eta, coupled=coupled)
+        ev = JointEvaluator(spaces, caps, coupled=coupled)
         np.testing.assert_allclose(ev.batch_utilities([indices])[0], oracle,
                                    rtol=1e-12, atol=0.0)
 
@@ -1124,7 +1126,7 @@ def wide_space(owner, size):
 def ne_report(spaces, profile, caps):
     """``verify_mixed_ne`` of a profile, one probability vector per space,
     against the spaces' payoff table."""
-    return verify_mixed_ne(profile, joint_payoffs(spaces, caps, ETA))
+    return verify_mixed_ne(profile, joint_payoffs(spaces, caps))
 
 
 class TestExpectedUtility:
@@ -1157,9 +1159,10 @@ class TestExpectedUtility:
         # macro idle: SBS keeps the user, log2(1+2); macro busy: SBS loses it
         assert value == pytest.approx(0.5 * math.log2(3.0), rel=1e-12)
 
-    def test_exact_matches_brute_force(self):
+    def test_exact_matches_brute_force(self, monkeypatch):
+        monkeypatch.setattr(game, "Z_LEVELS", 2)
         topo = toy_topology([(0, 1), (0,), (1,)])
-        cfg = ScenarioConfig(z_levels=2, action_set_size=10)
+        cfg = ScenarioConfig(action_set_size=10)
         spaces = [enumerate_actions(b, topo, cfg, seed=b) for b in range(3)]
         caps = flat_caps(2, 3, 1.7, 2.3, 3.1, 4.3)
         rng = np.random.default_rng(3)
@@ -1218,7 +1221,7 @@ class TestVerifyMixedNe:
 
     def test_tables_match_the_oracle_on_three_bs(self):
         topo = toy_topology([(0, 1, 2), (0, 1), (1, 2)])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=9)
+        cfg = ScenarioConfig(action_set_size=9)
         spaces = [enumerate_actions(b, topo, cfg, seed=b + 5) for b in range(3)]
         caps = flat_caps(3, 3, 2.0, 3.0, 5.0, 7.0)
         profile = [epsilon_greedy(len(s), 1, 0.7) for s in spaces]
@@ -1233,11 +1236,11 @@ class TestVerifyMixedNe:
         # 80^3 joints x 3 players is past the 500,000 enumeration cap
         spaces = [wide_space(n, 80) for n in range(3)]
         with pytest.raises(ValueError, match="too large"):
-            joint_payoffs(spaces, flat_caps(1, 3), ETA)
+            joint_payoffs(spaces, flat_caps(1, 3))
 
     def test_table_of_other_spaces_rejected(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        payoffs = joint_payoffs([mbs_space, sbs_space], caps, ETA)
+        payoffs = joint_payoffs([mbs_space, sbs_space], caps)
         wider = [point_mass(mbs_space, 0), point_mass(wide_space(1, 3), 0)]
         with pytest.raises(ValueError, match="does not match"):
             verify_mixed_ne(wider, payoffs)
@@ -1253,13 +1256,13 @@ class TestVerifyMixedNe:
     ])
     def test_refuses_a_vector_that_is_no_strategy(self, sbs_probs, message):
         caps, mbs_space, sbs_space = two_bs_game()
-        payoffs = joint_payoffs([mbs_space, sbs_space], caps, ETA)
+        payoffs = joint_payoffs([mbs_space, sbs_space], caps)
         with pytest.raises(ValueError, match=message):
             verify_mixed_ne([np.array([1.0]), np.array(sbs_probs)], payoffs)
 
     def test_sum_within_the_tolerance_is_a_strategy(self):
         caps, mbs_space, sbs_space = two_bs_game()
-        payoffs = joint_payoffs([mbs_space, sbs_space], caps, ETA)
+        payoffs = joint_payoffs([mbs_space, sbs_space], caps)
         profile = [np.array([1.0]), np.array([0.3, 0.7 + 1e-13])]
         report = verify_mixed_ne(profile, payoffs)
         assert report.expected_current[1] == pytest.approx(
@@ -1270,24 +1273,23 @@ class TestVerifyMixedNe:
 class TestJointPayoffs:
     def test_rows_are_lexicographic_and_match_the_oracle(self):
         topo = toy_topology([(0, 1, 2), (0, 1), (1, 2)])
-        cfg = ScenarioConfig(z_levels=10, action_set_size=7)
+        cfg = ScenarioConfig(action_set_size=7)
         spaces = [enumerate_actions(b, topo, cfg, seed=b) for b in range(3)]
         caps = flat_caps(3, 3, 2.0, 3.0, 5.0, 7.0)
-        joints, utilities = joint_payoffs(spaces, caps, 0.6)
+        joints, utilities = joint_payoffs(spaces, caps)
         assert joints.tolist() == [list(j) for j in itertools.product(
             *(range(len(s)) for s in spaces))]
         assert np.array_equal(
-            utilities, batch_utilities_oracle(spaces, caps, joints, eta=0.6))
+            utilities, batch_utilities_oracle(spaces, caps, joints))
 
     def test_cap_counts_joints_times_players(self):
         # 500 x 500 joints x 2 players is exactly the 500,000 cap
         caps = flat_caps(1, 2)
         joints, utilities = joint_payoffs(
-            [wide_space(0, 500), wide_space(1, 500)], caps, ETA)
+            [wide_space(0, 500), wide_space(1, 500)], caps)
         assert joints.shape == (250_000, 2) and utilities.shape == (250_000, 2)
         with pytest.raises(ValueError, match="250500 joints x 2 players"):
-            joint_payoffs([wide_space(0, 500), wide_space(1, 501)], caps,
-                          ETA)
+            joint_payoffs([wide_space(0, 500), wide_space(1, 501)], caps)
 
 
 def read_small_game(path):
@@ -1310,7 +1312,7 @@ class TestSmallGameExport:
         caps, mbs_space, sbs_space = two_bs_game()
         path = tmp_path / "game.txt"
         export_small_game(
-            joint_payoffs([mbs_space, sbs_space], caps, ETA), path)
+            joint_payoffs([mbs_space, sbs_space], caps), path)
         sizes, payoffs = read_small_game(path)
         assert sizes == [1, 2]
         for j in range(2):
@@ -1324,6 +1326,6 @@ class TestSmallGameExport:
         spaces = [wide_space(n, 80) for n in range(3)]
         with pytest.raises(ValueError, match="too large"):
             export_small_game(
-                joint_payoffs(spaces, flat_caps(1, 3), ETA),
+                joint_payoffs(spaces, flat_caps(1, 3)),
                 tmp_path / "g.txt")
         assert not (tmp_path / "g.txt").exists()

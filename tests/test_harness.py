@@ -14,8 +14,8 @@ from oracles import converged_at_oracle
 def toy_config(**overrides):
     """One MBS, one user, two actions (idle / full band), no WiFi."""
     base = dict(n_sbs=0, n_users=1, n_waps=0, action_set_size=2,
-                reservoir_units=20, max_iterations=400, epsilon=0.05,
-                convergence_window=30, convergence_tol=1e-3)
+                reservoir_units=20, max_iterations=400,
+                convergence_window=30)
     base.update(overrides)
     return desk_config(**base)
 
@@ -23,7 +23,7 @@ def toy_config(**overrides):
 def small_config(**overrides):
     base = dict(n_sbs=1, n_users=3, n_waps=0, action_set_size=4,
                 reservoir_units=16, max_iterations=150,
-                convergence_window=25, epsilon=0.4)
+                convergence_window=25)
     base.update(overrides)
     return desk_config(**base)
 
@@ -166,7 +166,7 @@ class TestRun:
             again = game.resolved_utilities(
                 game.resolve_conflicts(inputs.spaces, record.joint_action,
                                        inputs.capacities),
-                inputs.capacities, eta=cfg.eta)
+                inputs.capacities)
             np.testing.assert_allclose(record.utilities, again, atol=1e-9)
 
     def test_wifi_overload_is_flagged_but_valid(self):
@@ -232,7 +232,7 @@ class TestConvergence:
         sizes = [len(s) for s in prepare_run(config, algorithm, seed).spaces]
         assert result.converged_at == converged_at_oracle(
             result.records, sizes, config.convergence_window,
-            config.convergence_tol)
+            harness.CONVERGENCE_TOL)
 
 
 class TestBatchedRound:
@@ -246,9 +246,8 @@ class TestBatchedRound:
         inputs = prepare_run(config, algorithm, 5)
         team = agents.make_agents(algorithm, inputs.spaces, config,
                                   inputs.agent_seed)
-        evaluator = game.JointEvaluator(
-            inputs.spaces, inputs.capacities, eta=config.eta,
-            coupled=algorithm == "q_lteu_coupled")
+        evaluator = game.JointEvaluator(inputs.spaces, inputs.capacities,
+                                        coupled=algorithm == "q_lteu_coupled")
         return algorithm, config, inputs, team, evaluator
 
     def random_round(self, team, spaces, rng):
@@ -282,8 +281,7 @@ class TestBatchedRound:
                 settled = game.resolve_conflicts(spaces, rows[n],
                                                  inputs.capacities,
                                                  coupled=coupled)
-                want = game.resolved_utilities(settled, inputs.capacities,
-                                               eta=config.eta)[n]
+                want = game.resolved_utilities(settled, inputs.capacities)[n]
                 assert batch[n, n] == pytest.approx(want, rel=1e-12,
                                                     abs=1e-12)
 
@@ -304,9 +302,8 @@ class TestBatchedRound:
         cfg = small_config(n_sbs=2, max_iterations=25, convergence_window=26)
         result = run(cfg, algorithm, seed=6)
         inputs = prepare_run(cfg, algorithm, 6)
-        evaluator = game.JointEvaluator(
-            inputs.spaces, inputs.capacities, eta=cfg.eta,
-            coupled=algorithm == "q_lteu_coupled")
+        evaluator = game.JointEvaluator(inputs.spaces, inputs.capacities,
+                                        coupled=algorithm == "q_lteu_coupled")
         for record in result.records:
             for n, diag in enumerate(record.diagnostics):
                 if algorithm == "esn":

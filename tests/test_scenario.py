@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lteusim import agents, game, harness
 from lteusim.rates import (
     F_L_DL_HZ,
     F_L_UL_HZ,
@@ -39,10 +40,11 @@ def test_config_defaults_are_reference_point():
     assert F_L_DL_HZ == F_L_UL_HZ == 10e6
     assert F_U_HZ == 20e6
     assert cfg.sbs_coverage_m == 100.0
-    assert cfg.z_levels == 10
-    assert cfg.eta == 0.7
-    assert cfg.epsilon == 0.7
-    assert (cfg.lambda_alpha, cfg.lambda_beta, cfg.lambda_q) == (0.08, 0.06, 0.06)
+    assert game.Z_LEVELS == 10
+    assert game.ETA == 0.7
+    assert game.EPSILON == 0.7
+    assert (cfg.lambda_alpha, agents.LAMBDA_BETA, agents.LAMBDA_Q) == (0.08, 0.06, 0.06)
+    assert harness.CONVERGENCE_TOL == 1e-3
     assert cfg.reservoir_units == 1000
     assert PATHLOSS_LICENSED == (15.3, 37.5)
     assert PATHLOSS_UNLICENSED == (15.3, 50.0)
@@ -58,19 +60,11 @@ def test_config_fields_are_numbers():
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("z_levels", 1),
-        ("epsilon", 0.0),
-        ("epsilon", 1.0),
-        ("eta", 1.5),
         ("n_users", -1),
         ("sbs_coverage_m", 0.0),
         ("reservoir_radius", 1.0),
         ("lambda_alpha", -0.1),
-        ("lambda_beta", -1e-9),
         ("lambda_alpha", math.nan),
-        ("lambda_q", -0.5),
-        ("lambda_q", 3.0),
-        ("convergence_tol", -1e-3),
         ("expectation_budget", 1),
         ("wifi_rate_req_bps", math.nan),
         ("wifi_rate_req_bps", -1.0),
@@ -101,17 +95,14 @@ def test_every_float_field_must_be_finite():
 
 
 def test_config_accepts_learning_rate_bounds():
-    cfg = desk_config(lambda_alpha=0.0, lambda_beta=0.0, lambda_q=1.0,
-                      convergence_tol=0.0)
-    assert cfg.lambda_q == 1.0
-    assert desk_config(lambda_q=0.0).lambda_q == 0.0
+    assert desk_config(lambda_alpha=0.0).lambda_alpha == 0.0
 
 
 def test_config_text_file_round_trip(tmp_path):
     # an int literal in a float field is kept, and echoed, as a float, so
     # the echo of the read-back config is the same file
     for cfg in (desk_config(n_sbs=3, wifi_rate_req_bps=2e6, rng_seed=7),
-                desk_config(eta=1, wifi_rate_req_bps=1)):
+                desk_config(lambda_alpha=1, wifi_rate_req_bps=1)):
         echo = tmp_path / "config_echo.txt"
         cfg.echo(echo)
         again = ScenarioConfig.from_file(echo)
@@ -122,27 +113,29 @@ def test_config_text_file_round_trip(tmp_path):
 
 def test_config_json_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"n_sbs": 2, "epsilon": 0.5}')
+    path.write_text('{"n_sbs": 2, "lambda_alpha": 0.5}')
     cfg = ScenarioConfig.from_file(path)
     assert cfg.n_sbs == 2
-    assert cfg.epsilon == 0.5
+    assert cfg.lambda_alpha == 0.5
 
 
 def test_config_text_file_comments_and_overrides(tmp_path):
     path = tmp_path / "cfg.txt"
-    path.write_text("# comment line\nn_users = 6\nepsilon = 0.3  # inline\n")
+    path.write_text("# comment line\nn_users = 6\nlambda_alpha = 0.3  # inline\n")
     cfg = ScenarioConfig.from_file(path)
-    assert cfg.n_users == 6 and cfg.epsilon == 0.3
+    assert cfg.n_users == 6 and cfg.lambda_alpha == 0.3
     assert cfg.with_overrides(n_users=9).n_users == 9
 
 
-# keys of the fixed radio constants, the unit input scale and the random
-# reservoir's density: an older config echo names them, and is refused, not
-# silently half-applied
+# keys of the fixed game and learning constants, of the fixed radio
+# constants, the unit input scale and the random reservoir's density: an
+# older config echo names them, and is refused, not silently half-applied
+CONSTANT_KEYS = ("z_levels", "eta", "epsilon", "lambda_beta", "lambda_q",
+                 "convergence_tol")
 REMOVED_KEYS = ("macro_radius_m", "p_mbs_dbm", "p_sbs_dbm", "p_user_dbm",
                 "noise_power_dbm", "f_l_dl_hz", "f_l_ul_hz", "f_u_hz",
                 "pathloss_licensed", "pathloss_unlicensed",
-                "reservoir_input_scale", "reservoir_density")
+                "reservoir_input_scale", "reservoir_density", *CONSTANT_KEYS)
 
 
 @pytest.mark.parametrize("key", ["bandwidth", *REMOVED_KEYS])
@@ -154,9 +147,14 @@ def test_config_unknown_key_rejected(key):
 def test_echo_with_a_removed_key_is_refused(tmp_path):
     path = tmp_path / "config_echo.txt"
     desk_config().echo(path)
-    path.write_text(path.read_text() + "pathloss_licensed = 15.3, 37.5\n")
+    echo = path.read_text()
+    path.write_text(echo + "pathloss_licensed = 15.3, 37.5\n")
     with pytest.raises(ValueError, match="unknown config key 'pathloss_licensed'"):
         ScenarioConfig.from_file(path)
+    for key in CONSTANT_KEYS:
+        path.write_text(echo + f"{key} = 0.5\n")
+        with pytest.raises(ValueError, match=f"unknown config key {key!r}"):
+            ScenarioConfig.from_file(path)
 
 
 @pytest.mark.parametrize("value, kind", [([1, 2], "list"), ("x", "str")])
@@ -172,7 +170,6 @@ def test_config_integer_keys_refuse_fractions():
 
 @pytest.mark.parametrize("field, value", [
     ("action_set_size", 16.5),   # would silently run 17-action spaces
-    ("z_levels", 10.5),
     ("reservoir_units", 12.5),
     ("convergence_window", 2.5),
     ("expectation_budget", 2.5),
@@ -194,7 +191,7 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
 
 @pytest.mark.parametrize("name, value", [
     *((name, True) for name in FLOAT_FIELDS),
-    pytest.param("eta", np.True_, id="eta-np.True_"),
+    pytest.param("lambda_alpha", np.True_, id="lambda_alpha-np.True_"),
 ])
 def test_float_fields_refuse_bools(name, value):
     # True is no rate; its echo "True" would not read back
@@ -221,9 +218,9 @@ def test_every_integer_field_checked_and_kept_an_int():
     "key,value",
     [
         ("n_sbs", True),                # json true would load as 1
-        ("epsilon", [0.5]),
-        ("epsilon", None),
-        ("epsilon", "half"),
+        ("lambda_alpha", [0.5]),
+        ("lambda_alpha", None),
+        ("lambda_alpha", "half"),
         ("n_users", "inf"),
     ],
 )
@@ -238,20 +235,21 @@ def test_text_is_read_as_a_number_only_from_a_mapping():
     # number; a config built in code must be given numbers
     with pytest.raises(ValueError, match="^n_users must be a number, got '12'$"):
         ScenarioConfig(n_users="12")
-    with pytest.raises(ValueError, match="^eta must be a number, got '0.5'$"):
-        desk_config(eta="0.5")
+    with pytest.raises(ValueError,
+                       match="^lambda_alpha must be a number, got '0.5'$"):
+        desk_config(lambda_alpha="0.5")
     # 23 seed digits, which float() would round, read exactly
     seed = "12345678901234567890123"
     assert float(seed) != int(seed)
-    cfg = ScenarioConfig.from_mapping({"n_users": "12", "eta": "1",
+    cfg = ScenarioConfig.from_mapping({"n_users": "12", "lambda_alpha": "1",
                                        "action_set_size": "1e1",
                                        "rng_seed": seed})
-    assert (cfg.n_users, cfg.eta, cfg.action_set_size) == (12, 1.0, 10)
-    assert type(cfg.eta) is float and type(cfg.action_set_size) is int
+    assert (cfg.n_users, cfg.lambda_alpha, cfg.action_set_size) == (12, 1.0, 10)
+    assert type(cfg.lambda_alpha) is float and type(cfg.action_set_size) is int
     assert cfg.rng_seed == int(seed)
 
 
-@pytest.mark.parametrize("key", ["eta", "rng_seed"])
+@pytest.mark.parametrize("key", ["lambda_alpha", "rng_seed"])
 def test_number_past_the_float_range_is_refused(key):
     # an int that no float holds is no finite value, for a float field
     # and a count alike; the text path reads it as an int first
