@@ -3,21 +3,23 @@
 Two kinds of player: the two-reservoir agent (EsnAgent), which predicts
 per-action rewards with one echo state network and their opponent-averaged
 expectations with a second, and the table-driven QAgent baselines in three
-variants. Both follow the same synchronous round protocol:
+variants. Both follow the same synchronous round protocol, two calls with
+no state kept between them:
 
   1. ``select_and_broadcast``: epsilon-greedy pick from the stored predictor,
      return (played, advertised best); the caller stacks the pairs into the
      round's broadcast, two index rows with one entry per BS.
-  2. ``finish_round``: once both rows are in, take the round's reward (the
-     resolved utility of the ``reward_joint`` index row, evaluated by the
-     caller), adopt the advertised row as the opponent model, compute the
-     remaining targets with the pre-update readouts, apply one readout-row
-     (or Q-entry) update, then commit reservoir states. Both kinds return
-     one ``StepDiagnostics``: the predictions and targets of the update.
-  3. ``observe_outcome``: absorb the played joint's settled fraction block
-     (the array ``game.resolve_conflicts`` returns); the agent's own
-     association bits, read off its rows of that block, become the next
-     round's selection input.
+  2. ``finish_round``: once the round is settled and its rewards audited,
+     take the round's reward (the resolved utility of the ``reward_joint``
+     index row, evaluated by the caller) and the played joint's settled
+     fraction block (the array ``game.resolve_conflicts`` returns). The
+     agent's own action is its entry of the played row. Adopt the advertised
+     row as the opponent model, compute the remaining targets with the
+     pre-update readouts, apply one readout-row (or Q-entry) update, then
+     commit reservoir states; the reservoir agent's own association bits,
+     read off its rows of the settled block, become the next round's
+     selection input. Both kinds return one ``StepDiagnostics``: the
+     predictions and targets of the update.
 
 The caller evaluates every reward of a round (``harness.run`` makes one
 batched evaluator call), so an agent never scores a joint action itself.
@@ -30,8 +32,9 @@ checks that the spaces are in owner order, once per team, and
 ``finish_round`` that both broadcast rows hold one entry per BS, before
 anything is learned. ``reward_joint`` builds its row unchecked, and
 ``JointEvaluator.batch_utilities`` refuses a row of the wrong width. The
-settled block that ``observe_outcome`` reads has passed
-``rates.check_grants``' shape check earlier in the same round.
+settled block that ``finish_round`` reads has passed ``rates.check_grants``'
+shape check earlier in the same round. The algorithm name is checked where
+it enters, by ``harness.prepare_run`` and ``harness.sweep``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ import numpy as np
 from . import esn
 from .game import (EPSILON, ExpectedUtility, epsilon_greedy,
                    restrict_coupled, restrict_licensed_only)
-from .scenario import ALGORITHMS
 
 # the rates of beta's readout and the Q tables; alpha's is lambda_alpha
 LAMBDA_BETA = 0.06
@@ -96,7 +98,6 @@ class EsnAgent:
         self.opponent_bests = (0,) * len(self.spaces)
         self._laws = None  # the _OpponentLaws of the advertised bests
         self._best_prev = None
-        self._pending = None
 
         streams = np.random.SeedSequence([int(seed), self.bs]).generate_state(3)
         self.rng = np.random.default_rng(int(streams[0]))
@@ -110,7 +111,7 @@ class EsnAgent:
 
         beta_dim = 2 * len(self.action_space.covered_users)
         self._beta_scale = 1.0 / math.sqrt(beta_dim) if beta_dim else 1.0
-        # observe_outcome reads this BS's row of each round's settled
+        # finish_round reads this BS's row of each round's settled
         # (4, n_bs, n_users) block at the covered users' columns
         self._covered = np.array(self.action_space.covered_users, dtype=np.intp)
 
@@ -168,20 +169,11 @@ class QAgent:
         self.epsilon = EPSILON
         self.lambda_q = LAMBDA_Q
         self.q_table = np.zeros(len(self.action_space))
-        self._pending = None
         streams = np.random.SeedSequence([int(seed), self.bs]).generate_state(1)
         self.rng = np.random.default_rng(int(streams[0]))
 
 
 # selection and broadcast ---------------------------------------------------
-
-
-def _scores(agent):
-    # a Q agent's scores are its live table: _q_finish reads only the
-    # pending action, never these scores
-    if isinstance(agent, QAgent):
-        return agent.q_table
-    return esn.readout_all(agent.ro_beta, agent.res_beta.state, agent.x_beta)
 
 
 # a challenger must beat the advertised incumbent by this relative margin
@@ -212,22 +204,23 @@ def _best_reply(agent):
 
 
 def select_and_broadcast(agent) -> tuple[int, int]:
-    """Phase one of a round: pick an action, remember it, and return the
-    broadcast pair (played, advertised).
+    """Phase one of a round: pick an action and return the broadcast pair
+    (played, advertised). The agent keeps no record of the pick:
+    ``finish_round`` reads its action back from the round's played row.
 
     The action is an epsilon-greedy draw around the stored predictor's peak;
     score ties go to the lowest action index. For the reservoir agent the
     advertised best and the selection peak are different readouts; for the
     table learners they coincide.
     """
-    scores = _scores(agent)
+    scores = (agent.q_table if isinstance(agent, QAgent) else esn.readout_all(
+        agent.ro_beta, agent.res_beta.state, agent.x_beta))
     peak = action = int(scores.argmax())
     # argmax with prob 1-eps, uniform with prob eps; realizes the epsilon
     # greedy law (peak gets 1-eps+eps/|A|, everything else eps/|A|)
     if agent.rng.random() < agent.epsilon:
         action = int(agent.rng.integers(len(agent.action_space)))
     best = _best_reply(agent) if isinstance(agent, EsnAgent) else peak
-    agent._pending = (action, scores)
     return action, best
 
 
@@ -244,15 +237,14 @@ def reward_joint(agent, played, advertised) -> tuple[int, ...]:
     """Index row whose resolved utility is the agent's reward this round.
 
     ``played`` and ``advertised`` are the round's broadcast rows, one entry
-    per BS. The reservoir agent is rewarded for its pending action against
-    what the opponents played; the Q baselines score it against the
-    opponents' advertised bests. The agent's own entry is its pending
-    action either way.
+    per BS. The reservoir agent is rewarded for its played action against
+    what the opponents played, the played row itself; the Q baselines
+    score it against the opponents' advertised bests.
     """
-    if agent._pending is None:
-        raise RuntimeError("select_and_broadcast must run before reward_joint")
-    joint = list(advertised if isinstance(agent, QAgent) else played)
-    joint[agent.bs] = agent._pending[0]
+    if isinstance(agent, EsnAgent):
+        return tuple(played)
+    joint = list(advertised)
+    joint[agent.bs] = played[agent.bs]
     return tuple(joint)
 
 
@@ -374,7 +366,7 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
 # round completion ----------------------------------------------------------
 
 
-def _esn_finish(agent, action, scores, played, advertised, e_alpha):
+def _esn_finish(agent, action, played, advertised, e_alpha, settled):
     agent.opponent_bests = tuple(advertised)
 
     # both targets and both predictions use the readouts and states as they
@@ -382,14 +374,20 @@ def _esn_finish(agent, action, scores, played, advertised, e_alpha):
     e_beta = beta_expectation(agent, action).value
     x_alpha = agent.profile_input(played)
     mu_alpha = esn.peek_state(agent.res_alpha, x_alpha)
-    r_hat_beta = float(scores[action])
 
     r_hat_alpha = esn.train_step(agent.ro_alpha, mu_alpha, x_alpha, action,
                                  e_alpha)
-    esn.train_step(agent.ro_beta, agent.res_beta.state, agent.x_beta, action,
-                   e_beta)
+    r_hat_beta = esn.train_step(agent.ro_beta, agent.res_beta.state,
+                                agent.x_beta, action, e_beta)
     agent.res_alpha.state = mu_alpha
     esn.update_state(agent.res_beta, agent.x_beta)
+
+    # the next beta input: a direction is served when the agent's licensed
+    # or unlicensed fraction for it is positive; (2 band, 2 direction, k)
+    # is [[d, v], [kappa, tau]] of the own rows
+    own = settled[:, agent.bs].take(agent._covered, axis=1).reshape(2, 2, -1)
+    served = (own[0] > 0) | (own[1] > 0)
+    agent.x_beta = served.ravel() * agent._beta_scale
     return StepDiagnostics(r_hat_alpha=r_hat_alpha, e_alpha=e_alpha,
                            r_hat_beta=r_hat_beta, e_beta=e_beta)
 
@@ -401,37 +399,26 @@ def _q_finish(agent, action, target):
     return StepDiagnostics(r_hat_alpha=q_before, e_alpha=target)
 
 
-def finish_round(agent, played, advertised, reward):
-    """Phase two of a round. ``reward`` is the agent's resolved utility on
-    its ``reward_joint`` row: the reservoir agent's alpha target, the Q
-    baselines' update target. ``played`` and ``advertised`` are the round's
+def finish_round(agent, played, advertised, reward, settled):
+    """Phase two of a round, once the played joint is settled and the
+    round's rewards audited. ``played`` and ``advertised`` are the round's
     broadcast rows, one entry per BS (any other length is refused before
-    anything is learned); the reservoir agent feeds the played row to alpha
-    and keeps the advertised row as its opponent model."""
-    if agent._pending is None:
-        raise RuntimeError("select_and_broadcast must run before finish_round")
+    anything is learned); the agent's action is its entry of ``played``.
+    ``reward`` is the agent's resolved utility on its ``reward_joint`` row:
+    the reservoir agent's alpha target, the Q baselines' update target.
+
+    The reservoir agent feeds the played row to alpha, keeps the advertised
+    row as its opponent model, and after its beta state commit takes its
+    own association bits (served DL per covered user, then served UL) from
+    ``settled``, the played joint's (4, n_bs, n_users) fraction block
+    ``[d, v, kappa, tau]``, as the next round's beta input. The Q baselines
+    ignore the block."""
     _check_rows(agent, played, advertised)
     reward = float(reward)
-    action, scores = agent._pending
-    agent._pending = None
+    action = played[agent.bs]
     if isinstance(agent, QAgent):
         return _q_finish(agent, action, reward)
-    return _esn_finish(agent, action, scores, played, advertised, reward)
-
-
-def observe_outcome(agent, settled):
-    """Absorb the played joint's settled (4, n_bs, n_users) fraction block
-    ``[d, v, kappa, tau]``. For the reservoir agent the own-association bits
-    (served DL per covered user, then served UL) become the next round's
-    beta input: a direction is served when the agent's licensed or
-    unlicensed fraction for it is positive. The Q baselines keep no such
-    state."""
-    if not isinstance(agent, EsnAgent):
-        return
-    # (2 band, 2 direction, k): [[d, v], [kappa, tau]] of the own rows
-    own = settled[:, agent.bs].take(agent._covered, axis=1).reshape(2, 2, -1)
-    served = (own[0] > 0) | (own[1] > 0)
-    agent.x_beta = served.ravel() * agent._beta_scale
+    return _esn_finish(agent, action, played, advertised, reward, settled)
 
 
 # per-algorithm gating ------------------------------------------------------
@@ -439,8 +426,6 @@ def observe_outcome(agent, settled):
 
 def algorithm_spaces(spaces, algorithm):
     """Action spaces after the named algorithm's structural gate."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "q_lte_decoupled":
         return tuple(restrict_licensed_only(s) for s in spaces)
     if algorithm == "q_lteu_coupled":
@@ -451,8 +436,6 @@ def algorithm_spaces(spaces, algorithm):
 def make_agents(algorithm, spaces, config, seed):
     """One agent per BS over already-gated spaces, listed in owner order;
     agent n plays ``spaces[n]``."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     spaces = tuple(spaces)
     if any(space.owner != n for n, space in enumerate(spaces)):
         raise ValueError("spaces must be listed in owner order")

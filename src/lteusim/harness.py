@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import (algorithm_spaces, finish_round, make_agents,
-                     observe_outcome, reward_joint, select_and_broadcast)
+                     reward_joint, select_and_broadcast)
 from .game import (JointEvaluator, enumerate_actions, resolve_conflicts,
                    resolved_utilities)
 from .rates import (UserRates, build_capacities, check_grants,
@@ -161,11 +161,10 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         # n's reward is entry (n, n), then the played and the greedy rows
         batch = evaluator.batch_utilities(_evaluator_rows(team, current, best))
         utilities, greedy_utilities = batch[n_bs], batch[n_bs + 1]
-        diags = tuple(finish_round(agent, current, best, batch[n, n])
-                      for n, agent in enumerate(team))
 
         # the played joint settled once; its grant check, the audit, the
-        # agents' association bits and a record's rates all read this block
+        # agents' association bits and a record's rates all read this block,
+        # and no agent learns before the audit has passed
         settled = resolve_conflicts(spaces, current, caps, coupled=coupled)
         if keep_records:
             user_rates = compute_user_rates(settled, caps)
@@ -177,8 +176,8 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
         if not (np.abs(utilities - audit) <= 1e-9 + 1e-9 * np.abs(audit)).all():
             raise RuntimeError("reward audit failed: evaluator and direct "
                                "recomputation disagree")
-        for agent in team:
-            observe_outcome(agent, settled)
+        diags = tuple(finish_round(agent, current, best, batch[n, n], settled)
+                      for n, agent in enumerate(team))
 
         greedy = resolve_conflicts(spaces, best, caps, coupled=coupled)
         greedy_rates = compute_user_rates(greedy, caps)

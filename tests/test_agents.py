@@ -17,8 +17,7 @@ from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
                             _best_reply, _cdf_rows, _encode_space,
                             _inverse_cdf, _opponent_laws, algorithm_spaces,
                             beta_expectation, finish_round, make_agents,
-                            observe_outcome, reward_joint,
-                            select_and_broadcast)
+                            reward_joint, select_and_broadcast)
 from lteusim.game import JointEvaluator
 from lteusim.rates import LinkCapacitySet, check_grants, compute_user_rates
 from lteusim.scenario import desk_config
@@ -62,15 +61,17 @@ def play_round(agent, others, caps):
     """One round of a single agent whose opponents' broadcasts are already
     known, as ``harness.run`` plays it: select and broadcast, stack the
     (played, advertised) pairs into the round's two rows, score the reward
-    joint with the evaluator, learn. ``others`` maps each opponent to its
-    pair. Returns the agent's own pair and the step diagnostics."""
+    joint with the evaluator, settle the played row, learn. ``others`` maps
+    each opponent to its pair. Returns the agent's own pair and the step
+    diagnostics."""
     own = select_and_broadcast(agent)
     pairs = {**others, agent.bs: own}
     played, advertised = zip(*(pairs[m] for m in range(len(agent.spaces))))
     evaluator = JointEvaluator(agent.spaces, caps)
     row = reward_joint(agent, played, advertised)
     reward = evaluator.batch_utilities([row])[0, agent.bs]
-    return own, finish_round(agent, played, advertised, reward)
+    settled = game.resolve_conflicts(agent.spaces, played, caps)
+    return own, finish_round(agent, played, advertised, reward, settled)
 
 
 def desk_team_after(config, seed, rounds):
@@ -84,11 +85,9 @@ def desk_team_after(config, seed, rounds):
         played, advertised = zip(*[select_and_broadcast(a) for a in team])
         rows = [reward_joint(a, played, advertised) for a in team]
         rewards = evaluator.batch_utilities(rows)
-        for n, agent in enumerate(team):
-            finish_round(agent, played, advertised, rewards[n, n])
         settled = game.resolve_conflicts(spaces, played, caps)
-        for agent in team:
-            observe_outcome(agent, settled)
+        for n, agent in enumerate(team):
+            finish_round(agent, played, advertised, rewards[n, n], settled)
     return team
 
 
@@ -140,7 +139,6 @@ class TestSelection:
         agent.ro_alpha.w_out[:] = 0.0
         agent.ro_alpha.w_out[:, -1] = [0.0, 0.0, 7.0]
         assert select_and_broadcast(agent) == (1, 2)
-        assert agent._pending[0] == 1  # the action finish_round trains
 
     def test_epsilon_greedy_law_chi_square(self):
         # argmax at index 2: P = 1 - 0.7 + 0.7/4 = 0.475, others 0.175 each
@@ -207,7 +205,8 @@ class TestBestReply:
         played, advertised = (own_played, 0), (own_best, 1)
         reward = JointEvaluator(agent.spaces, caps).utility_of(
             0, reward_joint(agent, played, advertised))
-        finish_round(agent, played, advertised, reward)
+        settled = game.resolve_conflicts(agent.spaces, played, caps)
+        finish_round(agent, played, advertised, reward, settled)
         assert agent.opponent_bests == advertised
 
     def test_table_agents_advertise_their_argmax(self):
@@ -276,14 +275,15 @@ class TestOpponentModel:
         # BS 2 sent nothing: its entry is absent from both rows
         agent = self.bus_agent()
         with pytest.raises(ValueError, match="3 entries, one per BS"):
-            finish_round(agent, (0, 0), (0, 0), 1.0)
+            finish_round(agent, (0, 0), (0, 0), 1.0, np.zeros((4, 3, 1)))
         assert agent.opponent_bests == (0, 0, 0)
 
     def test_duplicate_message_is_protocol_error(self):
         # BS 2 sent twice: its surplus entry makes each row one too long
         agent = self.bus_agent()
         with pytest.raises(ValueError, match="3 entries, one per BS"):
-            finish_round(agent, (0, 0, 0, 1), (0, 0, 0, 1), 1.0)
+            finish_round(agent, (0, 0, 0, 1), (0, 0, 0, 1), 1.0,
+                         np.zeros((4, 3, 1)))
         assert agent.opponent_bests == (0, 0, 0)
 
 
@@ -294,11 +294,6 @@ def alpha_target(agent, joint, caps):
     """The reward ``finish_round`` receives when the agent plays
     ``joint[agent.bs]`` and each opponent m plays ``joint[m]``: the resolved
     utility of the agent's reward joint."""
-    # epsilon 0 and a beta readout peaked at the wanted action pin the draw
-    agent.epsilon = 0.0
-    agent.ro_beta.w_out[:] = 0.0
-    agent.ro_beta.w_out[joint[agent.bs], -1] = 1.0
-    select_and_broadcast(agent)
     played, advertised = tuple(int(i) for i in joint), (0,) * len(joint)
     row = reward_joint(agent, played, advertised)
     assert row == played
@@ -366,19 +361,6 @@ class TestRewardJoint:
         agent, own, played, advertised = self.three_bs(QAgent)
         assert reward_joint(agent, played, advertised) == (0, own, 1)
 
-    def test_own_echo_is_ignored(self):
-        # the agent's own entries are replaced by its pending action
-        for kind, (first, last) in [(EsnAgent, (1, 0)), (QAgent, (0, 1))]:
-            agent, own, _, _ = self.three_bs(kind)
-            echo = (1, 1 - own, 0), (0, 1 - own, 1)
-            assert reward_joint(agent, *echo) == (first, own, last)
-
-    def test_requires_a_pending_action(self):
-        spaces = [macro_two_action_space(), sbs_idle_busy_space()]
-        agent = QAgent(1, spaces, tiny_config(), seed=3)
-        with pytest.raises(RuntimeError, match="select_and_broadcast"):
-            reward_joint(agent, (0, 0), (0, 0))
-
     @pytest.mark.parametrize("kind", [EsnAgent, QAgent])
     def test_missing_or_duplicate_broadcast_raises(self, kind):
         # a row short of an entry misses a broadcast, a longer one carries
@@ -386,17 +368,20 @@ class TestRewardJoint:
         agent, own, played, advertised = self.three_bs(kind)
         state = (agent.opponent_bests if kind is EsnAgent
                  else agent.q_table.copy())
-        evaluator = JointEvaluator(agent.spaces, flat_caps(1, 3))
+        caps = flat_caps(1, 3)
+        evaluator = JointEvaluator(agent.spaces, caps)
+        settled = game.resolve_conflicts(agent.spaces, played, caps)
         bad_rows = [played[:2], played + (0,), (), played[:1]]
         for bad in bad_rows:
             for rows in [(bad, advertised), (played, bad)]:
                 with pytest.raises(ValueError, match="3 entries, one per BS"):
-                    finish_round(agent, *rows, 1.0)
-            # reward_joint builds its row from the row the agent reads
-            # unchecked: a row too short to hold the agent's own entry
-            # cannot take it, and the evaluator refuses any other wrong width
+                    finish_round(agent, *rows, 1.0, settled)
+            # reward_joint builds its row from the rows the agent reads
+            # unchecked: a Q agent's advertised row too short to take the
+            # agent's own entry fails there, and the evaluator refuses any
+            # other wrong width
             rows = (bad, advertised) if kind is EsnAgent else (played, bad)
-            if len(bad) <= agent.bs:
+            if kind is QAgent and len(bad) <= agent.bs:
                 with pytest.raises(IndexError):
                     reward_joint(agent, *rows)
             else:
@@ -404,29 +389,31 @@ class TestRewardJoint:
                 assert len(row) == len(bad)
                 with pytest.raises(ValueError, match="must have 3 indices"):
                     evaluator.batch_utilities([row])
-        # nothing was learned, and the pending action still finishes
+        # nothing was learned, and the well-formed rows still finish
         if kind is EsnAgent:
             assert agent.opponent_bests == state
         else:
             assert np.array_equal(agent.q_table, state)
-        finish_round(agent, played, advertised, 1.0)
-        with pytest.raises(RuntimeError, match="select_and_broadcast"):
-            finish_round(agent, played, advertised, 1.0)
+        finish_round(agent, played, advertised, 1.0, settled)
 
     def test_finish_round_takes_the_reward_as_given(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = QAgent(1, spaces, tiny_config(), seed=3)
         action, _ = select_and_broadcast(agent)
-        diag = finish_round(agent, (0, 0), (0, 0), 2.5)
+        played = (0, action)
+        settled = game.resolve_conflicts(spaces, played, flat_caps(1, 2))
+        diag = finish_round(agent, played, (0, 0), 2.5, settled)
         assert diag.e_alpha == 2.5
         assert agent.q_table[action] == pytest.approx(0.06 * 2.5, rel=1e-12)
 
     def test_capacities_are_not_a_reward(self):
         spaces = [macro_two_action_space(), sbs_idle_busy_space()]
         agent = EsnAgent(1, spaces, tiny_config(), seed=3)
-        select_and_broadcast(agent)
+        caps = flat_caps(1, 2)
+        played = (0, select_and_broadcast(agent)[0])
+        settled = game.resolve_conflicts(spaces, played, caps)
         with pytest.raises(TypeError):
-            finish_round(agent, (0, 0), (0, 0), flat_caps(1, 2))
+            finish_round(agent, played, (0, 0), caps, settled)
 
 
 # beta target ---------------------------------------------------------------
@@ -850,7 +837,7 @@ class TestAgentStep:
         before = agent.ro_alpha.w_out.copy()
         # the rows carry the agent's own entry but none from BS 0
         with pytest.raises(ValueError, match="2 entries, one per BS"):
-            finish_round(agent, (0,), (0,), 1.0)
+            finish_round(agent, (0,), (0,), 1.0, np.zeros((4, 2, 1)))
         assert np.array_equal(agent.ro_alpha.w_out, before)
 
     def test_fixed_opponent_reaches_constant_argmax(self):
@@ -865,16 +852,9 @@ class TestAgentStep:
                 agent.epsilon = 0.0
             (played, _), _ = play_round(agent, {0: (0, 0)}, caps)
             actions.append(played)
-            resolved = game.resolve_conflicts(spaces, [0, played], caps)
-            observe_outcome(agent, resolved)
         # busy strictly dominates idle, and after exploration stops the
         # selection must sit still on it
         assert set(actions[-50:]) == {1}
-
-    def test_finish_before_select_raises(self):
-        agent, _, _ = self.step_fixture()
-        with pytest.raises(RuntimeError, match="select_and_broadcast"):
-            finish_round(agent, (0, 0), (0, 0), 1.0)
 
     def test_same_seed_same_trajectory(self):
         def run_one():
@@ -892,8 +872,16 @@ class TestAgentStep:
 # association input ---------------------------------------------------------
 
 
-def observe_reference(agent, settled):
-    """The beta input ``observe_outcome`` should leave, by a per-user loop
+def finish_on(agent, settled):
+    """Finish one round of ``agent`` on the settled block ``settled``, from
+    which it takes its next beta input. The broadcast rows (all zeros) and
+    the reward (0.0) do not reach that input."""
+    idle = (0,) * len(agent.spaces)
+    finish_round(agent, idle, idle, 0.0, settled)
+
+
+def beta_input_reference(agent, settled):
+    """The beta input ``finish_round`` should leave, by a per-user loop
     over the agent's own settled fractions: a covered user's DL bit is set
     when its licensed or unlicensed DL fraction is positive, then the same
     for UL. The macro cell's action has no unlicensed part to read."""
@@ -915,7 +903,9 @@ def observe_reference(agent, settled):
 @functools.lru_cache(maxsize=None)
 def desk_team(seed):
     """Inputs and ESN team of a desk_config() run. At seed 10 BS 1 covers no
-    user, at seed 11 BS 3 covers none."""
+    user, at seed 11 BS 3 covers none. The association tests finish rounds
+    on these agents; what the other tests read of them, the spaces and the
+    stacked tables, never changes."""
     config = desk_config(reservoir_units=12)
     inputs = harness.prepare_run(config, "esn", seed)
     team = make_agents("esn", inputs.spaces, config, inputs.agent_seed)
@@ -992,7 +982,7 @@ class TestAssociationInput:
                                     d=(0.6, 0.0), v=(0.0, 0.3),
                                     kappa=(0.0, 0.0), tau=(0.0, 0.0))])
         agent = EsnAgent(1, [macro, sbs], tiny_config(), seed=3)
-        observe_outcome(agent, game.resolve_conflicts(
+        finish_on(agent, game.resolve_conflicts(
             [macro, sbs], [0, 0], flat_caps(2, 2)))
         np.testing.assert_allclose(agent.x_beta,
                                    np.array([1.0, 0.0, 0.0, 1.0]) / 2.0,
@@ -1002,26 +992,19 @@ class TestAssociationInput:
         macro = macro_space(1, [((0.0,), (0.0,), None, None)])
         sbs = single_user_space(1, [((0.0,), (0.0,), (0.4,), (0.0,))])
         agent = EsnAgent(1, [macro, sbs], tiny_config(), seed=3)
-        observe_outcome(agent, game.resolve_conflicts(
+        finish_on(agent, game.resolve_conflicts(
             [macro, sbs], [0, 0], flat_caps(1, 2)))
         np.testing.assert_allclose(agent.x_beta,
                                    np.array([1.0, 0.0]) / math.sqrt(2.0),
                                    rtol=0)
-
-    def test_q_agent_ignores_outcomes(self):
-        spaces = [macro_two_action_space(), sbs_idle_busy_space()]
-        agent = QAgent(1, spaces, tiny_config(), seed=3)
-        observe_outcome(agent, game.resolve_conflicts(
-            spaces, [0, 0], flat_caps(1, 2)))
-        assert not hasattr(agent, "x_beta")
 
     @settings(max_examples=150, deadline=None)
     @given(settled_desk_blocks())
     def test_bits_match_the_per_user_reference(self, case):
         team, settled = case
         for agent in team:
-            want = observe_reference(agent, settled)
-            observe_outcome(agent, settled)
+            want = beta_input_reference(agent, settled)
+            finish_on(agent, settled)
             assert agent.x_beta.dtype == want.dtype
             assert agent.x_beta.tobytes() == want.tobytes()
 
@@ -1029,15 +1012,15 @@ class TestAssociationInput:
         inputs, team = desk_team(10)
         assert len(team[1].action_space.covered_users) == 0
         assert action_at(team[0].action_space, 0).kappa is None
-        observe_outcome(team[1], np.ones((4, 5, inputs.capacities.n_users)))
+        finish_on(team[1], np.ones((4, 5, inputs.capacities.n_users)))
         assert team[1].x_beta.shape == (0,)
 
     @pytest.mark.parametrize("shape", [(4, 4, 12), (4, 5, 11), (4, 5, 13),
                                        (2, 2, 5, 12), (240,), (4, 12, 5)])
     def test_wrongly_shaped_block_raises(self, shape):
-        # observe_outcome reads its block unchecked: the round's grant
-        # check, which runs on the same block before any agent observes
-        # it, refuses a wrong shape
+        # finish_round reads its block unchecked: the round's grant check,
+        # which runs on the same block before any agent learns, refuses a
+        # wrong shape
         inputs, team = desk_team(0)
         assert inputs.capacities.n_users == 12 and len(team) == 5
         with pytest.raises(ValueError, match="shape"):
@@ -1190,8 +1173,6 @@ class TestAlgorithmGating:
         assert all(isinstance(a, EsnAgent) for a in team)
         team = make_agents("q_lteu_coupled", spaces, config, seed=1)
         assert all(isinstance(a, QAgent) for a in team)
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            make_agents("dqn", spaces, config, seed=1)
 
     @pytest.mark.parametrize("algorithm", ["esn", "q_lteu_decoupled"])
     def test_make_agents_refuses_spaces_out_of_owner_order(self, algorithm):

@@ -158,6 +158,37 @@ class TestRun:
         # raised on the played joint, before the audit and the greedy joint
         assert len(settled_joints) == 1
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_agent_learns_from_a_refused_reward(self, monkeypatch,
+                                                  algorithm):
+        def learned(agent):
+            """Copies of everything ``finish_round`` updates."""
+            if isinstance(agent, agents.QAgent):
+                return [agent.q_table.copy()]
+            return [agent.ro_alpha.w_out.copy(), agent.ro_beta.w_out.copy(),
+                    agent.res_alpha.state.copy(),
+                    agent.res_beta.state.copy(), agent.x_beta.copy(),
+                    np.array(agent.opponent_bests)]
+
+        teams, make = [], harness.make_agents
+
+        def captured(*args):
+            team = make(*args)
+            teams.append((team, [learned(agent) for agent in team]))
+            return team
+
+        def disagreeing(settled, caps):
+            return game.resolved_utilities(settled, caps) + 1.0
+
+        monkeypatch.setattr(harness, "make_agents", captured)
+        monkeypatch.setattr(harness, "resolved_utilities", disagreeing)
+        with pytest.raises(RuntimeError, match="^reward audit failed"):
+            run(desk_config(max_iterations=5), algorithm, 0)
+        [(team, before)] = teams
+        for agent, initial in zip(team, before):
+            for now, then in zip(learned(agent), initial):
+                assert np.array_equal(now, then)
+
     def test_round_utilities_recompute_to_1e9(self):
         cfg = small_config(max_iterations=30, convergence_window=31)
         result = run(cfg, "esn", seed=4)
