@@ -49,8 +49,9 @@ from . import esn
 from .game import (EPSILON, ExpectedUtility, epsilon_greedy,
                    restrict_coupled, restrict_licensed_only)
 
-# the rates of beta's readout and the Q tables; alpha's is lambda_alpha
-LAMBDA_BETA = 0.06
+# the alpha and beta readouts' NLMS step sizes, and the Q tables' rate
+LAMBDA_ALPHA = 0.33
+LAMBDA_BETA = 0.78
 LAMBDA_Q = 0.06
 
 
@@ -119,7 +120,7 @@ class EsnAgent:
         self.res_alpha, self.ro_alpha = esn.init(
             config.reservoir_units, alpha_dim, n_actions,
             target_radius=config.reservoir_radius, seed=int(streams[1]))
-        self.ro_alpha.rate = config.lambda_alpha
+        self.ro_alpha.rate = LAMBDA_ALPHA
         self.res_beta, self.ro_beta = esn.init(
             config.reservoir_units, beta_dim, n_actions,
             target_radius=config.reservoir_radius, seed=int(streams[2]))

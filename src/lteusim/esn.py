@@ -1,4 +1,4 @@
-"""Echo-state network core: reservoir, linear readout, LMS training.
+"""Echo-state network core: reservoir, linear readout, NLMS training.
 
 The reservoir is the simple cycle reservoir of Rodan & Tino ("Minimum
 complexity echo state network", IEEE TNN 22(1), 2011): unit i feeds unit
@@ -17,13 +17,12 @@ No function here re-checks a vector's width: the product ``w_in @ x`` or
 ``w_out @ z`` raises numpy's ``ValueError`` on a length mismatch, before
 any state is committed or any weight moves.
 
-Each readout trains at one constant rate, set by the owner after ``init``
-(the agents use ``config.lambda_alpha`` and ``agents.LAMBDA_BETA``). The
-input weights are the raw Uniform(-1, 1) draw, unscaled. Nothing here keeps
-the gradient step contractive: at ``ScenarioConfig()`` defaults the
-1000-unit states saturate, and over the first 100 rounds of seeds 0 and 1
-alpha's step lambda_alpha * ||z||^2 has a median of 5.2 and 4.6 and a
-maximum of 16.2 and 17.7, above the LMS stability bound of 2.
+Each readout trains by normalized LMS (NLMS; Haykin, *Adaptive Filter
+Theory*, ch. 6): the taken row steps by ``rate (e - r_hat) z / (1 + z.z)``,
+which scales that prediction's error by ``1 - rate z.z / (1 + z.z)``, in
+(-1, 1) for any rate mu in (0, 2), whatever the reservoir's size, radius or
+saturation. The agents set the rates after ``init``: ``agents.LAMBDA_ALPHA``
+and ``LAMBDA_BETA``. The input weights are the raw Uniform(-1, 1) draw.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class Readout:
     when the reservoir has no input drive and its state has decayed."""
 
     w_out: np.ndarray  # (n_actions, n_units + input_dim + 1)
-    rate: float        # LMS step size, the same at every update
+    rate: float        # the NLMS step size mu, in (0, 2) for a stable step
 
 
 # construction -------------------------------------------------------------
@@ -130,9 +129,9 @@ def readout_all(ro: Readout, mu, x) -> np.ndarray:
 
 
 def train_step(ro: Readout, mu, x, action_i: int, e: float) -> float:
-    """One LMS step on the taken action's row: row += rate (e - r_hat) z.
-    Returns r_hat, the row's prediction from before the update."""
+    """One NLMS step on the taken action's row: row += rate (e - r_hat) z
+    / (1 + z . z). Returns r_hat, the row's prediction from before it."""
     z = _features(mu, x)
     prediction = float(ro.w_out[action_i] @ z)
-    ro.w_out[action_i] += ro.rate * (e - prediction) * z
+    ro.w_out[action_i] += ro.rate * (e - prediction) / (1.0 + z @ z) * z
     return prediction

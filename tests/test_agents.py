@@ -751,7 +751,8 @@ class TestAgentStep:
         return agent, caps, others
 
     def test_frozen_rates_leave_readouts_unchanged(self):
-        agent, caps, others = self.step_fixture(lambda_alpha=0.0)
+        agent, caps, others = self.step_fixture()
+        agent.ro_alpha.rate = 0.0
         agent.ro_beta.rate = 0.0
         before_alpha = agent.ro_alpha.w_out.copy()
         before_beta = agent.ro_beta.w_out.copy()
@@ -816,9 +817,11 @@ class TestAgentStep:
         assert diag.e_beta == pytest.approx(r_hat, rel=1e-12)
         assert diag.r_hat_beta == 0.0
 
-        want_alpha_row = w_out_alpha[0] + 0.08 * (u0 - r_hat) * z_alpha
+        # normalized LMS: each row steps by rate (e - r_hat) z / (1 + z.z)
+        want_alpha_row = w_out_alpha[0] + 0.08 * (u0 - r_hat) * z_alpha / (
+            1.0 + z_alpha @ z_alpha)
         z_beta = np.concatenate([state_beta, x_beta, [1.0]])
-        want_beta_row = 0.06 * r_hat * z_beta
+        want_beta_row = 0.06 * r_hat * z_beta / (1.0 + z_beta @ z_beta)
         np.testing.assert_allclose(agent.ro_alpha.w_out[0], want_alpha_row,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(agent.ro_alpha.w_out[1], w_out_alpha[1],

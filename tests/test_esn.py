@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lteusim.agents import LAMBDA_ALPHA, LAMBDA_BETA
 from lteusim.esn import (
     Readout,
     Reservoir,
@@ -259,8 +260,9 @@ class TestTrainStep:
         ro = Readout(w_out=np.zeros((2, 5)), rate=0.5)
         train_step(ro, np.zeros(2), [1.0, 0.0], 0, e=1.0)
         expected = np.zeros((2, 5))
-        expected[0, 2] = 0.5  # lr * (1 - 0) on the granted input slot
-        expected[0, 4] = 0.5  # and the same on the constant slot
+        # z = [0, 0, 1, 0, 1], |z|^2 = 2: lr * (1 - 0) / (1 + 2) on the
+        # granted input slot and the same on the constant slot
+        expected[0, 2] = expected[0, 4] = 0.5 / 3.0
         assert np.array_equal(ro.w_out, expected)
 
     def test_only_one_row_moves(self):
@@ -273,12 +275,13 @@ class TestTrainStep:
         assert changed.tolist() == [False, False, False, True, False]
 
     def test_geometric_error_decay(self):
-        # fixed features: error shrinks by exactly (1 - lr ||z||^2) per step
+        # fixed features: error shrinks by exactly
+        # (1 - lr ||z||^2 / (1 + ||z||^2)) per step
         mu = np.array([0.3, -0.4])
         x = np.array([0.5])
         z_sq = float(np.dot(mu, mu) + np.dot(x, x)) + 1.0
         lr = 0.5
-        ratio = 1.0 - lr * z_sq
+        ratio = 1.0 - lr * z_sq / (1.0 + z_sq)
         assert 0.0 < ratio < 1.0
         ro = Readout(w_out=np.zeros((1, 4)), rate=lr)
         target = 2.0
@@ -291,8 +294,9 @@ class TestTrainStep:
         assert errors[-1] == pytest.approx(target * ratio ** 59, rel=1e-9)
 
     def test_scalar_feature_decay_is_exponential(self):
-        # bias-only features z=[1]: |r_hat - u| = |u| (1-lr)^t, monotone
-        lr = 0.08
+        # bias-only features z=[1], ||z||^2 = 1: |r_hat - u| = |u| (1-lr/2)^t,
+        # monotone
+        lr = 0.16
         ro = Readout(w_out=np.zeros((1, 1)), rate=lr)
         target = 5.0
         errors = [abs(target - readout(ro, np.zeros(0), [], 0))]
@@ -304,8 +308,34 @@ class TestTrainStep:
             errors.append(abs(target - readout(ro, np.zeros(0), [], 0)))
         assert all(a > b for a, b in zip(errors, errors[1:]))
         for step, err in enumerate(errors):
-            assert err == pytest.approx(target * (1 - lr) ** step, rel=1e-9)
+            assert err == pytest.approx(target * (1 - lr / 2) ** step,
+                                       rel=1e-9)
 
+
+    @pytest.mark.parametrize("lr", [LAMBDA_ALPHA, LAMBDA_BETA])
+    def test_saturated_reservoir_step_stays_bounded(self, lr):
+        # a saturated 1000-unit reservoir: float tanh rounds every
+        # pre-activation past ~19 to exactly +-1.0, so ||z||^2 = 1001 +
+        # ||x||^2. A step by lr ||z||^2 would multiply the error by about
+        # -80 at lr = 0.08; the normalized step shrinks it by
+        # 1 - lr ||z||^2 / (1 + ||z||^2), inside (0, 1), at every step
+        rng = np.random.default_rng(21)
+        mu = np.tanh(25.0 * rng.choice([-1.0, 1.0], 1000))
+        assert np.all(np.abs(mu) == 1.0)
+        x = rng.uniform(-1, 1, 8)
+        z_sq = 1000.0 + float(x @ x) + 1.0
+        ratio = 1.0 - lr * z_sq / (1.0 + z_sq)
+        assert 0.0 < ratio < 1.0
+        ro = Readout(w_out=rng.uniform(-1, 1, (2, 1009)), rate=lr)
+        target = 3.0e6
+        errors = []
+        for _ in range(50):
+            errors.append(target - readout(ro, mu, x, 1))
+            train_step(ro, mu, x, 1, target)
+        for a, b in zip(errors, errors[1:]):
+            assert b == pytest.approx(a * ratio, rel=1e-9, abs=1e-9 * target)
+        assert np.all(np.isfinite(ro.w_out))
+        assert abs(errors[-1]) < abs(errors[0])
 
 class TestEchoStateProperty:
     def test_different_histories_converge(self):

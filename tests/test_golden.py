@@ -19,11 +19,11 @@ Python float arithmetic, outside numpy's dispatch, and stay pinned with
 
 The values were recorded with numpy 2.4.6 (OpenBLAS) on an x86-64 CPU with
 AVX-512, and every digest and float pin here holds with numpy's AVX-512
-loops disabled (``NPY_DISABLE_CPU_FEATURES``), where the sum and median
-rates of ``test_esn_desk_runs[2-300-want2]`` move by one ulp while the
-reservoir products (``tanh`` and ``@``) keep their bits. OpenBLAS picks its
-own kernels by CPU, which that setting does not vary. A one-ulp change can
-still flip a near-tied action on some other run, and
+loops disabled (``NPY_DISABLE_CPU_FEATURES``), where some ESN runs' sum
+and median rates move, by at most 3.1e-15 relative, while every digest
+holds. OpenBLAS picks its own kernels by CPU, which that setting does not
+vary. A one-ulp change can still flip a near-tied action on some other
+run, and
 ``test_esn_desk_run_rows_do_not_depend_on_avx512`` checks one run across
 numpy's levels in a fresh interpreter. No run loads scipy: a reservoir is
 a cycle, whose recurrent term is a shifted copy of the state, with no
@@ -69,15 +69,15 @@ def assert_run(result, want):
 
 
 @pytest.mark.parametrize("seed, max_iterations, want", [
-    (0, None, ([295, "122053e3a7188bdc1b855e43649e1f65"
-                     "3112d93e1fcaba8372ee140759f930b0"],
-               (111372624.60661066, 6073092.0761577515))),
-    (1, 300, ([None, "1ccee0663b7a557fc0bf9a4e17a92a65"
-                     "201e102ec0ab9b3a5bd01f73131bc385"],
-              (97954672.92739128, 6584593.325137871))),
-    (2, 300, ([None, "be78535d5410ba229054e362c5c24453"
-                     "e34971c46e03cbd9422e41879f41ff6d"],
-              (83334882.62614816, 4342921.187403829))),
+    (0, None, ([295, "f6b2a090303a2ad3d8742f5d45cb8351"
+                     "9275fb4ae9a3083bf571826fe816d44a"],
+               (141763322.3172491, 6185887.650704984))),
+    (1, 300, ([284, "5f7e7e71c7574e3ec3a2472ee691d608"
+                    "cb754a689d0177173bc49f9a96c8641b"],
+              (92184897.98312466, 6580935.717509182))),
+    (2, 300, ([None, "431a1cdd2a85712f97ec128e4f2bfb42"
+                     "9eba64e97f390cb207a1ae370dd62baa"],
+              (123940690.69373937, 4342921.187403829))),
 ])
 def test_esn_desk_runs(seed, max_iterations, want):
     overrides = {} if max_iterations is None else {
@@ -122,6 +122,25 @@ def test_esn_desk_run_rows_do_not_depend_on_avx512():
     assert report["rows"] == rows_digest(native)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed, want", [
+    (0, ([133, "f46eb6e91c0dd36de0afcf0bdd75e216"
+               "33b87a893d1fa05a510b93d410034c89"],
+         (162796002.00363255, 3474189.423489921))),
+    (1, ([119, "4d1c4189ca8407e368267df39df44ffc"
+               "b2b0109cd18e4ab8286b788108852379"],
+         (139521544.86182773, 386555.0521030533))),
+    (2, ([172, "5d5da6bd0c5fc9431de5e1a13939dd08"
+               "7298e4c5d4fa1c3caa738e766ef4a4cd"],
+         (111761490.8359845, 3408263.1046848064))),
+])
+def test_esn_reference_runs(seed, want):
+    # the reference operating point, where the 1000-unit states saturate:
+    # the normalized LMS step keeps every readout finite, and the run
+    # converges with no numpy warning
+    assert_run(run(ScenarioConfig(), "esn", seed), want)
+
+
 def test_q_lteu_decoupled_desk_run():
     assert_run(run(desk_config(), "q_lteu_decoupled", 0),
                ([263, "1404fa5574ecc847a2038418f958f76d"
@@ -155,8 +174,8 @@ def test_esn_exact_expectation_run(monkeypatch):
 
     monkeypatch.setattr(agents, "beta_expectation", recording)
     result = run(desk_config(action_set_size=2, max_iterations=300), "esn", 0)
-    assert_run(result, ([53, "7f567711bb391e054fad6fee49a1f930"
-                             "e87cd71818ae6691423156cb9ac0fff9"],
+    assert_run(result, ([53, "14f3da08778cffde3703ba5e095bcaa0"
+                             "746959f7dd2fb09ad798cbffd3a10cb3"],
                         (123663339.29925832, 5051013.112793814)))
     assert len(exact) == 53 * 5 and all(exact)
 
@@ -174,16 +193,16 @@ def learner_sum(result):
 def test_esn_learner_floats_sampled():
     # every beta expectation of this run is sampled
     result = run(desk_config(max_iterations=100), "esn", 0)
-    assert rows_digest(result) == [None, "09ba04b187daaa4e3ba436c68fd6b045"
-                                         "cb6eb6c30fcf1068e1d7d4296b9109ce"]
-    assert_floats(learner_sum(result), 74400.24540052109)
+    assert rows_digest(result) == [None, "b92622ab6bbc38796084b3afad00d5d5"
+                                         "0916316a488d746d8cb4a0af56f5a19e"]
+    assert_floats(learner_sum(result), 69035.06494460083)
 
 
 def test_esn_learner_floats_exact():
     # every beta expectation is enumerated; the run's rows are pinned in
     # test_esn_exact_expectation_run
     result = run(desk_config(action_set_size=2, max_iterations=300), "esn", 0)
-    assert_floats(learner_sum(result), 61002.03825569176)
+    assert_floats(learner_sum(result), 63256.93285017912)
 
 
 @pytest.mark.parametrize("n_wifi, want", [

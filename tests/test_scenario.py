@@ -43,7 +43,8 @@ def test_config_defaults_are_reference_point():
     assert game.Z_LEVELS == 10
     assert game.ETA == 0.7
     assert game.EPSILON == 0.7
-    assert (cfg.lambda_alpha, agents.LAMBDA_BETA, agents.LAMBDA_Q) == (0.08, 0.06, 0.06)
+    assert (agents.LAMBDA_ALPHA, agents.LAMBDA_BETA, agents.LAMBDA_Q) == (
+        0.33, 0.78, 0.06)
     assert harness.CONVERGENCE_TOL == 1e-3
     assert cfg.reservoir_units == 1000
     assert PATHLOSS_LICENSED == (15.3, 37.5)
@@ -63,8 +64,6 @@ def test_config_fields_are_numbers():
         ("n_users", -1),
         ("sbs_coverage_m", 0.0),
         ("reservoir_radius", 1.0),
-        ("lambda_alpha", -0.1),
-        ("lambda_alpha", math.nan),
         ("expectation_budget", 1),
         ("wifi_rate_req_bps", math.nan),
         ("wifi_rate_req_bps", -1.0),
@@ -94,15 +93,11 @@ def test_every_float_field_must_be_finite():
                 ScenarioConfig(**{name: value})
 
 
-def test_config_accepts_learning_rate_bounds():
-    assert desk_config(lambda_alpha=0.0).lambda_alpha == 0.0
-
-
 def test_config_text_file_round_trip(tmp_path):
     # an int literal in a float field is kept, and echoed, as a float, so
     # the echo of the read-back config is the same file
     for cfg in (desk_config(n_sbs=3, wifi_rate_req_bps=2e6, rng_seed=7),
-                desk_config(lambda_alpha=1, wifi_rate_req_bps=1)):
+                desk_config(sbs_coverage_m=1, wifi_rate_req_bps=1)):
         echo = tmp_path / "config_echo.txt"
         cfg.echo(echo)
         again = ScenarioConfig.from_file(echo)
@@ -113,25 +108,26 @@ def test_config_text_file_round_trip(tmp_path):
 
 def test_config_json_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"n_sbs": 2, "lambda_alpha": 0.5}')
+    path.write_text('{"n_sbs": 2, "sbs_coverage_m": 0.5}')
     cfg = ScenarioConfig.from_file(path)
     assert cfg.n_sbs == 2
-    assert cfg.lambda_alpha == 0.5
+    assert cfg.sbs_coverage_m == 0.5
 
 
 def test_config_text_file_comments_and_overrides(tmp_path):
     path = tmp_path / "cfg.txt"
-    path.write_text("# comment line\nn_users = 6\nlambda_alpha = 0.3  # inline\n")
+    path.write_text("# comment line\nn_users = 6\n"
+                    "sbs_coverage_m = 0.3  # inline\n")
     cfg = ScenarioConfig.from_file(path)
-    assert cfg.n_users == 6 and cfg.lambda_alpha == 0.3
+    assert cfg.n_users == 6 and cfg.sbs_coverage_m == 0.3
     assert cfg.with_overrides(n_users=9).n_users == 9
 
 
 # keys of the fixed game and learning constants, of the fixed radio
 # constants, the unit input scale and the random reservoir's density: an
 # older config echo names them, and is refused, not silently half-applied
-CONSTANT_KEYS = ("z_levels", "eta", "epsilon", "lambda_beta", "lambda_q",
-                 "convergence_tol")
+CONSTANT_KEYS = ("z_levels", "eta", "epsilon", "lambda_alpha",
+                 "lambda_beta", "lambda_q", "convergence_tol")
 REMOVED_KEYS = ("macro_radius_m", "p_mbs_dbm", "p_sbs_dbm", "p_user_dbm",
                 "noise_power_dbm", "f_l_dl_hz", "f_l_ul_hz", "f_u_hz",
                 "pathloss_licensed", "pathloss_unlicensed",
@@ -191,7 +187,7 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
 
 @pytest.mark.parametrize("name, value", [
     *((name, True) for name in FLOAT_FIELDS),
-    pytest.param("lambda_alpha", np.True_, id="lambda_alpha-np.True_"),
+    pytest.param("sbs_coverage_m", np.True_, id="sbs_coverage_m-np.True_"),
 ])
 def test_float_fields_refuse_bools(name, value):
     # True is no rate; its echo "True" would not read back
@@ -218,9 +214,9 @@ def test_every_integer_field_checked_and_kept_an_int():
     "key,value",
     [
         ("n_sbs", True),                # json true would load as 1
-        ("lambda_alpha", [0.5]),
-        ("lambda_alpha", None),
-        ("lambda_alpha", "half"),
+        ("sbs_coverage_m", [0.5]),
+        ("sbs_coverage_m", None),
+        ("sbs_coverage_m", "half"),
         ("n_users", "inf"),
     ],
 )
@@ -236,20 +232,22 @@ def test_text_is_read_as_a_number_only_from_a_mapping():
     with pytest.raises(ValueError, match="^n_users must be a number, got '12'$"):
         ScenarioConfig(n_users="12")
     with pytest.raises(ValueError,
-                       match="^lambda_alpha must be a number, got '0.5'$"):
-        desk_config(lambda_alpha="0.5")
+                       match="^sbs_coverage_m must be a number, got '0.5'$"):
+        desk_config(sbs_coverage_m="0.5")
     # 23 seed digits, which float() would round, read exactly
     seed = "12345678901234567890123"
     assert float(seed) != int(seed)
-    cfg = ScenarioConfig.from_mapping({"n_users": "12", "lambda_alpha": "1",
+    cfg = ScenarioConfig.from_mapping({"n_users": "12", "sbs_coverage_m": "1",
                                        "action_set_size": "1e1",
                                        "rng_seed": seed})
-    assert (cfg.n_users, cfg.lambda_alpha, cfg.action_set_size) == (12, 1.0, 10)
-    assert type(cfg.lambda_alpha) is float and type(cfg.action_set_size) is int
+    assert (cfg.n_users, cfg.sbs_coverage_m, cfg.action_set_size) == (
+        12, 1.0, 10)
+    assert type(cfg.sbs_coverage_m) is float
+    assert type(cfg.action_set_size) is int
     assert cfg.rng_seed == int(seed)
 
 
-@pytest.mark.parametrize("key", ["lambda_alpha", "rng_seed"])
+@pytest.mark.parametrize("key", ["sbs_coverage_m", "rng_seed"])
 def test_number_past_the_float_range_is_refused(key):
     # an int that no float holds is no finite value, for a float field
     # and a count alike; the text path reads it as an int first
