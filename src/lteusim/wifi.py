@@ -124,12 +124,11 @@ def lte_fraction(n_wifi: int, r_w: float, capacity: float) -> DutyCycle:
 
 
 def duty_cycle_for_config(config) -> DutyCycle:
-    """Duty cycle for a scenario: each WAP is its own contention domain and
-    the LTE-U share is the one every domain can tolerate (the minimum).
-    Every domain holds the same number of stations with the same rate
-    requirement, so one split stands for all of them."""
-    if config.n_waps == 0:
-        return DutyCycle(lte_share=1.0)
+    """Duty cycle for a scenario: ``wifi_users_per_wap`` stations share one
+    contention domain, each demanding ``wifi_rate_req_bps``. Zero stations
+    means no WiFi, and LTE-U gets all of the airtime."""
     n_wifi = config.wifi_users_per_wap
+    if n_wifi == 0:
+        return DutyCycle(lte_share=1.0)
     return lte_fraction(n_wifi, config.wifi_rate_req_bps,
                         saturation_throughput(n_wifi))

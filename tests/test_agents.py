@@ -536,9 +536,11 @@ class TestBetaTarget:
         # two actions per cell: 16 opponent profiles, sampled 8 at a time.
         # One 8-draw standard error is itself noisy (|z| > 3 in 2-7% of
         # calls), so the check pools 64 calls: their mean against the
-        # pooled standard error
+        # pooled standard error. Seed 1 is the first seed, searched from 0,
+        # at which every small cell covers a user: at seed 0 BS 2 covers
+        # none, and its one action leaves 8 profiles, which are enumerated
         team = desk_team_after(desk_config(action_set_size=2,
-                                           expectation_budget=8), 0, 40)
+                                           expectation_budget=8), 1, 40)
         for agent in team:
             for action_i in range(len(agent.action_space)):
                 calls = [beta_expectation(agent, action_i) for _ in range(64)]
@@ -905,10 +907,11 @@ def beta_input_reference(agent, settled):
 
 @functools.lru_cache(maxsize=None)
 def desk_team(seed):
-    """Inputs and ESN team of a desk_config() run. At seed 10 BS 1 covers no
-    user, at seed 11 BS 3 covers none. The association tests finish rounds
-    on these agents; what the other tests read of them, the spaces and the
-    stacked tables, never changes."""
+    """Inputs and ESN team of a desk_config() run. Every small cell covers a
+    user at seed 1; at seed 0 BS 2 covers none, and at seed 32 BS 1 (found
+    by a search of seeds 0-39 for small cells with no covered user). The
+    association tests finish rounds on these agents; what the other tests
+    read of them, the spaces and the stacked tables, never changes."""
     config = desk_config(reservoir_units=12)
     inputs = harness.prepare_run(config, "esn", seed)
     team = make_agents("esn", inputs.spaces, config, inputs.agent_seed)
@@ -919,7 +922,7 @@ def desk_team(seed):
 def settled_desk_blocks(draw):
     """(team, settled block): a random desk joint settled either way, or a
     raw block of grid fractions with the macro cell's unlicensed rows zero."""
-    inputs, team = desk_team(draw(st.sampled_from([0, 10, 11])))
+    inputs, team = desk_team(draw(st.sampled_from([0, 1, 32])))
     spaces, caps = inputs.spaces, inputs.capacities
     if draw(st.booleans()):
         joint = [draw(st.integers(0, len(s) - 1)) for s in spaces]
@@ -936,7 +939,7 @@ def settled_desk_blocks(draw):
 @pytest.mark.parametrize("seed", [0, 10])
 def test_opponent_encoding_is_the_per_action_blocks(seed):
     # [d | v | kappa | tau] over the covered users, kappa and tau zero at
-    # the macro cell; seed 10 leaves BS 1 with no covered user
+    # the macro cell; seed 0 leaves BS 2 with no covered user
     inputs, _ = desk_team(seed)
     for space in inputs.spaces:
         want = []
@@ -952,7 +955,7 @@ def test_opponent_encoding_is_the_per_action_blocks(seed):
 @pytest.mark.parametrize("seed", [0, 1, 10])
 def test_stacked_tables_are_the_per_opponent_blocks(seed):
     # the encodings block-diagonal, opponent after opponent, and each
-    # opponent's input projection at its rows; seed 10 has an opponent with
+    # opponent's input projection at its rows; seed 0 has an opponent with
     # no covered user, so a zero-width block
     _, team = desk_team(seed)
     for agent in team:
@@ -1012,7 +1015,7 @@ class TestAssociationInput:
             assert agent.x_beta.tobytes() == want.tobytes()
 
     def test_empty_and_macro_agents_are_covered(self):
-        inputs, team = desk_team(10)
+        inputs, team = desk_team(32)
         assert len(team[1].action_space.covered_users) == 0
         assert action_at(team[0].action_space, 0).kappa is None
         finish_on(team[1], np.ones((4, 5, inputs.capacities.n_users)))

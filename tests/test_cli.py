@@ -13,8 +13,8 @@ from lteusim.rates import LinkCapacitySet, compute_user_rates
 from lteusim.scenario import desk_config
 
 
-SMALL_CONFIG = dict(n_sbs=1, n_users=3, n_waps=0, action_set_size=4,
-                    reservoir_units=16, max_iterations=60,
+SMALL_CONFIG = dict(n_sbs=1, n_users=3, wifi_users_per_wap=0,
+                    action_set_size=4, reservoir_units=16, max_iterations=60,
                     convergence_window=20)
 SMALL = [arg for key, value in SMALL_CONFIG.items()
          for arg in ("--set", f"{key}={value}")]
@@ -47,8 +47,9 @@ class TestRunCommand:
     def test_config_file_plus_set(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
-            desk_config(n_sbs=1, n_users=2, n_waps=0, action_set_size=4,
-                        reservoir_units=16, max_iterations=40,
+            desk_config(n_sbs=1, n_users=2, wifi_users_per_wap=0,
+                        action_set_size=4, reservoir_units=16,
+                        max_iterations=40,
                         convergence_window=15).to_mapping()))
         out = tmp_path / "out"
         code = cli.main(["run", "--config", str(cfg_path),
@@ -75,7 +76,8 @@ class TestRunCommand:
                                       "reservoir_density=0.1", "z_levels=2",
                                       "eta=0.5", "epsilon=0.5",
                                       "lambda_alpha=0.1", "lambda_beta=0.1",
-                                      "lambda_q=0.1", "convergence_tol=0.01"])
+                                      "lambda_q=0.1", "convergence_tol=0.01",
+                                      "n_waps=2"])
     def test_unknown_config_key_fails(self, tmp_path, capsys, pair):
         out = tmp_path / "out"
         code = cli.main(["run", "--out", str(out), "--set", pair])
@@ -200,7 +202,8 @@ class TestCsvOutput:
         assert rows[2][3] == "-1" and rows[2][4] == "-1"
 
     def test_sweep_csv_round_trip(self, tmp_path):
-        cfg = small_config(n_waps=2, max_iterations=3, convergence_window=4)
+        cfg = small_config(wifi_users_per_wap=4, max_iterations=3,
+                           convergence_window=4)
         cells = sweep(cfg, "r_w", [1e6, 2e6], ["esn"], n_runs=1)
         path = tmp_path / "sweep.csv"
         cli.write_sweep_csv(cells, path)
@@ -216,7 +219,8 @@ class TestCsvOutput:
     def test_sweep_columns_are_the_cells_results(self, tmp_path):
         # 3e7 bps per station overloads a 4-station WAP; 3 rounds converge
         # no run, so both cells carry a bool and a None
-        cfg = small_config(n_waps=2, max_iterations=3, convergence_window=4)
+        cfg = small_config(wifi_users_per_wap=4, max_iterations=3,
+                           convergence_window=4)
         cells = sweep(cfg, "r_w", [1e6, 3e7], ["esn"], n_runs=2)
         path = tmp_path / "sweep.csv"
         cli.write_sweep_csv(cells, path)

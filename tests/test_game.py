@@ -177,7 +177,6 @@ def toy_topology(covered):
     return Topology(
         mbs_position=np.zeros(2),
         sbs_positions=np.zeros((len(covered) - 1, 2)),
-        wap_positions=np.zeros((0, 2)),
         user_positions=np.zeros((n_users, 2)),
         covered_users=tuple(tuple(us) for us in covered),
     )
@@ -642,27 +641,27 @@ class TestSpaceOracles:
 # SHA-256 over each desk space's fractions in BS order, read from the
 # per-action dense rows before spaces held their actions as one array
 DESK_SPACE_PINS = {
-    (0, "esn"): "9580b70a60e09bacf1c2698501f675d7fd7fe18c4f986e979a03755e475a3371",
+    (0, "esn"): "1fe08258af19f66c2c9db44b7e53e95f8d62e84f5f19807efe97a4e1c39ea713",
     (0, "q_lteu_decoupled"):
-        "9580b70a60e09bacf1c2698501f675d7fd7fe18c4f986e979a03755e475a3371",
+        "1fe08258af19f66c2c9db44b7e53e95f8d62e84f5f19807efe97a4e1c39ea713",
     (0, "q_lte_decoupled"):
-        "82365c381c051a0b27dfe0a7a8ae792652b61fb6b17204bddfd3c916c668784e",
+        "eee8a00ad4bbae6e8b2b291ebc176523f8d2ff5f150ad7b325644970be962cec",
     (0, "q_lteu_coupled"):
-        "b02e78b6f66d4ac3dbc0e6a47efa2dd1ae254f240d994669d7265df895ba5b82",
-    (1, "esn"): "0f6fde0019ca13f1eb121fc5fd91cdde06fba9fe15503452729984fee082c49f",
+        "f12d9b2b6d668ef04bb15656b524b667798a9a18e6367ff7d3c5116a6e3820c8",
+    (1, "esn"): "a9a41c9952e7ee0cad1d2aca4a68bf9fd2e4eed050b09795b75ceadb40c92c9e",
     (1, "q_lteu_decoupled"):
-        "0f6fde0019ca13f1eb121fc5fd91cdde06fba9fe15503452729984fee082c49f",
+        "a9a41c9952e7ee0cad1d2aca4a68bf9fd2e4eed050b09795b75ceadb40c92c9e",
     (1, "q_lte_decoupled"):
-        "061c0f61f767ab9532c20dd7d2012320d9df094f0bbec23b2aa814d761f724ed",
+        "ab36ddbc8dbb01e07f6d86aaf2362bad7b44d9cef0f7760895e0aae4ebd7ef37",
     (1, "q_lteu_coupled"):
-        "dbeb3d997c1946b7b4385645a25fef2788d8fa77b67fc289926ca5e39baea332",
-    (2, "esn"): "9fc9bfd644b0bce1f7e60ede19f9c6b799aac36607c2cc1fc0a31bcbe7bb87b7",
+        "5c8116c94231e53768a4e5de3746c5412b6530df763a13810bbd2218d436ddc7",
+    (2, "esn"): "d25536ed20dc09ceb7e4932f93187eb34e5a3ce0a8c832b5538c313df5a82f52",
     (2, "q_lteu_decoupled"):
-        "9fc9bfd644b0bce1f7e60ede19f9c6b799aac36607c2cc1fc0a31bcbe7bb87b7",
+        "d25536ed20dc09ceb7e4932f93187eb34e5a3ce0a8c832b5538c313df5a82f52",
     (2, "q_lte_decoupled"):
-        "6e01e268bc4087dc6598464172a806207e123262c17ed8ed4041bd1524bba0d9",
+        "d24e704b93819efd6f702b91a15953d33add2c0f451fba8608f52e7f02eb423e",
     (2, "q_lteu_coupled"):
-        "81a51be8fd9ae08c4e903e658139c6c7d5c07fc9f19ffe604e30d734b3c0cf5b",
+        "f62c41c5910b28ee7a20d1b17e2b2c9e86b0458ecad84551c27f29ac30eace8a",
 }
 
 

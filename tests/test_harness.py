@@ -13,7 +13,7 @@ from oracles import converged_at_oracle
 
 def toy_config(**overrides):
     """One MBS, one user, two actions (idle / full band), no WiFi."""
-    base = dict(n_sbs=0, n_users=1, n_waps=0, action_set_size=2,
+    base = dict(n_sbs=0, n_users=1, wifi_users_per_wap=0, action_set_size=2,
                 reservoir_units=20, max_iterations=400,
                 convergence_window=30)
     base.update(overrides)
@@ -21,7 +21,7 @@ def toy_config(**overrides):
 
 
 def small_config(**overrides):
-    base = dict(n_sbs=1, n_users=3, n_waps=0, action_set_size=4,
+    base = dict(n_sbs=1, n_users=3, wifi_users_per_wap=0, action_set_size=4,
                 reservoir_units=16, max_iterations=150,
                 convergence_window=25)
     base.update(overrides)
@@ -201,16 +201,39 @@ class TestRun:
             np.testing.assert_allclose(record.utilities, again, atol=1e-9)
 
     def test_wifi_overload_is_flagged_but_valid(self):
-        cfg = small_config(n_waps=2, wifi_rate_req_bps=1e9)
+        cfg = small_config(wifi_users_per_wap=4, wifi_rate_req_bps=1e9)
         result = run(cfg, "esn", seed=0)
         assert result.wifi_overloaded
         assert result.lte_fraction == 0.0
         assert result.converged_at is not None
 
     def test_wifi_share_reduces_lte_fraction(self):
-        result = run(small_config(n_waps=2), "esn", seed=0)
+        result = run(small_config(wifi_users_per_wap=4), "esn", seed=0)
         assert 0.0 < result.lte_fraction < 1.0
         assert not result.wifi_overloaded
+
+    def test_no_wifi_station_gives_lte_all_airtime(self):
+        cfg = desk_config(wifi_users_per_wap=0, max_iterations=5)
+        result = run(cfg, "q_lteu_decoupled", seed=0)
+        assert result.lte_fraction == 1.0
+        assert result.wifi_overloaded is False
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wifi_load_does_not_move_the_world(self, seed):
+        # the WiFi load sets only the unlicensed airtime share: the drop,
+        # the action spaces and the licensed capacities stay
+        worlds = [prepare_run(desk_config(wifi_users_per_wap=n), "esn", seed)
+                  for n in (0, 1, 4)]
+        first = worlds[0]
+        for other in worlds[1:]:
+            assert other.duty != first.duty
+            assert other.agent_seed == first.agent_seed
+            for a, b in zip(first.spaces, other.spaces, strict=True):
+                assert a.covered_users == b.covered_users
+                assert np.array_equal(a.fractions, b.fractions)
+            for band in ("c_l_dl", "c_l_ul"):
+                assert np.array_equal(getattr(first.capacities, band),
+                                      getattr(other.capacities, band))
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -226,9 +249,9 @@ class TestRun:
             run(desk_config(max_iterations=2), "q_lteu_decoupled", -1)
 
     def test_coupled_variant_never_splits_users(self):
-        cfg = desk_config(n_sbs=2, n_users=6, n_waps=0, action_set_size=8,
-                          sbs_coverage_m=250.0, max_iterations=300,
-                          convergence_window=25)
+        cfg = desk_config(n_sbs=2, n_users=6, wifi_users_per_wap=0,
+                          action_set_size=8, sbs_coverage_m=250.0,
+                          max_iterations=300, convergence_window=25)
         for seed in range(3):
             result = run(cfg, "q_lteu_coupled", seed=seed)
             assert result.decoupled_users == 0
@@ -474,14 +497,25 @@ class TestSweep:
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_wifi_demand_sweep_monotone_duty_cycle(self):
-        cfg = small_config(n_waps=2, max_iterations=4, convergence_window=5)
+        cfg = small_config(wifi_users_per_wap=4, max_iterations=4,
+                           convergence_window=5)
         cells = sweep(cfg, "r_w", [1e6, 3e6, 6e6, 9e6], ["esn"], n_runs=1)
         fractions = [c.result.lte_fraction for c in cells]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
         assert fractions[0] > fractions[-1]
 
+    def test_wifi_load_sweep_from_no_wifi(self):
+        # zero stations is the no-WiFi cell, with all of the airtime
+        cfg = small_config(max_iterations=4, convergence_window=5)
+        cells = sweep(cfg, "n_wifi", [0, 4], ["q_lteu_decoupled"], n_runs=1)
+        assert [c.value for c in cells] == [0, 4]
+        assert cells[0].result.lte_fraction == 1.0
+        assert not cells[0].result.wifi_overloaded
+        assert cells[1].result.lte_fraction < 1.0
+
     def test_wifi_load_sweep_monotone_duty_cycle(self):
-        cfg = small_config(n_waps=2, max_iterations=4, convergence_window=5)
+        cfg = small_config(wifi_users_per_wap=4, max_iterations=4,
+                           convergence_window=5)
         cells = sweep(cfg, "n_wifi", [2, 4, 8], ["esn"], n_runs=1)
         fractions = [c.result.lte_fraction for c in cells]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))

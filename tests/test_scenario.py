@@ -77,10 +77,10 @@ def test_config_rejects_bad_values(field, value):
 
 
 def test_negative_wifi_demand_rejected_without_waps():
-    # with no WAP the duty cycle never reads the demand, so only the
-    # config can catch it
+    # with no WiFi station the duty cycle never reads the demand, so only
+    # the config can catch it
     with pytest.raises(ValueError, match="wifi_rate_req_bps"):
-        desk_config(n_waps=0, wifi_rate_req_bps=-1.0)
+        desk_config(wifi_users_per_wap=0, wifi_rate_req_bps=-1.0)
 
 
 def test_every_float_field_must_be_finite():
@@ -131,7 +131,8 @@ CONSTANT_KEYS = ("z_levels", "eta", "epsilon", "lambda_alpha",
 REMOVED_KEYS = ("macro_radius_m", "p_mbs_dbm", "p_sbs_dbm", "p_user_dbm",
                 "noise_power_dbm", "f_l_dl_hz", "f_l_ul_hz", "f_u_hz",
                 "pathloss_licensed", "pathloss_unlicensed",
-                "reservoir_input_scale", "reservoir_density", *CONSTANT_KEYS)
+                "reservoir_input_scale", "reservoir_density", "n_waps",
+                *CONSTANT_KEYS)
 
 
 @pytest.mark.parametrize("key", ["bandwidth", *REMOVED_KEYS])
@@ -147,7 +148,7 @@ def test_echo_with_a_removed_key_is_refused(tmp_path):
     path.write_text(echo + "pathloss_licensed = 15.3, 37.5\n")
     with pytest.raises(ValueError, match="unknown config key 'pathloss_licensed'"):
         ScenarioConfig.from_file(path)
-    for key in CONSTANT_KEYS:
+    for key in ("n_waps", *CONSTANT_KEYS):
         path.write_text(echo + f"{key} = 0.5\n")
         with pytest.raises(ValueError, match=f"unknown config key {key!r}"):
             ScenarioConfig.from_file(path)
@@ -279,7 +280,6 @@ def test_topology_determinism():
     a = generate_topology(cfg, seed=11)
     b = generate_topology(cfg, seed=11)
     assert np.array_equal(a.sbs_positions, b.sbs_positions)
-    assert np.array_equal(a.wap_positions, b.wap_positions)
     assert np.array_equal(a.user_positions, b.user_positions)
     assert a.covered_users == b.covered_users
 
@@ -383,7 +383,6 @@ def test_identical_positions_identical_gains():
     topo = Topology(
         mbs_position=np.zeros(2),
         sbs_positions=np.array([[30.0, 0.0]]),
-        wap_positions=np.zeros((0, 2)),
         user_positions=pos,
         covered_users=((0, 1, 2), (0, 1)),
     )
@@ -406,7 +405,7 @@ def test_channel_determinism_and_positivity():
 
 def test_fading_empirical_mean_near_one():
     # 10^5 draws of the unit-mean exponential fading factor
-    cfg = ScenarioConfig(n_sbs=99, n_users=500, n_waps=1)
+    cfg = ScenarioConfig(n_sbs=99, n_users=500)
     topo = generate_topology(cfg, seed=0)
     faded = draw_channel(topo, seed=123)
     path_gain, _ = replay_channel(topo, seed=123)

@@ -67,8 +67,6 @@ ALLOWED_UNREAD = {
     "game.ExpectedUtility.stderr":
         "test_agents.py's three-standard-error checks of beta_expectation "
         "read it",
-    "scenario.Topology.wap_positions":
-        "ROADMAP item 1 removes it with its RNG draw and the golden re-pin",
 }
 
 TREES = {path.stem: ast.parse(path.read_text())

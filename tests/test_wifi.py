@@ -233,7 +233,7 @@ class TestScenarioDutyCycle:
         assert split.lte_share == direct.lte_share
 
     def test_no_waps_means_full_airtime(self):
-        cfg = ScenarioConfig(n_waps=0)
+        cfg = ScenarioConfig(wifi_users_per_wap=0)
         split = duty_cycle_for_config(cfg)
         assert split.lte_share == 1.0 and not split.wifi_overloaded
 
