@@ -249,33 +249,17 @@ def reward_joint(agent, played, advertised) -> tuple[int, ...]:
     return tuple(joint)
 
 
-def _cdf_rows(laws):
-    """One row per probability array: its normalized CDF, the floats
-    ``Generator.choice`` inverts, padded with 1.0 to the longest array."""
-    cdfs = np.ones((len(laws), max(map(len, laws), default=0)))
-    for row, p in zip(cdfs, laws):
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        row[:len(p)] = cdf
-    return cdfs
-
-
-def _inverse_cdf(cdfs, uniforms):
-    """``searchsorted(cdfs[j], uniforms[j], side="right")`` for every row j
-    at once, bit for bit: the count of CDF entries at or below each
-    uniform. A padded 1.0 lies above every uniform in [0, 1), so it is
-    never counted."""
-    return (cdfs[:, None, :] <= uniforms[:, :, None]).sum(axis=2)
-
-
 class _OpponentLaws(NamedTuple):
-    """What the opponent model fixes until an advertised best moves."""
+    """What the opponent model fixes until an advertised best moves. The
+    last three are (opponents, 1) columns, read by ``_draw_profiles``."""
 
     bests: tuple       # the opponents' advertised bests, the cache key
     probs: np.ndarray  # the epsilon-greedy laws back to back
-    cdfs: np.ndarray   # their _cdf_rows
     phi_mean: np.ndarray  # probs @ _phi_stack: the expected input drive
     x_best: np.ndarray    # alpha's input for the advertised profile
+    best_col: np.ndarray   # the bests
+    last_col: np.ndarray   # |A_m| - 1, as a float
+    scale_col: np.ndarray  # |A_m| / epsilon, or 0: epsilon 0 never explores
 
 
 def _opponent_laws(agent) -> _OpponentLaws:
@@ -285,14 +269,28 @@ def _opponent_laws(agent) -> _OpponentLaws:
     advertised bests stay."""
     bests = tuple(agent.opponent_bests[m] for m in agent.opponents)
     if agent._laws is None or agent._laws.bests != bests:
-        laws = [epsilon_greedy(len(agent.spaces[m]), best, agent.epsilon)
-                for m, best in zip(agent.opponents, bests)]
+        sizes = [len(agent.spaces[m]) for m in agent.opponents]
+        laws = [epsilon_greedy(size, best, agent.epsilon)
+                for size, best in zip(sizes, bests)]
         probs = np.concatenate([np.zeros(0), *laws])
         x_best = agent.profile_input(agent.opponent_bests)
         x_best.flags.writeable = False
-        agent._laws = _OpponentLaws(bests, probs, _cdf_rows(laws),
-                                    probs @ agent._phi_stack, x_best)
+        size_col = np.array(sizes, dtype=float)[:, None]
+        agent._laws = _OpponentLaws(
+            bests, probs, probs @ agent._phi_stack, x_best,
+            np.array(bests, dtype=np.intp)[:, None], size_col - 1.0,
+            size_col / (agent.epsilon or math.inf))
     return agent._laws
+
+
+def _draw_profiles(laws, epsilon, uniforms):
+    """One epsilon-greedy pick per uniform, opponent m's in row m. The cap
+    comes before the cast, so no product past the intp range is cast."""
+    explored = uniforms * laws.scale_col
+    np.minimum(explored, laws.last_col, out=explored)
+    picks = explored.astype(np.intp)
+    np.copyto(picks, laws.best_col, where=uniforms >= epsilon)
+    return picks
 
 
 def beta_expectation(agent, action_i) -> ExpectedUtility:
@@ -320,10 +318,10 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
     std(r, ddof=1) / sqrt(budget)`` is the standard error of that residual
     mean; it is 0 when the row's reservoir part is.
 
-    The draws, and the generator state after them, equal one
-    ``rng.choice(|A_m|, size=budget, p=p_m)`` per opponent in order: one
-    (opponents, budget) block holds those calls' uniforms back to back, and
-    ``_inverse_cdf`` inverts each against its opponent's CDF.
+    The drawn profiles take one (opponents, budget) block of uniforms, one
+    per pick, as epsilon-greedy is defined: opponent m's ``u`` below
+    epsilon picks ``floor(u * (|A_m| / epsilon))``, capped at ``|A_m| -
+    1``, and any other ``u`` its advertised best (``_draw_profiles``).
     """
     sizes = [len(agent.spaces[m]) for m in agent.opponents]
     budget, n_profiles = agent.expectation_budget, math.prod(sizes)
@@ -334,8 +332,8 @@ def beta_expectation(agent, action_i) -> ExpectedUtility:
     if exact:
         picks = np.indices(sizes).reshape(len(sizes), n_profiles)
     else:
-        picks = _inverse_cdf(laws.cdfs,
-                             agent.rng.random((len(sizes), budget)))
+        picks = _draw_profiles(laws, agent.epsilon,
+                               agent.rng.random((len(sizes), budget)))
     picks += agent._row_starts
     phi = agent._phi_stack
     row = agent.ro_alpha.w_out[action_i]

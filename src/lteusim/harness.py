@@ -128,6 +128,10 @@ def run(config: ScenarioConfig, algorithm: str = "esn", seed: int | None = None,
     ``keep_records=False`` drops the per-round records (Monte-Carlo
     replications only need the end-state metrics), and with them the played
     joint's per-round rates; its grants are still checked every round.
+
+    ``max_iterations = 0`` runs the set-up alone and reports empty rates
+    (``_empty_rates``); the benchmark times set-up (``setup_s``) by such
+    runs, so the value must stay accepted.
     """
     if seed is None:
         seed = config.rng_seed
@@ -336,17 +340,12 @@ def sweep(template: ScenarioConfig, axis: str, values, algorithms=None,
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-    field = SWEEP_AXES[axis]
-    kind = type(getattr(template, field))
-    # a count axis must not truncate 12.5 to 12 and still report 12.5
-    if kind is int:
-        for value in values:
-            if not float(value).is_integer():
-                raise ValueError(f"sweep axis {axis!r} takes whole numbers, "
-                                 f"got {value!r}")
+    # every cell's config first: the config refuses a value (a count of
+    # 12.5, say) before any cell runs
+    configs = [template.with_overrides(**{SWEEP_AXES[axis]: value})
+               for value in values]
     cells = []
-    for value in values:
-        config = template.with_overrides(**{field: kind(value)})
+    for value, config in zip(values, configs):
         for algorithm in algorithms:
             cells.append(SweepCell(
                 axis=axis, value=float(value),

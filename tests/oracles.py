@@ -13,9 +13,11 @@ with batches of bounded draws, bit for bit. The per-action loops that
 here as oracles for them, and so are the per-batch
 arithmetic that ``JointEvaluator``'s per-action tables replaced and the
 plain and the control-variate Monte-Carlo estimators of the agents' beta
-expectation. ``expected_utility_oracle`` is the scalar loop behind
-``verify_mixed_ne``'s payoff tables. ``converged_at_oracle`` is the window
-rule that ``harness.run``'s running counts replaced.
+expectation, with ``epsilon_greedy_draws``, the one-uniform-per-pick
+epsilon-greedy draw they sample. ``expected_utility_oracle`` is the
+scalar loop behind ``verify_mixed_ne``'s payoff tables.
+``converged_at_oracle`` is the window rule that ``harness.run``'s running
+counts replaced.
 ``recurrent_matrix`` is the dense matrix that an ``esn.Reservoir``'s
 shifted drive stands for.
 """
@@ -313,10 +315,23 @@ def opponent_laws(agent):
                            agent.epsilon) for m in agent.opponents]
 
 
-def choice_stack(rng, probs, budget):
-    """Reference sampler: one ``Generator.choice`` call per probability
-    array, in order, stacked one row per array."""
-    return np.stack([rng.choice(len(p), size=budget, p=p) for p in probs])
+def epsilon_greedy_draws(rng, agent, budget):
+    """Reference sampler: ``budget`` epsilon-greedy picks per opponent of an
+    ``EsnAgent``, opponent after opponent, one row each, with one uniform
+    per pick. A uniform u below epsilon explores, picking
+    ``floor(u * (size / epsilon))`` capped at the last action; any other
+    picks the advertised best."""
+    epsilon = agent.epsilon
+    rows = []
+    for m in agent.opponents:
+        size, best = len(agent.spaces[m]), agent.opponent_bests[m]
+        row = []
+        for _ in range(budget):
+            u = rng.random()
+            row.append(min(math.floor(u * (size / epsilon)), size - 1)
+                       if u < epsilon else best)
+        rows.append(row)
+    return np.array(rows, dtype=np.intp).reshape(len(rows), budget)
 
 
 def _opponent_block(agent, m, a):
@@ -366,7 +381,7 @@ def plain_expectation(agent, action_i, rng, budget):
     """``(mean, stderr)`` of alpha's prediction over ``budget`` profiles
     drawn from the opponent model: the plain Monte-Carlo estimator."""
     values = naive_predictions(
-        agent, choice_stack(rng, opponent_laws(agent), budget), action_i)
+        agent, epsilon_greedy_draws(rng, agent, budget), action_i)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(budget))
 
 
@@ -392,7 +407,7 @@ def control_variate_expectation(agent, action_i, rng, budget):
                     + reservoir.w_in @ x_bar)
     slope = w * (1.0 - t_bar ** 2)
 
-    profiles = choice_stack(rng, laws, budget)
+    profiles = epsilon_greedy_draws(rng, agent, budget)
     residual = naive_predictions(agent, profiles, action_i)
     for k, column in enumerate(profiles.T):
         x = alpha_input([_opponent_block(agent, m, a)

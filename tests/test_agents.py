@@ -3,6 +3,7 @@ both reservoir networks, the Q baselines, and the per-algorithm gating."""
 
 import functools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,15 +15,15 @@ from hypothesis import strategies as st
 
 from lteusim import agents, esn, game, harness
 from lteusim.agents import (BEST_SWITCH_MARGIN, EsnAgent, QAgent,
-                            _best_reply, _cdf_rows, _encode_space,
-                            _inverse_cdf, _opponent_laws, algorithm_spaces,
+                            _best_reply, _draw_profiles, _encode_space,
+                            _opponent_laws, algorithm_spaces,
                             beta_expectation, finish_round, make_agents,
                             reward_joint, select_and_broadcast)
 from lteusim.game import JointEvaluator
 from lteusim.rates import LinkCapacitySet, check_grants, compute_user_rates
 from lteusim.scenario import desk_config
-from oracles import (action_at, actions_of, choice_stack,
-                     control_variate_expectation, epsilon_greedy, make_action,
+from oracles import (action_at, actions_of, control_variate_expectation,
+                     epsilon_greedy, epsilon_greedy_draws, make_action,
                      naive_predictions, opponent_laws, plain_expectation,
                      space_of)
 
@@ -600,111 +601,96 @@ def model_agent(sizes, bests, epsilon):
         profile_input=lambda indices: np.array(indices[1:], dtype=float))
 
 
-def sampled_profiles(rng, agent, budget):
-    """The sampled expectation's profiles: one block of uniforms, inverted
-    against the agent's CDF rows."""
-    return _inverse_cdf(_opponent_laws(agent).cdfs,
-                        rng.random((len(agent.opponents), budget)))
+def sampled_profiles(agent, uniforms):
+    """The sampled expectation's profiles for one block of uniforms, row m
+    opponent m's."""
+    return _draw_profiles(_opponent_laws(agent), agent.epsilon, uniforms)
 
 
 class TestDrawProfiles:
-    @settings(max_examples=200, deadline=None)
+    """Opponent m's uniform u below epsilon explores, picking
+    ``floor(u * (|A_m| / epsilon))`` capped at the last action; any other
+    u picks the advertised best."""
+
+    # epsilon is 0 or at least 1e-300: below that |A_m| / epsilon
+    # overflows a double
+    @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 39)),
                     min_size=1, max_size=5),
-           st.floats(0.0, 1.0), st.integers(1, 600), st.integers(0, 2**32 - 1))
-    def test_matches_per_opponent_choice_bitwise(self, opponents, epsilon,
-                                                 budget, seed):
+           st.one_of(st.just(0.0), st.floats(1e-300, 1.0)),
+           st.integers(2, 200), st.integers(0, 2**32 - 1))
+    def test_matches_the_scalar_reference_draw(self, opponents, epsilon,
+                                               budget, seed):
         agent = model_agent([size for size, _ in opponents],
                             [best % size for size, best in opponents],
                             epsilon)
-        probs = [epsilon_greedy(len(agent.spaces[m]),
-                                agent.opponent_bests[m], epsilon)
-                 for m in agent.opponents]
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sampled_profiles(ours, agent, budget)
-        want = choice_stack(ref, probs, budget)
-        assert got.shape == want.shape == (len(probs), budget)
+        got = sampled_profiles(agent, ours.random((len(opponents), budget)))
+        want = epsilon_greedy_draws(ref, agent, budget)
         assert np.array_equal(got, want)
-        # the generators leave the draws in the same state
+        # the reference takes one uniform per pick, as the block does
         assert ours.random() == ref.random()
+
+    def test_picks_follow_the_epsilon_greedy_law_chi_square(self):
+        sizes, bests = [4, 7, 16], [2, 0, 15]
+        agent = model_agent(sizes, bests, epsilon=0.7)
+        n = 100_000
+        draws = sampled_profiles(
+            agent, np.random.default_rng(4).random((len(sizes), n)))
+        for size, best, row in zip(sizes, bests, draws):
+            law = game.epsilon_greedy(size, best, 0.7)
+            counts = np.bincount(row, minlength=size)
+            assert scipy.stats.chisquare(counts, n * law).pvalue > 0.001
+            sigma = math.sqrt(law[best] * (1.0 - law[best]) / n)
+            assert abs(counts[best] / n - law[best]) < 3 * sigma
+
+    def test_epsilon_zero_picks_only_the_best_without_a_warning(self):
+        agent = model_agent([4, 3, 9], [1, 2, 0], epsilon=0.0)
+        uniforms = np.random.default_rng(5).random((3, 500))
+        uniforms[:, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sampled_profiles(agent, uniforms)
+        assert np.array_equal(draws, np.broadcast_to([[1], [2], [0]],
+                                                     draws.shape))
+
+    def test_epsilon_one_is_uniform(self):
+        sizes = [4, 7, 16]
+        agent = model_agent(sizes, [2, 0, 15], epsilon=1.0)
+        n = 100_000
+        draws = sampled_profiles(
+            agent, np.random.default_rng(6).random((len(sizes), n)))
+        for size, row in zip(sizes, draws):
+            counts = np.bincount(row, minlength=size)
+            assert len(counts) == size
+            assert scipy.stats.chisquare(counts).pvalue > 0.001
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.3, 0.7, 0.9, 1.0])
+    def test_largest_exploring_uniform_picks_the_last_action(self, epsilon):
+        sizes = list(range(1, 41))
+        agent = model_agent(sizes, [0] * len(sizes), epsilon)
+        u = np.nextafter(epsilon, 0.0)
+        draws = sampled_profiles(agent, np.full((len(sizes), 1), u))
+        assert draws[:, 0].tolist() == [size - 1 for size in sizes]
+        # the epsilon itself is no exploring uniform
+        draws = sampled_profiles(agent, np.full((len(sizes), 1), epsilon))
+        assert not draws.any()
+
+    def test_the_cap_is_reached(self):
+        # a product u * (|A| / epsilon) that rounds up to |A|, which the
+        # cap returns to the last action
+        u = np.nextafter(0.9, 0.0)
+        assert u * (4 / 0.9) == 4.0
+        agent = model_agent([4], [1], epsilon=0.9)
+        assert sampled_profiles(agent, np.full((1, 1), u)).tolist() == [[3]]
 
     def test_rows_are_contiguous_index_rows(self):
         agent = model_agent([4, 3], [0, 2], epsilon=1.0)  # uniform laws
-        draws = sampled_profiles(np.random.default_rng(0), agent, 50)
+        draws = sampled_profiles(
+            agent, np.random.default_rng(0).random((2, 50)))
         assert draws.shape == (2, 50) and draws.flags.c_contiguous
+        assert draws.dtype == np.intp
         assert draws[0].max() < 4 and draws[1].max() < 3
-
-
-def searchsorted_stack(probs, uniforms):
-    """Reference inversion: a binary search of each normalized CDF."""
-    rows = []
-    for p, u in zip(probs, uniforms):
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        rows.append(cdf.searchsorted(u, side="right"))
-    return np.stack(rows)
-
-
-def edge_uniforms(probs):
-    """Per row: every CDF value below 1, 0.0 and the largest double below
-    1, with the neighbouring doubles of each; rows are padded to a common
-    length with 0.5."""
-    rows = []
-    for p in probs:
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        points = np.concatenate([cdf[cdf < 1.0],
-                                 [0.0, np.nextafter(1.0, 0.0)]])
-        points = np.concatenate([points, np.nextafter(points, 0.0),
-                                 np.nextafter(points, 1.0)])
-        rows.append(points[(points >= 0.0) & (points < 1.0)])
-    width = max(len(r) for r in rows)
-    return np.stack([np.pad(r, (0, width - len(r)), constant_values=0.5)
-                     for r in rows])
-
-
-class TestInverseCdf:
-    """``_inverse_cdf`` over ``_cdf_rows`` against
-    ``searchsorted(side="right")``, bit for bit."""
-
-    def check(self, probs, uniforms):
-        got = _inverse_cdf(_cdf_rows(probs), uniforms)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, searchsorted_stack(probs, uniforms))
-
-    def test_cdf_entries_and_their_neighbours(self):
-        # rows of different lengths, so the shorter ones are padded
-        probs = [epsilon_greedy(32, 5, 0.7), epsilon_greedy(7, 0, 0.3),
-                 np.full(4, 0.25), np.array([1.0])]
-        self.check(probs, edge_uniforms(probs))
-
-    def test_entries_a_hair_apart(self):
-        # 39 entries 2.5e-5 apart below the peak
-        probs = [epsilon_greedy(40, 39, 1e-3), epsilon_greedy(40, 0, 1e-3)]
-        self.check(probs, edge_uniforms(probs))
-        rng = np.random.default_rng(1)
-        self.check(probs, rng.random((2, 4000)) * 1e-3)
-
-    def test_zero_probability_entries(self):
-        probs = [np.array([0.0, 0.3, 0.0, 0.0, 0.7, 0.0]),
-                 np.array([0.0, 0.0, 1.0]),
-                 np.array([0.5, 0.0, 0.5]),
-                 np.array([0.25, 0.25, 0.0, 0.5, 0.0])]
-        self.check(probs, edge_uniforms(probs))
-        rng = np.random.default_rng(2)
-        draws = _inverse_cdf(_cdf_rows(probs), rng.random((4, 2000)))
-        for p, row in zip(probs, draws):
-            assert np.all(p[row] > 0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
-                    .filter(lambda w: sum(w) > 0), min_size=1, max_size=5),
-           st.integers(0, 2**32 - 1))
-    def test_any_probabilities(self, weights, seed):
-        probs = [np.array(w) / sum(w) for w in weights]
-        uniforms = np.random.default_rng(seed).random((len(probs), 300))
-        self.check(probs, uniforms)
-        self.check(probs, edge_uniforms(probs))
 
     def test_laws_are_kept_per_advertised_row(self, monkeypatch):
         built = []
@@ -736,8 +722,9 @@ class TestInverseCdf:
                               np.concatenate(moved) @ agent._phi_stack)
         assert np.array_equal(laws.x_best, [1.0, 9.0])
         uniforms = np.random.default_rng(3).random((2, 500))
-        assert np.array_equal(_inverse_cdf(laws.cdfs, uniforms),
-                              searchsorted_stack(moved, uniforms))
+        assert np.array_equal(
+            _draw_profiles(laws, 0.7, uniforms),
+            epsilon_greedy_draws(np.random.default_rng(3), agent, 500))
 
 
 # full reservoir step -------------------------------------------------------

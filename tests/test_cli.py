@@ -326,7 +326,7 @@ class TestSweepCommand:
         code = cli.main(["sweep", "--axis", "n_users", "--values", "12.5",
                          "--runs", "1", "--out", str(out), *SMALL])
         assert code == 2
-        assert "takes whole numbers" in capsys.readouterr().err
+        assert "n_users must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -195,7 +195,7 @@ def test_esn_learner_floats_sampled():
     result = run(desk_config(max_iterations=100), "esn", 0)
     assert rows_digest(result) == [None, "49f60acae6ceac8d6a56367646d2fb52"
                                          "d7dc1d2c83013467e8d9c428f79011b4"]
-    assert_floats(learner_sum(result), 67545.93515036722)
+    assert_floats(learner_sum(result), 67545.97527543051)
 
 
 def test_esn_learner_floats_exact():

@@ -474,11 +474,26 @@ class TestSweep:
     @pytest.mark.parametrize("axis", ["n_sbs", "n_users", "n_wifi"])
     @pytest.mark.parametrize("value", [12.5, 2.000001, float("nan"),
                                        float("inf")])
-    def test_count_axis_rejects_non_integral_values(self, axis, value):
-        # checked before any cell runs, so the valid 2 runs nothing either
-        with pytest.raises(ValueError, match="whole numbers"):
+    def test_count_axis_rejects_non_integral_values(self, axis, value,
+                                                     monkeypatch):
+        # the config refuses it before any cell runs, so the valid 2 runs
+        # nothing either
+        monkeypatch.setattr(harness, "monte_carlo", self.no_cell)
+        message = "must be an integer" if np.isfinite(value) \
+            else "must be finite"
+        with pytest.raises(ValueError, match=message):
             sweep(small_config(), axis, [2, value], ["q_lteu_decoupled"],
                   n_runs=1)
+
+    @staticmethod
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the refusal")
+
+    def test_non_finite_rate_is_refused_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(harness, "monte_carlo", self.no_cell)
+        with pytest.raises(ValueError, match="must be finite"):
+            sweep(small_config(), "r_w", [1e6, float("nan")],
+                  ["q_lteu_decoupled"], n_runs=1)
 
     def test_integral_float_on_a_count_axis_is_accepted(self):
         cfg = small_config(max_iterations=3, convergence_window=4)
@@ -493,7 +508,7 @@ class TestSweep:
                          "--algorithms", "q_lteu_decoupled", "--runs", "1",
                          "--out", str(tmp_path)])
         assert code == 2
-        assert "whole numbers" in capsys.readouterr().err
+        assert "n_users must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_wifi_demand_sweep_monotone_duty_cycle(self):
